@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
         .cell(std::int64_t{workers})
         .cell(ms, 1)
         .cell(base / ms, 2)
-        .cell(run.stats.counters.get("native.frames"))
-        .cell(run.stats.counters.get("native.tokens"))
+        .cell(run.stats.counters.get("native.framesCreated"))
+        .cell(run.stats.counters.get("native.tokensOut"))
         .cell(same ? "yes" : "NO");
   }
   table.print();

@@ -155,8 +155,8 @@ def load_stats(path):
 
 
 def tokens_per_datagram(counters):
-    """Mean batched-token occupancy, from the raw sums (the archived
-    net.udp.batch.tokensPerDgram counter is integer-truncated)."""
+    """Mean batched-token occupancy, from the raw sums (the counter
+    registry holds integers, so it keeps no ratio)."""
     dgrams = counters.get("net.udp.batch.datagrams", 0)
     if dgrams <= 0:
         return None

@@ -410,14 +410,13 @@ struct NativeMachine::Impl : TransportSink {
     if (recMode()) recLogs.resize(static_cast<std::size_t>(c.numWorkers));
     results.resize(static_cast<std::size_t>(prog.numResults));
     resultSet.assign(static_cast<std::size_t>(prog.numResults), false);
-    if (workerMode()) {
-      transport = makeUdpMultiprocTransport(*this, plan, cfg.numWorkers,
-                                            cfg.localPe, cfg.epoch, cfg.sockFd,
-                                            cfg.peerPorts, cfg.link);
-    } else if (!supervisorMode()) {
-      // Supervisor mode needs no transport: tokens flow between worker
-      // processes, never through this Impl.
-      transport = makeTransport(cfg.transport, *this, plan, cfg.numWorkers);
+    // Supervisor mode needs no transport: tokens flow between worker
+    // processes, never through this Impl.
+    if (!supervisorMode()) {
+      const UdpWorkerEndpoint worker{cfg.localPe, cfg.sockFd, cfg.peerPorts,
+                                     cfg.epoch, cfg.link};
+      transport = makeTransport(cfg.transport, *this, plan, cfg.numWorkers,
+                                workerMode() ? &worker : nullptr);
     }
   }
 
@@ -1435,9 +1434,20 @@ struct NativeMachine::Impl : TransportSink {
             return Step::Stopped;
           }
           const int owner = m->layout.ownerOfOffset(offset);
+          NToken tok;
+          tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
+          tok.ctx = arrId;
+          tok.senderCtx = static_cast<std::uint64_t>(offset);
+          tok.slot = static_cast<std::uint16_t>(pe);
+          tok.v = f.slots[in.dst];
           if (owner == pe) {
             w.st.amLocalWrites++;
-            if (!wireApplyWrite(pe, arrId, offset, f.slots[in.dst]))
+            // Worker mode logs its own writes like received ones: the
+            // element lives in process memory, and this frame may retire
+            // (and so never re-execute) before a kill. Logged before the
+            // apply, so every reply the write releases is gated on it.
+            if (workerMode()) logAm(pe, tok);
+            if (!wireApplyWrite(pe, arrId, offset, tok.v))
               return Step::Stopped;
             break;
           }
@@ -1446,12 +1456,6 @@ struct NativeMachine::Impl : TransportSink {
           // windows + msgId dedup), and a kill-replay re-send is an
           // idempotent identical overwrite at the owner.
           w.st.amWriteSent++;
-          NToken tok;
-          tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
-          tok.ctx = arrId;
-          tok.senderCtx = static_cast<std::uint64_t>(offset);
-          tok.slot = static_cast<std::uint16_t>(pe);
-          tok.v = f.slots[in.dst];
           send(pe, owner, std::move(tok));
           break;
         }
@@ -2333,7 +2337,6 @@ struct NativeMachine::Impl : TransportSink {
 
     // Per-worker counters (threads joined: owner-only state is now visible),
     // rolled up into the aggregate "native.*" namespace.
-    std::int64_t frames = 0, tokens = 0;
     for (const auto& w : workers) {
       Counters c;
       c.add("tokensIn", w->st.tokensIn);
@@ -2349,8 +2352,6 @@ struct NativeMachine::Impl : TransportSink {
       c.add("dupSuppressed", w->st.dupSuppressed);
       out.counters.mergePrefixed(c, "native.");
       out.perWorker.push_back(std::move(c));
-      frames += w->st.framesCreated;
-      tokens += w->st.tokensOut;
     }
     if (wireStore()) {
       // Array-message ledger ("net.am.*"). Fault-free invariants the tests
@@ -2380,10 +2381,6 @@ struct NativeMachine::Impl : TransportSink {
     std::int64_t shmOps = 0;
     for (const auto& w : workers) shmOps += w->st.shmArrayOps;
     out.counters.add("native.shmArrayOps", shmOps);
-    // Legacy aliases kept stable for existing consumers; "native.instructions"
-    // already exists via the prefixed merge above.
-    out.counters.add("native.frames", frames);
-    out.counters.add("native.tokens", tokens);
     // Workers skip this one: the supervisor adds it exactly once, or the
     // merged total would read N * numWorkers.
     if (!workerMode()) out.counters.add("native.workers", cfg.numWorkers);

@@ -22,9 +22,7 @@
 //    because no single worker process can see the global ledger.
 #include "native/procmgr.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -964,28 +962,11 @@ NativeResult Supervisor::run() {
   // Bind every PE's data socket up front. Workers inherit their own fd; the
   // supervisor's copies pin ports (and kernel-buffered datagrams) across
   // worker deaths.
-  sockFds_.assign(static_cast<std::size_t>(n), -1);
-  ports_.assign(static_cast<std::size_t>(n), 0);
-  for (int pe = 0; pe < n; ++pe) {
-    const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
-    sockaddr_in sa{};
-    sa.sin_family = AF_INET;
-    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = 0;
-    socklen_t slen = sizeof sa;
-    if (fd < 0 ||
-        ::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0 ||
-        ::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &slen) != 0) {
-      if (fd >= 0) ::close(fd);
-      for (const int f : sockFds_)
-        if (f >= 0) ::close(f);
-      out.ok = false;
-      out.error = std::string("udp socket setup failed: ") +
-                  std::strerror(errno);
-      return out;
-    }
-    sockFds_[static_cast<std::size_t>(pe)] = fd;
-    ports_[static_cast<std::size_t>(pe)] = ntohs(sa.sin_port);
+  std::string sockErr;
+  if (!bindLoopbackUdp(n, sockFds_, ports_, &sockErr)) {
+    out.ok = false;
+    out.error = "udp socket setup failed: " + sockErr;
+    return out;
   }
 
   children_.resize(static_cast<std::size_t>(n));

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,29 +47,14 @@ std::uint64_t get64(const std::uint8_t* p) {
   return v;
 }
 
-// Datagram type bytes (first byte of every UDP packet). Type 2 was the
-// retired per-message ack; the value stays reserved so old captures stay
-// readable and a stray legacy ack is rejected, not misparsed.
-constexpr std::uint8_t kTypeToken = 1;
-constexpr std::uint8_t kTypeLegacyAck = 2;
-constexpr std::uint8_t kTypeShutdown = 3;
-constexpr std::uint8_t kTypeBatch = 4;
-constexpr std::uint8_t kTypeCumAck = 5;
-// Multi-process (epoch-stamped) variants: same record/ack bodies plus one
-// incarnation byte, so a respawned sender's renumbered stream is never
-// confused with its predecessor's.
-constexpr std::uint8_t kTypeBatchE = 6;
-constexpr std::uint8_t kTypeCumAckE = 7;
-
-// Cumulative ack: type + ackerPe u16 + cumSeq u64 + bitmap u64.
-constexpr std::size_t kCumAckWireBytes = 19;
-// Epoch batch header: type + srcPe u16 + count u16 + epoch u8.
-constexpr std::size_t kBatchEHeaderBytes = 6;
-// Epoch cumulative ack: kCumAckWireBytes + epoch u8. The epoch is the
-// *acked stream's sender's* incarnation as known by the acker — a reborn
-// sender must drop acks for its predecessor's stream, whose seq numbers
-// would otherwise wrongly retire the fresh renumbered ones.
-constexpr std::size_t kCumAckEWireBytes = 20;
+// Datagram type bytes (first byte of every UDP packet). 1..5 belonged to
+// retired formats (the bare single-token datagram, the per-message ack, the
+// shutdown wake-up, the unstamped batch and ack) and are rejected like any
+// other unknown type.
+constexpr std::uint8_t kTypeBatch = 6;
+constexpr std::uint8_t kTypeCumAck = 7;
+// Tag byte that opens every 65-byte token record inside a batch.
+constexpr std::uint8_t kRecordToken = 1;
 
 // Outbox flush deadline: how long a partially-filled batch may sit before
 // the timer thread ships it. The sending worker's loop flushes far more
@@ -77,7 +63,7 @@ constexpr double kFlushDeadlineUs = 50.0;
 
 // Lazy-ack threshold: a receiver answers partial batches and healed
 // duplicates immediately, but lets full-batch streams run this many tokens
-// between cumulative acks (see recvMain).
+// between cumulative acks (see onBatch).
 constexpr std::int64_t kAckLazyTokens = 64;
 
 /// Per-(src,dst) link counters. Written from worker, receiver, and timer
@@ -324,14 +310,23 @@ class InboxTransport final : public Transport {
 };
 
 // ---------------------------------------------------------------------------
-// UdpTransport: one UDP socket per PE on 127.0.0.1, tokens as batched
-// datagrams with cumulative acknowledgment.
+// UdpTransport: the Routing Unit of the PEs this process serves — one UDP
+// socket per PE on 127.0.0.1, tokens as batched datagrams with cumulative
+// acknowledgment.
+//
+// One engine serves both UDP modes. In-process (`--transport=udp`) it serves
+// all N PEs and binds their sockets itself. In a multi-process worker
+// (`--transport=udp-multiproc`) it serves the worker's one PE on the socket
+// the supervisor bound and handed down; the supervisor keeps its own copy,
+// so the port binding and any datagrams buffered in the kernel survive a
+// kill -9 of the worker — the paper's "NIC outlives the PE". The mode
+// decides only who owns the sockets and when a fresh token may be acked
+// (see "acks" below); everything else is shared.
 //
 // Sends coalesce per (src,dst) link: each link keeps a small outbox that
 // accumulates 65-byte token records and ships them as one MTU-sized batch
 // datagram when full (kBatchMaxTokens), when the sending worker's loop
-// calls flush(), or when the 50 µs deadline timer fires. A single-token
-// flush goes out as the bare legacy token datagram.
+// calls flush(), or when the 50 µs deadline timer fires.
 //
 // UDP gives no delivery guarantee even on loopback (a full SO_RCVBUF drops
 // packets silently), so the reliable-delivery protocol ALWAYS runs:
@@ -344,27 +339,45 @@ class InboxTransport final : public Transport {
 //             retransmitted record rides the link's next batch with its
 //             ORIGINAL msgId (never re-registered, so quiescence is never
 //             double-charged) alongside fresh tokens;
-//   receiver  answers every token-carrying datagram with one cumulative
-//             ack — highest contiguously received seq plus a selective
-//             bitmap for seqs above it — re-acking duplicates so a lost
-//             ack self-heals, and suppresses duplicates by link sequence
-//             before they reach the inbox;
-//   acks      are themselves datagrams and may be lost; injected faults
-//             roll dice on acks too (lossy-ack model, as in the simulator).
+//   receiver  suppresses duplicates by link sequence before they reach the
+//             inbox, and re-acks a duplicate at once so a lost ack
+//             self-heals;
+//   acks      are cumulative: the highest contiguously received seq plus a
+//             selective bitmap for seqs above it. Without a WorkerLink a
+//             fresh token is acked at receive (lazily, see kAckLazyTokens).
+//             With one, a token may be acked only once its Recv record is
+//             stable at the supervisor (an acked-but-unlogged token would
+//             never be retransmitted and would vanish with the next kill):
+//             the worker thread reports each drain (noteDrained) and
+//             pumpAcks() acks what has become stable. Acks are datagrams
+//             too and may be lost; injected faults roll dice on them
+//             (lossy-ack model, as in the simulator).
+//
+// Epochs: every datagram carries an incarnation (0 in-process). A respawned
+// worker boots with epoch+1 and renumbers its links from seq 1. A receiver
+// resets a link's windows the first time it sees a higher epoch from the
+// link's source and drops datagrams stamped with a lower one; a reborn
+// sender drops acks stamped with its predecessor's epoch.
+//
+// Output commit for sends (WorkerLink only): an outbox may be FLUSHED only
+// once the log records that preceded its sends are stable (the NEWCTX/ALLOC
+// mints behind a send are not replay-stable until logged). Gated flushes
+// are retried by the worker loop's poll and by onStableAdvance().
 //
 // Fault injection composes at the datagram level: each transmission of a
 // batch (first flush and every retransmit flush) rolls the seeded FaultPlan
 // dice — Drop suppresses the sendto for the whole batch (the backoff timers
 // recover each token), Duplicate sends the wire image twice, Delay parks
-// the image in the timer.
+// the image in the timer. A multi-process worker's plan rolls no dice: the
+// supervisor injects its faults as real SIGKILLs.
 //
-// Threads: N receiver threads (one blocking recvfrom loop per PE socket —
-// the "NIC", which a kill-mode fail-stop deliberately does NOT destroy) and
-// one timer thread driving retransmit batches, flush deadlines, and delayed
-// sends. Backoff, give-up, sequence windows, and dedup decisions live in
-// proto::Delivery: one sender endpoint under m_, and one receiver endpoint
-// per PE touched only by that PE's receiver thread (the endpoint models the
-// NIC and deliberately survives a kill-mode fail-stop of the PE).
+// Threads: one receiver thread polls every local PE's socket (the "NIC",
+// which an in-process kill-mode fail-stop deliberately does NOT destroy)
+// plus an eventfd that stop() signals, and one timer thread drives
+// retransmit batches, flush deadlines, and delayed sends — two threads per
+// process at any PE count. Backoff, give-up, sequence windows, and dedup
+// decisions live in proto::Delivery: one sender endpoint under m_, and one
+// receiver endpoint touched only by the receiver thread.
 //
 // Lock order: lk.m (a link's outbox) and m_ (sender window + timer heap)
 // are NEVER held together — every path releases one before taking the
@@ -373,10 +386,17 @@ class InboxTransport final : public Transport {
 
 class UdpTransport final : public Transport {
  public:
-  UdpTransport(TransportSink& sink, const FaultPlan& plan, int numPes)
+  /// `worker` null: in-process, serving all PEs on sockets bound here.
+  UdpTransport(TransportSink& sink, const FaultPlan& plan, int numPes,
+               const UdpWorkerEndpoint* worker)
       : sink_(sink),
         plan_(plan),
         numPes_(numPes),
+        firstLocal_(worker != nullptr ? worker->pe : 0),
+        numLocal_(worker != nullptr ? 1 : numPes),
+        ownsSockets_(worker == nullptr),
+        epoch_(worker != nullptr ? worker->epoch : 0),
+        link_(worker != nullptr ? worker->link : nullptr),
         links_(static_cast<std::size_t>(numPes) * numPes),
         // Fault tests tune retry.rtoUs down to recover injected drops
         // quickly; honor it then. Fault-free, datagram loss is rare (large
@@ -384,65 +404,62 @@ class UdpTransport final : public Transport {
         // on the ack path, so the policy floors it — spurious retransmits
         // are harmless (receiver dedup) but wasteful.
         sender_(plan.config().retry, plan.enabled()),
-        rx_(static_cast<std::size_t>(numPes),
-            proto::Delivery(plan.config().retry, plan.enabled())),
-        outSlots_(new std::atomic<LinkOut*>[static_cast<std::size_t>(numPes) *
-                                            numPes]),
-        dirtySrc_(new std::atomic<int>[static_cast<std::size_t>(numPes)]) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(numPes) * numPes; ++i)
+        rx_(plan.config().retry, plan.enabled()),
+        outSlots_(new std::atomic<LinkOut*>[localLinks()]),
+        dirty_(new std::atomic<int>[static_cast<std::size_t>(numLocal_)]),
+        knownEpoch_(localLinks(), 0),
+        sinceAck_(localLinks(), 0) {
+    for (std::size_t i = 0; i < localLinks(); ++i)
       outSlots_[i].store(nullptr, std::memory_order_relaxed);
-    for (int i = 0; i < numPes; ++i)
-      dirtySrc_[i].store(0, std::memory_order_relaxed);
+    for (int i = 0; i < numLocal_; ++i)
+      dirty_[i].store(0, std::memory_order_relaxed);
+    if (worker != nullptr) {
+      fds_.push_back(worker->sockFd);
+      ports_ = worker->peerPorts;
+    }
+    if (link_ != nullptr) {
+      for (std::size_t i = 0; i < localLinks(); ++i)
+        acks_.push_back(std::make_unique<AckState>());
+    }
   }
 
   ~UdpTransport() override {
     stop();
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(numPes_) * numPes_; ++i)
+    for (std::size_t i = 0; i < localLinks(); ++i)
       delete outSlots_[i].load(std::memory_order_relaxed);
   }
 
-  const char* name() const override { return "udp"; }
+  const char* name() const override {
+    return ownsSockets_ ? "udp" : "udp-multiproc";
+  }
 
   bool start(std::string* err) override {
-    fds_.assign(static_cast<std::size_t>(numPes_), -1);
+    auto fail = [&](const std::string& why) {
+      if (err) *err = std::string(name()) + " transport: " + why;
+      return false;
+    };
+    std::string why;
+    if (ownsSockets_ && !bindLoopbackUdp(numPes_, fds_, ports_, &why))
+      return fail(why);
+    if (fds_[0] < 0) return fail("no inherited socket fd");
+    wakeFd_ = ::eventfd(0, EFD_CLOEXEC);
+    if (wakeFd_ < 0) {
+      why = std::string("eventfd(): ") + std::strerror(errno);
+      closeSockets();
+      return fail(why);
+    }
     addrs_.assign(static_cast<std::size_t>(numPes_), sockaddr_in{});
     for (int pe = 0; pe < numPes_; ++pe) {
-      const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-      if (fd < 0) {
-        if (err) *err = "udp transport: socket(): " + errnoStr();
-        closeAll();
-        return false;
-      }
-      fds_[static_cast<std::size_t>(pe)] = fd;
-      // Large receive buffer: loopback "packet loss" is exactly a full
-      // receive queue, and every drop costs a backoff-delayed retransmit.
-      int rcvbuf = 4 << 20;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-      // Receive timeout so a receiver never blocks past shutdown even if
-      // the wake-up datagram itself were dropped.
-      timeval tv{};
-      tv.tv_usec = 20000;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-      sockaddr_in sa{};
+      sockaddr_in& sa = addrs_[static_cast<std::size_t>(pe)];
       sa.sin_family = AF_INET;
       sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      sa.sin_port = 0;  // ephemeral: each PE learns its port from the bind
-      if (::bind(fd, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0) {
-        if (err) *err = "udp transport: bind(): " + errnoStr();
-        closeAll();
-        return false;
-      }
-      socklen_t len = sizeof addrs_[static_cast<std::size_t>(pe)];
-      if (::getsockname(
-              fd,
-              reinterpret_cast<sockaddr*>(&addrs_[static_cast<std::size_t>(pe)]),
-              &len) != 0) {
-        if (err) *err = "udp transport: getsockname(): " + errnoStr();
-        closeAll();
-        return false;
-      }
+      sa.sin_port = htons(ports_[static_cast<std::size_t>(pe)]);
     }
+    // Large receive buffer: loopback "packet loss" is exactly a full
+    // receive queue, and every drop costs a backoff-delayed retransmit.
+    const int rcvbuf = 4 << 20;
+    for (const int fd : fds_)
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
     rxThread_ = std::thread([this] { recvMain(); });
     timerThread_ = std::thread([this] { timerMain(); });
     return true;
@@ -453,8 +470,10 @@ class UdpTransport final : public Transport {
   /// quiescence charge was made at enqueue and keeps it visible while it
   /// coalesces here.
   void send(int fromPe, int toPe, NToken tok) override {
+    PODS_CHECK_MSG(isLocal(fromPe),
+                   "udp transport: send from a PE this process does not serve");
     LinkOut& lk = linkOut(fromPe, toPe);
-    link(fromPe, toPe).tokens.fetch_add(1);
+    linkStat(fromPe, toPe).tokens.fetch_add(1);
     tokensSent_.fetch_add(1);
     bool wrote = false;
     bool full = false;
@@ -475,9 +494,13 @@ class UdpTransport final : public Transport {
               static_cast<std::size_t>(lk.count) * kTokenWireBytes;
           wireEncodeToken(tok, static_cast<std::uint16_t>(fromPe), rec);
           std::memcpy(lk.unackedWire[seq].data(), rec, kTokenWireBytes);
+          // Output commit: everything this token's payload may depend on
+          // (mints, received tokens) is in the log stream by now — the
+          // batch must not hit the wire before that prefix is stable.
+          if (link_ != nullptr) lk.gateSeq = link_->logAppended();
           if (lk.count == 0) {
             first = true;
-            dirtySrc_[fromPe].fetch_add(1, std::memory_order_release);
+            dirty(fromPe).fetch_add(1, std::memory_order_release);
           }
           if (lk.freshCount == 0) lk.firstFreshSeq = seq;
           ++lk.count;
@@ -491,37 +514,40 @@ class UdpTransport final : public Transport {
     if (full)
       flushLink(fromPe, toPe, FlushWhy::Full);
     else if (first)
-      armFlushTimer(fromPe, toPe);
+      armTimer(TimerEv::Kind::Flush, Clock::now() + micros(kFlushDeadlineUs),
+               fromPe, toPe);
   }
 
   /// Ships everything coalescing in fromPe's outboxes. Called by the
   /// sending worker at the top of its scheduling loop; the dirty count
   /// makes the common (nothing pending) case one atomic load.
   void flush(int fromPe) override {
-    if (dirtySrc_[fromPe].load(std::memory_order_acquire) == 0) return;
+    if (dirty(fromPe).load(std::memory_order_acquire) == 0) return;
     for (int to = 0; to < numPes_; ++to) {
-      if (to == fromPe) continue;
-      if (outSlots_[slot(fromPe, to)].load(std::memory_order_acquire))
+      if (to != fromPe && linkOutIfExists(fromPe, to) != nullptr)
         flushLink(fromPe, to, FlushWhy::Drain);
     }
   }
 
+  /// Called after every worker has joined. The timer thread stops first,
+  /// then the eventfd wakes the receiver, which sweeps every socket dry
+  /// before it exits — so it sees every datagram the workers and the timer
+  /// ever sent, and acksSent/acksRecv close exactly on a fault-free run.
   void stop() override {
-    if (fds_.empty()) return;
-    rxStop_.store(true);
+    if (!rxThread_.joinable()) return;
     {
       std::lock_guard<std::mutex> g(m_);
       timerStop_ = true;
     }
     timerCv_.notify_all();
-    const std::uint8_t wake = kTypeShutdown;
-    for (int pe = 0; pe < numPes_; ++pe) {
-      rawSend(pe, addrs_[static_cast<std::size_t>(pe)],
-              sizeof(sockaddr_in), &wake, 1);
-    }
-    if (rxThread_.joinable()) rxThread_.join();
-    if (timerThread_.joinable()) timerThread_.join();
-    closeAll();
+    timerThread_.join();
+    const std::uint64_t one = 1;
+    const ssize_t n = ::write(wakeFd_, &one, sizeof one);
+    (void)n;  // an eventfd write only fails on counter overflow
+    rxThread_.join();
+    ::close(wakeFd_);
+    wakeFd_ = -1;
+    closeSockets();
   }
 
   void addStats(Counters& out) const override {
@@ -534,11 +560,11 @@ class UdpTransport final : public Transport {
     out.add("net.udp.acksRecv", acksRecv_.load());
     out.add("net.udp.sendErrors", sendErrors_.load());
     out.add("net.udp.badDatagrams", badDatagrams_.load());
-    const std::int64_t bd = batchDgrams_.load();
-    const std::int64_t bt = batchTokens_.load();
-    out.add("net.udp.batch.datagrams", bd);
-    out.add("net.udp.batch.tokens", bt);
-    out.add("net.udp.batch.tokensPerDgram", bd > 0 ? bt / bd : 0);
+    out.add("net.udp.staleEpoch", staleEpoch_.load());
+    out.add("net.udp.staleAcks", staleAcks_.load());
+    out.add("net.udp.gatedFlushes", gatedFlushes_.load());
+    out.add("net.udp.batch.datagrams", batchDgrams_.load());
+    out.add("net.udp.batch.tokens", batchTokens_.load());
     out.add("net.udp.batch.flushFull", flushFull_.load());
     out.add("net.udp.batch.flushDeadline", flushDeadline_.load());
     out.add("net.udp.batch.flushDrain", flushDrain_.load());
@@ -547,8 +573,9 @@ class UdpTransport final : public Transport {
       std::lock_guard<std::mutex> g(m_);
       sender_.addStats(out);
     }
-    // Receiver threads are joined by stop() before stats are read.
-    for (const proto::Delivery& rx : rx_) rx.addStats(out);
+    // The receiver thread is joined by stop() before stats are read.
+    rx_.addStats(out);
+    out.add(proto::kAcks, acksBuilt_.load());
     if (plan_.enabled()) {
       out.add(proto::kFaultDrops, faultDrops_.load());
       out.add(proto::kFaultDups, faultDups_.load());
@@ -557,12 +584,120 @@ class UdpTransport final : public Transport {
     addLinkStats(out, links_, numPes_);
   }
 
+  // ---- Multi-process hooks ---------------------------------------------
+
+  void noteDrained(std::uint64_t msgId, std::uint8_t epoch,
+                   std::uint64_t logSeq) override {
+    if (link_ == nullptr || msgId == 0) return;  // 0: local delivery
+    AckState& ack = *acks_[rxSlotOf(msgId)];
+    std::lock_guard<std::mutex> g(ack.m);
+    // A token from a dead incarnation needs no ack — its sender is gone and
+    // the reborn one re-sends under the new epoch.
+    if (epoch != ack.epoch) return;
+    ack.pend.push_back({proto::Delivery::linkMsgIdSeq(msgId), logSeq});
+    ack.due.store(true, std::memory_order_release);
+  }
+
+  void pumpAcks() override {
+    if (link_ == nullptr) return;
+    const std::uint64_t stable = link_->logStable();
+    for (int dst = firstLocal_; dst < firstLocal_ + numLocal_; ++dst) {
+      for (int src = 0; src < numPes_; ++src) {
+        if (src == dst) continue;
+        AckState& ack = *acks_[rxSlot(src, dst)];
+        if (!ack.due.load(std::memory_order_acquire)) continue;
+        proto::Delivery::CumAckView view;
+        std::uint8_t epoch = 0;
+        bool moved = false;
+        {
+          std::lock_guard<std::mutex> g(ack.m);
+          while (!ack.pend.empty() && ack.pend.front().logSeq <= stable) {
+            ack.win.acceptSeq(src, dst, ack.pend.front().seq);
+            ack.pend.pop_front();
+            moved = true;
+          }
+          if (ack.pend.empty())
+            ack.due.store(false, std::memory_order_release);
+          if (moved) {
+            view = ack.win.cumAckView(src, dst);
+            epoch = ack.epoch;
+          }
+        }
+        if (moved) sendCumAck(dst, src, view, epoch);
+      }
+    }
+  }
+
+  void onStableAdvance() override {
+    for (int pe = firstLocal_; pe < firstLocal_ + numLocal_; ++pe) flush(pe);
+    pumpAcks();
+  }
+
+  std::int64_t outstanding() const override {
+    std::int64_t n = 0;
+    for (std::size_t i = 0; i < localLinks(); ++i) {
+      if (LinkOut* lk = outSlots_[i].load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> g(lk->m);
+        n += lk->count;
+      }
+    }
+    std::lock_guard<std::mutex> g(m_);
+    return n + static_cast<std::int64_t>(sender_.windowSize());
+  }
+
+  void primeRecv(std::uint64_t msgId, std::uint8_t epoch) override {
+    // Pre-start rebuild (no threads yet). The log replays in receive order,
+    // so per-source epochs are non-decreasing: only the newest incarnation's
+    // stream is rebuilt — older streams died with their senders.
+    if (link_ == nullptr) return;
+    const int src = msgSrc(msgId);
+    const int dst = msgDst(msgId);
+    const std::size_t s = rxSlot(src, dst);
+    if (epoch < knownEpoch_[s]) return;
+    if (epoch > knownEpoch_[s]) adoptEpoch(src, dst, epoch);
+    const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgId);
+    rx_.acceptSeq(src, dst, seq);
+    acks_[s]->win.acceptSeq(src, dst, seq);
+  }
+
+  // The END-retire barrier runs in a multi-process worker, whose one local
+  // PE is firstLocal_.
+  void barrierSnapshot(std::vector<std::uint64_t>& out) override {
+    const int me = firstLocal_;
+    out.assign(static_cast<std::size_t>(numPes_), 0);
+    for (int to = 0; to < numPes_; ++to) {
+      if (LinkOut* lk = linkOutIfExists(me, to)) {
+        std::lock_guard<std::mutex> g(lk->m);
+        out[static_cast<std::size_t>(to)] = lk->nextSeq;
+      }
+    }
+  }
+
+  bool barrierPassed(const std::vector<std::uint64_t>& snap) override {
+    const int me = firstLocal_;
+    for (int to = 0; to < numPes_; ++to) {
+      const std::uint64_t high = snap[static_cast<std::size_t>(to)];
+      if (high == 0) continue;
+      {
+        std::lock_guard<std::mutex> g(m_);
+        const std::uint64_t low = sender_.lowestUnackedSeq(me, to);
+        if (low != 0 && low <= high) return false;
+      }
+      // Tokens still coalescing (or gate-parked) in the outbox are not in
+      // the sender window yet — lowestUnackedSeq alone would pass early.
+      LinkOut& lk = *linkOutIfExists(me, to);
+      std::lock_guard<std::mutex> g(lk.m);
+      if (lk.freshCount > 0 && lk.firstFreshSeq <= high) return false;
+    }
+    return true;
+  }
+
  private:
   /// One (src,dst) link's sender state: the coalescing outbox (header
   /// space + up to kBatchMaxTokens records) and the wire image of every
   /// unacked record, keyed by link seq, for retransmission. Single fresh
   /// producer (worker src); the timer thread appends retransmits and the
-  /// receiver thread for src erases acked images — all under m.
+  /// receiver thread erases acked images — all under m.
   struct LinkOut {
     std::mutex m;
     std::uint8_t buf[kBatchMaxBytes];
@@ -570,6 +705,10 @@ class UdpTransport final : public Transport {
     int freshCount = 0;  // suffix of count that is first-send (not retx)
     std::uint64_t firstFreshSeq = 0;
     std::uint64_t nextSeq = 0;  // last assigned link sequence
+    /// Output-commit gate (WorkerLink only): log stream position that must
+    /// be stable before this outbox may hit the wire (high-water over its
+    /// parked tokens).
+    std::uint64_t gateSeq = 0;
     std::unordered_map<std::uint64_t,
                        std::array<std::uint8_t, kTokenWireBytes>>
         unackedWire;
@@ -584,6 +723,23 @@ class UdpTransport final : public Transport {
         retxQ;
     bool retxArmed = false;
     Clock::time_point armedDue{};
+  };
+
+  /// Ack gating state for one inbound link (WorkerLink only). The receiver
+  /// thread deposits and dedups but never acks fresh tokens; the worker
+  /// thread reports each drain (with its Recv record's stream position) and
+  /// pumpAcks() moves entries into the ackable window `win` once the
+  /// supervisor has made their records stable.
+  struct AckState {
+    std::mutex m;
+    struct Pend {
+      std::uint64_t seq;
+      std::uint64_t logSeq;
+    };
+    std::deque<Pend> pend;
+    proto::Delivery win;      // ackable window: stable-logged seqs only
+    std::uint8_t epoch = 0;   // sender incarnation the window belongs to
+    std::atomic<bool> due{false};
   };
 
   enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
@@ -602,39 +758,64 @@ class UdpTransport final : public Transport {
     }
   };
 
-  static std::string errnoStr() { return std::strerror(errno); }
+  // Per-link arrays cover the links with a local end: [local src][dst] on
+  // the send side, [local dst][src] on the receive side.
+  std::size_t localLinks() const {
+    return static_cast<std::size_t>(numLocal_) *
+           static_cast<std::size_t>(numPes_);
+  }
+  bool isLocal(int pe) const {
+    return pe >= firstLocal_ && pe < firstLocal_ + numLocal_;
+  }
+  std::size_t outSlot(int fromPe, int toPe) const {
+    return static_cast<std::size_t>(fromPe - firstLocal_) * numPes_ + toPe;
+  }
+  std::size_t rxSlot(int srcPe, int dstPe) const {
+    return static_cast<std::size_t>(dstPe - firstLocal_) * numPes_ + srcPe;
+  }
+  static int msgSrc(std::uint64_t msgId) {
+    return static_cast<int>(msgId >> 56);
+  }
+  static int msgDst(std::uint64_t msgId) {
+    return static_cast<int>((msgId >> 48) & 0xFF);
+  }
+  std::size_t rxSlotOf(std::uint64_t msgId) const {
+    return rxSlot(msgSrc(msgId), msgDst(msgId));
+  }
+  std::atomic<int>& dirty(int fromPe) { return dirty_[fromPe - firstLocal_]; }
+  int fdOf(int pe) const {
+    return fds_[static_cast<std::size_t>(pe - firstLocal_)];
+  }
 
-  LinkStat& link(int fromPe, int toPe) {
+  LinkStat& linkStat(int fromPe, int toPe) {
     return links_[static_cast<std::size_t>(fromPe * numPes_ + toPe)];
   }
 
-  std::size_t slot(int fromPe, int toPe) const {
-    return static_cast<std::size_t>(fromPe * numPes_ + toPe);
-  }
-
-  /// Outboxes allocate lazily (256 PEs all-to-all would be ~90 MB up
-  /// front). Only the link's sending worker creates it, so the publication
-  /// is a plain release store; every other thread reaches the link only
+  /// Outboxes allocate lazily on a link's first send (256 PEs all-to-all
+  /// would be ~90 MB up front); every other thread reaches a link only
   /// after a send has happened.
   LinkOut& linkOut(int fromPe, int toPe) {
-    std::atomic<LinkOut*>& cell = outSlots_[slot(fromPe, toPe)];
+    std::atomic<LinkOut*>& cell = outSlots_[outSlot(fromPe, toPe)];
     LinkOut* lk = cell.load(std::memory_order_acquire);
-    if (!lk) {
-      lk = new LinkOut();
-      cell.store(lk, std::memory_order_release);
+    if (lk == nullptr) {
+      auto* made = new LinkOut();
+      if (cell.compare_exchange_strong(lk, made, std::memory_order_acq_rel))
+        lk = made;
+      else
+        delete made;  // another thread published first; `lk` is theirs
     }
     return *lk;
   }
 
-  LinkOut* linkOutIfExists(int fromPe, int toPe) {
-    return outSlots_[slot(fromPe, toPe)].load(std::memory_order_acquire);
+  LinkOut* linkOutIfExists(int fromPe, int toPe) const {
+    return outSlots_[outSlot(fromPe, toPe)].load(std::memory_order_acquire);
   }
 
-  void closeAll() {
-    for (int& fd : fds_) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
+  /// Closes the sockets this transport bound. A worker's inherited socket
+  /// stays open: the supervisor owns its lifetime.
+  void closeSockets() {
+    if (!ownsSockets_) return;
+    for (const int fd : fds_) ::close(fd);
     fds_.clear();
   }
 
@@ -642,12 +823,12 @@ class UdpTransport final : public Transport {
   /// retries; a transiently full stack (EAGAIN/ENOBUFS) gets a few yields
   /// before the failure is counted and treated as network loss — the
   /// retransmit timers recover token batches, re-acking recovers acks.
-  void rawSend(int fromPe, const sockaddr_in& to, socklen_t toLen,
-               const void* data, std::size_t len) {
+  void rawSend(int fromPe, int toPe, const void* data, std::size_t len) {
+    const sockaddr_in& to = addrs_[static_cast<std::size_t>(toPe)];
     for (int attempt = 0;; ++attempt) {
       const ssize_t n =
-          ::sendto(fds_[static_cast<std::size_t>(fromPe)], data, len, 0,
-                   reinterpret_cast<const sockaddr*>(&to), toLen);
+          ::sendto(fdOf(fromPe), data, len, 0,
+                   reinterpret_cast<const sockaddr*>(&to), sizeof to);
       if (n >= 0) return;
       if (errno == EINTR) continue;
       if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) &&
@@ -662,9 +843,8 @@ class UdpTransport final : public Transport {
 
   void xmitWire(int fromPe, int toPe, const std::uint8_t* data,
                 std::size_t len) {
-    rawSend(fromPe, addrs_[static_cast<std::size_t>(toPe)],
-            sizeof(sockaddr_in), data, len);
-    LinkStat& l = link(fromPe, toPe);
+    rawSend(fromPe, toPe, data, len);
+    LinkStat& l = linkStat(fromPe, toPe);
     l.datagrams.fetch_add(1);
     l.bytes.fetch_add(static_cast<std::int64_t>(len));
     datagramsSent_.fetch_add(1);
@@ -718,10 +898,11 @@ class UdpTransport final : public Transport {
     if (newFront) timerCv_.notify_one();
   }
 
-  void armFlushTimer(int fromPe, int toPe) {
+  void armTimer(TimerEv::Kind kind, Clock::time_point due, int fromPe,
+                int toPe) {
     TimerEv ev;
-    ev.due = Clock::now() + micros(kFlushDeadlineUs);
-    ev.kind = TimerEv::Kind::Flush;
+    ev.due = due;
+    ev.kind = kind;
     ev.fromPe = fromPe;
     ev.toPe = toPe;
     pushTimerEv(std::move(ev));
@@ -730,10 +911,11 @@ class UdpTransport final : public Transport {
   /// Ships the (fromPe,toPe) outbox as one datagram: snapshot + reset the
   /// outbox under lk.m, register the fresh tokens' retransmit state under
   /// m_, then transmit with no lock held. Returns without sending when a
-  /// concurrent flush already emptied the outbox.
+  /// concurrent flush already emptied the outbox, or when the output-commit
+  /// gate holds it back.
   void flushLink(int fromPe, int toPe, FlushWhy why) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
-    if (!lkp) return;
+    if (lkp == nullptr) return;
     LinkOut& lk = *lkp;
     std::uint8_t dgram[kBatchMaxBytes];
     std::size_t len = 0;
@@ -743,25 +925,21 @@ class UdpTransport final : public Transport {
     {
       std::lock_guard<std::mutex> g(lk.m);
       if (lk.count == 0) return;
+      if (link_ != nullptr && link_->logStable() < lk.gateSeq) {
+        // Output commit: the log prefix behind these sends is not stable
+        // yet. Retried by the worker loop's poll and onStableAdvance().
+        gatedFlushes_.fetch_add(1);
+        return;
+      }
       count = lk.count;
       fresh = lk.freshCount;
       firstFreshSeq = lk.firstFreshSeq;
-      if (count == 1) {
-        // Bare legacy token datagram: bit-identical to the pre-batching
-        // wire format.
-        len = kTokenWireBytes;
-        std::memcpy(dgram, lk.buf + kBatchHeaderBytes, len);
-      } else {
-        lk.buf[0] = kTypeBatch;
-        put16(lk.buf + 1, static_cast<std::uint16_t>(fromPe));
-        put16(lk.buf + 3, static_cast<std::uint16_t>(count));
-        len = kBatchHeaderBytes +
-              static_cast<std::size_t>(count) * kTokenWireBytes;
-        std::memcpy(dgram, lk.buf, len);
-      }
+      len = wireEncodeBatchHeader(lk.buf, static_cast<std::uint16_t>(fromPe),
+                                  count, epoch_);
+      std::memcpy(dgram, lk.buf, len);
       lk.count = 0;
       lk.freshCount = 0;
-      dirtySrc_[fromPe].fetch_sub(1, std::memory_order_release);
+      dirty(fromPe).fetch_sub(1, std::memory_order_release);
     }
     if (fresh > 0) {
       const std::uint64_t firstMsgId =
@@ -787,14 +965,7 @@ class UdpTransport final : public Transport {
           arm = true;
         }
       }
-      if (arm) {
-        TimerEv ev;
-        ev.due = due;
-        ev.kind = TimerEv::Kind::Retx;
-        ev.fromPe = fromPe;
-        ev.toPe = toPe;
-        pushTimerEv(std::move(ev));
-      }
+      if (arm) armTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
     }
     switch (why) {
       case FlushWhy::Full: flushFull_.fetch_add(1); break;
@@ -814,7 +985,7 @@ class UdpTransport final : public Transport {
   void requeueRetransmits(int fromPe, int toPe,
                           const std::vector<std::uint64_t>& msgIds) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
-    if (!lkp) return;
+    if (lkp == nullptr) return;
     LinkOut& lk = *lkp;
     std::size_t i = 0;
     while (i < msgIds.size()) {
@@ -835,9 +1006,9 @@ class UdpTransport final : public Transport {
                               kTokenWireBytes,
                       it->second.data(), kTokenWireBytes);
           if (lk.count == 0)
-            dirtySrc_[fromPe].fetch_add(1, std::memory_order_release);
+            dirty(fromPe).fetch_add(1, std::memory_order_release);
           ++lk.count;
-          link(fromPe, toPe).retx.fetch_add(1);
+          linkStat(fromPe, toPe).retx.fetch_add(1);
         }
       }
       if (needFlush) flushLink(fromPe, toPe, FlushWhy::Retx);
@@ -852,7 +1023,7 @@ class UdpTransport final : public Transport {
   /// outstanding deadline.
   void fireRetx(int fromPe, int toPe) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
-    if (!lkp) return;
+    if (lkp == nullptr) return;
     LinkOut& lk = *lkp;
     std::vector<std::uint64_t> expired;
     {
@@ -869,20 +1040,22 @@ class UdpTransport final : public Transport {
     if (!expired.empty()) {
       std::lock_guard<std::mutex> g(m_);
       for (const std::uint64_t seq : expired) {
-        const proto::TimeoutDecision d = sender_.onTimeout(
-            proto::Delivery::packLinkMsgId(fromPe, toPe, seq));
+        const std::uint64_t msgId =
+            proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
+        const proto::TimeoutDecision d = sender_.onTimeout(msgId);
         if (d.kind == proto::TimeoutDecision::Kind::Stale) continue;
         if (d.kind == proto::TimeoutDecision::Kind::GiveUp) {
           gaveUpAttempt = d.attempt;
           continue;
         }
-        again.push_back(proto::Delivery::packLinkMsgId(fromPe, toPe, seq));
+        again.push_back(msgId);
         backoffUs.push_back(d.backoffUs);
       }
     }
     if (gaveUpAttempt != 0) {
       sink_.transportFail(
-          "udp transport: reliable delivery gave up on a token from worker " +
+          std::string(name()) +
+          " transport: reliable delivery gave up on a token from worker " +
           std::to_string(fromPe) + " to worker " + std::to_string(toPe) +
           " after " + std::to_string(gaveUpAttempt) + " attempts");
     }
@@ -904,26 +1077,25 @@ class UdpTransport final : public Transport {
         lk.retxArmed = false;
       }
     }
-    if (arm) {
-      TimerEv ev;
-      ev.due = due;
-      ev.kind = TimerEv::Kind::Retx;
-      ev.fromPe = fromPe;
-      ev.toPe = toPe;
-      pushTimerEv(std::move(ev));
-    }
+    if (arm) armTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
   }
 
-  /// One cumulative ack datagram for the (srcPe -> ackerPe) link, rolled
-  /// through the same fault dice as data (lossy-ack model; Delay is
-  /// treated as Deliver — re-acking already covers lateness).
-  void sendCumAck(int ackerPe, const sockaddr_in& to, socklen_t toLen,
-                  const proto::Delivery::CumAckView& view) {
+  /// Builds one cumulative ack from `ackerPe` for the (toPe -> ackerPe)
+  /// link and sends it, rolled through the same fault dice as data
+  /// (lossy-ack model; Delay is treated as Deliver — re-acking already
+  /// covers lateness). The one place an ack is built, so the one place
+  /// net.retx.acks counts.
+  void sendCumAck(int ackerPe, int toPe,
+                  const proto::Delivery::CumAckView& view,
+                  std::uint8_t epoch) {
+    WireCumAck ack;
+    ack.ackerPe = static_cast<std::uint16_t>(ackerPe);
+    ack.cum = view.cum;
+    ack.bitmap = view.bitmap;
+    ack.epoch = epoch;
     std::uint8_t pkt[kCumAckWireBytes];
-    pkt[0] = kTypeCumAck;
-    put16(pkt + 1, static_cast<std::uint16_t>(ackerPe));
-    put64(pkt + 3, view.cum);
-    put64(pkt + 11, view.bitmap);
+    wireEncodeCumAck(ack, pkt);
+    acksBuilt_.fetch_add(1);
     int copies = 1;
     if (plan_.enabled()) {
       switch (plan_.action(txSeq_.fetch_add(1) + 1)) {
@@ -940,185 +1112,181 @@ class UdpTransport final : public Transport {
       }
     }
     for (int i = 0; i < copies; ++i) {
-      rawSend(ackerPe, to, toLen, pkt, sizeof pkt);
+      rawSend(ackerPe, toPe, pkt, sizeof pkt);
       acksSent_.fetch_add(1);
     }
   }
 
-  /// Receiver loop: one thread polls every PE's socket — the machine's
-  /// "NIC". Answers token-carrying datagrams with cumulative acks
-  /// (re-acking duplicates so a lost ack self-heals), suppresses
-  /// duplicates through the destination PE's protocol-core link windows
-  /// (touched only by this thread), and deposits first copies into the
-  /// owner's inbox via the service lane — one thread for all PEs keeps
-  /// the single-producer-per-lane invariant trivially true and the
-  /// machine's thread count (and context-switch pressure) flat in PEs.
-  /// Also receives cumulative acks for batches each PE sent.
+  /// Receiver loop: one thread polls every local PE's socket — the
+  /// machine's "NIC" — and the wake-up eventfd. Deposits go through the
+  /// service lane, so one thread for all PEs keeps the
+  /// single-producer-per-lane invariant trivially true and the thread
+  /// count (and context-switch pressure) flat in PEs.
   void recvMain() {
     std::uint8_t buf[2048];
     std::vector<NToken> toks;
-    std::vector<NToken> freshToks;
-    // Lazy cumulative acks, per (dstPe, srcPe): a partial batch ends a
-    // burst and a duplicate means the sender is already retransmitting —
-    // both ack immediately. A stream of FULL batches acks only every
-    // kAckLazyTokens tokens (~every 3rd datagram), cutting ack traffic on
-    // hot links by two thirds. A full-batch tail that never sees a
-    // partial flush is healed by the sender's retransmit: the duplicates
-    // force an immediate ack.
-    std::vector<std::int64_t> sinceAck(
-        static_cast<std::size_t>(numPes_) * numPes_, 0);
-    std::vector<pollfd> pfds(static_cast<std::size_t>(numPes_));
-    for (int pe = 0; pe < numPes_; ++pe) {
-      pfds[static_cast<std::size_t>(pe)].fd = fds_[static_cast<std::size_t>(pe)];
-      pfds[static_cast<std::size_t>(pe)].events = POLLIN;
-    }
-    bool stopping = false;
-    while (!stopping) {
-      const int nready =
-          ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 20);
-      if (nready < 0) {
+    std::vector<NToken> fresh;
+    std::vector<pollfd> pfds(fds_.size() + 1);
+    for (std::size_t i = 0; i < fds_.size(); ++i)
+      pfds[i] = {fds_[i], POLLIN, 0};
+    pfds.back() = {wakeFd_, POLLIN, 0};
+    for (;;) {
+      if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
         if (errno == EINTR) continue;
-        return;  // sockets gone: shutdown path
+        break;
       }
-      if (nready == 0) {
-        if (rxStop_.load()) break;
-        continue;
+      for (int i = 0; i < numLocal_; ++i) {
+        if (pfds[static_cast<std::size_t>(i)].revents != 0)
+          drainSocket(firstLocal_ + i, buf, sizeof buf, toks, fresh);
       }
-      for (int pe = 0; pe < numPes_; ++pe) {
-        if (!(pfds[static_cast<std::size_t>(pe)].revents & POLLIN)) continue;
-        for (;;) {
-          sockaddr_in src{};
-          socklen_t srcLen = sizeof src;
-          const ssize_t n = ::recvfrom(
-              fds_[static_cast<std::size_t>(pe)], buf, sizeof buf,
-              MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&src), &srcLen);
-          if (n < 0) {
-            if (errno == EINTR) continue;
-            break;  // EAGAIN: this socket is drained
-          }
-          if (n < 1) continue;
-          if (!handleDatagram(pe, buf, static_cast<std::size_t>(n), src,
-                              srcLen, toks, freshToks, sinceAck))
-            stopping = true;  // shutdown wake-up observed after rxStop_
-        }
-      }
+      if (pfds.back().revents != 0) break;  // stop()
     }
-    // The shutdown wake on one socket can overtake acks (or late
-    // retransmits) still queued on another — every sendto already made
-    // loopback delivery, so one non-blocking sweep drains the ledgers dry
-    // and acksSent/acksRecv close exactly on a fault-free run.
-    for (int pe = 0; pe < numPes_; ++pe) {
-      for (;;) {
-        sockaddr_in src{};
-        socklen_t srcLen = sizeof src;
-        const ssize_t n = ::recvfrom(
-            fds_[static_cast<std::size_t>(pe)], buf, sizeof buf,
-            MSG_DONTWAIT, reinterpret_cast<sockaddr*>(&src), &srcLen);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          break;
-        }
-        if (n < 1) continue;
-        handleDatagram(pe, buf, static_cast<std::size_t>(n), src, srcLen,
-                       toks, freshToks, sinceAck);
+    // A datagram can land on one socket after that socket's last poll
+    // (an ack this thread sent to a sibling PE, say); one non-blocking
+    // sweep drains the ledgers dry.
+    for (int pe = firstLocal_; pe < firstLocal_ + numLocal_; ++pe)
+      drainSocket(pe, buf, sizeof buf, toks, fresh);
+  }
+
+  /// Handles every datagram queued on `pe`'s socket, without blocking.
+  void drainSocket(int pe, std::uint8_t* buf, std::size_t cap,
+                   std::vector<NToken>& toks, std::vector<NToken>& fresh) {
+    for (;;) {
+      const ssize_t n = ::recv(fdOf(pe), buf, cap, MSG_DONTWAIT);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return;  // EAGAIN: this socket is drained
       }
+      handleDatagram(pe, buf, static_cast<std::size_t>(n), toks, fresh);
     }
   }
 
-  /// Processes one datagram addressed to `pe`. Returns false only for the
-  /// shutdown wake-up after stop() raised rxStop_.
-  bool handleDatagram(int pe, std::uint8_t* buf, std::size_t n,
-                      const sockaddr_in& src, socklen_t srcLen,
-                      std::vector<NToken>& toks,
-                      std::vector<NToken>& freshToks,
-                      std::vector<std::int64_t>& sinceAck) {
-    proto::Delivery& rx = rx_[static_cast<std::size_t>(pe)];
+  /// Processes one datagram addressed to local PE `pe`: a batch on a real
+  /// link into `pe`, an ack from a real peer, or a malformed datagram.
+  void handleDatagram(int pe, const std::uint8_t* buf, std::size_t n,
+                      std::vector<NToken>& toks, std::vector<NToken>& fresh) {
     datagramsRecv_.fetch_add(1);
     bytesRecv_.fetch_add(static_cast<std::int64_t>(n));
-    switch (buf[0]) {
-        case kTypeToken:
-      case kTypeBatch: {
-        std::uint16_t srcPe = 0;
-        if (!wireDecodeBatch(buf, n, toks, &srcPe) || srcPe >= numPes_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        freshToks.clear();
-        for (NToken& tok : toks) {
-          const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(tok.msgId);
-          if (rx.acceptSeq(srcPe, pe, seq))
-            freshToks.push_back(std::move(tok));
-        }
-        // The ack (when due) is composed after the window update and
-        // sent before the deposits, so at termination the final ack is
-        // already in flight toward the sender's socket.
-        const bool full = static_cast<int>(toks.size()) == kBatchMaxTokens;
-        const bool hadDup = freshToks.size() != toks.size();
-        std::int64_t& since =
-            sinceAck[static_cast<std::size_t>(pe) * numPes_ + srcPe];
-        since += static_cast<std::int64_t>(toks.size());
-        if (!full || hadDup || since >= kAckLazyTokens) {
-          rx.count(proto::kAcks);
-          sendCumAck(pe, src, srcLen, rx.cumAckView(srcPe, pe));
-          since = 0;
-        }
-        for (NToken& tok : freshToks) {
-          // Receiver dedup MUST precede the ring deposit: a retransmitted
-          // token that reached the inbox twice would double-release its
-          // single quiescence charge.
-          PODS_CHECK_MSG(
-              rx.seenSeq(srcPe, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)),
-              "udp transport: token deposited before dedup recorded it");
-          sink_.deposit(pe, numPes_, std::move(tok));
-        }
-        break;
-      }
-      case kTypeCumAck: {
-        if (n != kCumAckWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t acker = get16(buf + 1);
-        if (acker >= numPes_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        acksRecv_.fetch_add(1);
-        const std::uint64_t cum = get64(buf + 3);
-        const std::uint64_t bitmap = get64(buf + 11);
-        std::vector<std::uint64_t> retired;
-        {
-          std::lock_guard<std::mutex> g(m_);
-          retired = sender_.onCumAck(pe, acker, cum, bitmap);
-        }
-        if (!retired.empty()) {
-          if (LinkOut* lk = linkOutIfExists(pe, acker)) {
-            std::lock_guard<std::mutex> g(lk->m);
-            for (const std::uint64_t id : retired)
-              lk->unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
-          }
-        }
-        break;
-      }
-      case kTypeShutdown:
-        // Teardown trust: the shutdown wake-up is only ever self-sent from
-        // this PE's own socket in stop(). Accepting it from an arbitrary
-        // endpoint would let any process that discovers the ephemeral port
-        // wedge the receiver sweep early — validate the sender.
-        if (src.sin_addr.s_addr !=
-                addrs_[static_cast<std::size_t>(pe)].sin_addr.s_addr ||
-            src.sin_port != addrs_[static_cast<std::size_t>(pe)].sin_port) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        if (rxStop_.load()) return false;
-        break;
-      case kTypeLegacyAck:  // retired per-message ack: reject, don't parse
-      default:
-        badDatagrams_.fetch_add(1);
-        break;
-    }
+    std::uint16_t src = 0;
+    std::uint8_t epoch = 0;
+    WireCumAck ack;
+    if (wireDecodeBatch(buf, n, toks, &src, &epoch) && onLink(toks, src, pe))
+      onBatch(pe, src, epoch, toks, fresh);
+    else if (wireDecodeCumAck(buf, n, ack) && ack.ackerPe < numPes_ &&
+             ack.ackerPe != pe)
+      onCumAck(pe, ack);
+    else
+      badDatagrams_.fetch_add(1);
+  }
+
+  /// True when a decoded batch belongs to link (src -> pe): a source PE
+  /// that exists and is not the receiver, and every record's msgId packed
+  /// for that link — the dedup and ack windows key on it.
+  bool onLink(const std::vector<NToken>& toks, int src, int pe) const {
+    if (src >= numPes_ || src == pe) return false;
+    const std::uint32_t want = proto::Delivery::linkMsgIdLink(
+        proto::Delivery::packLinkMsgId(src, pe, 1));
+    for (const NToken& tok : toks)
+      if (proto::Delivery::linkMsgIdLink(tok.msgId) != want) return false;
     return true;
+  }
+
+  /// `src` came back as a higher incarnation, which renumbered its link to
+  /// `dst` from seq 1: every window of the link starts over. Receiver
+  /// thread, or primeRecv before it starts.
+  void adoptEpoch(int src, int dst, std::uint8_t epoch) {
+    const std::size_t s = rxSlot(src, dst);
+    knownEpoch_[s] = epoch;
+    rx_.resetRecvLink(src, dst);
+    if (link_ == nullptr) return;
+    AckState& ack = *acks_[s];
+    std::lock_guard<std::mutex> g(ack.m);
+    ack.pend.clear();
+    ack.win = proto::Delivery();
+    ack.epoch = epoch;
+  }
+
+  /// A batch on link (src -> pe): epoch triage, dedup, the ack this mode
+  /// calls for, then the deposits of the fresh tokens.
+  void onBatch(int pe, int src, std::uint8_t epoch, std::vector<NToken>& toks,
+               std::vector<NToken>& fresh) {
+    const std::size_t s = rxSlot(src, pe);
+    if (epoch < knownEpoch_[s]) {
+      // The sender of this datagram is dead; its reborn successor
+      // renumbered the link. Nothing from the old stream may touch the
+      // new windows.
+      staleEpoch_.fetch_add(1);
+      return;
+    }
+    if (epoch > knownEpoch_[s]) adoptEpoch(src, pe, epoch);
+    fresh.clear();
+    for (NToken& tok : toks) {
+      if (rx_.acceptSeq(src, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)))
+        fresh.push_back(std::move(tok));
+    }
+    const bool hadDup = fresh.size() != toks.size();
+    if (link_ == nullptr) {
+      // Ack at receive, lazily: a partial batch ends a burst and a
+      // duplicate means the sender is already retransmitting — both ack
+      // at once. A stream of FULL batches acks only every kAckLazyTokens
+      // tokens (~every 3rd datagram), cutting ack traffic on hot links by
+      // two thirds; a full-batch tail that never sees a partial flush is
+      // healed by the sender's retransmit, whose duplicates force an ack.
+      // The ack goes out before the deposits, so at termination the final
+      // ack is already in flight toward the sender's socket.
+      std::int64_t& since = sinceAck_[s];
+      since += static_cast<std::int64_t>(toks.size());
+      if (static_cast<int>(toks.size()) < kBatchMaxTokens || hadDup ||
+          since >= kAckLazyTokens) {
+        sendCumAck(pe, src, rx_.cumAckView(src, pe), epoch);
+        since = 0;
+      }
+    } else if (hadDup) {
+      // The sender is retransmitting: re-ack the stable window at once (it
+      // never covers unlogged tokens). Fresh tokens wait for noteDrained
+      // and pumpAcks — acking them now would let a kill between ack and
+      // log lose the token forever.
+      AckState& ack = *acks_[s];
+      proto::Delivery::CumAckView view;
+      std::uint8_t ackEpoch = 0;
+      {
+        std::lock_guard<std::mutex> g(ack.m);
+        view = ack.win.cumAckView(src, pe);
+        ackEpoch = ack.epoch;
+      }
+      sendCumAck(pe, src, view, ackEpoch);
+    }
+    for (NToken& tok : fresh) {
+      // Receiver dedup MUST precede the ring deposit: a retransmitted
+      // token that reached the inbox twice would double-release its
+      // single quiescence charge.
+      PODS_CHECK_MSG(
+          rx_.seenSeq(src, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)),
+          "udp transport: token deposited before dedup recorded it");
+      sink_.deposit(pe, numPes_, std::move(tok));
+    }
+  }
+
+  void onCumAck(int pe, const WireCumAck& ack) {
+    if (ack.epoch != epoch_) {
+      // An ack for a previous incarnation of this process: its seq
+      // numbers refer to the dead stream and would wrongly retire the
+      // renumbered fresh sends.
+      staleAcks_.fetch_add(1);
+      return;
+    }
+    acksRecv_.fetch_add(1);
+    std::vector<std::uint64_t> retired;
+    {
+      std::lock_guard<std::mutex> g(m_);
+      retired = sender_.onCumAck(pe, ack.ackerPe, ack.cum, ack.bitmap);
+    }
+    if (retired.empty()) return;
+    if (LinkOut* lk = linkOutIfExists(pe, ack.ackerPe)) {
+      std::lock_guard<std::mutex> g(lk->m);
+      for (const std::uint64_t id : retired)
+        lk->unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
+    }
   }
 
   /// Timer loop: drives flush deadlines for partially-filled outboxes,
@@ -1143,23 +1311,19 @@ class UdpTransport final : public Transport {
         std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
         TimerEv ev = std::move(heap_.back());
         heap_.pop_back();
+        g.unlock();
         switch (ev.kind) {
           case TimerEv::Kind::Flush:
-            g.unlock();
             flushLink(ev.fromPe, ev.toPe, FlushWhy::Deadline);
-            g.lock();
             break;
           case TimerEv::Kind::DelayedWire:
-            g.unlock();
             xmitWire(ev.fromPe, ev.toPe, ev.wire.data(), ev.wire.size());
-            g.lock();
             break;
           case TimerEv::Kind::Retx:
-            g.unlock();
             fireRetx(ev.fromPe, ev.toPe);
-            g.lock();
             break;
         }
+        g.lock();
       }
     }
   }
@@ -1167,22 +1331,36 @@ class UdpTransport final : public Transport {
   TransportSink& sink_;
   FaultPlan plan_;
   const int numPes_;
+  /// The PEs this process serves: [firstLocal_, firstLocal_ + numLocal_).
+  const int firstLocal_;
+  const int numLocal_;
+  const bool ownsSockets_;   // in-process: bound here, closed by stop()
+  const std::uint8_t epoch_;  // this process's incarnation
+  WorkerLink* const link_;    // output commit for acks and flushes
   std::vector<LinkStat> links_;
-  /// Protocol core endpoints: sender half under m_, one receiver half per
-  /// PE owned by its receiver thread (read by addStats after join).
+  /// Protocol core endpoints: sender half under m_; receiver half touched
+  /// only by the receiver thread (and primeRecv before it starts), read by
+  /// addStats after join.
   proto::Delivery sender_;
-  std::vector<proto::Delivery> rx_;
-  /// Per-link outboxes (lazily allocated; see linkOut) and a per-source
-  /// count of non-empty ones so the worker-loop flush is one atomic load
-  /// when nothing is pending.
+  proto::Delivery rx_;
+  /// Per-link outboxes, [local src][dst] (lazily allocated; see linkOut),
+  /// and a per-local-source count of non-empty ones so the worker-loop
+  /// flush is one atomic load when nothing is pending.
   std::unique_ptr<std::atomic<LinkOut*>[]> outSlots_;
-  std::unique_ptr<std::atomic<int>[]> dirtySrc_;
+  std::unique_ptr<std::atomic<int>[]> dirty_;
+  /// Receive side, [local dst][src], receiver thread only (+ primeRecv):
+  /// the highest source incarnation seen and the tokens since the last
+  /// lazy ack.
+  std::vector<std::uint8_t> knownEpoch_;
+  std::vector<std::int64_t> sinceAck_;
+  std::vector<std::unique_ptr<AckState>> acks_;  // [local dst][src]; link_ only
 
-  std::vector<int> fds_;
-  std::vector<sockaddr_in> addrs_;
+  std::vector<int> fds_;                // [local PE]
+  std::vector<std::uint16_t> ports_;    // [PE]
+  std::vector<sockaddr_in> addrs_;      // [PE]
+  int wakeFd_ = -1;                     // stop() -> receiver
   std::thread rxThread_;
   std::thread timerThread_;
-  std::atomic<bool> rxStop_{false};
 
   mutable std::mutex m_;  // guards heap_, timerStop_, sender_
   std::condition_variable timerCv_;
@@ -1195,801 +1373,7 @@ class UdpTransport final : public Transport {
   std::atomic<std::int64_t> bytesSent_{0};
   std::atomic<std::int64_t> datagramsRecv_{0};
   std::atomic<std::int64_t> bytesRecv_{0};
-  std::atomic<std::int64_t> acksSent_{0};
-  std::atomic<std::int64_t> acksRecv_{0};
-  std::atomic<std::int64_t> sendErrors_{0};
-  std::atomic<std::int64_t> badDatagrams_{0};
-  std::atomic<std::int64_t> batchDgrams_{0};
-  std::atomic<std::int64_t> batchTokens_{0};
-  std::atomic<std::int64_t> flushFull_{0};
-  std::atomic<std::int64_t> flushDeadline_{0};
-  std::atomic<std::int64_t> flushDrain_{0};
-  std::atomic<std::int64_t> flushRetx_{0};
-  std::atomic<std::int64_t> faultDrops_{0};
-  std::atomic<std::int64_t> faultDups_{0};
-  std::atomic<std::int64_t> faultDelays_{0};
-};
-
-// ---------------------------------------------------------------------------
-// UdpMultiprocTransport: the worker-process side of --transport=udp-multiproc.
-//
-// Same batch/cumulative-ack protocol as UdpTransport, with four differences
-// forced by PEs being separate killable processes:
-//
-//   socket   this process owns exactly ONE socket, created+bound by the
-//            supervisor and inherited across fork. The supervisor keeps its
-//            own fd copy, so the port binding and any datagrams buffered in
-//            the kernel survive a kill -9 of this process — the socket is
-//            the paper's "NIC outlives the PE". Peers are addressed by the
-//            fixed loopback port table from the Boot message.
-//   epochs   every data datagram and ack carries the sender incarnation.
-//            A respawned worker boots with epoch+1 and renumbers all of its
-//            links from seq 1; receivers reset the link's receive window the
-//            first time they see a higher epoch from a source (the logical
-//            dedup ledgers absorb the replayed payloads), and a reborn
-//            sender drops acks stamped with its predecessor's epoch.
-//   output   a token may be ACKED only once its Recv record is stable at
-//   commit   the supervisor (an acked-but-unlogged token would never be
-//            retransmitted and would vanish with the next kill), and an
-//            outbox may be FLUSHED only once the log records that preceded
-//            the sends are stable (the NEWCTX/ALLOC mints behind a send are
-//            not replay-stable until logged). Both gates hang off the
-//            WorkerLink stable watermark and are retried by the worker
-//            loop's 1 ms poll and by onStableAdvance().
-//   faults   no datagram dice: fault injection (including the kill plan)
-//            is the SUPERVISOR's job in this mode — it SIGKILLs whole
-//            processes; drop/dup/delay arrive zeroed in the worker's
-//            FaultConfig (the retry policy rides along unchanged).
-// ---------------------------------------------------------------------------
-
-class UdpMultiprocTransport final : public Transport {
- public:
-  UdpMultiprocTransport(TransportSink& sink, const FaultPlan& plan, int numPes,
-                        int localPe, std::uint8_t epoch, int sockFd,
-                        const std::vector<std::uint16_t>& peerPorts,
-                        WorkerLink* link)
-      : sink_(sink),
-        numPes_(numPes),
-        me_(localPe),
-        epoch_(epoch),
-        fd_(sockFd),
-        link_(link),
-        links_(static_cast<std::size_t>(numPes) * numPes),
-        sender_(plan.config().retry, plan.enabled()),
-        rx_(plan.config().retry, plan.enabled()),
-        knownEpoch_(static_cast<std::size_t>(numPes), 0) {
-    addrs_.assign(static_cast<std::size_t>(numPes), sockaddr_in{});
-    for (int pe = 0; pe < numPes; ++pe) {
-      sockaddr_in& sa = addrs_[static_cast<std::size_t>(pe)];
-      sa.sin_family = AF_INET;
-      sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      sa.sin_port = htons(peerPorts[static_cast<std::size_t>(pe)]);
-    }
-    out_.reserve(static_cast<std::size_t>(numPes));
-    acks_.reserve(static_cast<std::size_t>(numPes));
-    for (int pe = 0; pe < numPes; ++pe) {
-      out_.push_back(std::make_unique<LinkOut>());
-      acks_.push_back(std::make_unique<AckState>());
-    }
-  }
-
-  ~UdpMultiprocTransport() override { stop(); }
-
-  const char* name() const override { return "udp-multiproc"; }
-
-  bool start(std::string* err) override {
-    if (fd_ < 0) {
-      if (err) *err = "udp-multiproc transport: no inherited socket fd";
-      return false;
-    }
-    int rcvbuf = 4 << 20;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    // Bounded block so the receiver notices rxStop_ without a wake datagram
-    // (a respawned sibling may hold stale addresses; self-wakes are the one
-    // thing the teardown-trust rule forbids accepting blindly).
-    timeval tv{};
-    tv.tv_usec = 20000;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    rxThread_ = std::thread([this] { recvMain(); });
-    timerThread_ = std::thread([this] { timerMain(); });
-    return true;
-  }
-
-  void send(int fromPe, int toPe, NToken tok) override {
-    PODS_CHECK_MSG(fromPe == me_, "multiproc transport: send from foreign PE");
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    link(fromPe, toPe).tokens.fetch_add(1);
-    tokensSent_.fetch_add(1);
-    bool wrote = false;
-    bool full = false;
-    bool first = false;
-    while (!wrote) {
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        if (lk.count < kBatchMaxTokens) {
-          const std::uint64_t seq = ++lk.nextSeq;
-          tok.msgId = proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
-          std::uint8_t* rec =
-              lk.buf + kBatchEHeaderBytes +
-              static_cast<std::size_t>(lk.count) * kTokenWireBytes;
-          wireEncodeToken(tok, static_cast<std::uint16_t>(fromPe), rec);
-          std::memcpy(lk.unackedWire[seq].data(), rec, kTokenWireBytes);
-          // Output commit: everything this token's payload may depend on
-          // (mints, received tokens) is in the log stream by now — the
-          // batch must not hit the wire before that prefix is stable.
-          if (link_) lk.gateSeq = link_->logAppended();
-          if (lk.count == 0) {
-            first = true;
-            dirty_.fetch_add(1, std::memory_order_release);
-          }
-          if (lk.freshCount == 0) lk.firstFreshSeq = seq;
-          ++lk.count;
-          ++lk.freshCount;
-          full = lk.count == kBatchMaxTokens;
-          wrote = true;
-        }
-      }
-      if (!wrote) flushLink(toPe, FlushWhy::Full);
-    }
-    if (full)
-      flushLink(toPe, FlushWhy::Full);
-    else if (first)
-      armFlushTimer(toPe);
-  }
-
-  void flush(int fromPe) override {
-    (void)fromPe;
-    if (dirty_.load(std::memory_order_acquire) == 0) return;
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      flushLink(to, FlushWhy::Drain);
-    }
-  }
-
-  void stop() override {
-    if (!rxThread_.joinable() && !timerThread_.joinable()) return;
-    rxStop_.store(true);
-    {
-      std::lock_guard<std::mutex> g(m_);
-      timerStop_ = true;
-    }
-    timerCv_.notify_all();
-    if (rxThread_.joinable()) rxThread_.join();
-    if (timerThread_.joinable()) timerThread_.join();
-    // fd_ stays open: the supervisor owns the socket's lifetime.
-  }
-
-  void addStats(Counters& out) const override {
-    out.add("net.udp.tokensSent", tokensSent_.load());
-    out.add("net.udp.datagramsSent", datagramsSent_.load());
-    out.add("net.udp.bytesSent", bytesSent_.load());
-    out.add("net.udp.datagramsRecv", datagramsRecv_.load());
-    out.add("net.udp.bytesRecv", bytesRecv_.load());
-    out.add("net.udp.acksSent", acksSent_.load());
-    out.add("net.udp.acksRecv", acksRecv_.load());
-    out.add("net.udp.sendErrors", sendErrors_.load());
-    out.add("net.udp.badDatagrams", badDatagrams_.load());
-    out.add("net.udp.staleEpoch", staleEpoch_.load());
-    out.add("net.udp.staleAcks", staleAcks_.load());
-    out.add("net.udp.gatedFlushes", gatedFlushes_.load());
-    const std::int64_t bd = batchDgrams_.load();
-    const std::int64_t bt = batchTokens_.load();
-    out.add("net.udp.batch.datagrams", bd);
-    out.add("net.udp.batch.tokens", bt);
-    out.add("net.udp.batch.tokensPerDgram", bd > 0 ? bt / bd : 0);
-    out.add("net.udp.batch.flushFull", flushFull_.load());
-    out.add("net.udp.batch.flushDeadline", flushDeadline_.load());
-    out.add("net.udp.batch.flushDrain", flushDrain_.load());
-    out.add("net.udp.batch.flushRetx", flushRetx_.load());
-    {
-      std::lock_guard<std::mutex> g(m_);
-      sender_.addStats(out);
-    }
-    rx_.addStats(out);
-    addLinkStats(out, links_, numPes_);
-  }
-
-  // ---- Multi-process hooks -------------------------------------------
-
-  void noteDrained(std::uint64_t msgId, std::uint8_t epoch,
-                   std::uint64_t logSeq) override {
-    if (msgId == 0) return;  // local delivery: nothing to ack
-    const int src = static_cast<int>(msgId >> 56) & 0xFF;
-    AckState& ack = *acks_[static_cast<std::size_t>(src)];
-    std::lock_guard<std::mutex> g(ack.m);
-    // A token from a dead incarnation needs no ack — its sender is gone and
-    // the reborn one re-sends under the new epoch.
-    if (epoch != ack.epoch) return;
-    ack.pend.push_back({proto::Delivery::linkMsgIdSeq(msgId), logSeq});
-    ack.due.store(true, std::memory_order_release);
-  }
-
-  void pumpAcks() override {
-    const std::uint64_t stable =
-        link_ ? link_->logStable() : ~std::uint64_t{0};
-    for (int src = 0; src < numPes_; ++src) {
-      if (src == me_) continue;
-      AckState& ack = *acks_[static_cast<std::size_t>(src)];
-      if (!ack.due.load(std::memory_order_acquire)) continue;
-      proto::Delivery::CumAckView view;
-      std::uint8_t epoch = 0;
-      bool moved = false;
-      {
-        std::lock_guard<std::mutex> g(ack.m);
-        while (!ack.pend.empty() && ack.pend.front().logSeq <= stable) {
-          ack.win.acceptSeq(src, me_, ack.pend.front().seq);
-          ack.pend.pop_front();
-          moved = true;
-        }
-        if (ack.pend.empty()) ack.due.store(false, std::memory_order_release);
-        if (moved) {
-          view = ack.win.cumAckView(src, me_);
-          epoch = ack.epoch;
-        }
-      }
-      if (moved) sendCumAckE(src, view, epoch);
-    }
-  }
-
-  void onStableAdvance() override {
-    flush(me_);
-    pumpAcks();
-  }
-
-  std::int64_t outstanding() const override {
-    std::int64_t n = 0;
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      n += lk.count;
-    }
-    {
-      std::lock_guard<std::mutex> g(m_);
-      n += static_cast<std::int64_t>(sender_.windowSize());
-    }
-    return n;
-  }
-
-  void primeRecv(std::uint64_t msgId, std::uint8_t epoch) override {
-    // Pre-start rebuild (no threads yet). The log replays in receive order,
-    // so per-source epochs are non-decreasing: only the newest incarnation's
-    // stream is rebuilt — older streams died with their senders.
-    const int src = static_cast<int>(msgId >> 56) & 0xFF;
-    AckState& ack = *acks_[static_cast<std::size_t>(src)];
-    if (epoch < knownEpoch_[static_cast<std::size_t>(src)]) return;
-    if (epoch > knownEpoch_[static_cast<std::size_t>(src)]) {
-      knownEpoch_[static_cast<std::size_t>(src)] = epoch;
-      rx_.resetRecvLink(src, me_);
-      ack.win = proto::Delivery();
-      ack.epoch = epoch;
-    }
-    const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgId);
-    rx_.acceptSeq(src, me_, seq);
-    ack.win.acceptSeq(src, me_, seq);
-  }
-
-  void barrierSnapshot(std::vector<std::uint64_t>& out) override {
-    out.assign(static_cast<std::size_t>(numPes_), 0);
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_) continue;
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      out[static_cast<std::size_t>(to)] = lk.nextSeq;
-    }
-  }
-
-  bool barrierPassed(const std::vector<std::uint64_t>& snap) override {
-    for (int to = 0; to < numPes_; ++to) {
-      if (to == me_ || snap[static_cast<std::size_t>(to)] == 0) continue;
-      {
-        std::lock_guard<std::mutex> g(m_);
-        const std::uint64_t low = sender_.lowestUnackedSeq(me_, to);
-        if (low != 0 && low <= snap[static_cast<std::size_t>(to)])
-          return false;
-      }
-      // Tokens still coalescing (or gate-parked) in the outbox are not in
-      // the sender window yet — lowestUnackedSeq alone would pass early.
-      LinkOut& lk = *out_[static_cast<std::size_t>(to)];
-      std::lock_guard<std::mutex> g(lk.m);
-      if (lk.freshCount > 0 &&
-          lk.firstFreshSeq <= snap[static_cast<std::size_t>(to)])
-        return false;
-    }
-    return true;
-  }
-
- private:
-  struct LinkOut {
-    std::mutex m;
-    std::uint8_t buf[kBatchMaxBytes];
-    int count = 0;
-    int freshCount = 0;
-    std::uint64_t firstFreshSeq = 0;
-    std::uint64_t nextSeq = 0;
-    /// Output-commit gate: log stream position that must be stable before
-    /// this outbox may hit the wire (high-water over its parked tokens).
-    std::uint64_t gateSeq = 0;
-    std::unordered_map<std::uint64_t,
-                       std::array<std::uint8_t, kTokenWireBytes>>
-        unackedWire;
-    std::priority_queue<
-        std::pair<Clock::time_point, std::uint64_t>,
-        std::vector<std::pair<Clock::time_point, std::uint64_t>>,
-        std::greater<std::pair<Clock::time_point, std::uint64_t>>>
-        retxQ;
-    bool retxArmed = false;
-    Clock::time_point armedDue{};
-  };
-
-  /// Ack gating state for one source PE. The rx thread deposits and wire-
-  /// dedups but never acks fresh tokens; the worker thread reports each
-  /// drain (with its Recv record's stream position) and pumpAcks() moves
-  /// entries into the ackable window `win` once the supervisor has made
-  /// their records stable.
-  struct AckState {
-    std::mutex m;
-    struct Pend {
-      std::uint64_t seq;
-      std::uint64_t logSeq;
-    };
-    std::deque<Pend> pend;
-    proto::Delivery win;      // ackable window: stable-logged seqs only
-    std::uint8_t epoch = 0;   // sender incarnation the window belongs to
-    std::atomic<bool> due{false};
-  };
-
-  enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
-
-  struct TimerEv {
-    Clock::time_point due;
-    enum class Kind : std::uint8_t { Retx, Flush } kind = Kind::Retx;
-    int toPe = 0;
-  };
-  struct EvLater {
-    bool operator()(const TimerEv& a, const TimerEv& b) const {
-      return a.due > b.due;
-    }
-  };
-
-  LinkStat& link(int fromPe, int toPe) {
-    return links_[static_cast<std::size_t>(fromPe * numPes_ + toPe)];
-  }
-
-  void rawSend(const sockaddr_in& to, const void* data, std::size_t len) {
-    for (int attempt = 0;; ++attempt) {
-      const ssize_t n = ::sendto(fd_, data, len, 0,
-                                 reinterpret_cast<const sockaddr*>(&to),
-                                 sizeof to);
-      if (n >= 0) return;
-      if (errno == EINTR) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) &&
-          attempt < 4) {
-        std::this_thread::yield();
-        continue;
-      }
-      sendErrors_.fetch_add(1);
-      return;
-    }
-  }
-
-  void xmitWire(int toPe, const std::uint8_t* data, std::size_t len) {
-    rawSend(addrs_[static_cast<std::size_t>(toPe)], data, len);
-    LinkStat& l = link(me_, toPe);
-    l.datagrams.fetch_add(1);
-    l.bytes.fetch_add(static_cast<std::int64_t>(len));
-    datagramsSent_.fetch_add(1);
-    bytesSent_.fetch_add(static_cast<std::int64_t>(len));
-  }
-
-  void pushTimerEv(TimerEv ev) {
-    bool newFront = false;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      newFront = heap_.empty() || ev.due < heap_.front().due;
-      heap_.push_back(std::move(ev));
-      std::push_heap(heap_.begin(), heap_.end(), EvLater{});
-    }
-    if (newFront) timerCv_.notify_one();
-  }
-
-  void armFlushTimer(int toPe) {
-    TimerEv ev;
-    ev.due = Clock::now() + micros(kFlushDeadlineUs);
-    ev.kind = TimerEv::Kind::Flush;
-    ev.toPe = toPe;
-    pushTimerEv(std::move(ev));
-  }
-
-  void flushLink(int toPe, FlushWhy why) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::uint8_t dgram[kBatchMaxBytes];
-    std::size_t len = 0;
-    int count = 0;
-    int fresh = 0;
-    std::uint64_t firstFreshSeq = 0;
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      if (lk.count == 0) return;
-      if (link_ && link_->logStable() < lk.gateSeq) {
-        // Output commit: the log prefix behind these sends is not stable
-        // yet. Retried by the worker loop's poll and onStableAdvance().
-        gatedFlushes_.fetch_add(1);
-        return;
-      }
-      count = lk.count;
-      fresh = lk.freshCount;
-      firstFreshSeq = lk.firstFreshSeq;
-      lk.buf[0] = kTypeBatchE;
-      put16(lk.buf + 1, static_cast<std::uint16_t>(me_));
-      put16(lk.buf + 3, static_cast<std::uint16_t>(count));
-      lk.buf[5] = epoch_;
-      len = kBatchEHeaderBytes +
-            static_cast<std::size_t>(count) * kTokenWireBytes;
-      std::memcpy(dgram, lk.buf, len);
-      lk.count = 0;
-      lk.freshCount = 0;
-      dirty_.fetch_sub(1, std::memory_order_release);
-    }
-    if (fresh > 0) {
-      const std::uint64_t firstMsgId =
-          proto::Delivery::packLinkMsgId(me_, toPe, firstFreshSeq);
-      {
-        std::lock_guard<std::mutex> g(m_);
-        sender_.onSendBatch(firstMsgId, fresh);
-      }
-      const auto due = Clock::now() + micros(sender_.initialRtoUs());
-      bool arm = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (int i = 0; i < fresh; ++i)
-          lk.retxQ.emplace(due,
-                           firstFreshSeq + static_cast<std::uint64_t>(i));
-        if (!lk.retxArmed || due < lk.armedDue) {
-          lk.retxArmed = true;
-          lk.armedDue = due;
-          arm = true;
-        }
-      }
-      if (arm) {
-        TimerEv ev;
-        ev.due = due;
-        ev.kind = TimerEv::Kind::Retx;
-        ev.toPe = toPe;
-        pushTimerEv(std::move(ev));
-      }
-    }
-    switch (why) {
-      case FlushWhy::Full: flushFull_.fetch_add(1); break;
-      case FlushWhy::Drain: flushDrain_.fetch_add(1); break;
-      case FlushWhy::Deadline: flushDeadline_.fetch_add(1); break;
-      case FlushWhy::Retx: flushRetx_.fetch_add(1); break;
-    }
-    batchDgrams_.fetch_add(1);
-    batchTokens_.fetch_add(count);
-    xmitWire(toPe, dgram, len);
-  }
-
-  void requeueRetransmits(int toPe, const std::vector<std::uint64_t>& msgIds) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::size_t i = 0;
-    while (i < msgIds.size()) {
-      bool needFlush = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (; i < msgIds.size(); ++i) {
-          const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgIds[i]);
-          auto it = lk.unackedWire.find(seq);
-          if (it == lk.unackedWire.end()) continue;  // acked meanwhile
-          if (lk.count == kBatchMaxTokens) {
-            needFlush = true;
-            break;
-          }
-          std::memcpy(lk.buf + kBatchEHeaderBytes +
-                          static_cast<std::size_t>(lk.count) * kTokenWireBytes,
-                      it->second.data(), kTokenWireBytes);
-          if (lk.count == 0) dirty_.fetch_add(1, std::memory_order_release);
-          ++lk.count;
-          link(me_, toPe).retx.fetch_add(1);
-        }
-      }
-      if (needFlush) flushLink(toPe, FlushWhy::Retx);
-    }
-    flushLink(toPe, FlushWhy::Retx);
-  }
-
-  void fireRetx(int toPe) {
-    LinkOut& lk = *out_[static_cast<std::size_t>(toPe)];
-    std::vector<std::uint64_t> expired;
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      while (!lk.retxQ.empty() && lk.retxQ.top().first <= now) {
-        expired.push_back(lk.retxQ.top().second);
-        lk.retxQ.pop();
-      }
-    }
-    std::vector<std::uint64_t> again;
-    std::vector<double> backoffUs;
-    int gaveUpAttempt = 0;
-    if (!expired.empty()) {
-      std::lock_guard<std::mutex> g(m_);
-      for (const std::uint64_t seq : expired) {
-        const proto::TimeoutDecision d = sender_.onTimeout(
-            proto::Delivery::packLinkMsgId(me_, toPe, seq));
-        if (d.kind == proto::TimeoutDecision::Kind::Stale) continue;
-        if (d.kind == proto::TimeoutDecision::Kind::GiveUp) {
-          gaveUpAttempt = d.attempt;
-          continue;
-        }
-        again.push_back(proto::Delivery::packLinkMsgId(me_, toPe, seq));
-        backoffUs.push_back(d.backoffUs);
-      }
-    }
-    if (gaveUpAttempt != 0) {
-      sink_.transportFail(
-          "udp-multiproc transport: reliable delivery gave up on a token "
-          "from worker " +
-          std::to_string(me_) + " to worker " + std::to_string(toPe) +
-          " after " + std::to_string(gaveUpAttempt) + " attempts");
-    }
-    if (!again.empty()) requeueRetransmits(toPe, again);
-    bool arm = false;
-    Clock::time_point due{};
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < again.size(); ++i)
-        lk.retxQ.emplace(now + micros(backoffUs[i]),
-                         proto::Delivery::linkMsgIdSeq(again[i]));
-      if (!lk.retxQ.empty()) {
-        due = lk.retxQ.top().first;
-        lk.retxArmed = true;
-        lk.armedDue = due;
-        arm = true;
-      } else {
-        lk.retxArmed = false;
-      }
-    }
-    if (arm) {
-      TimerEv ev;
-      ev.due = due;
-      ev.kind = TimerEv::Kind::Retx;
-      ev.toPe = toPe;
-      pushTimerEv(std::move(ev));
-    }
-  }
-
-  void sendCumAckE(int srcPe, const proto::Delivery::CumAckView& view,
-                   std::uint8_t epoch) {
-    std::uint8_t pkt[kCumAckEWireBytes];
-    pkt[0] = kTypeCumAckE;
-    put16(pkt + 1, static_cast<std::uint16_t>(me_));
-    put64(pkt + 3, view.cum);
-    put64(pkt + 11, view.bitmap);
-    pkt[19] = epoch;
-    rawSend(addrs_[static_cast<std::size_t>(srcPe)], pkt, sizeof pkt);
-    acksSent_.fetch_add(1);
-  }
-
-  void recvMain() {
-    std::uint8_t buf[2048];
-    std::vector<NToken> toks;
-    while (!rxStop_.load()) {
-      sockaddr_in src{};
-      socklen_t srcLen = sizeof src;
-      const ssize_t n =
-          ::recvfrom(fd_, buf, sizeof buf, 0,
-                     reinterpret_cast<sockaddr*>(&src), &srcLen);
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-          continue;  // SO_RCVTIMEO tick: re-check the stop flag
-        return;      // socket gone
-      }
-      if (n < 1) continue;
-      handleDatagram(buf, static_cast<std::size_t>(n));
-    }
-    // Final non-blocking sweep (acks queued behind the last poll).
-    for (;;) {
-      sockaddr_in src{};
-      socklen_t srcLen = sizeof src;
-      const ssize_t n =
-          ::recvfrom(fd_, buf, sizeof buf, MSG_DONTWAIT,
-                     reinterpret_cast<sockaddr*>(&src), &srcLen);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (n < 1) continue;
-      handleDatagram(buf, static_cast<std::size_t>(n));
-    }
-  }
-
-  void handleDatagram(std::uint8_t* buf, std::size_t n) {
-    datagramsRecv_.fetch_add(1);
-    bytesRecv_.fetch_add(static_cast<std::int64_t>(n));
-    switch (buf[0]) {
-      case kTypeBatchE: {
-        if (n < kBatchEHeaderBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t srcPe = get16(buf + 1);
-        const int count = get16(buf + 3);
-        const std::uint8_t e = buf[5];
-        if (srcPe >= numPes_ || srcPe == me_ || count < 1 ||
-            count > kBatchMaxTokens ||
-            n != kBatchEHeaderBytes +
-                     static_cast<std::size_t>(count) * kTokenWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        // All-or-nothing decode before any window mutation.
-        std::vector<NToken> toks;
-        toks.reserve(static_cast<std::size_t>(count));
-        bool ok = true;
-        for (int i = 0; i < count; ++i) {
-          NToken tok;
-          std::uint16_t recSrc = 0;
-          if (!wireDecodeToken(buf + kBatchEHeaderBytes +
-                                   static_cast<std::size_t>(i) *
-                                       kTokenWireBytes,
-                               kTokenWireBytes, tok, &recSrc) ||
-              recSrc != srcPe) {
-            ok = false;
-            break;
-          }
-          tok.epoch = e;
-          toks.push_back(tok);
-        }
-        if (!ok) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        AckState& ack = *acks_[static_cast<std::size_t>(srcPe)];
-        if (e < knownEpoch_[static_cast<std::size_t>(srcPe)]) {
-          // The sender of this datagram is dead; its reborn successor
-          // renumbered the link. Nothing from the old stream may touch the
-          // new windows.
-          staleEpoch_.fetch_add(1);
-          break;
-        }
-        if (e > knownEpoch_[static_cast<std::size_t>(srcPe)]) {
-          knownEpoch_[static_cast<std::size_t>(srcPe)] = e;
-          rx_.resetRecvLink(srcPe, me_);
-          std::lock_guard<std::mutex> g(ack.m);
-          ack.pend.clear();
-          ack.win = proto::Delivery();
-          ack.epoch = e;
-        }
-        bool hadDup = false;
-        for (NToken& tok : toks) {
-          const std::uint64_t seq =
-              proto::Delivery::linkMsgIdSeq(tok.msgId);
-          if (rx_.acceptSeq(srcPe, me_, seq)) {
-            // Fresh: deposit only. The ack waits until the worker thread
-            // drains the token AND its Recv record is supervisor-stable
-            // (noteDrained -> pumpAcks) — acking now would let a kill
-            // between ack and log lose the token forever.
-            sink_.deposit(me_, numPes_, std::move(tok));
-          } else {
-            hadDup = true;
-          }
-        }
-        if (hadDup) {
-          // The sender is retransmitting: re-ack the stable window
-          // immediately (it never covers unlogged tokens).
-          proto::Delivery::CumAckView view;
-          std::uint8_t ackEpoch = 0;
-          {
-            std::lock_guard<std::mutex> g(ack.m);
-            view = ack.win.cumAckView(srcPe, me_);
-            ackEpoch = ack.epoch;
-          }
-          sendCumAckE(srcPe, view, ackEpoch);
-        }
-        break;
-      }
-      case kTypeCumAckE: {
-        if (n != kCumAckEWireBytes) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        const std::uint16_t acker = get16(buf + 1);
-        if (acker >= numPes_ || acker == me_) {
-          badDatagrams_.fetch_add(1);
-          break;
-        }
-        if (buf[19] != epoch_) {
-          // An ack for a previous incarnation of this process: its seq
-          // numbers refer to the dead stream and would wrongly retire the
-          // renumbered fresh sends.
-          staleAcks_.fetch_add(1);
-          break;
-        }
-        acksRecv_.fetch_add(1);
-        const std::uint64_t cum = get64(buf + 3);
-        const std::uint64_t bitmap = get64(buf + 11);
-        std::vector<std::uint64_t> retired;
-        {
-          std::lock_guard<std::mutex> g(m_);
-          retired = sender_.onCumAck(me_, acker, cum, bitmap);
-        }
-        if (!retired.empty()) {
-          LinkOut& lk = *out_[static_cast<std::size_t>(acker)];
-          std::lock_guard<std::mutex> g(lk.m);
-          for (const std::uint64_t id : retired)
-            lk.unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
-        }
-        break;
-      }
-      default:
-        badDatagrams_.fetch_add(1);
-        break;
-    }
-  }
-
-  void timerMain() {
-    std::unique_lock<std::mutex> g(m_);
-    while (!timerStop_) {
-      if (heap_.empty()) {
-        timerCv_.wait(g, [&] { return timerStop_ || !heap_.empty(); });
-        continue;
-      }
-      const auto due = heap_.front().due;
-      if (timerCv_.wait_until(g, due, [&] {
-            return timerStop_ || heap_.front().due < due;
-          })) {
-        if (timerStop_) break;
-        continue;
-      }
-      while (!heap_.empty() && heap_.front().due <= Clock::now()) {
-        std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
-        TimerEv ev = heap_.back();
-        heap_.pop_back();
-        g.unlock();
-        if (ev.kind == TimerEv::Kind::Flush)
-          flushLink(ev.toPe, FlushWhy::Deadline);
-        else
-          fireRetx(ev.toPe);
-        g.lock();
-      }
-    }
-  }
-
-  TransportSink& sink_;
-  const int numPes_;
-  const int me_;
-  const std::uint8_t epoch_;
-  const int fd_;
-  WorkerLink* const link_;
-  std::vector<LinkStat> links_;
-  std::vector<sockaddr_in> addrs_;
-  /// Sender window under m_; one receiver endpoint touched only by the rx
-  /// thread (and primeRecv before threads start).
-  proto::Delivery sender_;
-  proto::Delivery rx_;
-  std::vector<std::unique_ptr<LinkOut>> out_;
-  std::vector<std::unique_ptr<AckState>> acks_;
-  /// Highest incarnation seen per source. rx thread only (+ pre-start
-  /// primeRecv); the worker-thread view lives in AckState::epoch.
-  std::vector<std::uint8_t> knownEpoch_;
-  std::atomic<int> dirty_{0};
-
-  std::thread rxThread_;
-  std::thread timerThread_;
-  std::atomic<bool> rxStop_{false};
-
-  mutable std::mutex m_;  // guards heap_, timerStop_, sender_
-  std::condition_variable timerCv_;
-  std::vector<TimerEv> heap_;
-  bool timerStop_ = false;
-
-  std::atomic<std::int64_t> tokensSent_{0};
-  std::atomic<std::int64_t> datagramsSent_{0};
-  std::atomic<std::int64_t> bytesSent_{0};
-  std::atomic<std::int64_t> datagramsRecv_{0};
-  std::atomic<std::int64_t> bytesRecv_{0};
+  std::atomic<std::int64_t> acksBuilt_{0};
   std::atomic<std::int64_t> acksSent_{0};
   std::atomic<std::int64_t> acksRecv_{0};
   std::atomic<std::int64_t> sendErrors_{0};
@@ -2003,6 +1387,9 @@ class UdpMultiprocTransport final : public Transport {
   std::atomic<std::int64_t> flushDeadline_{0};
   std::atomic<std::int64_t> flushDrain_{0};
   std::atomic<std::int64_t> flushRetx_{0};
+  std::atomic<std::int64_t> faultDrops_{0};
+  std::atomic<std::int64_t> faultDups_{0};
+  std::atomic<std::int64_t> faultDelays_{0};
 };
 
 }  // namespace
@@ -2034,7 +1421,7 @@ const char* transportKindName(TransportKind kind) {
 
 void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
                      std::uint8_t out[kTokenWireBytes]) {
-  out[0] = kTypeToken;
+  out[0] = kRecordToken;
   // Flag byte: bit 0 = toCont, bit 1 = add, bits 2..4 = AmKind (0 for
   // ordinary tokens, so the non-array wire stays bit-identical), bits 5..7
   // reserved (decoder rejects them nonzero).
@@ -2055,7 +1442,7 @@ void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
 
 bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
                      std::uint16_t* srcPe) {
-  if (len != kTokenWireBytes || data[0] != kTypeToken) return false;
+  if (len != kTokenWireBytes || data[0] != kRecordToken) return false;
   if (data[1] & ~0x1Fu) return false;  // bits 5..7 reserved
   const std::uint8_t amKind = (data[1] >> 2) & 0x7u;
   if (amKind > kMaxWireAmKind) return false;  // AllocMeta is log-only
@@ -2077,44 +1464,29 @@ bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
   return true;
 }
 
-std::size_t wireEncodeBatch(const NToken* toks, int count, std::uint16_t srcPe,
-                            std::uint8_t* out) {
+std::size_t wireEncodeBatchHeader(std::uint8_t* out, std::uint16_t srcPe,
+                                  int count, std::uint8_t epoch) {
   PODS_CHECK_MSG(count >= 1 && count <= kBatchMaxTokens,
-                 "wireEncodeBatch: count out of range");
-  if (count == 1) {
-    wireEncodeToken(toks[0], srcPe, out);
-    return kTokenWireBytes;
-  }
+                 "wireEncodeBatchHeader: count out of range");
   out[0] = kTypeBatch;
   put16(out + 1, srcPe);
   put16(out + 3, static_cast<std::uint16_t>(count));
-  for (int i = 0; i < count; ++i)
-    wireEncodeToken(toks[i], srcPe,
-                    out + kBatchHeaderBytes +
-                        static_cast<std::size_t>(i) * kTokenWireBytes);
+  out[5] = epoch;
   return kBatchHeaderBytes + static_cast<std::size_t>(count) * kTokenWireBytes;
 }
 
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
-                     std::vector<NToken>& out, std::uint16_t* srcPe) {
+                     std::vector<NToken>& out, std::uint16_t* srcPe,
+                     std::uint8_t* epoch) {
   out.clear();
-  if (len < 1) return false;
-  if (data[0] == kTypeToken) {
-    NToken tok;
-    std::uint16_t src = 0;
-    if (!wireDecodeToken(data, len, tok, &src)) return false;
-    if (srcPe) *srcPe = src;
-    out.push_back(tok);
-    return true;
-  }
-  if (data[0] != kTypeBatch || len < kBatchHeaderBytes) return false;
+  if (len < kBatchHeaderBytes || data[0] != kTypeBatch) return false;
   const std::uint16_t src = get16(data + 1);
   const int count = get16(data + 3);
-  // A 1-record batch is never emitted (it goes out as the bare legacy
-  // token datagram), so count < 2 is malformed, as is any length that is
-  // not exactly header + count records (truncation or trailing junk).
-  if (count < 2 || count > kBatchMaxTokens) return false;
-  if (len != kBatchHeaderBytes +
+  const std::uint8_t e = data[5];
+  // The length must be exactly header + count records: a shorter one is
+  // truncated, a longer one carries trailing junk.
+  if (count < 1 || count > kBatchMaxTokens ||
+      len != kBatchHeaderBytes +
                  static_cast<std::size_t>(count) * kTokenWireBytes)
     return false;
   out.reserve(static_cast<std::size_t>(count));
@@ -2128,40 +1500,82 @@ bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
       out.clear();  // all-or-nothing: one bad record rejects the datagram
       return false;
     }
+    tok.epoch = e;
     out.push_back(tok);
   }
   if (srcPe) *srcPe = src;
+  if (epoch) *epoch = e;
   return true;
 }
 
-std::unique_ptr<Transport> makeInboxTransport(TransportSink& sink,
-                                              const FaultPlan& plan,
-                                              int numPes) {
-  return std::make_unique<InboxTransport>(sink, plan, numPes);
+void wireEncodeCumAck(const WireCumAck& ack,
+                      std::uint8_t out[kCumAckWireBytes]) {
+  out[0] = kTypeCumAck;
+  put16(out + 1, ack.ackerPe);
+  put64(out + 3, ack.cum);
+  put64(out + 11, ack.bitmap);
+  out[19] = ack.epoch;
 }
 
-std::unique_ptr<Transport> makeUdpTransport(TransportSink& sink,
-                                            const FaultPlan& plan,
-                                            int numPes) {
-  return std::make_unique<UdpTransport>(sink, plan, numPes);
+bool wireDecodeCumAck(const std::uint8_t* data, std::size_t len,
+                      WireCumAck& ack) {
+  if (len != kCumAckWireBytes || data[0] != kTypeCumAck) return false;
+  ack.ackerPe = get16(data + 1);
+  ack.cum = get64(data + 3);
+  ack.bitmap = get64(data + 11);
+  ack.epoch = data[19];
+  return true;
+}
+
+bool bindLoopbackUdp(int n, std::vector<int>& fds,
+                     std::vector<std::uint16_t>& ports, std::string* err) {
+  fds.clear();
+  ports.clear();
+  for (int i = 0; i < n; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_CLOEXEC, 0);
+    sockaddr_in sa{};
+    sa.sin_family = AF_INET;
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    sa.sin_port = 0;  // ephemeral: the bind picks the port
+    socklen_t len = sizeof sa;
+    const char* failed = nullptr;
+    if (fd < 0)
+      failed = "socket()";
+    else if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0)
+      failed = "bind()";
+    else if (::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0)
+      failed = "getsockname()";
+    if (failed != nullptr) {
+      if (err) *err = std::string(failed) + ": " + std::strerror(errno);
+      if (fd >= 0) ::close(fd);
+      for (const int f : fds) ::close(f);
+      fds.clear();
+      ports.clear();
+      return false;
+    }
+    fds.push_back(fd);
+    ports.push_back(ntohs(sa.sin_port));
+  }
+  return true;
 }
 
 std::unique_ptr<Transport> makeTransport(TransportKind kind,
                                          TransportSink& sink,
-                                         const FaultPlan& plan, int numPes) {
-  if (kind == TransportKind::Udp) return makeUdpTransport(sink, plan, numPes);
-  return makeInboxTransport(sink, plan, numPes);
-}
-
-std::unique_ptr<Transport> makeUdpMultiprocTransport(
-    TransportSink& sink, const FaultPlan& plan, int numPes, int localPe,
-    std::uint8_t epoch, int sockFd, const std::vector<std::uint16_t>& peerPorts,
-    WorkerLink* link) {
-  PODS_CHECK_MSG(static_cast<int>(peerPorts.size()) == numPes,
-                 "udp-multiproc: port table size mismatch");
-  return std::make_unique<UdpMultiprocTransport>(sink, plan, numPes, localPe,
-                                                 epoch, sockFd, peerPorts,
-                                                 link);
+                                         const FaultPlan& plan, int numPes,
+                                         const UdpWorkerEndpoint* worker) {
+  switch (kind) {
+    case TransportKind::Inbox:
+      return std::make_unique<InboxTransport>(sink, plan, numPes);
+    case TransportKind::Udp:
+      return std::make_unique<UdpTransport>(sink, plan, numPes, nullptr);
+    case TransportKind::UdpMultiproc:
+      break;
+  }
+  PODS_CHECK_MSG(worker != nullptr && worker->pe >= 0 &&
+                     worker->pe < numPes &&
+                     static_cast<int>(worker->peerPorts.size()) == numPes,
+                 "udp-multiproc: needs a worker endpoint with one port per PE");
+  return std::make_unique<UdpTransport>(sink, plan, numPes, worker);
 }
 
 }  // namespace pods::native

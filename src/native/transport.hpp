@@ -10,21 +10,24 @@
 //    injection a send is a mutex-guarded deque push; with it, the send goes
 //    through the seeded unreliable-network shim plus a wall-clock
 //    retransmit daemon (exponential backoff, receiver msgId dedup).
-//  - UdpTransport: every PE binds its own UDP socket on 127.0.0.1 and
-//    tokens travel as serialized datagrams — a true multi-node stand-in.
-//    Tokens for one destination coalesce into MTU-sized batch datagrams
-//    (flushed when full, when the sending worker's loop comes around, or by
-//    a 50 µs deadline timer). UDP may drop, duplicate, or reorder even on
-//    loopback, so this transport ALWAYS runs a reliable-delivery protocol:
-//    each (src,dst) link numbers its tokens with a dense sequence, the
-//    receiver answers every batch with one cumulative ack (highest
+//  - UdpTransport: the paper's Routing Unit over real sockets. Each PE it
+//    serves owns a UDP socket on 127.0.0.1 — all N PEs in-process
+//    (`--transport=udp`, sockets bound here), or the one PE of a forked
+//    worker (`--transport=udp-multiproc`, socket bound by the supervisor and
+//    inherited). Tokens for one destination coalesce into MTU-sized batch
+//    datagrams (flushed when full, when the sending worker's loop comes
+//    around, or by a 50 µs deadline timer). UDP may drop, duplicate, or
+//    reorder even on loopback, so this transport ALWAYS runs a
+//    reliable-delivery protocol: each (src,dst) link numbers its tokens with
+//    a dense sequence, the receiver answers with cumulative acks (highest
 //    contiguous seq + selective bitmap), unacked tokens are retransmitted
 //    with exponential backoff (riding later batches, keeping their original
 //    msgId), and the receiver suppresses duplicates by link sequence before
 //    they reach the inbox. FaultPlan injection composes at the datagram
 //    level (batch sends AND acks roll the seeded dice), so
 //    `--faults=drop/dup/delay` specs and kill recovery work unchanged over
-//    real sockets.
+//    real sockets. Both modes put the same two epoch-stamped datagram types
+//    on the socket (see the wire format below).
 //
 // Quiescence contract: the machine charges `pending`/`inboxTokens` once per
 // logical token at send time, and the charges are released only when the
@@ -88,10 +91,10 @@ struct NToken {
   /// Array messages ride the same wire records, batch datagrams, sequence
   /// windows, acks, and fault dice as ordinary tokens.
   std::uint8_t amKind = 0;
-  /// Multi-process: the sending process's incarnation, stamped from the
-  /// batch-datagram header at receive time (not part of the 65-byte token
-  /// record). Rides to the drain so the ack for this token is attributed to
-  /// the right sender incarnation.
+  /// The sending process's incarnation, stamped from the batch header by
+  /// wireDecodeBatch (not part of the 65-byte token record). Rides to the
+  /// drain so the ack for this token is attributed to the right sender
+  /// incarnation.
   std::uint8_t epoch = 0;
 };
 
@@ -169,7 +172,7 @@ class Transport {
   /// the per-(src,dst) link breakdown used by `podsc --stats`.
   virtual void addStats(Counters& out) const = 0;
 
-  // ---- Multi-process hooks (no-ops on in-process transports) -----------
+  // ---- Multi-process hooks (only a multi-process worker calls these) ---
   /// Output commit for acks: the worker thread drained msgId from its inbox
   /// and its Recv record is stream position `logSeq`. The ack for this
   /// sequence may go out only once logStable() >= logSeq.
@@ -205,55 +208,88 @@ class Transport {
   }
 };
 
-std::unique_ptr<Transport> makeInboxTransport(TransportSink& sink,
-                                              const FaultPlan& plan,
-                                              int numPes);
-std::unique_ptr<Transport> makeUdpTransport(TransportSink& sink,
-                                            const FaultPlan& plan,
-                                            int numPes);
-std::unique_ptr<Transport> makeTransport(TransportKind kind,
-                                         TransportSink& sink,
-                                         const FaultPlan& plan, int numPes);
+/// A multi-process worker's UDP endpoint: the one PE it serves, the socket
+/// the supervisor bound for it (the supervisor keeps its own copy, so the
+/// port and any buffered datagrams survive this process), every PE's
+/// loopback port, this process's incarnation, and the control-channel link
+/// whose stable watermark gates its acks and flushes. A respawn boots with
+/// epoch+1 and renumbers all links from 1; receivers reset their per-link
+/// windows when they first see a higher epoch from a source.
+struct UdpWorkerEndpoint {
+  int pe = -1;
+  int sockFd = -1;
+  std::vector<std::uint16_t> peerPorts;
+  std::uint8_t epoch = 0;
+  WorkerLink* link = nullptr;
+};
 
-/// Multi-process worker transport: one socket fd inherited from the
-/// supervisor (already bound; the supervisor keeps its own copy so the port
-/// and buffered datagrams survive this process), peers addressed by the
-/// fixed loopback port table. `epoch` stamps outbound datagrams; a respawn
-/// boots with epoch+1 and renumbers all links from 1, and receivers reset
-/// their per-link windows when they first see a higher epoch from a source.
-std::unique_ptr<Transport> makeUdpMultiprocTransport(
-    TransportSink& sink, const FaultPlan& plan, int numPes, int localPe,
-    std::uint8_t epoch, int sockFd, const std::vector<std::uint16_t>& peerPorts,
-    WorkerLink* link);
+/// Builds the transport for `kind`. Inbox and Udp serve all `numPes` PEs of
+/// this process; UdpMultiproc needs `worker` and serves its one PE.
+std::unique_ptr<Transport> makeTransport(
+    TransportKind kind, TransportSink& sink, const FaultPlan& plan, int numPes,
+    const UdpWorkerEndpoint* worker = nullptr);
 
-/// Wire format of one token datagram (UdpTransport). Exposed for tests:
-/// encode/decode must round-trip every field bit-exactly.
+/// Binds `n` UDP sockets to ephemeral 127.0.0.1 ports, close-on-exec. The
+/// in-process UDP transport binds its PEs' sockets with it, and the
+/// multi-process supervisor binds its workers' sockets with it.
+/// All-or-nothing: on failure every socket made so far is closed, `fds` and
+/// `ports` are left empty, and `err` names the failing call.
+bool bindLoopbackUdp(int n, std::vector<int>& fds,
+                     std::vector<std::uint16_t>& ports, std::string* err);
+
+// ---- Wire format -----------------------------------------------------------
+// A UDP datagram is one of two types, both stamped with the incarnation
+// (epoch) of the process the stream belongs to — always 0 in-process:
+//
+//   batch  6-byte header (type, srcPe u16, count u16, epoch u8) followed by
+//          `count` (1..kBatchMaxTokens) 65-byte token records;
+//   ack    20 bytes (type, ackerPe u16, cum u64, bitmap u64, epoch u8).
+//
+// Any other datagram is malformed. The transport encodes and decodes
+// through these functions only.
+
+/// One token record: encode/decode round-trip every field bit-exactly.
 constexpr std::size_t kTokenWireBytes = 65;
 void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
                      std::uint8_t out[kTokenWireBytes]);
 bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
                      std::uint16_t* srcPe);
 
-/// Batch datagram: 5-byte header (type, srcPe u16, count u16) followed by
-/// `count` full 65-byte token records. Sized to fit a common 1400-byte MTU
-/// budget — 21 tokens per datagram. A single-token flush is emitted as the
-/// bare 65-byte record, so 1-token "batches" are bit-identical to the
-/// legacy wire format.
-constexpr std::size_t kBatchHeaderBytes = 5;
+/// Batch datagrams are sized to a common 1400-byte MTU budget: 21 records.
+constexpr std::size_t kBatchHeaderBytes = 6;
 constexpr std::size_t kBatchMaxBytes = 1400;
 constexpr int kBatchMaxTokens =
     static_cast<int>((kBatchMaxBytes - kBatchHeaderBytes) / kTokenWireBytes);
 
-/// Encodes `count` tokens (1..kBatchMaxTokens) into one datagram image;
-/// returns its length. count==1 produces the legacy single-token format.
-std::size_t wireEncodeBatch(const NToken* toks, int count, std::uint16_t srcPe,
-                            std::uint8_t* out /* >= kBatchMaxBytes */);
+/// Writes the header of a batch whose `count` (1..kBatchMaxTokens) records
+/// already sit at `out + kBatchHeaderBytes`; returns the datagram length.
+std::size_t wireEncodeBatchHeader(std::uint8_t* out, std::uint16_t srcPe,
+                                  int count, std::uint8_t epoch);
 
-/// Decodes a token-carrying datagram (legacy single-token or batch) into
-/// `out`. All-or-nothing: a truncated datagram, trailing junk, a malformed
+/// Decodes a batch datagram into `out`, stamping every token's `epoch` from
+/// the header. All-or-nothing: a wrong type byte, a count outside
+/// 1..kBatchMaxTokens, a truncated datagram, trailing junk, a malformed
 /// record, or a record whose srcPe disagrees with the header rejects the
 /// whole datagram (returns false, `out` left empty).
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
-                     std::vector<NToken>& out, std::uint16_t* srcPe);
+                     std::vector<NToken>& out, std::uint16_t* srcPe,
+                     std::uint8_t* epoch);
+
+/// Cumulative ack for one (src,dst) link, sent by the destination.
+constexpr std::size_t kCumAckWireBytes = 20;
+struct WireCumAck {
+  std::uint16_t ackerPe = 0;
+  std::uint64_t cum = 0;     // highest contiguously received link seq
+  std::uint64_t bitmap = 0;  // bit i set: seq cum+1+i received
+  /// Incarnation of the acked stream's sender, as the acker knows it: a
+  /// reborn sender drops acks for its predecessor's stream, whose seqs
+  /// would otherwise retire its fresh renumbered ones.
+  std::uint8_t epoch = 0;
+};
+void wireEncodeCumAck(const WireCumAck& ack,
+                      std::uint8_t out[kCumAckWireBytes]);
+/// False unless `data` is exactly one well-typed 20-byte ack.
+bool wireDecodeCumAck(const std::uint8_t* data, std::size_t len,
+                      WireCumAck& ack);
 
 }  // namespace pods::native

@@ -360,7 +360,7 @@ JobResultMsg sampleJobResult() {
   a.elems = {Value::realv(0.0), Value::realv(1.0), Value::realv(2.0),
              Value::realv(3.0), Value::realv(4.0), Value::realv(5.0)};
   m.arrays = {a, {}};
-  m.counters = {{"native.frames", 4}};
+  m.counters = {{"native.framesCreated", 4}};
   return m;
 }
 
@@ -471,7 +471,7 @@ TEST(CtlProto, PortTableStatusResultErrorScalarRoundTrip) {
   rm.error = "boom";
   rm.resultSet = {1, 0};
   rm.results = {Value::intv(5), Value{}};
-  rm.counters = {{"native.frames", 12}};
+  rm.counters = {{"native.framesCreated", 12}};
   rm.workerCounters = {{"tokensIn", 7}, {"tokensOut", 8}};
   out.clear();
   encodeResult(rm, out);

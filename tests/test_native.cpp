@@ -53,7 +53,7 @@ TEST(Native, SimpleBenchmarkEndToEnd) {
   ASSERT_TRUE(run.stats.ok) << run.stats.error;
   std::string why;
   EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << why;
-  EXPECT_GT(run.stats.counters.get("native.frames"), 10);
+  EXPECT_GT(run.stats.counters.get("native.framesCreated"), 10);
   EXPECT_GT(run.stats.counters.get("native.instructions"), 1000);
   // Frame ledger balances: every created frame was retired through END.
   EXPECT_EQ(run.stats.counters.get("native.framesCreated"),

@@ -9,11 +9,19 @@
 // with each token through kernel socket buffers, so termination stays
 // exact. The fuzz sweeps run PODS_TRANSPORT_SEEDS seeds (default 8; the CI
 // socket-soak job raises it to 32+).
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <thread>
 
 #include "core/pods.hpp"
 #include "native/transport.hpp"
@@ -167,7 +175,11 @@ TEST(TransportWire, RejectsMalformedDatagrams) {
   EXPECT_EQ(out.v.asInt(), 17);
 }
 
-// --- batch wire format ------------------------------------------------------
+// --- batch and ack datagrams ------------------------------------------------
+//
+// The transport encodes every datagram with wireEncodeToken +
+// wireEncodeBatchHeader / wireEncodeCumAck and decodes with wireDecodeBatch /
+// wireDecodeCumAck; these tests drive exactly those functions.
 
 native::NToken wireFuzzToken(std::uint64_t i) {
   native::NToken tok;
@@ -184,115 +196,173 @@ native::NToken wireFuzzToken(std::uint64_t i) {
   return tok;
 }
 
+/// Builds a batch datagram the way the transport's outbox does: records
+/// encoded in place behind the header space, then the header.
+std::size_t encodeBatch(int count, std::uint16_t srcPe, std::uint8_t epoch,
+                        std::uint8_t* out) {
+  for (int i = 0; i < count; ++i)
+    native::wireEncodeToken(wireFuzzToken(static_cast<std::uint64_t>(i)),
+                            srcPe,
+                            out + native::kBatchHeaderBytes +
+                                static_cast<std::size_t>(i) *
+                                    native::kTokenWireBytes);
+  return native::wireEncodeBatchHeader(out, srcPe, count, epoch);
+}
+
+bool decodes(const std::uint8_t* data, std::size_t len) {
+  std::vector<native::NToken> out;
+  const bool ok = native::wireDecodeBatch(data, len, out, nullptr, nullptr);
+  EXPECT_EQ(out.empty(), !ok) << "a rejected batch must leave no tokens";
+  return ok;
+}
+
+bool decodesAck(const std::uint8_t* data, std::size_t len) {
+  native::WireCumAck ack;
+  return native::wireDecodeCumAck(data, len, ack);
+}
+
 TEST(TransportWire, BatchRoundTripsAtEverySize) {
-  for (int count = 2; count <= native::kBatchMaxTokens; ++count) {
-    std::vector<native::NToken> toks;
-    for (int i = 0; i < count; ++i)
-      toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
+  for (int count = 1; count <= native::kBatchMaxTokens; ++count) {
+    const auto epoch = static_cast<std::uint8_t>(count * 11);
     std::uint8_t dgram[native::kBatchMaxBytes];
-    const std::size_t len =
-        native::wireEncodeBatch(toks.data(), count, 3, dgram);
+    const std::size_t len = encodeBatch(count, 3, epoch, dgram);
     ASSERT_EQ(len, native::kBatchHeaderBytes +
                        static_cast<std::size_t>(count) *
                            native::kTokenWireBytes);
+    ASSERT_LE(len, native::kBatchMaxBytes);
+    EXPECT_EQ(dgram[5], epoch) << "the epoch byte closes the header";
     std::vector<native::NToken> back;
     std::uint16_t srcPe = 0;
-    ASSERT_TRUE(native::wireDecodeBatch(dgram, len, back, &srcPe))
+    std::uint8_t backEpoch = 0;
+    ASSERT_TRUE(
+        native::wireDecodeBatch(dgram, len, back, &srcPe, &backEpoch))
         << "count=" << count;
     EXPECT_EQ(srcPe, 3);
+    EXPECT_EQ(backEpoch, epoch);
     ASSERT_EQ(back.size(), static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
-      EXPECT_EQ(back[static_cast<std::size_t>(i)].msgId,
-                toks[static_cast<std::size_t>(i)].msgId);
-      EXPECT_EQ(back[static_cast<std::size_t>(i)].ctx,
-                toks[static_cast<std::size_t>(i)].ctx);
-      EXPECT_EQ(back[static_cast<std::size_t>(i)].v.bits,
-                toks[static_cast<std::size_t>(i)].v.bits);
+      const native::NToken want = wireFuzzToken(static_cast<std::uint64_t>(i));
+      const native::NToken& got = back[static_cast<std::size_t>(i)];
+      EXPECT_EQ(got.msgId, want.msgId);
+      EXPECT_EQ(got.ctx, want.ctx);
+      EXPECT_EQ(got.v.bits, want.v.bits);
+      EXPECT_EQ(got.wakeKey, want.wakeKey);
+      EXPECT_EQ(got.epoch, epoch) << "decode stamps the header's epoch";
     }
   }
 }
 
-TEST(TransportWire, SingleTokenBatchIsBitIdenticalToLegacyFormat) {
-  const native::NToken tok = wireFuzzToken(9);
-  std::uint8_t legacy[native::kTokenWireBytes];
-  native::wireEncodeToken(tok, 3, legacy);
-  std::uint8_t batched[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(&tok, 1, 3, batched);
-  ASSERT_EQ(len, native::kTokenWireBytes);
-  EXPECT_EQ(0, std::memcmp(legacy, batched, len));
-  // And the batch decoder accepts the legacy image as a 1-token batch.
-  std::vector<native::NToken> back;
-  std::uint16_t srcPe = 0;
-  ASSERT_TRUE(native::wireDecodeBatch(legacy, len, back, &srcPe));
-  EXPECT_EQ(srcPe, 3);
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].msgId, tok.msgId);
-}
-
 TEST(TransportWire, BatchDecodeIsAllOrNothing) {
-  std::vector<native::NToken> toks;
-  for (int i = 0; i < 3; ++i)
-    toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
   std::uint8_t dgram[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(toks.data(), 3, 4, dgram);
-
-  std::vector<native::NToken> out;
+  const std::size_t len = encodeBatch(3, 4, 2, dgram);
   // Every truncation point rejects — including cuts that leave a whole
   // number of records (the header count must match exactly).
-  for (std::size_t cut = 0; cut < len; ++cut) {
-    EXPECT_FALSE(native::wireDecodeBatch(dgram, cut, out, nullptr))
-        << "cut=" << cut;
-    EXPECT_TRUE(out.empty()) << "cut=" << cut;
-  }
+  for (std::size_t cut = 0; cut < len; ++cut)
+    EXPECT_FALSE(decodes(dgram, cut)) << "cut=" << cut;
   // Trailing junk rejects.
   std::uint8_t extended[native::kBatchMaxBytes + 8];
   std::memcpy(extended, dgram, len);
   extended[len] = 0xAB;
-  EXPECT_FALSE(native::wireDecodeBatch(extended, len + 1, out, nullptr));
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(decodes(extended, len + 1));
   // A corrupt record mid-batch rejects the whole datagram.
   std::uint8_t corrupt[native::kBatchMaxBytes];
   std::memcpy(corrupt, dgram, len);
   corrupt[native::kBatchHeaderBytes + native::kTokenWireBytes + 24] =
       0xEE;  // second record's value tag out of range
-  EXPECT_FALSE(native::wireDecodeBatch(corrupt, len, out, nullptr));
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(decodes(corrupt, len));
+  // A record that is not a token record rejects.
+  std::memcpy(corrupt, dgram, len);
+  corrupt[native::kBatchHeaderBytes + 2 * native::kTokenWireBytes] = 0x7F;
+  EXPECT_FALSE(decodes(corrupt, len));
   // A record whose srcPe disagrees with the batch header rejects.
   std::memcpy(corrupt, dgram, len);
   corrupt[native::kBatchHeaderBytes + 2] = 0x77;  // first record's srcPe
-  EXPECT_FALSE(native::wireDecodeBatch(corrupt, len, out, nullptr));
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(decodes(corrupt, len));
   // The untouched image still decodes.
-  EXPECT_TRUE(native::wireDecodeBatch(dgram, len, out, nullptr));
-  EXPECT_EQ(out.size(), 3u);
+  EXPECT_TRUE(decodes(dgram, len));
 }
 
 TEST(TransportWire, BatchHeaderRejectsBadCounts) {
-  std::vector<native::NToken> toks;
-  for (int i = 0; i < 2; ++i)
-    toks.push_back(wireFuzzToken(static_cast<std::uint64_t>(i)));
   std::uint8_t dgram[native::kBatchMaxBytes];
-  const std::size_t len = native::wireEncodeBatch(toks.data(), 2, 4, dgram);
-  std::vector<native::NToken> out;
-
-  // count < 2 in explicit batch framing is malformed (a real single token
-  // ships as the bare legacy record).
+  const std::size_t len = encodeBatch(2, 4, 0, dgram);
   std::uint8_t bad[native::kBatchMaxBytes];
+  // count 0 is malformed at any length, including a bare header.
   std::memcpy(bad, dgram, len);
   bad[3] = 0;
   bad[4] = 0;
-  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
-  bad[3] = 1;
-  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
+  EXPECT_FALSE(decodes(bad, len));
+  EXPECT_FALSE(decodes(bad, native::kBatchHeaderBytes));
   // count beyond the MTU budget is malformed no matter the length.
   std::memcpy(bad, dgram, len);
   bad[3] = static_cast<std::uint8_t>(native::kBatchMaxTokens + 1);
-  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
+  EXPECT_FALSE(decodes(bad, len));
+  bad[3] = 0xFF;
+  bad[4] = 0xFF;
+  EXPECT_FALSE(decodes(bad, len));
   // count disagreeing with the datagram length is malformed.
   std::memcpy(bad, dgram, len);
   bad[3] = 3;
-  EXPECT_FALSE(native::wireDecodeBatch(bad, len, out, nullptr));
-  EXPECT_TRUE(out.empty());
+  EXPECT_FALSE(decodes(bad, len));
+  bad[3] = 1;
+  EXPECT_FALSE(decodes(bad, len));
+  EXPECT_TRUE(decodes(dgram, len));
+}
+
+TEST(TransportWire, CumAckRoundTripsEveryField) {
+  native::WireCumAck ack;
+  ack.ackerPe = 0xBEEF;
+  ack.cum = 0x0000123456789ABCULL;
+  ack.bitmap = 0x8000000000000001ULL;
+  ack.epoch = 0xA5;
+  std::uint8_t pkt[native::kCumAckWireBytes];
+  native::wireEncodeCumAck(ack, pkt);
+  native::WireCumAck back;
+  ASSERT_TRUE(native::wireDecodeCumAck(pkt, sizeof pkt, back));
+  EXPECT_EQ(back.ackerPe, ack.ackerPe);
+  EXPECT_EQ(back.cum, ack.cum);
+  EXPECT_EQ(back.bitmap, ack.bitmap);
+  EXPECT_EQ(back.epoch, ack.epoch);
+  EXPECT_EQ(pkt[native::kCumAckWireBytes - 1], ack.epoch);
+}
+
+TEST(TransportWire, CumAckRejectsWrongLengths) {
+  native::WireCumAck ack;
+  ack.cum = 9;
+  std::uint8_t pkt[native::kCumAckWireBytes + 1] = {};
+  native::wireEncodeCumAck(ack, pkt);
+  for (std::size_t len = 0; len < native::kCumAckWireBytes; ++len)
+    EXPECT_FALSE(decodesAck(pkt, len)) << "len=" << len;
+  EXPECT_FALSE(decodesAck(pkt, native::kCumAckWireBytes + 1));
+  EXPECT_TRUE(decodesAck(pkt, native::kCumAckWireBytes));
+}
+
+TEST(TransportWire, RejectsRetiredDatagramTypes) {
+  std::uint8_t batch[native::kBatchMaxBytes];
+  const std::size_t batchLen = encodeBatch(2, 1, 0, batch);
+  std::uint8_t ack[native::kCumAckWireBytes];
+  native::wireEncodeCumAck(native::WireCumAck{}, ack);
+  // Types 1..5: the bare token datagram, the per-message ack, the shutdown
+  // wake-up, and the unstamped batch and ack. Neither decoder takes them.
+  for (std::uint8_t type = 1; type <= 5; ++type) {
+    std::uint8_t b[native::kBatchMaxBytes];
+    std::memcpy(b, batch, batchLen);
+    b[0] = type;
+    EXPECT_FALSE(decodes(b, batchLen)) << "type=" << int(type);
+    EXPECT_FALSE(decodesAck(b, batchLen)) << "type=" << int(type);
+    std::uint8_t a[native::kCumAckWireBytes];
+    std::memcpy(a, ack, sizeof a);
+    a[0] = type;
+    EXPECT_FALSE(decodes(a, sizeof a)) << "type=" << int(type);
+    EXPECT_FALSE(decodesAck(a, sizeof a)) << "type=" << int(type);
+    // The retired unstamped ack was one byte shorter.
+    EXPECT_FALSE(decodesAck(a, sizeof a - 1)) << "type=" << int(type);
+  }
+  // A bare 65-byte token record is no longer a datagram.
+  EXPECT_FALSE(decodes(batch + native::kBatchHeaderBytes,
+                       native::kTokenWireBytes));
+  // Each datagram type is only accepted by its own decoder.
+  EXPECT_FALSE(decodesAck(batch, batchLen));
+  EXPECT_FALSE(decodes(ack, sizeof ack));
 }
 
 TEST(TransportKindParse, NamesRoundTrip) {
@@ -306,6 +376,122 @@ TEST(TransportKindParse, NamesRoundTrip) {
   EXPECT_STREQ(native::transportKindName(native::TransportKind::Inbox),
                "inbox");
   EXPECT_STREQ(native::transportKindName(native::TransportKind::Udp), "udp");
+}
+
+// --- one endpoint on a real socket ------------------------------------------
+
+/// Records what a transport delivers, for driving one endpoint by hand.
+class RecordingSink final : public native::TransportSink {
+ public:
+  void deposit(int pe, int lane, native::NToken tok) override {
+    std::lock_guard<std::mutex> g(m_);
+    pes_.push_back(pe);
+    lanes_.push_back(lane);
+    toks_.push_back(tok);
+  }
+  void chargeDuplicate() override {}
+  void transportFail(const std::string& msg) override { ADD_FAILURE() << msg; }
+
+  std::size_t count() {
+    std::lock_guard<std::mutex> g(m_);
+    return toks_.size();
+  }
+
+  std::mutex m_;
+  std::vector<int> pes_;
+  std::vector<int> lanes_;
+  std::vector<native::NToken> toks_;
+};
+
+// A worker-style endpoint for PE 1 (no WorkerLink, so it acks at receive),
+// fed by hand from PE 0's socket: only the two live datagram types get
+// through, everything else lands in net.udp.badDatagrams, and the one ack
+// it builds is the one it counts.
+TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  std::string err;
+  ASSERT_TRUE(native::bindLoopbackUdp(2, fds, ports, &err)) << err;
+  RecordingSink sink;
+  native::UdpWorkerEndpoint ep;
+  ep.pe = 1;
+  ep.sockFd = fds[1];
+  ep.peerPorts = ports;
+  auto udp = native::makeTransport(native::TransportKind::UdpMultiproc, sink,
+                                   FaultPlan(), 2, &ep);
+  ASSERT_TRUE(udp->start(&err)) << err;
+
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(ports[1]);
+  auto sendRaw = [&](const std::uint8_t* data, std::size_t len) {
+    EXPECT_EQ(::sendto(fds[0], data, len, 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(len));
+  };
+  auto batchOf = [](std::uint64_t msgId, std::uint8_t* out) {
+    native::NToken tok;
+    tok.spCode = 7;
+    tok.v = Value::intv(42);
+    tok.msgId = msgId;
+    native::wireEncodeToken(tok, 0, out + native::kBatchHeaderBytes);
+    return native::wireEncodeBatchHeader(out, 0, 1, 0);
+  };
+  std::uint8_t batch[native::kBatchMaxBytes];
+  const std::size_t len =
+      batchOf(proto::Delivery::packLinkMsgId(0, 1, 1), batch);
+
+  int bad = 0;
+  for (std::uint8_t type = 1; type <= 5; ++type, ++bad) {
+    std::uint8_t retired[native::kBatchMaxBytes];
+    std::memcpy(retired, batch, len);
+    retired[0] = type;
+    sendRaw(retired, len);
+  }
+  sendRaw(batch + native::kBatchHeaderBytes, native::kTokenWireBytes);
+  ++bad;  // the bare single-token datagram
+  std::uint8_t stray[native::kBatchMaxBytes];
+  sendRaw(stray, batchOf(proto::Delivery::packLinkMsgId(0, 0, 1), stray));
+  ++bad;  // a record numbered on a link that does not end at PE 1
+  native::WireCumAck staleAck;
+  staleAck.ackerPe = 0;
+  staleAck.epoch = 9;  // PE 1 runs epoch 0
+  std::uint8_t pkt[native::kCumAckWireBytes];
+  native::wireEncodeCumAck(staleAck, pkt);
+  sendRaw(pkt, sizeof pkt);
+  sendRaw(batch, len);
+
+  // The endpoint acks the batch at receive, after everything queued ahead
+  // of it on the socket was handled.
+  pollfd pfd{fds[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "no ack within 5 s";
+  ASSERT_EQ(::recv(fds[0], pkt, sizeof pkt, 0),
+            static_cast<ssize_t>(native::kCumAckWireBytes));
+  native::WireCumAck ack;
+  ASSERT_TRUE(native::wireDecodeCumAck(pkt, sizeof pkt, ack));
+  EXPECT_EQ(ack.ackerPe, 1);
+  EXPECT_EQ(ack.cum, 1u);
+  EXPECT_EQ(ack.bitmap, 0u);
+  EXPECT_EQ(ack.epoch, 0);
+  for (int i = 0; i < 5000 && sink.count() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  udp->stop();
+
+  Counters c;
+  udp->addStats(c);
+  EXPECT_EQ(c.get("net.udp.badDatagrams"), bad);
+  EXPECT_EQ(c.get("net.udp.staleAcks"), 1);
+  EXPECT_EQ(c.get("net.udp.datagramsRecv"), bad + 2);
+  EXPECT_EQ(c.get("net.retx.acks"), 1);
+  EXPECT_EQ(c.get("net.udp.acksSent"), 1);
+  ASSERT_EQ(sink.count(), 1u);
+  EXPECT_EQ(sink.pes_[0], 1);
+  EXPECT_EQ(sink.lanes_[0], 2);  // the service lane, numPes
+  EXPECT_EQ(sink.toks_[0].spCode, 7);
+  EXPECT_EQ(sink.toks_[0].v.asInt(), 42);
+  // A worker endpoint leaves its inherited socket to the supervisor.
+  for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
 }
 
 // --- bit-exactness vs the inbox transport -----------------------------------
@@ -340,15 +526,21 @@ TEST(UdpTransport, SimpleBitIdenticalToInboxAcrossPeCounts) {
       EXPECT_LT(run.stats.counters.get("net.udp.batch.datagrams"),
                 run.stats.counters.get("net.udp.tokensSent"))
           << "workers=" << workers;
+      // Fault-free, every ack built is one ack datagram sent.
+      EXPECT_GT(run.stats.counters.get("net.udp.acksSent"), 0)
+          << "workers=" << workers;
+      EXPECT_EQ(run.stats.counters.get("net.retx.acks"),
+                run.stats.counters.get("net.udp.acksSent"))
+          << "workers=" << workers;
     } else {
       EXPECT_EQ(run.stats.counters.get("net.udp.tokensSent"), 0);
     }
     // The UDP counter set is registered unconditionally — a run that never
-    // hits a send error still reports the zero (satellite: sendErrors must
-    // be visible in `podsc --stats`).
+    // hits a send error still reports the zero (sendErrors must be visible
+    // in `podsc --stats`).
     for (const char* key :
          {"net.udp.sendErrors", "net.udp.badDatagrams",
-          "net.udp.batch.datagrams", "net.udp.batch.tokensPerDgram",
+          "net.udp.batch.datagrams", "net.udp.batch.tokens",
           "net.udp.batch.flushFull", "net.udp.batch.flushDeadline",
           "net.udp.batch.flushDrain", "net.udp.batch.flushRetx"}) {
       EXPECT_EQ(run.stats.counters.all().count(key), 1u)
@@ -423,20 +615,15 @@ TEST(UdpTransport, PerLinkCountersSumToAggregates) {
   EXPECT_EQ(linkTokens, run.stats.counters.get("net.udp.tokensSent"));
   EXPECT_EQ(linkDatagrams, run.stats.counters.get("net.udp.datagramsSent"));
   EXPECT_EQ(linkBytes, run.stats.counters.get("net.udp.bytesSent"));
-  // Batched wire: every datagram carries at least one 65-byte record (a
-  // single-token flush has no batch header) and at most a full MTU batch.
-  EXPECT_GE(linkBytes, linkDatagrams * static_cast<std::int64_t>(
-                                           native::kTokenWireBytes));
-  EXPECT_LE(linkBytes, linkDatagrams * static_cast<std::int64_t>(
-                                           native::kBatchMaxBytes));
-  // Token records dominate the byte stream: everything beyond the records
-  // themselves is batch headers, at most kBatchHeaderBytes per datagram.
+  // Every data datagram is one batch: a header plus its records, nothing
+  // else (acks are not counted as data bytes).
   const std::int64_t records = run.stats.counters.get("net.udp.batch.tokens");
   EXPECT_GE(records, linkTokens);  // >= : retransmitted tokens recount
-  EXPECT_LE(linkBytes - records * static_cast<std::int64_t>(
-                                      native::kTokenWireBytes),
-            linkDatagrams * static_cast<std::int64_t>(
-                                native::kBatchHeaderBytes));
+  EXPECT_EQ(linkDatagrams, run.stats.counters.get("net.udp.batch.datagrams"));
+  EXPECT_EQ(linkBytes,
+            records * static_cast<std::int64_t>(native::kTokenWireBytes) +
+                linkDatagrams *
+                    static_cast<std::int64_t>(native::kBatchHeaderBytes));
 }
 
 // --- fault injection over real sockets --------------------------------------
