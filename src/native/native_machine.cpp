@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -61,6 +62,91 @@ struct NArray {
       : shape(s),
         layout(s, pes, page, peWeights),
         elems(static_cast<std::size_t>(s.numElems())) {}
+};
+
+/// Largest array the native engine allocates (ALLOC rejects bigger shapes),
+/// so also the bound on any element offset an owner can be asked to hold.
+constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << 26;
+
+/// End-of-list link of the wire store's intrusive park lists.
+constexpr std::uint32_t kNoPark = ~std::uint32_t{0};
+
+/// A deferred read parked at an owner (wire store): one node of the owning
+/// worker's park pool, linked into its element's FIFO list.
+struct WsPark {
+  std::uint64_t packed = 0;  // requester continuation (Cont::pack)
+  std::uint32_t next = kNoPark;
+};
+
+/// One owned element under the wire store: its value (Tag::Empty while
+/// absent) and the head of its parked-reader list.
+struct WsCell {
+  Value v;
+  std::uint32_t parks = kNoPark;
+};
+
+/// Wire store: one PE's record of one array — the paper's per-PE run of
+/// pages (§4.1) held as array memory with presence bits and per-element
+/// deferred-read lists (§5.1).
+struct WsArray {
+  /// Shape + ownership layout once known: the allocator registers at ALLOC,
+  /// other PEs on a DimReply. Layout is a pure function of (shape, machine
+  /// config), so a cached copy is as authoritative as the allocator's.
+  std::optional<ArrayLayout> layout;
+  /// Dense slice of this PE's owned elements: cells[i] is offset lo + i.
+  /// Once the shape is known it covers exactly layout->elemSegment(pe).
+  /// Before that — an owner can be sent a ReadReq/Write for an array it
+  /// never allocated or queried — it spans the offsets seen so far.
+  std::int64_t lo = 0;
+  std::vector<WsCell> cells;
+  /// Frames blocked on the unknown shape, requeued by the DimReply.
+  std::vector<std::uint32_t> shapeWait;
+  bool dimReqSent = false;  // one DimReq per array per PE
+
+  const ArrayShape& shape() const { return layout->shape(); }
+
+  WsCell* find(std::int64_t off) {
+    const std::int64_t i = off - lo;
+    if (i < 0 || i >= static_cast<std::int64_t>(cells.size())) return nullptr;
+    return &cells[static_cast<std::size_t>(i)];
+  }
+
+  /// Shape still unknown: widens the slice to cover `off` (0 <= off <
+  /// kMaxArrayElems). Either end grows by at least the current size, so an
+  /// ascending or descending sweep costs amortized O(1) per element.
+  WsCell& widen(std::int64_t off) {
+    if (cells.empty()) {
+      lo = off;
+      cells.resize(1);
+    } else if (off < lo) {
+      const std::int64_t size = static_cast<std::int64_t>(cells.size());
+      const std::int64_t newLo =
+          std::max<std::int64_t>(0, std::min(off, lo - size));
+      std::vector<WsCell> wider(static_cast<std::size_t>(lo - newLo + size));
+      std::move(cells.begin(), cells.end(), wider.begin() + (lo - newLo));
+      cells.swap(wider);
+      lo = newLo;
+    } else if (off - lo >= static_cast<std::int64_t>(cells.size())) {
+      cells.resize(static_cast<std::size_t>(off - lo + 1));
+    }
+    return cells[static_cast<std::size_t>(off - lo)];
+  }
+
+  /// Shape learned: re-seats the slice on exactly `seg`. False when a
+  /// non-empty cell lies outside it (a message for an element this PE does
+  /// not own).
+  bool seat(IdxRange seg) {
+    std::vector<WsCell> slice(static_cast<std::size_t>(seg.size()));
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i].v.empty() && cells[i].parks == kNoPark) continue;
+      const std::int64_t off = lo + static_cast<std::int64_t>(i);
+      if (!seg.contains(off)) return false;
+      slice[static_cast<std::size_t>(off - seg.lo)] = cells[i];
+    }
+    cells.swap(slice);
+    lo = seg.lo;
+    return true;
+  }
 };
 
 /// Owner-thread-only event counters; read cross-thread only after join().
@@ -143,11 +229,14 @@ struct Worker {
   /// absorb a rebuilt neighbor's re-sent tokens.
   ReplayDedup dedup;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> pendingReplay;
-  /// Kill mode, owner-thread-only: outstanding array-read parks by wake key,
-  /// each holding the packed conts parked on that element. A wake whose key
-  /// is absent was for a park wiped by this worker's kill — the re-executed
-  /// read already took the element directly — and must be dropped, or it
-  /// could fill a multi-round slot out of order.
+  /// Recovery mode only (recMode), owner-thread-only: outstanding
+  /// array-read parks by wake key, each holding the packed conts parked on
+  /// that element. A wake whose key is absent was for a park wiped by this
+  /// worker's kill — the re-executed read already took the element directly
+  /// — and must be dropped, or it could fill a multi-round slot out of
+  /// order. Outside recovery no wake can be stale or duplicated (the link
+  /// seq window and the msgId check drop transport duplicates first), so
+  /// the ledger is not kept.
   std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> myParks;
   WorkerStats st;
   std::thread thread;
@@ -157,34 +246,16 @@ struct Worker {
   // Under the wire store this PE privately owns the elements `ArrayLayout`
   // assigns to it; every non-local access arrives as a typed array message
   // (native/store.hpp) on the ordinary token transport. Like the NArray
-  // heap and the shm segment, the element/park/shape maps are *store*
-  // state, not PE state: an in-process kill wipes the frames but leaves
-  // them intact (multi-process respawns rebuild them from the receive
+  // heap and the shm segment, the array records are *store* state, not PE
+  // state: an in-process kill wipes the frames but leaves elements and
+  // parks intact (multi-process respawns rebuild them from the receive
   // log's Am records instead).
-  /// Owned elements: array id -> offset -> value (sparse; single-assignment).
-  std::unordered_map<ArrayId, std::unordered_map<std::int64_t, Value>> wsElems;
-  /// Deferred reads parked at this owner: array id -> offset -> packed
-  /// requester continuations (deduplicated; drained by the eventual write).
-  std::unordered_map<ArrayId,
-                     std::unordered_map<std::int64_t,
-                                        std::vector<std::uint64_t>>>
-      wsParks;
-  /// Shape + ownership-layout cache. The allocator registers its arrays at
-  /// ALLOC; other PEs fill entries from DimReply answers. Layout is a pure
-  /// function of (shape, machine config), so a cached copy is as
-  /// authoritative as the allocator's.
-  struct WsMeta {
-    ArrayShape shape{};
-    ArrayLayout layout;
-    WsMeta(ArrayShape s, int pes, int page,
-           const std::vector<std::int64_t>& peWeights)
-        : shape(s), layout(s, pes, page, peWeights) {}
-  };
-  std::unordered_map<ArrayId, WsMeta> wsMeta;
-  /// Frames blocked on an unknown shape, requeued by the DimReply.
-  std::unordered_map<ArrayId, std::vector<std::uint32_t>> wsShapeWait;
-  /// Arrays with a DimReq in flight (one query per array per PE).
-  std::unordered_set<ArrayId> wsDimReqSent;
+  /// One record per array this PE has touched.
+  std::unordered_map<ArrayId, WsArray> wsArrays;
+  /// Node pool behind every record's park lists; wsParkFree heads the free
+  /// list, so steady-state parking allocates nothing.
+  std::vector<WsPark> wsParkPool;
+  std::uint32_t wsParkFree = kNoPark;
   /// Per-PE allocation stream: id = seq * numWorkers + pe, so the allocator
   /// of any id is id % numWorkers with no cross-PE coordination.
   std::uint64_t wsArraySeq = 0;
@@ -685,7 +756,7 @@ struct NativeMachine::Impl : TransportSink {
     std::uint32_t frameIdx;
     std::uint16_t slot;
     if (tok.toCont) {
-      if ((recMode() || wireStore()) && tok.wakeKey != 0) {
+      if (recMode() && tok.wakeKey != 0) {
         // Array-element wake-up: only valid for a park this worker still
         // remembers. A kill wipes the park registry; wakes for pre-kill
         // parks are redundant (the re-executed read found the element
@@ -868,33 +939,44 @@ struct NativeMachine::Impl : TransportSink {
   // --- wire array store (cfg.store == Wire; native/store.hpp) ----------------
   //
   // Owner-serviced array messages on the ordinary token transport. Every
-  // handler below runs on the servicing PE's owner thread, so the ws* maps
-  // need no locks; non-local accesses become typed NTokens that ride the
-  // same batching/ack/retransmit/dedup machinery as every other token.
+  // handler below runs on the servicing PE's owner thread, so the array
+  // records need no locks; non-local accesses become typed NTokens that ride
+  // the same batching/ack/retransmit/dedup machinery as every other token.
 
-  Worker::WsMeta* wireMeta(Worker& w, ArrayId id) {
-    auto it = w.wsMeta.find(id);
-    return it == w.wsMeta.end() ? nullptr : &it->second;
-  }
-
-  Worker::WsMeta& wireRegisterMeta(Worker& w, ArrayId id,
-                                   const ArrayShape& s) {
-    // try_emplace: a duplicate DimReply (or an ALLOC racing one) is a no-op;
-    // layout is a pure function of (shape, config), so copies agree.
-    auto [it, inserted] =
-        w.wsMeta.try_emplace(id, s, cfg.numWorkers, cfg.pageElems, cfg.peWeights);
-    (void)inserted;
-    return it->second;
-  }
-
-  /// Present element lookup (Tag::Empty means absent — the sparse map may
-  /// hold an empty cell only transiently, never as a value).
-  const Value* wireFind(Worker& w, ArrayId arr, std::int64_t off) {
-    auto ait = w.wsElems.find(arr);
-    if (ait == w.wsElems.end()) return nullptr;
-    auto it = ait->second.find(off);
-    if (it == ait->second.end() || it->second.empty()) return nullptr;
+  /// The record of an array whose shape this PE knows, else nullptr.
+  WsArray* wireMeta(Worker& w, ArrayId id) {
+    auto it = w.wsArrays.find(id);
+    if (it == w.wsArrays.end() || !it->second.layout) return nullptr;
     return &it->second;
+  }
+
+  /// Learns an array's shape and seats the owned slice on this PE's segment.
+  /// A duplicate DimReply (or an ALLOC racing one, or a replayed AllocMeta)
+  /// is a no-op: layout is a pure function of (shape, config), so copies
+  /// agree.
+  WsArray& wireRegisterMeta(Worker& w, ArrayId id, const ArrayShape& s) {
+    WsArray& a = w.wsArrays[id];
+    if (a.layout) return a;
+    a.layout.emplace(s, cfg.numWorkers, cfg.pageElems, cfg.peWeights);
+    if (!a.seat(a.layout->elemSegment(w.id)))
+      fail("array " + std::to_string(id) + " holds elements outside PE " +
+           std::to_string(w.id) + "'s owned segment");
+    return a;
+  }
+
+  /// The owner's cell for element `off` of `arr`, widening a shape-less
+  /// slice as needed. Returns nullptr after reporting a message for an
+  /// element this PE cannot own — outside its segment once the shape is
+  /// known, outside any array the engine can allocate before.
+  WsCell* wireOwnedCell(Worker& w, WsArray& a, ArrayId arr, std::int64_t off) {
+    if (a.layout) {
+      if (WsCell* c = a.find(off)) return c;
+    } else if (off >= 0 && off < kMaxArrayElems) {
+      return &a.widen(off);
+    }
+    fail("array message for element " + std::to_string(off) + " of array " +
+         std::to_string(arr) + " not owned by PE " + std::to_string(w.id));
+    return nullptr;
   }
 
   /// In-process allocation: per-PE strided ids (seq * numPEs + pe) make the
@@ -922,9 +1004,9 @@ struct NativeMachine::Impl : TransportSink {
   }
 
   /// The allocator's durable shape record, logged once per minted array so a
-  /// respawn can rebuild wsMeta and answer replayed DimReqs. Always precedes
-  /// any DimReq for the id in the log: the id escapes this PE only through
-  /// sends made after ALLOC executed.
+  /// respawn can relearn the shape and answer replayed DimReqs. Always
+  /// precedes any DimReq for the id in the log: the id escapes this PE only
+  /// through sends made after ALLOC executed.
   void logAllocMeta(int pe, ArrayId id, const ArrayShape& s) {
     RecEntry e;
     e.kind = RecEntry::Kind::Am;
@@ -970,15 +1052,25 @@ struct NativeMachine::Impl : TransportSink {
     send(pe, requester, std::move(tok));
   }
 
-  /// Parks a deferred read at the owner (I-structure semantics). Packed-cont
-  /// dedup absorbs a re-executed requester's re-sent ReadReq: frames rebuild
-  /// at their original index/generation, so the duplicate is bit-equal.
-  void wireParkReader(Worker& w, ArrayId arr, std::int64_t off,
-                      std::uint64_t packed) {
-    auto& parked = w.wsParks[arr][off];
-    if (std::find(parked.begin(), parked.end(), packed) != parked.end())
-      return;
-    parked.push_back(packed);
+  /// Parks a deferred read at the owner (I-structure semantics), appending a
+  /// pool node to the element's FIFO list. Packed-cont dedup absorbs a
+  /// re-executed requester's re-sent ReadReq: frames rebuild at their
+  /// original index/generation, so the duplicate is bit-equal.
+  void wireParkReader(Worker& w, WsCell& cell, std::uint64_t packed) {
+    std::uint32_t tail = kNoPark;
+    for (std::uint32_t i = cell.parks; i != kNoPark; i = w.wsParkPool[i].next) {
+      if (w.wsParkPool[i].packed == packed) return;
+      tail = i;
+    }
+    std::uint32_t node = w.wsParkFree;
+    if (node != kNoPark) {
+      w.wsParkFree = w.wsParkPool[node].next;
+    } else {
+      node = static_cast<std::uint32_t>(w.wsParkPool.size());
+      w.wsParkPool.emplace_back();
+    }
+    w.wsParkPool[node] = WsPark{packed, kNoPark};
+    (tail == kNoPark ? cell.parks : w.wsParkPool[tail].next) = node;
     w.st.amParks++;
   }
 
@@ -987,47 +1079,44 @@ struct NativeMachine::Impl : TransportSink {
   /// even on an idempotent identical rewrite (recovery replay): the original
   /// writer may have died between publishing the element and its replies
   /// getting out, or the parks themselves may be log-rebuilt.
-  bool wireApplyWrite(int pe, ArrayId arr, std::int64_t off, const Value& v) {
+  bool wireApplyWrite(int pe, WsArray& a, ArrayId arr, std::int64_t off,
+                      const Value& v) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
-    Value& elem = w.wsElems[arr][off];
-    if (!elem.empty()) {
-      if (!(recMode() && elem.identical(v))) {
+    WsCell* cell = wireOwnedCell(w, a, arr, off);
+    if (cell == nullptr) return false;
+    if (!cell->v.empty()) {
+      if (!(recMode() && cell->v.identical(v))) {
         fail("single-assignment violation at element " + std::to_string(off));
         return false;
       }
     } else {
-      elem = v;
+      cell->v = v;
     }
-    auto ait = w.wsParks.find(arr);
-    if (ait != w.wsParks.end()) {
-      auto pit = ait->second.find(off);
-      if (pit != ait->second.end()) {
-        std::vector<std::uint64_t> parked = std::move(pit->second);
-        ait->second.erase(pit);
-        if (ait->second.empty()) w.wsParks.erase(ait);
-        const std::uint64_t key = elemWakeKey(arr, off);
-        for (std::uint64_t packed : parked) {
-          w.st.amParkFills++;
-          sendAmReply(pe, Cont::unpack(packed), v, key);
-        }
-      }
+    std::uint32_t i = cell->parks;
+    cell->parks = kNoPark;
+    const std::uint64_t key = elemWakeKey(arr, off);
+    while (i != kNoPark) {
+      const WsPark p = w.wsParkPool[i];
+      w.wsParkPool[i].next = w.wsParkFree;
+      w.wsParkFree = i;
+      i = p.next;
+      w.st.amParkFills++;
+      sendAmReply(pe, Cont::unpack(p.packed), v, key);
     }
     return true;
   }
 
   /// A DimReply landed: frames blocked on the shape re-execute their array
   /// instruction (pc never advanced past it).
-  void wireRequeueShapeWaiters(Worker& w, ArrayId arr) {
-    auto it = w.wsShapeWait.find(arr);
-    if (it == w.wsShapeWait.end()) return;
-    for (std::uint32_t idx : it->second) {
+  void wireRequeueShapeWaiters(Worker& w, WsArray& a) {
+    for (std::uint32_t idx : a.shapeWait) {
       if (idx >= w.frames.size()) continue;
       NFrame& f = *w.frames[idx];
       if (f.dead || !f.blocked || f.blockedSlot != kNoSlot) continue;
       f.blocked = false;
       w.ready.push_back(idx);
     }
-    w.wsShapeWait.erase(it);
+    a.shapeWait.clear();
   }
 
   /// Blocks a frame on an unknown array shape and queries the allocator
@@ -1036,10 +1125,12 @@ struct NativeMachine::Impl : TransportSink {
   Step wireAwaitShape(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
                       ArrayId arr) {
     w.st.amShapeWaits++;
-    w.wsShapeWait[arr].push_back(frameIdx);
+    WsArray& a = w.wsArrays[arr];
+    a.shapeWait.push_back(frameIdx);
     f.blocked = true;
     f.blockedSlot = kNoSlot;
-    if (w.wsDimReqSent.insert(arr).second) {
+    if (!a.dimReqSent) {
+      a.dimReqSent = true;
       w.st.amDimReqSent++;
       NToken tok;
       tok.amKind = static_cast<std::uint8_t>(AmKind::DimReq);
@@ -1064,24 +1155,26 @@ struct NativeMachine::Impl : TransportSink {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amReadReqServed++;
         const std::int64_t off = static_cast<std::int64_t>(tok.senderCtx);
-        if (const Value* elem = wireFind(w, arr, off)) {
-          sendAmReply(pe, tok.cont, *elem, elemWakeKey(arr, off));
+        WsCell* cell = wireOwnedCell(w, w.wsArrays[arr], arr, off);
+        if (cell == nullptr) return;
+        if (!cell->v.empty()) {
+          sendAmReply(pe, tok.cont, cell->v, elemWakeKey(arr, off));
         } else {
-          wireParkReader(w, arr, off, tok.cont.pack());
+          wireParkReader(w, *cell, tok.cont.pack());
         }
         break;
       }
       case AmKind::Write: {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amWriteApplied++;
-        (void)wireApplyWrite(pe, arr, static_cast<std::int64_t>(tok.senderCtx),
-                             tok.v);
+        (void)wireApplyWrite(pe, w.wsArrays[arr], arr,
+                             static_cast<std::int64_t>(tok.senderCtx), tok.v);
         break;
       }
       case AmKind::DimReq: {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amDimReqServed++;
-        Worker::WsMeta* m = wireMeta(w, arr);
+        const WsArray* m = wireMeta(w, arr);
         if (m == nullptr) {
           // The allocator registers at ALLOC, before the id can escape (and
           // an AllocMeta log record precedes any replayed DimReq), so an
@@ -1089,7 +1182,7 @@ struct NativeMachine::Impl : TransportSink {
           fail("dimension query for unknown array id " + std::to_string(arr));
           return;
         }
-        sendDimReply(pe, static_cast<int>(tok.slot), arr, m->shape);
+        sendDimReply(pe, static_cast<int>(tok.slot), arr, m->shape());
         break;
       }
       case AmKind::DimReply: {
@@ -1097,8 +1190,7 @@ struct NativeMachine::Impl : TransportSink {
         s.rank = static_cast<int>(tok.slot);
         s.dim0 = static_cast<std::int64_t>(tok.senderCtx);
         s.dim1 = tok.v.asInt();
-        wireRegisterMeta(w, arr, s);
-        wireRequeueShapeWaiters(w, arr);
+        wireRequeueShapeWaiters(w, wireRegisterMeta(w, arr, s));
         break;
       }
       default:
@@ -1216,7 +1308,7 @@ struct NativeMachine::Impl : TransportSink {
         shape.dim0 = f.slots[in.a].asInt();
         shape.dim1 = in.dim == 2 ? f.slots[in.b].asInt() : 1;
         if (shape.dim0 < 0 || shape.dim1 < 0 ||
-            shape.numElems() > (std::int64_t(1) << 26)) {
+            shape.numElems() > kMaxArrayElems) {
           fail("bad allocation dimensions");
           return Step::Stopped;
         }
@@ -1306,35 +1398,39 @@ struct NativeMachine::Impl : TransportSink {
             return Step::Stopped;
           }
           const ArrayId arrId = av.asArray();
-          Worker::WsMeta* m = wireMeta(w, arrId);
+          WsArray* m = wireMeta(w, arrId);
           if (m == nullptr) return wireAwaitShape(pe, w, frameIdx, f, arrId);
           const std::int64_t i0 = f.slots[in.b].asInt();
           const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
           std::int64_t offset;
-          if (!resolveOffset(m->shape, i0, i1, in.c != kNoSlot ? 2 : 1,
+          if (!resolveOffset(m->shape(), i0, i1, in.c != kNoSlot ? 2 : 1,
                              offset)) {
             fail("array read out of bounds in " + sp.name);
             return Step::Stopped;
           }
           // Split phase, same as every other backend: clear the target slot
           // and continue — downstream consumers block on it via ensure().
-          const int owner = m->layout.ownerOfOffset(offset);
+          const int owner = m->layout->ownerOfOffset(offset);
           f.slots[in.dst] = Value{};
           Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
           if (owner == pe) {
             w.st.amLocalReads++;
-            if (const Value* elem = wireFind(w, arrId, offset)) {
-              f.slots[in.dst] = *elem;
+            WsCell* cell = wireOwnedCell(w, *m, arrId, offset);
+            if (cell == nullptr) return Step::Stopped;
+            if (!cell->v.empty()) {
+              f.slots[in.dst] = cell->v;
             } else {
-              // Deferred read at ourselves: park, and register the wake key
-              // so the filling write's self-reply is recognized as live.
-              wireParkReader(w, arrId, offset, c.pack());
-              w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
+              // Deferred read at ourselves: park, and (in recovery) register
+              // the wake key so the filling write's self-reply is live.
+              wireParkReader(w, *cell, c.pack());
+              if (recMode())
+                w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
             }
             break;
           }
           w.st.amReadReqSent++;
-          w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
+          if (recMode())
+            w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
           NToken tok;
           tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
           tok.ctx = arrId;
@@ -1423,17 +1519,17 @@ struct NativeMachine::Impl : TransportSink {
             return Step::Stopped;
           }
           const ArrayId arrId = av.asArray();
-          Worker::WsMeta* m = wireMeta(w, arrId);
+          WsArray* m = wireMeta(w, arrId);
           if (m == nullptr) return wireAwaitShape(pe, w, frameIdx, f, arrId);
           const std::int64_t i0 = f.slots[in.b].asInt();
           const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
           std::int64_t offset;
-          if (!resolveOffset(m->shape, i0, i1, in.c != kNoSlot ? 2 : 1,
+          if (!resolveOffset(m->shape(), i0, i1, in.c != kNoSlot ? 2 : 1,
                              offset)) {
             fail("array write out of bounds in " + sp.name);
             return Step::Stopped;
           }
-          const int owner = m->layout.ownerOfOffset(offset);
+          const int owner = m->layout->ownerOfOffset(offset);
           NToken tok;
           tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
           tok.ctx = arrId;
@@ -1447,7 +1543,7 @@ struct NativeMachine::Impl : TransportSink {
             // (and so never re-execute) before a kill. Logged before the
             // apply, so every reply the write releases is gated on it.
             if (workerMode()) logAm(pe, tok);
-            if (!wireApplyWrite(pe, arrId, offset, tok.v))
+            if (!wireApplyWrite(pe, *m, arrId, offset, tok.v))
               return Step::Stopped;
             break;
           }
@@ -1550,12 +1646,12 @@ struct NativeMachine::Impl : TransportSink {
                  sp.name);
             return Step::Stopped;
           }
-          Worker::WsMeta* m = wireMeta(w, av.asArray());
+          const WsArray* m = wireMeta(w, av.asArray());
           if (m == nullptr)
             return wireAwaitShape(pe, w, frameIdx, f, av.asArray());
           r = in.dim == 0
-                  ? m->layout.ownedRows(pe)
-                  : m->layout.ownedColsOfRow(pe, f.slots[in.b].asInt());
+                  ? m->layout->ownedRows(pe)
+                  : m->layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
         } else if (workerMode()) {
           w.st.shmArrayOps++;
           WArr* wa = wArrayOperand(f, in.a, sp, "range filter");
@@ -1589,11 +1685,11 @@ struct NativeMachine::Impl : TransportSink {
                  sp.name);
             return Step::Stopped;
           }
-          Worker::WsMeta* m = wireMeta(w, av.asArray());
+          const WsArray* m = wireMeta(w, av.asArray());
           if (m == nullptr)
             return wireAwaitShape(pe, w, frameIdx, f, av.asArray());
           f.slots[in.dst] =
-              Value::intv(in.dim == 1 ? m->shape.dim1 : m->shape.dim0);
+              Value::intv(in.dim == 1 ? m->shape().dim1 : m->shape().dim0);
           break;
         }
         if (workerMode()) {
@@ -1721,14 +1817,17 @@ struct NativeMachine::Impl : TransportSink {
     w.dedup.clear();
     w.pendingReplay.clear();
     w.myParks.clear();
-    // Wire store: the shape-wait and in-flight-DimReq registries reference
-    // the wiped frames — re-executed frames re-block and re-query. The
-    // element/park/meta maps and the allocation counter are *store* state,
+    // Wire store: each record's shape waiters and in-flight-DimReq flag
+    // reference the wiped frames — re-executed frames re-block and re-query.
+    // Shapes, elements, parks and the allocation counter are *store* state,
     // not PE state (like the NArray heap / shm segment): an in-process kill
     // leaves them intact; a respawned process starts empty and rebuilds them
     // from the Am records below.
-    w.wsShapeWait.clear();
-    w.wsDimReqSent.clear();
+    for (auto& [id, a] : w.wsArrays) {
+      (void)id;
+      a.shapeWait.clear();
+      a.dimReqSent = false;
+    }
     w.wsDeferred.clear();
     // Replies regenerated by Am replay cannot be sent yet (worker mode runs
     // this before any transport thread exists); they park in wsDeferred and
@@ -2058,9 +2157,7 @@ struct NativeMachine::Impl : TransportSink {
       }
       slicesSinceFlush = 0;
       // Out of local work: ship any tokens coalescing in this worker's
-      // transport outboxes. Every path from a send to the cv-wait below
-      // passes through here, so batching can never park the last wake-up a
-      // peer is waiting for; while the worker stays busy, outboxes keep
+      // transport outboxes. While the worker stays busy, outboxes keep
       // coalescing and the transport's deadline timer bounds their latency.
       transport->flush(pe);
       if (wmode) {
@@ -2074,6 +2171,11 @@ struct NativeMachine::Impl : TransportSink {
       }
       drainInbox(pe);
       if (!w.ready.empty()) continue;
+      // The drain can send without making a frame ready — an owner serving
+      // array messages queues replies — so flush once more. Every path from
+      // a send to the cv-wait below passes a flush after it, and batching
+      // can never park the last wake-up a peer is waiting for.
+      transport->flush(pe);
       // Idle: publish sleeping, re-check the rings, register, run the
       // quiescence check, then block on the cv until a token push or stop
       // notifies us (no timeout — once sleeping is visible every producer
@@ -2441,25 +2543,29 @@ std::optional<NativeArray> NativeMachine::gather(ArrayId id) const {
       return it->second;
     }
     // In-process (threads joined — unguarded reads are safe) or a worker's
-    // own view: shape from any meta holder, elements from every owner.
-    const ArrayShape* shape = nullptr;
+    // own view: shape from any record that knows it, elements from every
+    // owner's slice.
+    const WsArray* meta = nullptr;
     for (const auto& w : impl_->workers) {
-      auto mit = w->wsMeta.find(id);
-      if (mit != w->wsMeta.end()) {
-        shape = &mit->second.shape;
+      auto it = w->wsArrays.find(id);
+      if (it != w->wsArrays.end() && it->second.layout) {
+        meta = &it->second;
         break;
       }
     }
-    if (shape == nullptr) return std::nullopt;
+    if (meta == nullptr) return std::nullopt;
     NativeArray view;
-    view.shape = *shape;
-    view.elems.assign(static_cast<std::size_t>(shape->numElems()), Value{});
+    view.shape = meta->shape();
+    view.elems.assign(static_cast<std::size_t>(view.shape.numElems()), Value{});
     for (const auto& w : impl_->workers) {
-      auto eit = w->wsElems.find(id);
-      if (eit == w->wsElems.end()) continue;
-      for (const auto& [off, v] : eit->second) {
-        if (off >= 0 && off < static_cast<std::int64_t>(view.elems.size()))
-          view.elems[static_cast<std::size_t>(off)] = v;
+      auto it = w->wsArrays.find(id);
+      if (it == w->wsArrays.end()) continue;
+      const WsArray& a = it->second;
+      for (std::size_t i = 0; i < a.cells.size(); ++i) {
+        const std::int64_t off = a.lo + static_cast<std::int64_t>(i);
+        if (!a.cells[i].v.empty() &&
+            off < static_cast<std::int64_t>(view.elems.size()))
+          view.elems[static_cast<std::size_t>(off)] = a.cells[i].v;
       }
     }
     return view;
@@ -2496,22 +2602,27 @@ std::vector<WireArrayPart> NativeMachine::wireArrayParts() const {
     }
     return parts[it->second];
   };
+  const auto numPes = static_cast<ArrayId>(impl_->cfg.numWorkers);
   for (const auto& w : impl_->workers) {
-    for (const auto& [id, meta] : w->wsMeta) {
-      // Only the allocator's meta ships — cached DimReply copies are
+    for (const auto& [id, a] : w->wsArrays) {
+      // Only the allocator's shape ships — cached DimReply copies are
       // redundant, and exactly one PE (id % numPEs) is the allocator.
-      if (static_cast<int>(id % static_cast<ArrayId>(
-                                    impl_->cfg.numWorkers)) != w->id)
-        continue;
+      const bool allocator =
+          a.layout && static_cast<int>(id % numPes) == w->id;
+      const auto present = static_cast<std::size_t>(
+          std::count_if(a.cells.begin(), a.cells.end(),
+                        [](const WsCell& c) { return !c.v.empty(); }));
+      if (!allocator && present == 0) continue;
       WireArrayPart& p = partFor(id);
-      p.hasMeta = true;
-      p.shape = meta.shape;
-    }
-    for (const auto& [id, elems] : w->wsElems) {
-      WireArrayPart& p = partFor(id);
-      p.elems.reserve(p.elems.size() + elems.size());
-      for (const auto& [off, v] : elems)
-        if (!v.empty()) p.elems.emplace_back(off, v);
+      if (allocator) {
+        p.hasMeta = true;
+        p.shape = a.shape();
+      }
+      p.elems.reserve(p.elems.size() + present);
+      for (std::size_t i = 0; i < a.cells.size(); ++i)
+        if (!a.cells[i].v.empty())
+          p.elems.emplace_back(a.lo + static_cast<std::int64_t>(i),
+                               a.cells[i].v);
     }
   }
   return parts;

@@ -11,28 +11,37 @@
 //  - LocalStore (default): the historical shared-heap fast path. In-process
 //    transports read/write the mutex-guarded NArray heap directly; the
 //    multi-process transport uses the supervisor-created shm segment.
-//  - WireStore (`podsc --store=wire`): elements live in per-PE private maps
-//    owned by `ArrayLayout`'s page math, and every non-local access becomes
-//    a typed *array message* (AmKind) riding the existing token wire — the
-//    same NToken records, batch datagrams, per-link sequence windows,
-//    cumulative acks, retransmit, fault dice, and receive-log replay as
-//    ordinary tokens. No shm, no shared heap: the layering a remote-host
-//    worker needs.
+//  - WireStore (`podsc --store=wire`): each PE keeps one record per array
+//    it touches — the shape once known, a dense slice over the elements
+//    `ArrayLayout`'s page math assigns it (absent = Tag::Empty), and each
+//    element's parked readers as a FIFO list in a per-PE node pool — and
+//    every non-local access becomes a typed *array message* (AmKind)
+//    riding the existing token wire: the same NToken records, batch
+//    datagrams, per-link sequence windows, cumulative acks, retransmit,
+//    fault dice, and receive-log replay as ordinary tokens. No shm, no
+//    shared heap: the layering a remote-host worker needs.
 //
 // Protocol (owner-serviced, I-structure semantics):
 //   ReadReq   requester -> owner   split-phase read. If the element is
 //                                  present the owner answers immediately;
 //                                  if absent the requester's continuation is
 //                                  parked at the owner (deferred read) and
-//                                  filled by the eventual write.
+//                                  filled by the eventual write. The owner
+//                                  need not know the shape yet: its slice
+//                                  then spans the offsets seen so far and
+//                                  is re-seated on its segment once the
+//                                  shape arrives.
 //   Write     writer    -> owner   fire-and-forget single-assignment write;
 //                                  the owner detects violations and drains
 //                                  parked readers into value replies.
 //   DimReq    any PE    -> allocator  shape query (allocator = id % numPEs);
-//   DimReply  allocator -> requester  rank/dims — fills the requester's meta
-//                                  cache and requeues shape-blocked frames.
-//   value replies ride the existing array wake-up token (toCont + wakeKey),
-//   so requester-side dedup (`myParks`) and kill recovery are unchanged.
+//   DimReply  allocator -> requester  rank/dims — fills the requester's
+//                                  array record and requeues shape-blocked
+//                                  frames.
+//   value replies ride the existing array wake-up token (toCont + wakeKey).
+//   In recovery mode the requester's `myParks` ledger drops wakes for parks
+//   a kill wiped; outside it no duplicate reply can arrive (the transports
+//   drop duplicates before delivery), so the ledger is not kept.
 //
 // AllocMeta never travels the wire: it is the receive-log record a
 // multi-process allocator writes so a respawn can rebuild its shape table

@@ -519,8 +519,8 @@ class UdpTransport final : public Transport {
   }
 
   /// Ships everything coalescing in fromPe's outboxes. Called by the
-  /// sending worker at the top of its scheduling loop; the dirty count
-  /// makes the common (nothing pending) case one atomic load.
+  /// sending worker from its scheduling loop (Transport::flush); the dirty
+  /// count makes the common (nothing pending) case one atomic load.
   void flush(int fromPe) override {
     if (dirty(fromPe).load(std::memory_order_acquire) == 0) return;
     for (int to = 0; to < numPes_; ++to) {

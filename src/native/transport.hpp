@@ -161,9 +161,10 @@ class Transport {
   /// charge keeps it visible to the quiescence protocol until drained.
   virtual void send(int fromPe, int toPe, NToken tok) = 0;
   /// Ships any tokens coalescing in `fromPe`'s outboxes. The sending
-  /// worker calls this at the top of its scheduling loop, so every path
-  /// from a send to a cv-wait passes a flush — the deadline timer is a
-  /// latency backstop, not a liveness requirement. No-op by default.
+  /// worker calls this every few slices while busy and again after its last
+  /// inbox drain before it sleeps, so every path from a send to a cv-wait
+  /// passes a flush — the deadline timer is a latency backstop, not a
+  /// liveness requirement. No-op by default.
   virtual void flush(int fromPe) { (void)fromPe; }
   /// Stops service threads. Tokens still parked in retransmit queues at
   /// stop() were already either delivered (late acks) or the run failed.

@@ -1,0 +1,73 @@
+// Heap-allocation regression test for the native wire store.
+//
+// This binary replaces the global operator new with a counting one, so it
+// stands alone: linked into another suite it would count that suite's
+// allocations too. The property: the wire store keeps each PE's owned
+// elements in a dense slice and its parked reads in a pooled node list, so
+// owner-serviced array traffic costs no heap node per element or per park.
+// On a 2-PE stencil over the in-process inbox transport, a wire-store
+// run() must therefore allocate at most twice what the local-store run()
+// allocates.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+
+#include "core/pods.hpp"
+#include "native/native_machine.hpp"
+#include "workloads/kernels.hpp"
+
+namespace {
+std::atomic<std::int64_t> gAllocs{0};
+}  // namespace
+
+// operator new[] and the nothrow forms forward to this one.
+void* operator new(std::size_t n) {
+  gAllocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace pods {
+namespace {
+
+/// Heap allocations made inside NativeMachine::run() — construction and
+/// gather excluded — as the minimum over a few runs, since thread
+/// interleaving moves the count a little (inbox ring spills, park order).
+std::int64_t runAllocs(const Compiled& c, const native::NativeConfig& nc) {
+  std::int64_t best = std::numeric_limits<std::int64_t>::max();
+  for (int rep = 0; rep < 3; ++rep) {
+    native::NativeMachine machine(c.program, nc);
+    const std::int64_t before = gAllocs.load();
+    const native::NativeResult r = machine.run();
+    const std::int64_t n = gAllocs.load() - before;
+    EXPECT_TRUE(r.ok) << r.error;
+    best = std::min(best, n);
+  }
+  return best;
+}
+
+TEST(WireStoreAllocs, StencilWireRunAllocatesAtMostTwiceLocal) {
+  CompileResult cr = compile(workloads::stencilSource(48, 10), {});
+  ASSERT_TRUE(cr.ok) << cr.diagnostics;
+  native::NativeConfig local;
+  local.numWorkers = 2;
+  local.transport = native::TransportKind::Inbox;
+  native::NativeConfig wire = local;
+  wire.store = native::StoreKind::Wire;
+  const std::int64_t localAllocs = runAllocs(*cr.compiled, local);
+  const std::int64_t wireAllocs = runAllocs(*cr.compiled, wire);
+  EXPECT_GT(localAllocs, 0);  // the counter is live
+  EXPECT_LE(wireAllocs, 2 * localAllocs)
+      << "wire store allocated " << wireAllocs << " times in run(), local "
+      << localAllocs;
+}
+
+}  // namespace
+}  // namespace pods

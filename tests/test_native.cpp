@@ -248,32 +248,77 @@ def main() -> int { return fib(13); }
   EXPECT_GT(remoteWrites, 0);
 }
 
+/// A machine where owners hold arrays they have no shape for: with
+/// distribution off every iteration runs on PE 0 (the allocator), and with
+/// one-element pages over 4 PEs three quarters of the elements live on PEs
+/// that never allocate or query the array — they serve Writes and ReadReqs
+/// blind. Descending sweeps make each such owner see offsets below the
+/// first one it saw.
+native::NativeConfig shapelessOwnersConfig() {
+  native::NativeConfig nc;
+  nc.numWorkers = 4;
+  nc.pageElems = 1;
+  nc.store = native::StoreKind::Wire;
+  return nc;
+}
+
 TEST(WireStore, AdversarialOwnershipMatchesSequential) {
-  // Every read in b's loop targets the block-layout mirror element — the
-  // worst case for owner-serviced reads. Swept across uniform and skewed
-  // page ownership; always compared against the sequential evaluator.
-  auto c = compileOk(workloads::reversalSource(96));
-  BaselineRun seq = runSequentialBaseline(*c);
-  ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
-  for (const std::vector<std::int64_t>& weights :
-       {std::vector<std::int64_t>{}, std::vector<std::int64_t>{1, 7, 1, 7}}) {
+  // Ownership at its worst for owner-serviced access, always compared
+  // against the sequential evaluator. Reversal: every read in b's loop
+  // targets the block-layout mirror element, under uniform and skewed page
+  // ownership (small pages spread it across all PEs); writes stay
+  // owner-local by design — iteration placement follows the written
+  // element's ownership (Data-Distributed Execution), and the mirror read
+  // is what crosses PEs. Shapeless owners: three quarters of the writes
+  // and reads are remote, served by owners that never learn the shape.
+  struct Case {
+    const char* what;
+    std::string src;
+    CompileOptions opts;
     native::NativeConfig nc;
-    nc.numWorkers = 4;
-    nc.pageElems = 8;  // small pages spread ownership across all PEs
-    nc.peWeights = weights;
-    nc.store = native::StoreKind::Wire;
-    NativeRun run = runNative(*c, nc);
-    const std::string what = weights.empty() ? "uniform" : "skewed";
-    ASSERT_TRUE(run.stats.ok) << what << ": " << run.stats.error;
+    bool blindOwners;
+  };
+  native::NativeConfig uniform;
+  uniform.numWorkers = 4;
+  uniform.pageElems = 8;
+  uniform.store = native::StoreKind::Wire;
+  native::NativeConfig skewed = uniform;
+  skewed.peWeights = {1, 7, 1, 7};
+  const Case cases[] = {
+      {"uniform", workloads::reversalSource(96), {}, uniform, false},
+      {"skewed", workloads::reversalSource(96), {}, skewed, false},
+      {"shapeless owners", R"(
+def main() {
+  let n = 24;
+  let a = array(n);
+  for i = n - 1 downto 0 { a[i] = real(i) * 0.5 + 1.0; }
+  let b = array(n);
+  for i = n - 1 downto 0 { b[i] = a[n - 1 - i] * 2.0; }
+  let s = for i = n - 1 downto 0 carry (acc = 0.0) {
+    next acc = acc + a[i] * b[i];
+  } yield acc;
+  return s, b;
+}
+)",
+       {.distribute = false}, shapelessOwnersConfig(), true},
+  };
+  for (const Case& k : cases) {
+    auto c = compileOk(k.src, k.opts);
+    BaselineRun seq = runSequentialBaseline(*c);
+    ASSERT_TRUE(seq.stats.ok) << k.what << ": " << seq.stats.error;
+    NativeRun run = runNative(*c, k.nc);
+    ASSERT_TRUE(run.stats.ok) << k.what << ": " << run.stats.error;
     std::string why;
-    EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << what << ": " << why;
-    expectBalancedAmLedger(run, what);
-    // The reversal pattern must actually generate remote reads. Writes
-    // stay owner-local here by design: iteration placement follows the
-    // written element's ownership (Data-Distributed Execution), and the
-    // mirror read is what crosses PEs.
-    EXPECT_GT(run.stats.counters.get("net.am.readReqSent"), 0) << what;
-    EXPECT_EQ(run.stats.counters.get("net.am.writeSent"), 0) << what;
+    EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << k.what << ": " << why;
+    expectBalancedAmLedger(run, k.what);
+    const Counters& ctr = run.stats.counters;
+    EXPECT_GT(ctr.get("net.am.readReqSent"), 0) << k.what;
+    if (k.blindOwners) {
+      EXPECT_GT(ctr.get("net.am.writeSent"), 0) << k.what;
+      EXPECT_EQ(ctr.get("net.am.dimReqSent"), 0) << k.what;  // no PE asked
+    } else {
+      EXPECT_EQ(ctr.get("net.am.writeSent"), 0) << k.what;
+    }
   }
 }
 
@@ -295,21 +340,39 @@ TEST(WireStore, RepeatRunsBitIdentical) {
 
 TEST(WireStore, SingleAssignmentViolationStillDetected) {
   // The owner-side write path must keep LocalStore's strictness: a remote
-  // double write is a detected violation, not a silent overwrite.
-  auto c = compileOk(R"(
+  // double write is a detected violation, not a silent overwrite — also at
+  // an owner that holds the element without knowing the array's shape.
+  native::NativeConfig twoPes;
+  twoPes.numWorkers = 2;
+  twoPes.store = native::StoreKind::Wire;
+  const std::pair<std::string, native::NativeConfig> cases[] = {
+      {R"(
 def main() -> real {
   let a = array(4);
   a[1] = 1.0;
   a[1] = 2.0;
   return a[1];
 }
-)", {.distribute = false});
-  native::NativeConfig nc;
-  nc.numWorkers = 2;
-  nc.store = native::StoreKind::Wire;
-  NativeRun run = runNative(*c, nc);
-  EXPECT_FALSE(run.stats.ok);
-  EXPECT_NE(run.stats.error.find("single-assignment"), std::string::npos);
+)",
+       twoPes},
+      {R"(
+def main() -> real {
+  let a = array(8);
+  a[7] = 1.0;
+  a[6] = 3.0;
+  a[7] = 2.0;
+  return a[0];
+}
+)",
+       shapelessOwnersConfig()},
+  };
+  for (const auto& [src, nc] : cases) {
+    auto c = compileOk(src, {.distribute = false});
+    NativeRun run = runNative(*c, nc);
+    EXPECT_FALSE(run.stats.ok) << nc.numWorkers << " PEs";
+    EXPECT_NE(run.stats.error.find("single-assignment"), std::string::npos)
+        << nc.numWorkers << " PEs: " << run.stats.error;
+  }
 }
 
 TEST(WireStore, DeadlockStillDetected) {

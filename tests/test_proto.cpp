@@ -216,6 +216,37 @@ TEST(DeliveryBatchWindow, AcceptSeqDedupsAndSeenSeqAgrees) {
   EXPECT_EQ(c.get(proto::kDupSuppressed), 3);
 }
 
+TEST(DeliveryBatchWindow, AcceptSeqMatchesSetModelOverEveryArrivalSequence) {
+  // Every arrival sequence of length 6 over seqs 1..4 — in order (the
+  // fast path), reordered, and duplicated — against a plain set: fresh
+  // exactly once, and seenSeq / cumAckView agree with the set after
+  // every arrival.
+  constexpr int kLen = 6;
+  constexpr int kSeqs = 4;
+  int total = 1;
+  for (int i = 0; i < kLen; ++i) total *= kSeqs;
+  for (int code = 0; code < total; ++code) {
+    proto::Delivery d(proto::RetryPolicy{}, true);
+    std::set<std::uint64_t> model;
+    int rest = code;
+    for (int i = 0; i < kLen; ++i, rest /= kSeqs) {
+      const std::uint64_t seq = static_cast<std::uint64_t>(rest % kSeqs) + 1;
+      ASSERT_EQ(d.acceptSeq(0, 1, seq), model.insert(seq).second)
+          << "code=" << code << " step=" << i;
+      std::uint64_t cum = 0;
+      while (model.count(cum + 1) != 0) ++cum;
+      std::uint64_t bitmap = 0;
+      for (std::uint64_t s : model)
+        if (s > cum) bitmap |= 1ULL << (s - cum - 1);
+      const auto view = d.cumAckView(0, 1);
+      ASSERT_EQ(view.cum, cum) << "code=" << code << " step=" << i;
+      ASSERT_EQ(view.bitmap, bitmap) << "code=" << code << " step=" << i;
+      for (std::uint64_t s = 1; s <= kSeqs; ++s)
+        ASSERT_EQ(d.seenSeq(0, 1, s), model.count(s) != 0);
+    }
+  }
+}
+
 TEST(DeliveryBatchWindow, CumAckViewTracksHolesThenCollapses) {
   proto::Delivery d(proto::RetryPolicy{}, true);
   EXPECT_EQ(d.cumAckView(2, 0).cum, 0u);
