@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) of the native array plane: the
-// shared-heap LocalStore against the owner-serviced wire store on an
+// cell-store LocalStore against the owner-serviced wire store on an
 // array-heavy stencil whose halo reads cross page-ownership boundaries
 // every row. The headline counter is us/remote — the end-to-end cost of
 // one owner-serviced array access (request, service, value reply) — plus
@@ -57,7 +57,7 @@ pods::NativeRun runOrDie(const pods::native::NativeConfig& nc,
 }
 
 // Remote accesses an iteration generates: split-phase reads + remote writes
-// + shape queries. Under LocalStore these are shared-heap ops instead, so
+// + shape queries. Under LocalStore these are cell-store ops instead, so
 // the same denominator is derived from the kernel, not the counters.
 std::int64_t remoteOps(const pods::NativeRun& run) {
   const auto& c = run.stats.counters;

@@ -45,28 +45,17 @@ struct NFrame {
   std::unordered_set<std::uint64_t> sentCtxs;
 };
 
-/// A waiting split-phase read parked on an absent element.
-struct ElemWaiter {
-  Cont cont;
-};
-
-struct NArray {
-  ArrayShape shape{};
-  ArrayLayout layout;
-  std::mutex m;  // guards elems presence + waiters
-  std::vector<Value> elems;
-  std::unordered_map<std::int64_t, std::vector<ElemWaiter>> waiters;
-
-  NArray(ArrayShape s, int pes, int page,
-         const std::vector<std::int64_t>& peWeights)
-      : shape(s),
-        layout(s, pes, page, peWeights),
-        elems(static_cast<std::size_t>(s.numElems())) {}
-};
-
 /// Largest array the native engine allocates (ALLOC rejects bigger shapes),
 /// so also the bound on any element offset an owner can be asked to hold.
-constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << 26;
+constexpr int kOffsetBits = 26;
+constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << kOffsetBits;
+
+/// Cell store (`--store=local`): one worker's view of an array — the store's
+/// cells and shape, plus the ownership layout Range Filters read.
+struct CellArray {
+  ShmStore::ArrayRef ref;
+  ArrayLayout layout;
+};
 
 /// End-of-list link of the wire store's intrusive park lists.
 constexpr std::uint32_t kNoPark = ~std::uint32_t{0};
@@ -175,9 +164,9 @@ struct WorkerStats {
   std::int64_t amLocalReads = 0;     // owner-local reads (no message)
   std::int64_t amLocalWrites = 0;    // owner-local writes (no message)
   std::int64_t amShapeWaits = 0;     // frames blocked awaiting a DimReply
-  // Array accesses served through the shm segment (LocalStore, worker
-  // mode). Must be zero under --store=wire: the acceptance proof that no
-  // array traffic bypasses the transport.
+  // Array accesses served by the cell store (`--store=local`, threads and
+  // worker processes alike). Must be zero under --store=wire: the
+  // acceptance proof that no array traffic bypasses the transport.
   std::int64_t shmArrayOps = 0;
 };
 
@@ -240,35 +229,50 @@ struct Worker {
   std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>> myParks;
   WorkerStats st;
   std::thread thread;
+  /// Per-PE allocation stream, for both stores: id = seq * numWorkers + pe,
+  /// so the allocator of any id is id % numWorkers with no cross-PE
+  /// coordination. Store state: an in-process kill leaves it intact; a
+  /// respawned process rebuilds it from the mint log.
+  std::uint64_t arraySeq = 0;
+
+  // ---- Cell store (owner-thread-only; cfg.store == Local) ---------------
+  /// Arrays this worker has resolved in the cell store.
+  std::unordered_map<ArrayId, CellArray> cellArrays;
+  /// Scratch for the continuations a filling write releases.
+  std::vector<std::uint64_t> woken;
 
   // ---- Wire array store (owner-thread-only; cfg.store == Wire) ----------
   //
   // Under the wire store this PE privately owns the elements `ArrayLayout`
   // assigns to it; every non-local access arrives as a typed array message
-  // (native/store.hpp) on the ordinary token transport. Like the NArray
-  // heap and the shm segment, the array records are *store* state, not PE
-  // state: an in-process kill wipes the frames but leaves elements and
-  // parks intact (multi-process respawns rebuild them from the receive
-  // log's Am records instead).
+  // (native/store.hpp) on the ordinary token transport. Like the cell
+  // store, the array records are *store* state, not PE state: an
+  // in-process kill wipes the frames but leaves elements and parks intact
+  // (multi-process respawns rebuild them from the receive log's Am records
+  // instead).
   /// One record per array this PE has touched.
   std::unordered_map<ArrayId, WsArray> wsArrays;
   /// Node pool behind every record's park lists; wsParkFree heads the free
   /// list, so steady-state parking allocates nothing.
   std::vector<WsPark> wsParkPool;
   std::uint32_t wsParkFree = kNoPark;
-  /// Per-PE allocation stream: id = seq * numWorkers + pe, so the allocator
-  /// of any id is id % numWorkers with no cross-PE coordination.
-  std::uint64_t wsArraySeq = 0;
   /// Respawn replay: replies regenerated from logged Am records, held until
   /// the worker loop starts (the transport is not up during the rebuild).
   std::vector<std::pair<int, NToken>> wsDeferred;
 };
 
-/// Wake-token identity of one array element (top bit distinguishes the wake
-/// namespace from real sender contexts).
+/// Wake-token identity of one array element: the top bit keeps the wake
+/// namespace apart from real sender contexts, and every 32-bit array id fits
+/// above the offset bits.
 std::uint64_t elemWakeKey(ArrayId arr, std::int64_t offset) {
-  return (1ULL << 63) | (static_cast<std::uint64_t>(arr) << 40) |
+  return (1ULL << 63) | (static_cast<std::uint64_t>(arr) << kOffsetBits) |
          static_cast<std::uint64_t>(offset);
+}
+ArrayId wakeKeyArray(std::uint64_t key) {
+  return static_cast<ArrayId>(key >> kOffsetBits);
+}
+std::int64_t wakeKeyOffset(std::uint64_t key) {
+  return static_cast<std::int64_t>(key & (kMaxArrayElems - 1));
 }
 
 /// Worker mode: a frame that has ENDed but whose End log record is held
@@ -291,10 +295,6 @@ struct NativeMachine::Impl : TransportSink {
   NativeConfig cfg;
 
   std::vector<std::unique_ptr<Worker>> workers;
-
-  // Array store: ids assigned under storeM; NArray objects are stable.
-  std::mutex storeM;
-  std::vector<std::unique_ptr<NArray>> arrays;
 
   // Results and error reporting.
   std::mutex resultM;
@@ -357,7 +357,11 @@ struct NativeMachine::Impl : TransportSink {
   FaultPlan plan;
   std::unique_ptr<Transport> transport;
   std::atomic<std::int64_t> faultStalls{0};
-  std::thread monitorThread;
+
+  /// Cell store (cfg.store == Local): in-process, a pooled mapping the
+  /// workers share; multi-process, the supervisor's memfd, which every
+  /// worker maps too.
+  ShmStorePtr cells;
 
   // --- fail-stop recovery (kill mode; docs/ARCHITECTURE.md) ------------------
   //
@@ -384,40 +388,23 @@ struct NativeMachine::Impl : TransportSink {
   //
   // Supervisor (localPe < 0): run() delegates to procmgr::runSupervisor,
   // which forks one worker process per PE; this Impl is a shell that holds
-  // the shm I-structure segment for post-run gather().
+  // the cell store for post-run gather().
   //
   // Worker (localPe >= 0): exactly one worker thread runs (the local PE).
-  // Arrays live in the supervisor-created shm segment, every receive and
+  // Local-store arrays live in the supervisor's memfd, every receive and
   // mint is mirrored to the supervisor over the control channel
   // (pessimistic logging), and output commit gates both acks (a sequence is
   // acked only once its Recv record is stable) and frame retirement (End is
   // logged only after every send of the frame is acked).
-  std::unique_ptr<ShmStore> shm;
   /// Supervisor + wire store: arrays merged from the workers' Result frames
   /// (each worker ships its owned elements + allocator metas at the end of
   /// the run), read by post-run gather(). The wire-store replacement for
-  /// the shm segment.
+  /// the cell store.
   std::unordered_map<ArrayId, NativeArray> wireGathered;
   /// Respawn replay (wire store): true while performKill re-services logged
   /// Am records — replies regenerated during the rebuild are deferred to
   /// Worker::wsDeferred instead of sent (no transport is running yet).
   bool amDeferSends = false;
-  /// Worker-mode array cache: shm cells + shape + ownership layout, filled
-  /// lazily (arrays allocated by other PEs resolve on first touch).
-  /// Owner-thread-only — worker mode has a single worker thread.
-  struct WArr {
-    ShmStore::ArrayRef ref;
-    ArrayShape shape{};
-    ArrayLayout layout;
-    WArr(ShmStore::ArrayRef r, ArrayShape s, int pes, int page,
-         const std::vector<std::int64_t>& peWeights)
-        : ref(r), shape(s), layout(s, pes, page, peWeights) {}
-  };
-  std::unordered_map<std::uint64_t, WArr> warrays;
-  /// Worker-mode allocation stream: array ids are strided (id = seq *
-  /// numPes + pe), so concurrent per-PE allocation needs no coordination.
-  /// Rebuilt from the mint log on respawn so replay never re-mints.
-  std::uint64_t wArraySeq = 0;
   /// Worker-mode deferred retirements, FIFO (owner-thread-only).
   std::deque<Retiring> retiring;
   /// Monotone deposit count — the activity component of Status snapshots
@@ -849,85 +836,101 @@ struct NativeMachine::Impl : TransportSink {
     }
   }
 
+  enum class Step { Continue, Blocked, Ended, Stopped };
+
   // --- arrays ---------------------------------------------------------------
 
-  ArrayId allocArray(ArrayShape shape) {
-    std::lock_guard<std::mutex> g(storeM);
-    arrays.push_back(std::make_unique<NArray>(shape, cfg.numWorkers,
-                                              cfg.pageElems, cfg.peWeights));
-    return static_cast<ArrayId>(arrays.size() - 1);
+  /// Mints the frame's next array id from this PE's stream. In recovery
+  /// mode the mint is logged, so a replayed frame's n-th ALLOC returns the
+  /// identity it handed out before the kill — and with it the elements
+  /// written since.
+  Value mintArray(int pe, Worker& w, NFrame& f) {
+    const auto next = [&] {
+      return Value::arrayv(static_cast<ArrayId>(
+          (++w.arraySeq) * static_cast<std::uint64_t>(cfg.numWorkers) +
+          static_cast<unsigned>(pe)));
+    };
+    if (!recMode()) return next();
+    RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
+    const std::uint32_t mseq = f.mintSeq++;
+    if (const Value* m = L.findMint(f.ctx, mseq)) return *m;
+    const Value v = next();
+    logMintRec(pe, f.ctx, mseq, v);
+    return v;
   }
 
-  NArray* findArray(ArrayId id) {
-    std::lock_guard<std::mutex> g(storeM);
-    return id < arrays.size() ? arrays[id].get() : nullptr;
-  }
-
-  /// Resolves an array operand for ARD/AWR/RFLO/RFHI/DIMQ. Returns nullptr
-  /// after reporting the failure: the operand may hold a non-array value
-  /// (ill-typed program) or an id no allocation ever produced (stale or
-  /// corrupted handle) — neither may be dereferenced.
-  /// Worker mode: resolves (and caches) an array's shm cells, shape, and
-  /// ownership layout. `createShape` non-null is the ALLOC create-or-lookup
-  /// path; null is lookup-only (the array was allocated by some PE already,
-  /// possibly this one). Returns nullptr when the id is unknown (lookup) or
-  /// the segment is exhausted (create).
-  WArr* wArray(ArrayId id, const ArrayShape* createShape) {
-    auto it = warrays.find(id);
-    if (it != warrays.end()) return &it->second;
-    ShmStore::ArrayRef ref =
-        createShape != nullptr
-            ? shm->createArray(id, static_cast<std::uint32_t>(createShape->rank),
-                               createShape->dim0, createShape->dim1)
-            : shm->lookup(id);
+  /// Cell store: worker w's view of array `id`, resolved once per worker.
+  /// `create` non-null is ALLOC's idempotent create-or-lookup. nullptr when
+  /// the id is unknown (lookup) or the store is out of space (create).
+  CellArray* cellArray(Worker& w, ArrayId id, const ArrayShape* create) {
+    auto it = w.cellArrays.find(id);
+    if (it != w.cellArrays.end()) return &it->second;
+    const ShmStore::ArrayRef ref = create != nullptr
+                                       ? cells->createArray(id, *create)
+                                       : cells->lookup(id);
     if (!ref.valid()) return nullptr;
-    ArrayShape s;
-    s.rank = static_cast<int>(ref.rank);
-    s.dim0 = ref.dim0;
-    s.dim1 = ref.dim1;
-    auto [jt, inserted] = warrays.try_emplace(id, ref, s, cfg.numWorkers,
-                                              cfg.pageElems, cfg.peWeights);
-    (void)inserted;
-    return &jt->second;
+    CellArray a{ref, ArrayLayout(ref.shape, cfg.numWorkers, cfg.pageElems,
+                                 cfg.peWeights)};
+    return &w.cellArrays.emplace(id, std::move(a)).first->second;
   }
 
-  /// Worker mode: resolves an array operand against the shm store. Returns
-  /// nullptr after reporting the failure (non-array value or unknown id).
-  WArr* wArrayOperand(const NFrame& f, std::uint16_t slot, const SpCode& sp,
-                      const char* what) {
-    const Value& v = f.slots[slot];
+  /// An array instruction's operand, resolved in the active store.
+  struct ArrayOperand {
+    ArrayId id = 0;
+    const ArrayLayout* layout = nullptr;  // shape + ownership
+    WsArray* wire = nullptr;              // wire store
+    CellArray* cell = nullptr;            // cell store
+  };
+
+  /// Resolves operand `in.a` of ARD/AWR/RFLO/RFHI/DIMQ. Continue: `out` is
+  /// filled. Blocked: the wire store does not know the shape yet and has
+  /// asked the allocator. Stopped: the run failed — the operand holds a
+  /// non-array value (ill-typed program) or an id no allocation produced
+  /// (stale or corrupted handle), neither of which may be dereferenced.
+  Step resolveArray(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
+                    const Instr& in, const SpCode& sp, const char* what,
+                    ArrayOperand& out) {
+    const Value& v = f.slots[in.a];
     if (!v.isArray()) {
       fail(std::string(what) + " on non-array operand " + v.str() + " in " +
            sp.name);
-      return nullptr;
+      return Step::Stopped;
     }
-    WArr* a = wArray(v.asArray(), nullptr);
-    if (a == nullptr) {
+    out.id = v.asArray();
+    if (wireStore()) {
+      out.wire = wireMeta(w, out.id);
+      if (out.wire == nullptr)
+        return wireAwaitShape(pe, w, frameIdx, f, out.id);
+      out.layout = &*out.wire->layout;
+      return Step::Continue;
+    }
+    w.st.shmArrayOps++;
+    out.cell = cellArray(w, out.id, nullptr);
+    if (out.cell == nullptr) {
       fail(std::string(what) + " on unknown array id " +
-           std::to_string(v.asArray()) + " in " + sp.name);
+           std::to_string(out.id) + " in " + sp.name);
+      return Step::Stopped;
     }
-    return a;
+    out.layout = &out.cell->layout;
+    return Step::Continue;
   }
 
-  NArray* arrayOperand(const NFrame& f, std::uint16_t slot, const SpCode& sp,
-                       const char* what) {
-    const Value& v = f.slots[slot];
-    if (!v.isArray()) {
-      fail(std::string(what) + " on non-array operand " + v.str() + " in " +
-           sp.name);
-      return nullptr;
+  /// The flat element offset an ARD/AWR addresses; false when out of bounds.
+  static bool elemOffset(const NFrame& f, const Instr& in, const ArrayShape& s,
+                         std::int64_t* offset) {
+    const std::int64_t i0 = f.slots[in.b].asInt();
+    if (in.c == kNoSlot) {
+      if (i0 < 0 || i0 >= s.numElems()) return false;
+      *offset = i0;
+      return true;
     }
-    NArray* a = findArray(v.asArray());
-    if (a == nullptr) {
-      fail(std::string(what) + " on unknown array id " +
-           std::to_string(v.asArray()) + " in " + sp.name);
-    }
-    return a;
+    const std::int64_t i1 = f.slots[in.c].asInt();
+    if (!s.inBounds(i0, i1)) return false;
+    *offset = s.flatten(i0, i1);
+    return true;
   }
 
   // --- frame execution --------------------------------------------------------
-
-  enum class Step { Continue, Blocked, Ended, Stopped };
 
   bool ensure(NFrame& f, std::uint16_t slot) {
     if (slot == kNoSlot || !f.slots[slot].empty()) return true;
@@ -977,14 +980,6 @@ struct NativeMachine::Impl : TransportSink {
     fail("array message for element " + std::to_string(off) + " of array " +
          std::to_string(arr) + " not owned by PE " + std::to_string(w.id));
     return nullptr;
-  }
-
-  /// In-process allocation: per-PE strided ids (seq * numPEs + pe) make the
-  /// allocator of ANY id computable as id % numPEs with no coordination.
-  ArrayId newWireId(Worker& w, int pe) {
-    return static_cast<ArrayId>(
-        (++w.wsArraySeq) * static_cast<std::uint64_t>(cfg.numWorkers) +
-        static_cast<unsigned>(pe));
   }
 
   /// Receive-log record for a serviced array message (worker mode only; the
@@ -1312,230 +1307,108 @@ struct NativeMachine::Impl : TransportSink {
           fail("bad allocation dimensions");
           return Step::Stopped;
         }
-        if (workerMode()) {
-          RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-          const std::uint32_t mseq = f.mintSeq++;
-          Value v;
-          if (const Value* m = L.findMint(f.ctx, mseq)) {
-            v = *m;  // replayed allocation: same identity, elements survive
-          } else {
-            v = Value::arrayv(static_cast<ArrayId>(
-                (++wArraySeq) * static_cast<std::uint64_t>(cfg.numWorkers) +
-                static_cast<unsigned>(pe)));
-            logMintRec(pe, f.ctx, mseq, v);
-          }
-          if (wireStore()) {
-            // The allocator's shape record is the array's durable identity:
-            // registered locally (it answers DimReqs) and logged so a
-            // respawn can rebuild it. Appended whenever replay did NOT
-            // rebuild it — a kill can land with the mint stable but the
-            // AllocMeta append lost, and the log must self-heal or a later
-            // incarnation's replay could see a DimReq with no shape.
-            // Duplicate records replay idempotently (try_emplace).
-            if (wireMeta(w, v.asArray()) == nullptr)
-              logAllocMeta(pe, v.asArray(), shape);
-            wireRegisterMeta(w, v.asArray(), shape);
-            f.slots[in.dst] = v;
-            break;
-          }
+        const Value v = mintArray(pe, w, f);
+        if (wireStore()) {
+          // The allocator's shape record is the array's durable identity:
+          // registered locally (it answers DimReqs) and, in worker mode,
+          // logged so a respawn can rebuild it. Appended whenever replay did
+          // NOT rebuild it — a kill can land with the mint stable but the
+          // AllocMeta append lost, and the log must self-heal or a later
+          // incarnation's replay could see a DimReq with no shape.
+          // Duplicate records replay idempotently.
+          if (workerMode() && wireMeta(w, v.asArray()) == nullptr)
+            logAllocMeta(pe, v.asArray(), shape);
+          wireRegisterMeta(w, v.asArray(), shape);
+        } else {
           // Create-or-lookup even on a mint-log hit: the mint may have
-          // reached stable storage while the kill landed before the shm
-          // table slot was claimed. createArray is idempotent, so the
-          // replayed call either claims the slot now or finds the original
-          // (with its elements intact — the segment restore of recovery).
+          // reached stable storage while the kill landed before the table
+          // entry was published. createArray is idempotent, so the replayed
+          // call either publishes it now or finds the original with its
+          // elements intact (the segment restore of recovery).
           w.st.shmArrayOps++;
-          if (wArray(v.asArray(), &shape) == nullptr) {
-            fail("shm array store exhausted in " + sp.name);
+          if (cellArray(w, v.asArray(), &shape) == nullptr) {
+            fail("array store exhausted in " + sp.name);
             return Step::Stopped;
           }
-          f.slots[in.dst] = v;
-          break;
         }
-        if (wireStore()) {
-          // In-process wire store: strided per-PE ids, no coordination. In
-          // kill mode the mint log keeps a replayed frame's n-th allocation
-          // on its original identity (the element map survives the kill).
-          Value v;
-          if (killMode()) {
-            RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-            const std::uint32_t mseq = f.mintSeq++;
-            if (const Value* m = L.findMint(f.ctx, mseq)) {
-              v = *m;
-            } else {
-              v = Value::arrayv(newWireId(w, pe));
-              L.recordMint(f.ctx, mseq, v);
-            }
-          } else {
-            v = Value::arrayv(newWireId(w, pe));
-          }
-          wireRegisterMeta(w, v.asArray(), shape);
-          f.slots[in.dst] = v;
-          break;
-        }
-        if (killMode()) {
-          // Replayed allocation resolves to the array created before the
-          // kill — its elements (possibly already written) must survive.
-          RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-          const std::uint32_t mseq = f.mintSeq++;
-          if (const Value* m = L.findMint(f.ctx, mseq)) {
-            f.slots[in.dst] = *m;
-            break;
-          }
-          Value v = Value::arrayv(allocArray(shape));
-          L.recordMint(f.ctx, mseq, v);
-          f.slots[in.dst] = v;
-          break;
-        }
-        f.slots[in.dst] = Value::arrayv(allocArray(shape));
+        f.slots[in.dst] = v;
         break;
       }
       case Op::ARD: {
-        if (wireStore()) {
-          const Value& av = f.slots[in.a];
-          if (!av.isArray()) {
-            fail("array read on non-array operand " + av.str() + " in " +
-                 sp.name);
-            return Step::Stopped;
-          }
-          const ArrayId arrId = av.asArray();
-          WsArray* m = wireMeta(w, arrId);
-          if (m == nullptr) return wireAwaitShape(pe, w, frameIdx, f, arrId);
-          const std::int64_t i0 = f.slots[in.b].asInt();
-          const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-          std::int64_t offset;
-          if (!resolveOffset(m->shape(), i0, i1, in.c != kNoSlot ? 2 : 1,
-                             offset)) {
-            fail("array read out of bounds in " + sp.name);
-            return Step::Stopped;
-          }
-          // Split phase, same as every other backend: clear the target slot
-          // and continue — downstream consumers block on it via ensure().
-          const int owner = m->layout->ownerOfOffset(offset);
-          f.slots[in.dst] = Value{};
-          Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
-          if (owner == pe) {
-            w.st.amLocalReads++;
-            WsCell* cell = wireOwnedCell(w, *m, arrId, offset);
-            if (cell == nullptr) return Step::Stopped;
-            if (!cell->v.empty()) {
-              f.slots[in.dst] = cell->v;
-            } else {
-              // Deferred read at ourselves: park, and (in recovery) register
-              // the wake key so the filling write's self-reply is live.
-              wireParkReader(w, *cell, c.pack());
-              if (recMode())
-                w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
-            }
-            break;
-          }
-          w.st.amReadReqSent++;
-          if (recMode())
-            w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
-          NToken tok;
-          tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
-          tok.ctx = arrId;
-          tok.senderCtx = static_cast<std::uint64_t>(offset);
-          tok.slot = static_cast<std::uint16_t>(pe);
-          tok.cont = c;
-          send(pe, owner, std::move(tok));
-          break;
-        }
-        if (workerMode()) {
-          w.st.shmArrayOps++;
-          WArr* wa = wArrayOperand(f, in.a, sp, "array read");
-          if (wa == nullptr) return Step::Stopped;
-          const ArrayId arrId = f.slots[in.a].asArray();
-          const std::int64_t i0 = f.slots[in.b].asInt();
-          const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-          std::int64_t offset;
-          if (!resolveOffset(wa->shape, i0, i1, in.c != kNoSlot ? 2 : 1,
-                             offset)) {
-            fail("array read out of bounds in " + sp.name);
-            return Step::Stopped;
-          }
-          f.slots[in.dst] = Value{};
-          Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
-          Value v;
-          if (shm->parkOrRead(wa->ref, offset, c.pack(), &v)) {
-            f.slots[in.dst] = v;
-            break;
-          }
-          // Parked in the shm waiter stack. Register the park locally so
-          // (a) the writer's wake is recognized as live, (b) a wake for a
-          // park wiped by our own kill is dropped, and (c) the idle sweeper
-          // can self-serve the read if the writer died after publishing the
-          // element but before its wake tokens made it out (sweepParks).
-          w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
-          break;
-        }
-        NArray* a = arrayOperand(f, in.a, sp, "array read");
-        if (a == nullptr) return Step::Stopped;
-        const ArrayId arrId = f.slots[in.a].asArray();
-        const std::int64_t i0 = f.slots[in.b].asInt();
-        const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
+        ArrayOperand arr;
+        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
+                                        "array read", arr);
+            s != Step::Continue)
+          return s;
         std::int64_t offset;
-        if (!resolveOffset(a->shape, i0, i1, in.c != kNoSlot ? 2 : 1, offset)) {
+        if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
           fail("array read out of bounds in " + sp.name);
           return Step::Stopped;
         }
+        // Split phase in both stores: clear the target slot and continue —
+        // downstream consumers block on it via ensure().
         f.slots[in.dst] = Value{};
-        Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
-        Value v;
-        bool present = false;
-        {
-          std::lock_guard<std::mutex> g(a->m);
-          const Value& elem = a->elems[static_cast<std::size_t>(offset)];
-          if (!elem.empty()) {
-            v = elem;
-            present = true;
-          } else {
-            auto& wl = a->waiters[offset];
-            bool dup = false;
-            if (killMode()) {
-              // A replayed read re-parks the same continuation its pre-kill
-              // instance parked (the waiter list survives the kill); a
-              // second entry would fire a second wake into a reused slot.
-              for (const ElemWaiter& ew : wl)
-                if (ew.cont.pack() == c.pack()) { dup = true; break; }
+        const Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
+        if (arr.wire != nullptr) {
+          const int owner = arr.layout->ownerOfOffset(offset);
+          if (owner == pe) {
+            w.st.amLocalReads++;
+            WsCell* cell = wireOwnedCell(w, *arr.wire, arr.id, offset);
+            if (cell == nullptr) return Step::Stopped;
+            if (!cell->v.empty()) {
+              f.slots[in.dst] = cell->v;
+              break;
             }
-            if (!dup) wl.push_back(ElemWaiter{c});
+            wireParkReader(w, *cell, c.pack());  // deferred read at ourselves
+          } else {
+            w.st.amReadReqSent++;
+            NToken tok;
+            tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
+            tok.ctx = arr.id;
+            tok.senderCtx = static_cast<std::uint64_t>(offset);
+            tok.slot = static_cast<std::uint16_t>(pe);
+            tok.cont = c;
+            send(pe, owner, std::move(tok));
+          }
+        } else {
+          Value v;
+          const ShmStore::Read r =
+              cells->readOrPark(arr.cell->ref, offset, c.pack(), &v);
+          if (r == ShmStore::Read::Present) {
+            f.slots[in.dst] = v;
+            break;
+          }
+          if (r == ShmStore::Read::OutOfSpace) {
+            fail("array store exhausted in " + sp.name);
+            return Step::Stopped;
           }
         }
-        if (present) {
-          f.slots[in.dst] = v;
-        } else if (killMode()) {
-          // Register the park so the wake (whenever the writer fires it) is
-          // recognized as live; see Worker::myParks.
-          w.myParks[elemWakeKey(arrId, offset)].insert(c.pack());
-        }
+        // Parked. In recovery the park is registered so the filling write's
+        // wake is recognized as live (see Worker::myParks) and a worker
+        // process's park sweeper can re-read the element.
+        if (recMode()) w.myParks[elemWakeKey(arr.id, offset)].insert(c.pack());
         break;
       }
       case Op::AWR: {
-        if (wireStore()) {
-          const Value& av = f.slots[in.a];
-          if (!av.isArray()) {
-            fail("array write on non-array operand " + av.str() + " in " +
-                 sp.name);
-            return Step::Stopped;
-          }
-          const ArrayId arrId = av.asArray();
-          WsArray* m = wireMeta(w, arrId);
-          if (m == nullptr) return wireAwaitShape(pe, w, frameIdx, f, arrId);
-          const std::int64_t i0 = f.slots[in.b].asInt();
-          const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-          std::int64_t offset;
-          if (!resolveOffset(m->shape(), i0, i1, in.c != kNoSlot ? 2 : 1,
-                             offset)) {
-            fail("array write out of bounds in " + sp.name);
-            return Step::Stopped;
-          }
-          const int owner = m->layout->ownerOfOffset(offset);
+        ArrayOperand arr;
+        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
+                                        "array write", arr);
+            s != Step::Continue)
+          return s;
+        std::int64_t offset;
+        if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
+          fail("array write out of bounds in " + sp.name);
+          return Step::Stopped;
+        }
+        const Value v = f.slots[in.dst];
+        if (arr.wire != nullptr) {
+          const int owner = arr.layout->ownerOfOffset(offset);
           NToken tok;
           tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
-          tok.ctx = arrId;
+          tok.ctx = arr.id;
           tok.senderCtx = static_cast<std::uint64_t>(offset);
           tok.slot = static_cast<std::uint16_t>(pe);
-          tok.v = f.slots[in.dst];
+          tok.v = v;
           if (owner == pe) {
             w.st.amLocalWrites++;
             // Worker mode logs its own writes like received ones: the
@@ -1543,7 +1416,7 @@ struct NativeMachine::Impl : TransportSink {
             // (and so never re-execute) before a kill. Logged before the
             // apply, so every reply the write releases is gated on it.
             if (workerMode()) logAm(pe, tok);
-            if (!wireApplyWrite(pe, *m, arrId, offset, tok.v))
+            if (!wireApplyWrite(pe, *arr.wire, arr.id, offset, v))
               return Step::Stopped;
             break;
           }
@@ -1555,117 +1428,46 @@ struct NativeMachine::Impl : TransportSink {
           send(pe, owner, std::move(tok));
           break;
         }
-        if (workerMode()) {
-          w.st.shmArrayOps++;
-          WArr* wa = wArrayOperand(f, in.a, sp, "array write");
-          if (wa == nullptr) return Step::Stopped;
-          const ArrayId arrId = f.slots[in.a].asArray();
-          const std::int64_t i0 = f.slots[in.b].asInt();
-          const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-          std::int64_t offset;
-          if (!resolveOffset(wa->shape, i0, i1, in.c != kNoSlot ? 2 : 1,
-                             offset)) {
-            fail("array write out of bounds in " + sp.name);
-            return Step::Stopped;
-          }
-          Value prev;
-          bool wasSet = false;
-          std::vector<std::uint64_t> woken;
-          shm->write(wa->ref, offset, f.slots[in.dst], &prev, &wasSet, &woken);
-          if (wasSet && !prev.identical(f.slots[in.dst])) {
+        switch (cells->write(arr.cell->ref, offset, v, &w.woken)) {
+          case ShmStore::Write::Filled:
+            break;
+          case ShmStore::Write::Rewrite:
+            // A replayed write of the value the element already holds: a
+            // no-op. Its parks went to the original write — or, if that
+            // writer's process died before its wakes left, the readers'
+            // park sweeper re-reads the element.
+            if (recMode()) break;
+            [[fallthrough]];
+          case ShmStore::Write::Conflict:
             fail("single-assignment violation at element " +
                  std::to_string(offset));
             return Step::Stopped;
-          }
-          // Wake every parked reader — also on an identical rewrite,
-          // because the original writer may have died between publishing
-          // the element and sending the wakes. Receivers drop wakes for
-          // parks they no longer hold.
-          for (std::uint64_t packed : woken) {
-            Cont wc = Cont::unpack(packed);
-            NToken tok;
-            tok.toCont = true;
-            tok.cont = wc;
-            tok.v = f.slots[in.dst];
-            tok.wakeKey = elemWakeKey(arrId, offset);
-            send(pe, wc.pe, std::move(tok));
-          }
-          break;
         }
-        NArray* a = arrayOperand(f, in.a, sp, "array write");
-        if (a == nullptr) return Step::Stopped;
-        const std::int64_t i0 = f.slots[in.b].asInt();
-        const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-        std::int64_t offset;
-        if (!resolveOffset(a->shape, i0, i1, in.c != kNoSlot ? 2 : 1, offset)) {
-          fail("array write out of bounds in " + sp.name);
-          return Step::Stopped;
-        }
-        std::vector<ElemWaiter> woken;
-        {
-          std::lock_guard<std::mutex> g(a->m);
-          Value& elem = a->elems[static_cast<std::size_t>(offset)];
-          if (!elem.empty()) {
-            if (killMode() && elem.identical(f.slots[in.dst])) {
-              // Replayed write of the value this element already holds:
-              // single assignment makes it a no-op (no waiter can be parked
-              // on a present element), not a violation.
-              break;
-            }
-            fail("single-assignment violation at element " +
-                 std::to_string(offset));
-            return Step::Stopped;
-          }
-          elem = f.slots[in.dst];
-          auto wit = a->waiters.find(offset);
-          if (wit != a->waiters.end()) {
-            woken = std::move(wit->second);
-            a->waiters.erase(wit);
-          }
-        }
-        for (const ElemWaiter& waiter : woken) {
+        for (const std::uint64_t packed : w.woken) {
+          const Cont wc = Cont::unpack(packed);
           NToken tok;
           tok.toCont = true;
-          tok.cont = waiter.cont;
-          tok.v = f.slots[in.dst];
-          if (killMode())
-            tok.wakeKey = elemWakeKey(f.slots[in.a].asArray(), offset);
-          send(pe, waiter.cont.pe, std::move(tok));
+          tok.cont = wc;
+          tok.v = v;
+          tok.wakeKey = elemWakeKey(arr.id, offset);
+          send(pe, wc.pe, std::move(tok));
         }
+        w.woken.clear();
         break;
       }
       case Op::RFLO:
       case Op::RFHI: {
-        IdxRange r;
-        if (wireStore()) {
-          // Answered locally from the cached (or awaited) shape: layout is a
-          // pure function of (shape, config), so no owner round-trip needed.
-          const Value& av = f.slots[in.a];
-          if (!av.isArray()) {
-            fail("range filter on non-array operand " + av.str() + " in " +
-                 sp.name);
-            return Step::Stopped;
-          }
-          const WsArray* m = wireMeta(w, av.asArray());
-          if (m == nullptr)
-            return wireAwaitShape(pe, w, frameIdx, f, av.asArray());
-          r = in.dim == 0
-                  ? m->layout->ownedRows(pe)
-                  : m->layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
-        } else if (workerMode()) {
-          w.st.shmArrayOps++;
-          WArr* wa = wArrayOperand(f, in.a, sp, "range filter");
-          if (wa == nullptr) return Step::Stopped;
-          r = in.dim == 0
-                  ? wa->layout.ownedRows(pe)
-                  : wa->layout.ownedColsOfRow(pe, f.slots[in.b].asInt());
-        } else {
-          NArray* a = arrayOperand(f, in.a, sp, "range filter");
-          if (a == nullptr) return Step::Stopped;
-          r = in.dim == 0
-                  ? a->layout.ownedRows(pe)
-                  : a->layout.ownedColsOfRow(pe, f.slots[in.b].asInt());
-        }
+        // Answered from the layout, a pure function of (shape, config): the
+        // wire store needs no owner round-trip.
+        ArrayOperand arr;
+        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
+                                        "range filter", arr);
+            s != Step::Continue)
+          return s;
+        const IdxRange r =
+            in.dim == 0
+                ? arr.layout->ownedRows(pe)
+                : arr.layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
         f.slots[in.dst] =
             Value::intv((in.op == Op::RFHI ? r.hi : r.lo) - in.off);
         break;
@@ -1678,32 +1480,13 @@ struct NativeMachine::Impl : TransportSink {
         break;
       }
       case Op::DIMQ: {
-        if (wireStore()) {
-          const Value& av = f.slots[in.a];
-          if (!av.isArray()) {
-            fail("dimension query on non-array operand " + av.str() + " in " +
-                 sp.name);
-            return Step::Stopped;
-          }
-          const WsArray* m = wireMeta(w, av.asArray());
-          if (m == nullptr)
-            return wireAwaitShape(pe, w, frameIdx, f, av.asArray());
-          f.slots[in.dst] =
-              Value::intv(in.dim == 1 ? m->shape().dim1 : m->shape().dim0);
-          break;
-        }
-        if (workerMode()) {
-          w.st.shmArrayOps++;
-          WArr* wa = wArrayOperand(f, in.a, sp, "dimension query");
-          if (wa == nullptr) return Step::Stopped;
-          f.slots[in.dst] =
-              Value::intv(in.dim == 1 ? wa->shape.dim1 : wa->shape.dim0);
-          break;
-        }
-        NArray* a = arrayOperand(f, in.a, sp, "dimension query");
-        if (a == nullptr) return Step::Stopped;
-        f.slots[in.dst] =
-            Value::intv(in.dim == 1 ? a->shape.dim1 : a->shape.dim0);
+        ArrayOperand arr;
+        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
+                                        "dimension query", arr);
+            s != Step::Continue)
+          return s;
+        const ArrayShape& shape = arr.layout->shape();
+        f.slots[in.dst] = Value::intv(in.dim == 1 ? shape.dim1 : shape.dim0);
         break;
       }
       case Op::SENDA:
@@ -1761,11 +1544,12 @@ struct NativeMachine::Impl : TransportSink {
       }
       case Op::RESULT: {
         std::lock_guard<std::mutex> g(resultM);
-        // Multi-process: result slots are process-local (arrays live in shm
-        // but results do not), so the store must reach the supervisor's log
-        // or a kill after this frame retires loses it. Replay re-execution
-        // of an already-applied store (resultSet set from resumeResults)
-        // stores the identical value and is not re-logged.
+        // Multi-process: result slots are process-local (arrays live in the
+        // cell store but results do not), so the store must reach the
+        // supervisor's log or a kill after this frame retires loses it.
+        // Replay re-execution of an already-applied store (resultSet set
+        // from resumeResults) stores the identical value and is not
+        // re-logged.
         if (workerMode() && cfg.link != nullptr && !resultSet[in.aux])
           cfg.link->logResult(in.aux, f.slots[in.a]);
         results[in.aux] = f.slots[in.a];
@@ -1780,18 +1564,6 @@ struct NativeMachine::Impl : TransportSink {
     }
     f.pc = nextPc;
     return Step::Continue;
-  }
-
-  static bool resolveOffset(const ArrayShape& s, std::int64_t i0,
-                            std::int64_t i1, int rank, std::int64_t& offset) {
-    if (rank == 1) {
-      if (i0 < 0 || i0 >= s.numElems()) return false;
-      offset = i0;
-      return true;
-    }
-    if (!s.inBounds(i0, i1)) return false;
-    offset = s.flatten(i0, i1);
-    return true;
   }
 
   // --- fail-stop recovery (kill mode) ----------------------------------------
@@ -1820,9 +1592,9 @@ struct NativeMachine::Impl : TransportSink {
     // Wire store: each record's shape waiters and in-flight-DimReq flag
     // reference the wiped frames — re-executed frames re-block and re-query.
     // Shapes, elements, parks and the allocation counter are *store* state,
-    // not PE state (like the NArray heap / shm segment): an in-process kill
-    // leaves them intact; a respawned process starts empty and rebuilds them
-    // from the Am records below.
+    // not PE state (like the cell store): an in-process kill leaves them
+    // intact; a respawned process starts empty and rebuilds them from the Am
+    // records below.
     for (auto& [id, a] : w.wsArrays) {
       (void)id;
       a.shapeWait.clear();
@@ -2038,6 +1810,16 @@ struct NativeMachine::Impl : TransportSink {
     w.st.tokensIn += drained;
   }
 
+  bool aborted() const {
+    return cfg.abort != nullptr && cfg.abort->load(std::memory_order_relaxed);
+  }
+  /// The external abort flag is up: fail the run, which wakes every worker.
+  void failAborted() {
+    fail("aborted: external stop requested (watchdog); " +
+         std::to_string(inboxTokens.load()) + " tokens in flight, pending=" +
+         std::to_string(pending.load()));
+  }
+
   void finishPending() {
     // Worker mode: a local zero is NOT global termination — a peer process
     // may still send tokens here. The supervisor decides the end of the run
@@ -2091,24 +1873,20 @@ struct NativeMachine::Impl : TransportSink {
     }
   }
 
-  /// Self-serves parked reads whose element has appeared in shm without the
-  /// wake token arriving. That happens in exactly one failure shape: the
-  /// writer completed its write (element published, waiter stack drained)
-  /// and died before its wake tokens were delivered — its replay re-drains
-  /// an already-empty stack, so nobody will ever re-send the wake. Run from
-  /// the idle path; a benign race with an in-flight wake resolves at
-  /// deliver(), which drops whichever copy comes second (myParks registry).
+  /// Self-serves parked reads whose element has appeared in the cell store
+  /// without the wake token arriving. That happens in exactly one failure
+  /// shape: the writer filled the element (taking its parked list) and its
+  /// process died before the wake tokens were delivered — its replay finds
+  /// the element set, so nobody will ever re-send the wake. Run from the
+  /// idle path; a benign race with an in-flight wake resolves at deliver(),
+  /// which drops whichever copy comes second (myParks registry).
   void sweepParks(int pe) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
-    if (w.myParks.empty()) return;
     for (auto it = w.myParks.begin(); it != w.myParks.end();) {
       const std::uint64_t key = it->first;
-      const ArrayId arr = static_cast<ArrayId>((key >> 40) & 0x7FFFFFu);
-      const std::int64_t off =
-          static_cast<std::int64_t>(key & ((1ULL << 40) - 1));
-      WArr* wa = wArray(arr, nullptr);
+      const ShmStore::ArrayRef ref = cells->lookup(wakeKeyArray(key));
       Value v;
-      if (wa == nullptr || !shm->tryRead(wa->ref, off, &v)) {
+      if (!ref.valid() || !cells->tryRead(ref, wakeKeyOffset(key), &v)) {
         ++it;
         continue;
       }
@@ -2134,6 +1912,10 @@ struct NativeMachine::Impl : TransportSink {
     if (wireStore()) flushDeferredAm(pe);
     int slicesSinceFlush = 0;
     while (!stop.load()) {
+      if (aborted()) {
+        failAborted();
+        break;
+      }
       if (killTarget && !killFired &&
           std::chrono::steady_clock::now() >= killAt) {
         performKill(pe);
@@ -2163,10 +1945,10 @@ struct NativeMachine::Impl : TransportSink {
       if (wmode) {
         transport->pumpAcks();
         pumpRetiring(pe);
-        // The park sweeper reads elements straight from shm — LocalStore
-        // only. Under the wire store the equivalent failure shape (writer
-        // died after applying, before its replies got out) is covered by Am
-        // log replay regenerating the replies at the owner.
+        // The park sweeper reads elements straight from the cell store.
+        // Under the wire store the equivalent failure shape (writer died
+        // after applying, before its replies got out) is covered by Am log
+        // replay regenerating the replies at the owner.
         if (!wireStore()) sweepParks(pe);
       }
       drainInbox(pe);
@@ -2215,6 +1997,19 @@ struct NativeMachine::Impl : TransportSink {
         // (Poll/Status rounds). Spurious timeouts just bump the epoch.
         w.cv.wait_for(g, std::chrono::milliseconds(1),
                       [&] { return inboxNonEmpty(w) || stop.load(); });
+      } else if (cfg.abort != nullptr) {
+        // No other thread watches the abort flag: poll it while staying
+        // registered idle, so a timeout consumes nothing and the
+        // double-collect above stays exact.
+        while (!w.cv.wait_for(g, std::chrono::milliseconds(1), [&] {
+          return inboxNonEmpty(w) || stop.load();
+        })) {
+          if (aborted()) {
+            g.unlock();  // fail() takes every worker's mutex
+            failAborted();
+            break;
+          }
+        }
       } else {
         w.cv.wait(g, [&] { return inboxNonEmpty(w) || stop.load(); });
       }
@@ -2227,10 +2022,10 @@ struct NativeMachine::Impl : TransportSink {
   NativeResult run() {
     if (supervisorMode()) {
       // The machine object is a shell in supervisor mode: the run happens
-      // in forked worker processes. runSupervisor creates the shm segment
+      // in forked worker processes. runSupervisor creates the cell store
       // (handed back here so gather() can read result arrays) and drives
       // the fleet — fork, boot, heartbeats, kill recovery, termination.
-      return procmgr::runSupervisor(prog, cfg, shm, wireGathered);
+      return procmgr::runSupervisor(prog, cfg, cells, wireGathered);
     }
     if (killMode() && cfg.faults.killPe >= cfg.numWorkers) {
       NativeResult bad;
@@ -2241,22 +2036,25 @@ struct NativeMachine::Impl : TransportSink {
       return bad;
     }
     auto t0 = std::chrono::steady_clock::now();
-    if (workerMode()) {
-      // Segment attach — on respawn this is the segment-restore step of
-      // recovery: the I-structure elements written before the kill are in
-      // the supervisor-owned mapping, untouched by this process's death.
-      // The wire store has no segment at all: elements live in per-PE owned
-      // maps and are restored from the Am records of the receive log.
-      if (cfg.store == StoreKind::Local) {
-        std::string serr;
-        shm = ShmStore::open(cfg.shmName, &serr);
-        if (shm == nullptr) {
-          NativeResult bad;
-          bad.ok = false;
-          bad.error = "shm open failed: " + serr;
-          return bad;
-        }
+    if (!wireStore()) {
+      // A worker process maps the supervisor's memfd — on respawn, the
+      // segment-restore step of recovery: elements written before the kill
+      // are untouched by this process's death. In-process workers share a
+      // pooled mapping. The wire store has no cell store at all: elements
+      // live in per-PE owned slices, restored from the receive log's Am
+      // records.
+      std::string serr;
+      cells = workerMode()
+                  ? ShmStore::attach(procmgr::kWorkerStoreFd, &serr)
+                  : ShmStore::acquireLocal(cfg.numWorkers, &serr);
+      if (cells == nullptr) {
+        NativeResult bad;
+        bad.ok = false;
+        bad.error = "cell store unavailable: " + serr;
+        return bad;
       }
+    }
+    if (workerMode()) {
       const int pe = cfg.localPe;
       // Re-apply logged RESULT stores before replay: with the slot already
       // marked set, a replayed frame's re-execution of the store is a
@@ -2273,15 +2071,14 @@ struct NativeMachine::Impl : TransportSink {
         // (performKill's Recv records) before any transport thread exists.
         RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
         L = std::move(cfg.resumeLog);
+        std::uint64_t& seq = workers[static_cast<std::size_t>(pe)]->arraySeq;
         for (const auto& [ctx, m] : L.mints) {
           (void)ctx;
           for (const auto& [mseq, v] : m) {
             (void)mseq;
             if (v.isArray())
-              wArraySeq = std::max(
-                  wArraySeq, (static_cast<std::uint64_t>(v.asArray()) -
-                              static_cast<unsigned>(pe)) /
-                                 static_cast<std::uint64_t>(cfg.numWorkers));
+              seq = std::max<std::uint64_t>(
+                  seq, v.asArray() / static_cast<unsigned>(cfg.numWorkers));
           }
         }
         performKill(pe);
@@ -2365,24 +2162,6 @@ struct NativeMachine::Impl : TransportSink {
       bad.error = terr.empty() ? "transport failed to start" : terr;
       return bad;
     }
-    if (cfg.abort != nullptr) {
-      // Idle workers block in untimed cv waits and cannot observe a bare
-      // flag, so a monitor thread watches it and fails the run (which
-      // notifies everyone). Exits on `stop` — always set by the time the
-      // workers have joined.
-      monitorThread = std::thread([this] {
-        while (!stop.load()) {
-          if (cfg.abort->load()) {
-            fail("aborted: external stop requested (watchdog); " +
-                 std::to_string(inboxTokens.load()) +
-                 " tokens in flight, pending=" +
-                 std::to_string(pending.load()));
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-      });
-    }
     // Pool mode (serving daemon): worker bodies run on a warm external
     // pool; completion is a counted latch instead of join().
     std::atomic<int> liveBodies{0};
@@ -2415,7 +2194,6 @@ struct NativeMachine::Impl : TransportSink {
     // Workers have joined: no further send() is possible, so the transport
     // can quiesce its service threads.
     transport->stop();
-    if (monitorThread.joinable()) monitorThread.join();
     auto t1 = std::chrono::steady_clock::now();
 
     NativeResult out;
@@ -2477,9 +2255,9 @@ struct NativeMachine::Impl : TransportSink {
       }
       out.counters.mergePrefixed(am, "net.am.");
     }
-    // Accesses served through the shm segment — the acceptance proof that
+    // Accesses served by the cell store — the acceptance proof that
     // --store=wire routes ALL array traffic over the transport is this
-    // counter staying 0 (it only moves in worker mode under LocalStore).
+    // counter staying 0 (it moves only under --store=local).
     std::int64_t shmOps = 0;
     for (const auto& w : workers) shmOps += w->st.shmArrayOps;
     out.counters.add("native.shmArrayOps", shmOps);
@@ -2535,58 +2313,49 @@ NativeMachine::~NativeMachine() = default;
 NativeResult NativeMachine::run() { return impl_->run(); }
 
 std::optional<NativeArray> NativeMachine::gather(ArrayId id) const {
-  if (impl_->cfg.store == StoreKind::Wire) {
-    if (impl_->supervisorMode()) {
-      // Merged from the workers' Result frames (each ships its owned slice).
-      auto it = impl_->wireGathered.find(id);
-      if (it == impl_->wireGathered.end()) return std::nullopt;
-      return it->second;
-    }
-    // In-process (threads joined — unguarded reads are safe) or a worker's
-    // own view: shape from any record that knows it, elements from every
-    // owner's slice.
-    const WsArray* meta = nullptr;
-    for (const auto& w : impl_->workers) {
-      auto it = w->wsArrays.find(id);
-      if (it != w->wsArrays.end() && it->second.layout) {
-        meta = &it->second;
-        break;
-      }
-    }
-    if (meta == nullptr) return std::nullopt;
-    NativeArray view;
-    view.shape = meta->shape();
-    view.elems.assign(static_cast<std::size_t>(view.shape.numElems()), Value{});
-    for (const auto& w : impl_->workers) {
-      auto it = w->wsArrays.find(id);
-      if (it == w->wsArrays.end()) continue;
-      const WsArray& a = it->second;
-      for (std::size_t i = 0; i < a.cells.size(); ++i) {
-        const std::int64_t off = a.lo + static_cast<std::int64_t>(i);
-        if (!a.cells[i].v.empty() &&
-            off < static_cast<std::int64_t>(view.elems.size()))
-          view.elems[static_cast<std::size_t>(off)] = a.cells[i].v;
-      }
-    }
-    return view;
-  }
-  if (impl_->shm != nullptr) {
-    // Multi-process mode: arrays live in the shm I-structure segment.
-    ShmStore::ArrayRef ref = impl_->shm->lookup(id);
+  if (impl_->cfg.store == StoreKind::Local) {
+    // The cell store, read after every writer finished: in-process threads
+    // have joined, worker processes have exited.
+    if (impl_->cells == nullptr) return std::nullopt;
+    const ShmStore::ArrayRef ref = impl_->cells->lookup(id);
     if (!ref.valid()) return std::nullopt;
     NativeArray view;
-    view.shape.rank = static_cast<int>(ref.rank);
-    view.shape.dim0 = ref.dim0;
-    view.shape.dim1 = ref.dim1;
-    impl_->shm->gather(ref, &view.elems);
+    view.shape = ref.shape;
+    impl_->cells->gather(ref, &view.elems);
     return view;
   }
-  if (id >= impl_->arrays.size()) return std::nullopt;
-  // Post-run (threads joined), so unguarded reads are safe.
-  NArray& a = *impl_->arrays[id];
+  if (impl_->supervisorMode()) {
+    // Wire store, supervisor: merged from the workers' Result frames.
+    auto it = impl_->wireGathered.find(id);
+    if (it == impl_->wireGathered.end()) return std::nullopt;
+    return it->second;
+  }
+  // In-process (threads joined — unguarded reads are safe) or a worker's
+  // own view: shape from any record that knows it, elements from every
+  // owner's slice.
+  const WsArray* meta = nullptr;
+  for (const auto& w : impl_->workers) {
+    auto it = w->wsArrays.find(id);
+    if (it != w->wsArrays.end() && it->second.layout) {
+      meta = &it->second;
+      break;
+    }
+  }
+  if (meta == nullptr) return std::nullopt;
   NativeArray view;
-  view.shape = a.shape;
-  view.elems = a.elems;
+  view.shape = meta->shape();
+  view.elems.assign(static_cast<std::size_t>(view.shape.numElems()), Value{});
+  for (const auto& w : impl_->workers) {
+    auto it = w->wsArrays.find(id);
+    if (it == w->wsArrays.end()) continue;
+    const WsArray& a = it->second;
+    for (std::size_t i = 0; i < a.cells.size(); ++i) {
+      const std::int64_t off = a.lo + static_cast<std::int64_t>(i);
+      if (!a.cells[i].v.empty() &&
+          off < static_cast<std::int64_t>(view.elems.size()))
+        view.elems[static_cast<std::size_t>(off)] = a.cells[i].v;
+    }
+  }
   return view;
 }
 

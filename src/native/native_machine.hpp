@@ -92,14 +92,18 @@ struct NativeConfig {
   /// always-on ack/retransmit reliable-delivery protocol. Fault injection
   /// and kill recovery compose with either.
   TransportKind transport = TransportKind::Inbox;
-  /// Array-store backend (native/store.hpp): the shared-heap/shm fast path
-  /// (default) or owner-serviced array messages on the token wire. Outputs
-  /// are bit-identical across backends; `wire` is the layering remote-host
-  /// workers need (no shm, every cross-PE access a transported message).
+  /// Array-store backend (native/store.hpp): `local` (default) is the
+  /// lock-free I-structure cell store (native/shm_store.hpp), shared by the
+  /// worker threads in-process and by the worker processes through one
+  /// memfd under udp-multiproc; `wire` keeps owner-serviced array messages
+  /// on the token wire. Outputs are bit-identical across backends; `wire` is
+  /// the layering remote-host workers need (no shared memory, every cross-PE
+  /// access a transported message).
   StoreKind store = StoreKind::Local;
-  /// Optional external abort flag (e.g. a wall-clock watchdog): observed by
-  /// a monitor thread; when it becomes true the run fails fast with an
-  /// "aborted" error instead of hanging. Pointee must outlive run().
+  /// Optional external abort flag (e.g. a wall-clock watchdog): polled by
+  /// the workers, between slices and every 1 ms while idle; when it becomes
+  /// true the run fails fast with an "aborted" error instead of hanging.
+  /// Pointee must outlive run().
   std::atomic<bool>* abort = nullptr;
   /// Multi-tenant namespace: every context this run mints (including the
   /// boot frame's) carries jobId in its high bits (jobCtxBase), so tokens,
@@ -124,10 +128,9 @@ struct NativeConfig {
   RecoveryLog resumeLog;             // replayed stream from the supervisor
   /// Resume only: RESULT stores the previous incarnation had logged as
   /// stable, applied as (slot, value) before replay — result slots are
-  /// process-local (not in shm), so the log is their only stable home.
+  /// process-local (not in the cell store), so the log is their only stable
+  /// home.
   std::vector<std::pair<std::uint32_t, Value>> resumeResults;
-  std::string shmName;               // I-structure shm segment to open/create
-  std::uint64_t shmBytes = 0;        // supervisor: segment size (0 = default)
   int sockFd = -1;                   // worker: inherited bound UDP socket
   std::vector<std::uint16_t> peerPorts;  // loopback data port of every PE
   std::uint32_t heartbeatPeriodMs = 25;
@@ -160,7 +163,7 @@ struct NativeArray {
 
 /// Wire store (`--store=wire`): one PE's slice of the array plane, shipped
 /// to the supervisor inside its Result frame so post-run gather() works
-/// without a shm segment. `hasMeta` marks the allocator's authoritative
+/// without a cell store. `hasMeta` marks the allocator's authoritative
 /// shape record; `elems` are the (offset, value) pairs this PE owns.
 struct WireArrayPart {
   ArrayId id = 0;

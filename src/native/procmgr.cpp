@@ -52,13 +52,10 @@ namespace {
 namespace ctl = pods::proto::ctl;
 using Clock = std::chrono::steady_clock;
 
-// Well-known fds in the worker process (set up between fork and exec).
+// Well-known fds in the worker process (set up between fork and exec; the
+// cell store's is kWorkerStoreFd in procmgr.hpp).
 constexpr int kWorkerCtlFd = 3;
 constexpr int kWorkerSockFd = 4;
-// Default I-structure segment size. The segment is mapped lazily (tmpfs
-// pages materialize on first touch), so a generous default costs only
-// address space.
-constexpr std::uint64_t kDefaultShmBytes = 256ull << 20;
 // A PE that keeps dying (crash-looping binary, repeated external kills) is
 // respawned at most this many times before the run fails structurally.
 constexpr int kMaxRespawnsPerPe = 8;
@@ -261,7 +258,6 @@ bool workerReadFrame(int fd, ctl::FrameReader& reader, ctl::Frame& f) {
   cfg.localPe = boot.localPe;
   cfg.epoch = boot.epoch;
   cfg.resume = boot.resume != 0;
-  cfg.shmName = boot.shmName;
   cfg.sockFd = sockFd;
   cfg.peerPorts = boot.peerPorts;
   cfg.heartbeatPeriodMs = boot.heartbeatPeriodMs;
@@ -442,7 +438,7 @@ bool workerReadFrame(int fd, ctl::FrameReader& reader, ctl::Frame& f) {
   result.resultSet = res.resultsSet;
   // Wire store: this PE's slice of the array plane rides the Result frame —
   // owned elements plus the allocator's shape records — so the supervisor
-  // can rebuild the global arrays without any shm segment.
+  // can rebuild the global arrays without any cell store.
   for (const WireArrayPart& p : machine.wireArrayParts()) {
     ctl::ResultMsg::OwnedArray a;
     a.id = p.id;
@@ -472,9 +468,9 @@ bool workerReadFrame(int fd, ctl::FrameReader& reader, ctl::Frame& f) {
 class Supervisor {
  public:
   Supervisor(const SpProgram& prog, const NativeConfig& cfg,
-             std::unique_ptr<ShmStore>& shmOut,
+             ShmStorePtr& cellsOut,
              std::unordered_map<ArrayId, NativeArray>& wireOut)
-      : prog_(prog), cfg_(cfg), shmOut_(shmOut), wireOut_(wireOut) {}
+      : prog_(prog), cfg_(cfg), cellsOut_(cellsOut), wireOut_(wireOut) {}
 
   NativeResult run();
 
@@ -520,11 +516,10 @@ class Supervisor {
 
   const SpProgram& prog_;
   const NativeConfig& cfg_;
-  std::unique_ptr<ShmStore>& shmOut_;
+  ShmStorePtr& cellsOut_;
   std::unordered_map<ArrayId, NativeArray>& wireOut_;
 
   std::string exePath_;
-  std::string shmName_;
   std::vector<int> sockFds_;            // supervisor copies of the data fds
   std::vector<std::uint16_t> ports_;    // host byte order
   std::vector<Child> children_;
@@ -562,8 +557,6 @@ ctl::BootMsg Supervisor::makeBoot(int pe, std::uint8_t epoch) const {
   m.sliceInstructions = static_cast<std::uint32_t>(cfg_.sliceInstructions);
   m.heartbeatPeriodMs = cfg_.heartbeatPeriodMs;
   m.heartbeatTimeoutMs = cfg_.heartbeatTimeoutMs;
-  m.shmBytes = 0;  // workers open, never size
-  m.shmName = shmName_;  // empty under the wire store (no segment exists)
   m.store = cfg_.store == StoreKind::Wire ? 1 : 0;
   m.peerPorts = ports_;
   m.peWeights = cfg_.peWeights;
@@ -612,13 +605,17 @@ bool Supervisor::spawnChild(int pe, std::uint8_t epoch) {
   }
   if (pid == 0) {
     // Child. Everything the supervisor owns is CLOEXEC; re-home exactly the
-    // two fds this worker needs at well-known numbers (F_DUPFD clears
+    // fds this worker needs at well-known numbers (F_DUPFD clears
     // close-on-exec on the duplicate) and exec a fresh image of ourselves.
     const int ctlDup = ::fcntl(sv[1], F_DUPFD, 16);
     const int sockDup =
         ::fcntl(sockFds_[static_cast<std::size_t>(pe)], F_DUPFD, 16);
-    if (ctlDup < 0 || sockDup < 0 || ::dup2(ctlDup, kWorkerCtlFd) < 0 ||
-        ::dup2(sockDup, kWorkerSockFd) < 0) {
+    const int cellsDup =
+        cellsOut_ != nullptr ? ::fcntl(cellsOut_->fd(), F_DUPFD, 16) : 0;
+    if (ctlDup < 0 || sockDup < 0 || cellsDup < 0 ||
+        ::dup2(ctlDup, kWorkerCtlFd) < 0 ||
+        ::dup2(sockDup, kWorkerSockFd) < 0 ||
+        (cellsOut_ != nullptr && ::dup2(cellsDup, kWorkerStoreFd) < 0)) {
       _exit(105);
     }
     char arg[32];
@@ -928,24 +925,16 @@ NativeResult Supervisor::run() {
     return out;
   }
 
-  // The shm I-structure segment (paper: structure memory separate from the
-  // PEs). Unique per supervisor instance so concurrent test processes never
-  // collide; the store unlinks it on destruction. Wire store: no segment at
-  // all — workers never map shm, arrays ride the token wire and come back
-  // in Result frames (shmName_ stays empty, which the Boot ships).
+  // The cell store (paper: structure memory separate from the PEs): an
+  // unnamed memfd every worker inherits, so nothing outlives the run. Wire
+  // store: none at all — arrays ride the token wire and come back in
+  // Result frames.
   if (cfg_.store == StoreKind::Local) {
-    static std::atomic<int> shmSeq{0};
-    shmName_ = !cfg_.shmName.empty()
-                   ? cfg_.shmName
-                   : "/pods." + std::to_string(::getpid()) + "." +
-                         std::to_string(shmSeq.fetch_add(1));
     std::string serr;
-    shmOut_ = ShmStore::create(
-        shmName_, cfg_.shmBytes != 0 ? cfg_.shmBytes : kDefaultShmBytes,
-        &serr);
-    if (shmOut_ == nullptr) {
+    cellsOut_ = ShmStore::createShared(n, &serr);
+    if (cellsOut_ == nullptr) {
       out.ok = false;
-      out.error = "shm create failed: " + serr;
+      out.error = "cell store create failed: " + serr;
       return out;
     }
   }
@@ -1155,9 +1144,9 @@ NativeResult Supervisor::run() {
 }  // namespace
 
 NativeResult runSupervisor(const SpProgram& prog, const NativeConfig& cfg,
-                           std::unique_ptr<ShmStore>& shmOut,
+                           ShmStorePtr& cellsOut,
                            std::unordered_map<ArrayId, NativeArray>& wireOut) {
-  Supervisor sup(prog, cfg, shmOut, wireOut);
+  Supervisor sup(prog, cfg, cellsOut, wireOut);
   return sup.run();
 }
 

@@ -6,8 +6,8 @@
 //     fork/exec, the supervisor keeps a copy — so the port and any datagrams
 //     buffered in the kernel survive a `kill -9` of the worker, exactly like
 //     the paper's network interface surviving a PE failure);
-//   * the shm I-structure segment (the paper's structure memory, separate
-//     from the PEs);
+//   * the cell store behind `--store=local` (the paper's structure memory,
+//     separate from the PEs): one memfd each worker inherits and maps;
 //   * each PE's recovery log, shipped over the control channel as the
 //     worker appends it (pessimistic logging) — the "stable storage" a
 //     respawned worker replays from.
@@ -34,18 +34,22 @@
 
 namespace pods::native::procmgr {
 
+/// The fd number at which a worker process inherits the cell store, next to
+/// its ctl socket (3) and UDP data socket (4).
+inline constexpr int kWorkerStoreFd = 5;
+
 /// Runs the whole program as a supervised fleet of worker processes.
-/// Creates the shm I-structure segment (returned through `shmOut` so
+/// Creates the cell store (returned through `cellsOut` so
 /// NativeMachine::gather can read result arrays post-run), binds the UDP
 /// sockets, forks/execs one worker per PE, supervises, and merges the
 /// workers' results and counters into one NativeResult.
 ///
-/// Wire store (`cfg.store == StoreKind::Wire`): no shm segment is created
-/// (`shmOut` stays null) — each worker ships its owned array slice in its
+/// Wire store (`cfg.store == StoreKind::Wire`): no cell store is created
+/// (`cellsOut` stays null) — each worker ships its owned array slice in its
 /// Result frame and the merged global arrays land in `wireOut`, keyed by
 /// array id, for post-run gather().
 NativeResult runSupervisor(const SpProgram& prog, const NativeConfig& cfg,
-                           std::unique_ptr<ShmStore>& shmOut,
+                           ShmStorePtr& cellsOut,
                            std::unordered_map<ArrayId, NativeArray>& wireOut);
 
 /// Worker-process entry point. Scans argv for `--pods-worker=CTLFD,SOCKFD`;

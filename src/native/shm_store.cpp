@@ -1,286 +1,336 @@
 #include "native/shm_store.hpp"
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
-
-#include "support/check.hpp"
+#include <mutex>
 
 namespace pods::native {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x504F445353484D31ULL;  // "PODSSHM1"
-constexpr std::uint32_t kTableCap = 1u << 16;
-constexpr std::uint64_t kTableOff = 4096;
+constexpr std::uint64_t kMagic = 0x504F445343454C31ULL;  // "PODSCEL1"
+constexpr std::uint64_t kMaxPes = 256;
+constexpr std::uint64_t kChunkEntries = 1024;  // table entries per chunk
+constexpr std::uint64_t kChunksPerPe = 4096;   // so 4M arrays per PE
+constexpr std::uint64_t kDirOff = 4096;
+// Directory slot (chunk, pe) lives at chunk * kMaxPes + pe: a run touches
+// only the first rows, whatever its PE count.
+constexpr std::uint64_t kDataOff = kDirOff + kChunksPerPe * kMaxPes * 8;
+// Address space reserved per store; pages cost memory only once touched.
+// Holds the largest array ALLOC accepts (2^26 cells) several times over.
+constexpr std::uint64_t kRegionBytes = 4ull << 30;
+constexpr std::uint64_t kMinRegionBytes = 64ull << 20;
+// A released in-process store re-zeroes what its run touched, up to this
+// much; past it, the pages go back to the kernel instead.
+constexpr std::uint64_t kKeepBytes = 16ull << 20;
+constexpr std::size_t kMaxIdleStores = 8;
+constexpr std::uint64_t kFull = 1ULL << 63;
 
 struct Header {
   std::uint64_t magic;
   std::uint64_t size;
-  std::atomic<std::uint64_t> bump;  // next free byte offset (8-aligned)
-  std::uint32_t tableCap;
-  std::uint32_t pad;
+  std::uint64_t numPes;
+  std::atomic<std::uint64_t> bump;        // next free data byte (8-aligned)
+  std::atomic<std::uint64_t> chunkRows;   // directory rows installed so far
 };
 
-/// Open-addressed array table entry. `id` is claimed by CAS and `ready` is
-/// published last, so a concurrent lookup either sees a fully-initialized
-/// entry or spins on ready for the (short) init window.
-struct TableEntry {
-  std::atomic<std::uint32_t> id;
+struct Cell {
+  std::atomic<std::uint64_t> bits;
+  std::atomic<std::uint64_t> state;  // 0, parked-list head, or kFull | tag
+};
+
+struct WaitNode {
+  std::uint64_t next;  // offset of the next node, 0 = end
+  std::uint64_t cont;  // packed continuation of the parked reader
+};
+
+static_assert(sizeof(Header) <= kDirOff, "header must fit the first page");
+static_assert(sizeof(Cell) == 16, "cell layout");
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "cell atomics must be lock-free across processes");
+
+/// Idle in-process stores. Leaked on purpose: a machine destroyed during
+/// static destruction can still return its store.
+struct Pool {
+  std::mutex m;
+  std::vector<ShmStore*> idle;
+};
+Pool& pool() {
+  static Pool* p = new Pool;
+  return *p;
+}
+
+}  // namespace
+
+struct ShmStore::Entry {
   std::atomic<std::uint32_t> ready;
   std::uint32_t rank;
-  std::uint32_t pad;
   std::int64_t dim0;
   std::int64_t dim1;
   std::uint64_t cellsOff;
 };
 
-/// One element cell. tag==0 is the I-structure "empty" presence bit;
-/// writers store bits before tag, readers load bits after tag. seq_cst on
-/// tag and waiters gives the Dekker-style guarantee described in the
-/// header: a racing park is either seen by the writer's pop or sees the
-/// writer's tag.
-struct Cell {
-  std::atomic<std::uint64_t> bits;
-  std::atomic<std::uint64_t> waiters;  // offset of first WaitNode, 0 = none
-  std::atomic<std::uint32_t> tag;
-  std::uint32_t pad;
-};
+namespace {
 
-struct WaitNode {
-  std::uint64_t next;  // offset of next node, 0 = end
-  std::uint64_t cont;  // packed continuation of the parked reader
-};
-
-static_assert(sizeof(Header) <= kTableOff, "header must fit the first page");
-static_assert(sizeof(TableEntry) == 40, "table entry layout");
-static_assert(sizeof(Cell) == 24, "cell layout");
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "shm atomics must be lock-free across processes");
-static_assert(std::atomic<std::uint32_t>::is_always_lock_free,
-              "shm atomics must be lock-free across processes");
-
-std::uint32_t slotHash(ArrayId id) {
-  std::uint64_t h = static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
-  return static_cast<std::uint32_t>(h >> 40);
+Header* header(std::uint8_t* base) { return reinterpret_cast<Header*>(base); }
+Cell& cellAt(std::uint8_t* base, const ShmStore::ArrayRef& a,
+             std::int64_t off) {
+  return reinterpret_cast<Cell*>(base + a.cellsOff)[off];
+}
+WaitNode* nodeAt(std::uint8_t* base, std::uint64_t off) {
+  return reinterpret_cast<WaitNode*>(base + off);
 }
 
 }  // namespace
 
-ShmStore::~ShmStore() {
-  if (base_ != nullptr) ::munmap(base_, size_);
-  if (owner_ && !name_.empty()) ::shm_unlink(name_.c_str());
+void ShmStoreDeleter::operator()(ShmStore* s) const {
+  if (s->pooled_) {
+    s->reset();
+    Pool& p = pool();
+    std::lock_guard<std::mutex> g(p.m);
+    if (p.idle.size() < kMaxIdleStores) {
+      p.idle.push_back(s);
+      return;
+    }
+  }
+  delete s;
 }
 
-bool ShmStore::mapSegment(int fd, std::uint64_t bytes, bool fresh,
-                          std::string* err) {
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
+ShmStore::~ShmStore() {
+  if (base_ != nullptr) ::munmap(base_, size_);
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool ShmStore::map(int fd, std::uint64_t bytes, std::string* err) {
+  void* p = fd >= 0 ? ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_SHARED, fd, 0)
+                    : ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                             0);
   if (p == MAP_FAILED) {
-    if (err) *err = std::string("shm mmap: ") + std::strerror(errno);
+    if (err) *err = std::string("cell store mmap: ") + std::strerror(errno);
     return false;
   }
   base_ = static_cast<std::uint8_t*>(p);
   size_ = bytes;
-  Header* h = reinterpret_cast<Header*>(base_);
-  if (fresh) {
-    h->size = bytes;
-    h->tableCap = kTableCap;
-    h->bump.store(kTableOff + static_cast<std::uint64_t>(kTableCap) *
-                                  sizeof(TableEntry),
-                  std::memory_order_relaxed);
-    h->magic = kMagic;  // last: open() validates magic after mapping
-  } else if (h->magic != kMagic || h->size != bytes) {
-    if (err) *err = "shm segment header mismatch (wrong segment?)";
-    ::munmap(base_, size_);
-    base_ = nullptr;
-    return false;
-  }
   return true;
 }
 
-std::unique_ptr<ShmStore> ShmStore::create(const std::string& name,
-                                           std::uint64_t bytes,
-                                           std::string* err) {
-  const std::uint64_t minBytes =
-      kTableOff + static_cast<std::uint64_t>(kTableCap) * sizeof(TableEntry) +
-      (1u << 20);
-  if (bytes < minBytes) bytes = minBytes;
-  int fd = ::shm_open(name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
-  if (fd < 0) {
-    if (err) *err = std::string("shm_open(create): ") + std::strerror(errno);
+void ShmStore::init(int numPes) {
+  Header* h = header(base_);
+  h->size = size_;
+  h->numPes = static_cast<std::uint64_t>(numPes);
+  h->bump.store(kDataOff, std::memory_order_relaxed);
+  h->chunkRows.store(0, std::memory_order_relaxed);
+  h->magic = kMagic;
+}
+
+void ShmStore::reset() {
+  Header* h = header(base_);
+  const std::uint64_t rows = h->chunkRows.load(std::memory_order_relaxed);
+  std::memset(base_ + kDirOff, 0, rows * kMaxPes * 8);
+  const std::uint64_t used =
+      std::min(h->bump.load(std::memory_order_relaxed), size_) - kDataOff;
+  if (used <= kKeepBytes ||
+      ::madvise(base_ + kDataOff, used, MADV_DONTNEED) != 0)
+    std::memset(base_ + kDataOff, 0, used);
+}
+
+ShmStorePtr ShmStore::acquireLocal(int numPes, std::string* err) {
+  ShmStore* s = nullptr;
+  {
+    Pool& p = pool();
+    std::lock_guard<std::mutex> g(p.m);
+    if (!p.idle.empty()) {
+      s = p.idle.back();
+      p.idle.pop_back();
+    }
+  }
+  if (s == nullptr) {
+    s = new ShmStore();
+    s->pooled_ = true;
+    // Strict overcommit accounts a private mapping in full: settle for
+    // less address space rather than fail the run.
+    bool mapped = false;
+    for (std::uint64_t bytes = kRegionBytes;
+         !mapped && bytes >= kMinRegionBytes; bytes /= 2)
+      mapped = s->map(-1, bytes, err);
+    if (!mapped) {
+      delete s;
+      return nullptr;
+    }
+  }
+  s->init(numPes);
+  return ShmStorePtr(s);
+}
+
+ShmStorePtr ShmStore::createShared(int numPes, std::string* err) {
+  ShmStorePtr s(new ShmStore());
+  s->fd_ = ::memfd_create("pods-cells", MFD_CLOEXEC);
+  if (s->fd_ < 0) {
+    if (err) *err = std::string("memfd_create: ") + std::strerror(errno);
     return nullptr;
   }
-  if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    if (err) *err = std::string("shm ftruncate: ") + std::strerror(errno);
-    ::close(fd);
-    ::shm_unlink(name.c_str());
+  if (::ftruncate(s->fd_, static_cast<off_t>(kRegionBytes)) != 0) {
+    if (err)
+      *err = std::string("cell store ftruncate: ") + std::strerror(errno);
     return nullptr;
   }
-  std::unique_ptr<ShmStore> s(new ShmStore());
-  s->name_ = name;
-  s->owner_ = true;
-  if (!s->mapSegment(fd, bytes, /*fresh=*/true, err)) {
-    ::shm_unlink(name.c_str());
-    return nullptr;
-  }
+  if (!s->map(s->fd_, kRegionBytes, err)) return nullptr;
+  s->init(numPes);
   return s;
 }
 
-std::unique_ptr<ShmStore> ShmStore::open(const std::string& name,
-                                         std::string* err) {
-  int fd = ::shm_open(name.c_str(), O_RDWR, 0600);
-  if (fd < 0) {
-    if (err) *err = std::string("shm_open: ") + std::strerror(errno);
-    return nullptr;
-  }
+ShmStorePtr ShmStore::attach(int fd, std::string* err) {
+  ShmStorePtr s(new ShmStore());
+  s->fd_ = fd;
   struct stat st {};
   if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    if (err) *err = std::string("shm fstat: ") + std::strerror(errno);
-    ::close(fd);
+    if (err) *err = std::string("cell store fstat: ") + std::strerror(errno);
     return nullptr;
   }
-  std::unique_ptr<ShmStore> s(new ShmStore());
-  s->name_ = name;
-  s->owner_ = false;
-  if (!s->mapSegment(fd, static_cast<std::uint64_t>(st.st_size),
-                     /*fresh=*/false, err)) {
+  const auto bytes = static_cast<std::uint64_t>(st.st_size);
+  if (!s->map(fd, bytes, err)) return nullptr;
+  const Header* h = header(s->base_);
+  if (h->magic != kMagic || h->size != bytes) {
+    if (err) *err = "cell store header mismatch (wrong fd?)";
     return nullptr;
   }
   return s;
 }
 
-ShmStore::ArrayRef ShmStore::createArray(ArrayId id, std::uint32_t rank,
-                                         std::int64_t dim0,
-                                         std::int64_t dim1) {
-  PODS_CHECK_MSG(id != 0, "shm array ids are nonzero");
-  Header* h = reinterpret_cast<Header*>(base_);
-  TableEntry* table = reinterpret_cast<TableEntry*>(base_ + kTableOff);
-  const std::int64_t elems = rank == 2 ? dim0 * dim1 : dim0;
-  for (std::uint32_t probe = 0; probe < h->tableCap; ++probe) {
-    TableEntry& e = table[(slotHash(id) + probe) & (h->tableCap - 1)];
-    std::uint32_t cur = e.id.load(std::memory_order_acquire);
-    if (cur == 0) {
-      std::uint32_t expect = 0;
-      if (e.id.compare_exchange_strong(expect, id, std::memory_order_acq_rel)) {
-        // We own the slot: allocate zeroed cells (the bump region of a
-        // fresh ftruncate'd segment is zero-filled and never reused, so no
-        // memset is needed), then publish.
-        const std::uint64_t need =
-            static_cast<std::uint64_t>(elems) * sizeof(Cell);
-        const std::uint64_t off =
-            h->bump.fetch_add(need, std::memory_order_relaxed);
-        if (off + need > h->size) return {};  // segment exhausted
-        e.rank = rank;
-        e.dim0 = dim0;
-        e.dim1 = dim1;
-        e.cellsOff = off;
-        e.ready.store(1, std::memory_order_release);
-        return {rank, dim0, dim1, off};
-      }
-      cur = expect;  // lost the race; fall through to the id check
+std::uint64_t ShmStore::alloc(std::uint64_t bytes) const {
+  bytes = (bytes + 7) & ~std::uint64_t{7};
+  const std::uint64_t off =
+      header(base_)->bump.fetch_add(bytes, std::memory_order_relaxed);
+  return off + bytes <= size_ ? off : 0;
+}
+
+ShmStore::Entry* ShmStore::entryFor(ArrayId id, bool install) const {
+  const std::uint64_t numPes = header(base_)->numPes;
+  const std::uint64_t pe = id % numPes;
+  const std::uint64_t seq = id / numPes;
+  const std::uint64_t chunk = seq / kChunkEntries;
+  if (chunk >= kChunksPerPe) return nullptr;
+  auto* slot = reinterpret_cast<std::atomic<std::uint64_t>*>(
+      base_ + kDirOff + (chunk * kMaxPes + pe) * 8);
+  std::uint64_t off = slot->load(std::memory_order_acquire);
+  if (off == 0) {
+    if (!install) return nullptr;
+    const std::uint64_t fresh = alloc(kChunkEntries * sizeof(Entry));
+    if (fresh == 0) return nullptr;
+    // Only the minting PE installs its chunks; the CAS just keeps a
+    // respawned incarnation from replacing one its predecessor published.
+    if (slot->compare_exchange_strong(off, fresh, std::memory_order_acq_rel))
+      off = fresh;
+    std::atomic<std::uint64_t>& rows = header(base_)->chunkRows;
+    std::uint64_t cur = rows.load(std::memory_order_relaxed);
+    while (cur < chunk + 1 &&
+           !rows.compare_exchange_weak(cur, chunk + 1,
+                                       std::memory_order_relaxed)) {
     }
-    if (cur == id) {
-      while (e.ready.load(std::memory_order_acquire) == 0) {
-        // creator is mid-publish; the window is a few stores
-      }
-      return {e.rank, e.dim0, e.dim1, e.cellsOff};
-    }
-    // different array hashed here — keep probing
   }
-  return {};  // table full
+  return reinterpret_cast<Entry*>(base_ + off) + seq % kChunkEntries;
+}
+
+ShmStore::ArrayRef ShmStore::createArray(ArrayId id, const ArrayShape& shape) {
+  static_assert(sizeof(Entry) == 32, "table entry layout");
+  Entry* e = entryFor(id, /*install=*/true);
+  if (e == nullptr) return {};
+  if (e->ready.load(std::memory_order_acquire) == 0) {
+    const std::uint64_t cells = alloc(
+        static_cast<std::uint64_t>(shape.numElems()) * sizeof(Cell));
+    if (cells == 0) return {};
+    e->rank = static_cast<std::uint32_t>(shape.rank);
+    e->dim0 = shape.dim0;
+    e->dim1 = shape.dim1;
+    e->cellsOff = cells;
+    e->ready.store(1, std::memory_order_release);
+  }
+  return lookup(id);
 }
 
 ShmStore::ArrayRef ShmStore::lookup(ArrayId id) const {
-  const Header* h = reinterpret_cast<const Header*>(base_);
-  TableEntry* table = reinterpret_cast<TableEntry*>(base_ + kTableOff);
-  for (std::uint32_t probe = 0; probe < h->tableCap; ++probe) {
-    TableEntry& e = table[(slotHash(id) + probe) & (h->tableCap - 1)];
-    const std::uint32_t cur = e.id.load(std::memory_order_acquire);
-    if (cur == 0) return {};
-    if (cur == id) {
-      while (e.ready.load(std::memory_order_acquire) == 0) {
-      }
-      return {e.rank, e.dim0, e.dim1, e.cellsOff};
-    }
-  }
-  return {};
+  const Entry* e = entryFor(id, /*install=*/false);
+  if (e == nullptr || e->ready.load(std::memory_order_acquire) == 0) return {};
+  ArrayRef a;
+  a.shape.rank = static_cast<int>(e->rank);
+  a.shape.dim0 = e->dim0;
+  a.shape.dim1 = e->dim1;
+  a.cellsOff = e->cellsOff;
+  return a;
 }
 
 bool ShmStore::tryRead(const ArrayRef& a, std::int64_t off, Value* out) const {
-  const Cell* cells = reinterpret_cast<const Cell*>(base_ + a.cellsOff);
-  const Cell& c = cells[off];
-  const std::uint32_t tag = c.tag.load(std::memory_order_seq_cst);
-  if (tag == 0) return false;
-  out->tag = static_cast<Tag>(tag);
+  const Cell& c = cellAt(base_, a, off);
+  const std::uint64_t s = c.state.load(std::memory_order_acquire);
+  if ((s & kFull) == 0) return false;
+  out->tag = static_cast<Tag>(s & 0xFF);
   out->bits = c.bits.load(std::memory_order_relaxed);
   return true;
 }
 
-bool ShmStore::parkOrRead(const ArrayRef& a, std::int64_t off,
-                          std::uint64_t packedCont, Value* out) {
-  Cell* cells = reinterpret_cast<Cell*>(base_ + a.cellsOff);
-  Cell& c = cells[off];
-  if (tryRead(a, off, out)) return true;
-  Header* h = reinterpret_cast<Header*>(base_);
-  const std::uint64_t nodeOff =
-      h->bump.fetch_add(sizeof(WaitNode), std::memory_order_relaxed);
-  PODS_CHECK_MSG(nodeOff + sizeof(WaitNode) <= h->size,
-                 "shm segment exhausted by waiter nodes");
-  WaitNode* node = reinterpret_cast<WaitNode*>(base_ + nodeOff);
-  node->cont = packedCont;
-  std::uint64_t head = c.waiters.load(std::memory_order_relaxed);
-  do {
-    node->next = head;
-  } while (!c.waiters.compare_exchange_weak(head, nodeOff,
-                                            std::memory_order_seq_cst));
-  // Re-check after the push: if the writer published between our first
-  // check and the push, its pop may have missed our node — but then this
-  // load sees the tag and we proceed with the value. The stale node stays
-  // on the (now only ever re-drained) stack; a duplicate wake from a
-  // replaying writer is dropped by the reader's own park registry.
-  return tryRead(a, off, out);
+ShmStore::Read ShmStore::readOrPark(const ArrayRef& a, std::int64_t off,
+                                    std::uint64_t packedCont, Value* out) {
+  Cell& c = cellAt(base_, a, off);
+  std::uint64_t s = c.state.load(std::memory_order_acquire);
+  std::uint64_t scanned = 0;  // list suffix already searched for packedCont
+  std::uint64_t node = 0;
+  while ((s & kFull) == 0) {
+    for (std::uint64_t n = s; n != scanned; n = nodeAt(base_, n)->next)
+      if (nodeAt(base_, n)->cont == packedCont) return Read::Parked;
+    scanned = s;
+    if (node == 0) {
+      node = alloc(sizeof(WaitNode));
+      if (node == 0) return Read::OutOfSpace;
+      nodeAt(base_, node)->cont = packedCont;
+    }
+    nodeAt(base_, node)->next = s;
+    if (c.state.compare_exchange_weak(s, node, std::memory_order_acq_rel,
+                                      std::memory_order_acquire))
+      return Read::Parked;
+  }
+  // Present (a node allocated before the fill won stays unused).
+  out->tag = static_cast<Tag>(s & 0xFF);
+  out->bits = c.bits.load(std::memory_order_relaxed);
+  return Read::Present;
 }
 
-bool ShmStore::write(const ArrayRef& a, std::int64_t off, const Value& v,
-                     Value* prev, bool* wasSet,
-                     std::vector<std::uint64_t>* woken) {
-  Cell* cells = reinterpret_cast<Cell*>(base_ + a.cellsOff);
-  Cell& c = cells[off];
-  const std::uint32_t old = c.tag.load(std::memory_order_seq_cst);
-  if (old != 0) {
-    *wasSet = true;
-    prev->tag = static_cast<Tag>(old);
-    prev->bits = c.bits.load(std::memory_order_relaxed);
-  } else {
-    *wasSet = false;
-    c.bits.store(v.bits, std::memory_order_relaxed);
-    c.tag.store(static_cast<std::uint32_t>(v.tag), std::memory_order_seq_cst);
+ShmStore::Write ShmStore::write(const ArrayRef& a, std::int64_t off,
+                                const Value& v,
+                                std::vector<std::uint64_t>* woken) {
+  Cell& c = cellAt(base_, a, off);
+  std::uint64_t s = c.state.load(std::memory_order_acquire);
+  if ((s & kFull) != 0) {
+    return static_cast<Tag>(s & 0xFF) == v.tag &&
+                   c.bits.load(std::memory_order_relaxed) == v.bits
+               ? Write::Rewrite
+               : Write::Conflict;
   }
-  // Drain the waiter stack even on a rewrite: replay's identical-rewrite
-  // must re-issue wakes in case the original writer died after publishing
-  // the tag but before its wake tokens escaped.
-  std::uint64_t head = c.waiters.exchange(0, std::memory_order_seq_cst);
-  while (head != 0) {
-    PODS_CHECK_MSG(head + sizeof(WaitNode) <= size_, "corrupt shm waiter");
-    const WaitNode* node = reinterpret_cast<const WaitNode*>(base_ + head);
-    woken->push_back(node->cont);
-    head = node->next;
+  c.bits.store(v.bits, std::memory_order_relaxed);
+  const std::uint64_t full = kFull | static_cast<std::uint64_t>(v.tag);
+  while (!c.state.compare_exchange_weak(s, full, std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+    // Two writers raced for one element: single assignment is already
+    // broken, and the loser's bits may have overwritten the winner's.
+    if ((s & kFull) != 0) return Write::Conflict;
   }
-  return true;
+  for (std::uint64_t n = s; n != 0; n = nodeAt(base_, n)->next)
+    woken->push_back(nodeAt(base_, n)->cont);
+  return Write::Filled;
 }
 
 void ShmStore::gather(const ArrayRef& a, std::vector<Value>* out) const {
-  const std::int64_t n = a.elems();
+  const std::int64_t n = a.shape.numElems();
   out->assign(static_cast<std::size_t>(n), Value{});
-  for (std::int64_t i = 0; i < n; ++i) {
-    Value v;
-    if (tryRead(a, i, &v)) (*out)[static_cast<std::size_t>(i)] = v;
-  }
+  for (std::int64_t i = 0; i < n; ++i)
+    tryRead(a, i, &(*out)[static_cast<std::size_t>(i)]);
 }
 
 }  // namespace pods::native

@@ -1,112 +1,129 @@
-// POSIX shared-memory I-structure store for multi-process PODS.
+// The I-structure cell store behind `--store=local`, for threads and worker
+// processes alike.
 //
-// In the single-process native machine, I-structure arrays live in one
-// global table guarded by a mutex. With PEs as separate OS processes that
-// model breaks — and the paper gives us the right replacement: its target
-// machine keeps "structure memory" in modules *separate from the PEs*, so
-// array elements survive a PE failure by construction. We reproduce that by
-// putting every array's element cells in one POSIX shm segment created by
-// the supervisor: a `kill -9`'d worker loses its frames and parks, but the
-// single-assignment element store is intact when the respawned process
-// re-attaches, which is what "segment restore" means in this mode.
+// The paper's Array Manager keeps array memory as a presence bit plus a
+// deferred-read list per element (§5.1), in structure memory separate from
+// the PEs. This store is that memory as one mapping of lock-free cells:
+//   * an in-process run takes a mapping from a process-wide pool of
+//     anonymous regions; the previous run left it zeroed on release, which
+//     costs far less than faulting fresh pages in for every job;
+//   * a multi-process run shares one unnamed memfd that the supervisor
+//     creates and every worker inherits at a fixed fd number. A `kill -9`'d
+//     worker loses its frames and parks but not the cells, so a respawned
+//     incarnation that maps the same fd finds every element written before
+//     the kill (the segment restore of recovery).
 //
-// Concurrency: cells are written at most once (single assignment) and read
-// by any PE, lock-free:
-//   * a cell is {bits, waiter-stack head, tag}; the writer stores bits, then
-//     publishes tag (the presence bit), then pops the whole waiter stack and
-//     sends wake tokens;
-//   * a reader finding tag unset pushes a waiter node (Treiber stack) and
-//     re-checks tag — with seq_cst on both sides, either the writer's pop
-//     sees the node or the reader's re-check sees the tag, so no park is
-//     lost;
-//   * waiter nodes are bump-allocated and never freed or reused, so a stale
-//     node reference can never alias a new park.
-// Kill recovery leans on one extra rule: a re-executed write of the same
-// value (the identical-rewrite no-op of replay) must STILL pop waiters and
-// re-send wakes, because the original writer may have died between
-// publishing the tag and sending the wake tokens.
+// Array table: ids are minted per PE as seq * numPes + pe, and only the
+// minting PE creates an id's entry, so the table is indexed by (pe, seq)
+// through a directory of fixed-size chunks — dense per PE whatever the
+// allocation skew, with no hashing and no cap below the per-PE chunk count.
+//
+// Cell protocol. Each element is {bits, state}:
+//   state == 0            absent, nobody parked
+//   state == node offset  absent, parked readers in a Treiber stack
+//   state == kFull | tag  present; bits holds the payload
+// A writer stores bits, then CASes state to kFull|tag and takes the list it
+// replaced. A reader parks with a CAS that pushes its node onto the list and
+// fails once the state is full, and then reads the value instead. One word
+// orders every park against the fill, so parks are exact: each park is in
+// the list the filling write takes and is returned by it exactly once, or
+// it is refused and the reader has the value. No writer wakes a reader that
+// already has the value, and there is no re-check race. A push first scans
+// the list for its own continuation, so a read replayed after a kill finds
+// the park its earlier incarnation left instead of parking twice.
+//
+// Recovery: a worker process killed after its fill but before its wake
+// tokens left took the parked list with it. Nothing is re-drained; the
+// readers' workers re-read the elements they still wait on when idle (the
+// park sweeper in native_machine.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "runtime/array_layout.hpp"
 #include "runtime/value.hpp"
 
 namespace pods::native {
 
-/// One mapped shm segment. The supervisor create()s (and unlinks on
-/// destruction); workers open() by name — including on respawn, which is
-/// the segment-restore step of recovery.
+class ShmStore;
+
+/// Destroys a store, or resets a pooled in-process one and returns it to
+/// the pool.
+struct ShmStoreDeleter {
+  void operator()(ShmStore* s) const;
+};
+using ShmStorePtr = std::unique_ptr<ShmStore, ShmStoreDeleter>;
+
 class ShmStore {
  public:
   ~ShmStore();
   ShmStore(const ShmStore&) = delete;
   ShmStore& operator=(const ShmStore&) = delete;
 
-  static std::unique_ptr<ShmStore> create(const std::string& name,
-                                          std::uint64_t bytes,
-                                          std::string* err);
-  static std::unique_ptr<ShmStore> open(const std::string& name,
-                                        std::string* err);
+  /// In-process runs: an empty store from the process-wide pool.
+  static ShmStorePtr acquireLocal(int numPes, std::string* err);
+  /// Multi-process supervisor: a fresh memfd-backed store; fd() is what
+  /// every worker inherits.
+  static ShmStorePtr createShared(int numPes, std::string* err);
+  /// Worker process: maps the store behind an inherited fd.
+  static ShmStorePtr attach(int fd, std::string* err);
 
-  const std::string& name() const { return name_; }
+  int fd() const { return fd_; }
 
   /// A resolved array: shape plus the element-cell base. Cheap to copy;
   /// valid for the life of the mapping.
   struct ArrayRef {
-    std::uint32_t rank = 0;
-    std::int64_t dim0 = 0;
-    std::int64_t dim1 = 0;
-    std::uint64_t cellsOff = 0;  // offset of the first cell in the segment
-    std::int64_t elems() const { return rank == 2 ? dim0 * dim1 : dim0; }
+    ArrayShape shape{};
+    std::uint64_t cellsOff = 0;  // offset of the first cell in the mapping
     bool valid() const { return cellsOff != 0; }
   };
 
-  /// Idempotent create-or-lookup: the first caller claims the table slot
-  /// and allocates zeroed cells; a replayed ALLOC or a concurrent reader
-  /// gets the same ArrayRef. Returns !valid() when the segment is out of
-  /// space or the table is full (the caller fails the run).
-  ArrayRef createArray(ArrayId id, std::uint32_t rank, std::int64_t dim0,
-                       std::int64_t dim1);
-
-  /// Lookup only — !valid() when `id` has not been created. Spins briefly
-  /// if the creator is mid-publish (claim precedes ready).
+  /// Idempotent create-or-lookup, called only by the PE that minted `id`:
+  /// a replayed ALLOC gets the same ArrayRef and the elements written
+  /// before the kill. !valid() when the store is out of space.
+  ArrayRef createArray(ArrayId id, const ArrayShape& shape);
+  /// Lookup only: !valid() when `id` has not been created.
   ArrayRef lookup(ArrayId id) const;
 
   /// Non-blocking element read. True + value when present.
   bool tryRead(const ArrayRef& a, std::int64_t off, Value* out) const;
 
-  /// Split-phase read: pushes a waiter node for `packedCont`, then
-  /// re-checks presence. Returns true + value when the element turned out
-  /// present (the node stays on the stack; the eventual writer's duplicate
-  /// wake is dropped by the reader's park registry). Returns false when
-  /// genuinely parked.
-  bool parkOrRead(const ArrayRef& a, std::int64_t off,
+  enum class Read : std::uint8_t { Present, Parked, OutOfSpace };
+  /// Split-phase read: the value when present, else `packedCont` parks on
+  /// the element until the write that fills it returns it.
+  Read readOrPark(const ArrayRef& a, std::int64_t off,
                   std::uint64_t packedCont, Value* out);
 
-  /// Single-assignment write. Fills `prev` with the prior value when the
-  /// cell was already set (the caller checks identical-rewrite), and always
-  /// drains the waiter stack into `woken` (packed continuations) — also on
-  /// rewrite, for the writer-died-before-wake replay case.
-  /// Returns false when the write failed (allocator exhaustion can't happen
-  /// here; reserved for future use).
-  bool write(const ArrayRef& a, std::int64_t off, const Value& v, Value* prev,
-             bool* wasSet, std::vector<std::uint64_t>* woken);
+  enum class Write : std::uint8_t {
+    Filled,    // this write set the element; `woken` holds its parks
+    Rewrite,   // the element already held exactly this value
+    Conflict,  // it held, or a racing write set, another value
+  };
+  /// Single-assignment write. Appends the continuations parked on the
+  /// element to `woken` when this write is the one that fills it.
+  Write write(const ArrayRef& a, std::int64_t off, const Value& v,
+              std::vector<std::uint64_t>* woken);
 
-  /// Supervisor-side gather after the run: all elements of `a`.
+  /// Post-run gather: all elements of `a` (absent ones Tag::Empty).
   void gather(const ArrayRef& a, std::vector<Value>* out) const;
 
  private:
+  friend struct ShmStoreDeleter;
+  struct Entry;
   ShmStore() = default;
-  bool mapSegment(int fd, std::uint64_t bytes, bool fresh, std::string* err);
+  bool map(int fd, std::uint64_t bytes, std::string* err);
+  void init(int numPes);
+  void reset();
+  std::uint64_t alloc(std::uint64_t bytes) const;
+  Entry* entryFor(ArrayId id, bool install) const;
 
-  std::string name_;
-  bool owner_ = false;
   std::uint8_t* base_ = nullptr;
   std::uint64_t size_ = 0;
+  int fd_ = -1;
+  bool pooled_ = false;
 };
 
 }  // namespace pods::native

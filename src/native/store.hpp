@@ -2,15 +2,18 @@
 //
 // The paper's Data-Distributed Execution model treats every structure access
 // as a message to the owning PE; the simulator models this (`net.arrayMsgs`,
-// deferred reads at the Array Manager). The native engine historically took
-// a shortcut: cross-PE ARD/AWR went straight at shared memory (the in-process
-// NArray heap, or the shm segment in multi-process mode), bypassing the
+// deferred reads at the Array Manager). The native engine's default takes a
+// shortcut: cross-PE ARD/AWR go straight at shared memory, bypassing the
 // Transport seam, fault injection, and the batched-UDP/ack machinery. This
 // header names the seam that removes the shortcut:
 //
-//  - LocalStore (default): the historical shared-heap fast path. In-process
-//    transports read/write the mutex-guarded NArray heap directly; the
-//    multi-process transport uses the supervisor-created shm segment.
+//  - LocalStore (default): the lock-free I-structure cell store
+//    (native/shm_store.hpp), one code path for threads and processes: the
+//    worker threads of an in-process run share a pooled mapping, the
+//    worker processes of a multi-process run one inherited memfd. Parks are
+//    exact (a park's CAS fails once the element is present), so no write
+//    wakes a reader that already has the value and the requester's
+//    `myParks` ledger is kept only in recovery mode, as below.
 //  - WireStore (`podsc --store=wire`): each PE keeps one record per array
 //    it touches — the shape once known, a dense slice over the elements
 //    `ArrayLayout`'s page math assigns it (absent = Tag::Empty), and each
@@ -18,8 +21,8 @@
 //    every non-local access becomes a typed *array message* (AmKind)
 //    riding the existing token wire: the same NToken records, batch
 //    datagrams, per-link sequence windows, cumulative acks, retransmit,
-//    fault dice, and receive-log replay as ordinary tokens. No shm, no
-//    shared heap: the layering a remote-host worker needs.
+//    fault dice, and receive-log replay as ordinary tokens. No shared
+//    memory: the layering a remote-host worker needs.
 //
 // Protocol (owner-serviced, I-structure semantics):
 //   ReadReq   requester -> owner   split-phase read. If the element is
@@ -55,8 +58,8 @@ namespace pods::native {
 
 /// Which array-store backend the native machine uses.
 enum class StoreKind : std::uint8_t {
-  Local,  // shared heap (in-process) / shm segment (multi-process); default
-  Wire,   // owner-serviced array messages on the token transport; no shm
+  Local,  // lock-free cell store shared by threads or processes; default
+  Wire,   // owner-serviced array messages on the token transport
 };
 
 /// Parses a `podsc --store=` value ("local", "wire").

@@ -344,8 +344,6 @@ void encodeBoot(const BootMsg& m, std::vector<std::uint8_t>& out) {
   w.u32(m.sliceInstructions);
   w.u32(m.heartbeatPeriodMs);
   w.u32(m.heartbeatTimeoutMs);
-  w.u64(m.shmBytes);
-  w.str(m.shmName);
   w.u16(static_cast<std::uint16_t>(m.peerPorts.size()));
   for (std::uint16_t p : m.peerPorts) w.u16(p);
   w.u16(static_cast<std::uint16_t>(m.peWeights.size()));
@@ -375,7 +373,7 @@ bool decodeBoot(const std::uint8_t* p, std::size_t n, BootMsg& m,
         r.u8(m.resume) && r.u8(m.store) && m.store <= 1 &&
         r.u32(m.pageElems) && r.u32(m.sliceInstructions) &&
         r.u32(m.heartbeatPeriodMs) && r.u32(m.heartbeatTimeoutMs) &&
-        r.u64(m.shmBytes) && r.str(m.shmName) && r.u16(numPorts))) {
+        r.u16(numPorts))) {
     return false;
   }
   m.peerPorts.clear();

@@ -180,16 +180,15 @@ struct BootMsg {
   std::uint16_t localPe = 0;
   std::uint8_t epoch = 0;
   std::uint8_t resume = 0;
-  /// Array-store backend (native::StoreKind numeric value): 0 = shm
-  /// LocalStore, 1 = wire store. Covered by the Boot config hash, so a
-  /// supervisor/worker store mismatch fails fast at the handshake.
+  /// Array-store backend (native::StoreKind numeric value): 0 = local
+  /// (the cell store, inherited as an fd), 1 = wire store. Covered by the
+  /// Boot config hash, so a supervisor/worker store mismatch fails fast at
+  /// the handshake.
   std::uint8_t store = 0;
   std::uint32_t pageElems = 32;
   std::uint32_t sliceInstructions = 1024;
   std::uint32_t heartbeatPeriodMs = 25;
   std::uint32_t heartbeatTimeoutMs = 2000;
-  std::uint64_t shmBytes = 0;
-  std::string shmName;
   /// Loopback UDP data-plane port of every PE, indexed by pe. The
   /// supervisor binds all sockets up front and workers inherit their own
   /// fd across fork, so the table is fixed for the whole run — a respawned
@@ -241,7 +240,7 @@ bool decodeStatus(const std::uint8_t* p, std::size_t n, StatusMsg& m);
 struct ResultMsg {
   /// Wire store: one array's slice owned by the reporting worker — its
   /// (offset, value) pairs plus, from the allocator PE only, the shape.
-  /// With no shm segment, the Result frame is how materialized arrays reach
+  /// With no cell store, the Result frame is how materialized arrays reach
   /// the supervisor for post-run gather().
   struct OwnedArray {
     std::uint32_t id = 0;

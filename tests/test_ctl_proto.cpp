@@ -132,8 +132,6 @@ BootMsg sampleBoot(bool withLog) {
   m.sliceInstructions = 512;
   m.heartbeatPeriodMs = 10;
   m.heartbeatTimeoutMs = 500;
-  m.shmBytes = 1u << 20;
-  m.shmName = "/pods.test.1";
   m.store = 1;  // wire store
   m.peerPorts = {40001, 40002, 40003, 40004};
   m.peWeights = {1, 2, 1, 1};
@@ -224,8 +222,6 @@ TEST(CtlProto, BootRoundTripFreshAndResume) {
     EXPECT_EQ(got.sliceInstructions, m.sliceInstructions);
     EXPECT_EQ(got.heartbeatPeriodMs, m.heartbeatPeriodMs);
     EXPECT_EQ(got.heartbeatTimeoutMs, m.heartbeatTimeoutMs);
-    EXPECT_EQ(got.shmBytes, m.shmBytes);
-    EXPECT_EQ(got.shmName, m.shmName);
     EXPECT_EQ(got.store, m.store);
     EXPECT_EQ(got.peerPorts, m.peerPorts);
     EXPECT_EQ(got.peWeights, m.peWeights);

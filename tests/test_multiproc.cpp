@@ -106,6 +106,28 @@ TEST(Multiproc, FibBitIdenticalToInProcessEightPes) {
   EXPECT_EQ(run.stats.counters.get("proc.respawns"), 0);
 }
 
+// 70,000 arrays from one worker's loop: the hashed shm table this store
+// replaced held 65,536 and failed the run with "store exhausted".
+TEST(Multiproc, SeventyThousandArraysBitIdentical) {
+  auto c = compileOk(R"(
+def main() -> int {
+  let last = loop carry (a = array(1), s = 0) while s < 70000 {
+    let b = array(1);
+    b[0] = s;
+    next a = b;
+    next s = s + 1;
+  } yield a[0];
+  return last;
+}
+)");
+  BaselineRun seq = runSequentialBaseline(*c);
+  ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
+  NativeRun run = runNative(*c, multiprocConfig(2));
+  ASSERT_TRUE(run.stats.ok) << run.stats.error;
+  std::string why;
+  EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << why;
+}
+
 // The canonical namespaces must survive the supervisor's merge: a rename on
 // either side of the ctl channel would silently break dashboards and the CI
 // stats checks keyed on these names.
@@ -130,10 +152,10 @@ TEST(Multiproc, CanonicalCounterNamespaces) {
             run.stats.counters.get("net.udp.acksSent"));
 }
 
-// --- wire array store (no shm segment at all) --------------------------------
+// --- wire array store (no cell store at all) ---------------------------------
 //
 // --store=wire is the layering remote-host workers need: the supervisor
-// creates NO shm segment, each PE holds only the array pages it owns, every
+// creates NO cell store, each PE holds only the array pages it owns, every
 // cross-PE access is an owner-serviced message on the UDP data plane, and
 // the workers ship their owned slices back inside their Result frames.
 

@@ -4,6 +4,10 @@
 // detect the same program errors (violations, deadlocks).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <vector>
+
 #include "core/pods.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/simple.hpp"
@@ -206,7 +210,7 @@ void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"))
       << what;
-  // The wire store must never touch the shared heap / shm segment.
+  // The wire store must never touch the cell store.
   EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0) << what;
 }
 
@@ -391,6 +395,82 @@ def main() -> real {
   NativeRun run = runNative(*c, nc);
   EXPECT_FALSE(run.stats.ok);
   EXPECT_NE(run.stats.error.find("deadlock"), std::string::npos);
+}
+
+// 70,000 arrays from one PE's loop: past the 65,536 arrays the old hashed
+// shm table held, on the per-PE cell-store table.
+constexpr const char* kManyArraysSource = R"(
+def main() -> int {
+  let last = loop carry (a = array(1), s = 0) while s < 70000 {
+    let b = array(1);
+    b[0] = s;
+    next a = b;
+    next s = s + 1;
+  } yield a[0];
+  return last;
+}
+)";
+
+TEST(Native, SeventyThousandArraysBitIdentical) {
+  auto c = compileOk(kManyArraysSource);
+  BaselineRun seq = runSequentialBaseline(*c);
+  ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
+  for (const native::StoreKind store :
+       {native::StoreKind::Local, native::StoreKind::Wire}) {
+    native::NativeConfig nc;
+    nc.numWorkers = 4;
+    nc.store = store;
+    NativeRun run = runNative(*c, nc);
+    ASSERT_TRUE(run.stats.ok) << run.stats.error;
+    std::string why;
+    EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << why;
+  }
+}
+
+TEST(Native, LargestArrayAllocates) {
+  // ALLOC's cap is 2^26 elements; the cell store must hold one that big
+  // (only the touched cells cost memory).
+  auto c = compileOk(R"(
+def main() -> real {
+  let a = array(67108864);
+  a[67108863] = 2.5;
+  return a[67108863];
+}
+)", {.distribute = false});
+  native::NativeConfig nc;
+  nc.numWorkers = 2;
+  NativeRun run = runNative(*c, nc);
+  ASSERT_TRUE(run.stats.ok) << run.stats.error;
+  ASSERT_EQ(run.stats.results.size(), 1u);
+  EXPECT_TRUE(run.stats.results[0].identical(Value::realv(2.5)));
+}
+
+TEST(Native, AbortFlagAddsNoLatency) {
+  // The abort monitor polls its flag, but run() must not wait out a poll
+  // period once the workers are done.
+  auto c = compileOk(R"(
+def main() -> int { return 6 * 7; }
+)");
+  std::atomic<bool> never{false};
+  std::vector<double> plain, watched;
+  for (int i = 0; i < 21; ++i) {
+    for (const bool withAbort : {false, true}) {
+      native::NativeConfig nc;
+      nc.numWorkers = 4;
+      if (withAbort) nc.abort = &never;
+      native::NativeMachine m(c->program, nc);
+      const native::NativeResult r = m.run();
+      ASSERT_TRUE(r.ok) << r.error;
+      (withAbort ? watched : plain).push_back(r.wallSeconds * 1e3);
+    }
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_LT(median(watched), median(plain) + 1.0)
+      << "median run() " << median(watched) << " ms with abort set vs "
+      << median(plain) << " ms without";
 }
 
 TEST(Native, UdpTransportMatchesInboxOnKernels) {

@@ -117,7 +117,7 @@ Instr lit(std::uint16_t dst, Value v) {
 
 TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   // ARD on an array id no allocation ever produced: must fail with the SP
-  // name, not dereference a null NArray*.
+  // name, not dereference an array the store never created.
   Instr ard;
   ard.op = Op::ARD;
   ard.dst = 2;

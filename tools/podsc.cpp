@@ -27,8 +27,9 @@
 //                      the same UDP wire (kill -9 a worker: the supervisor
 //                      respawns it and replays its log; output is
 //                      bit-identical to a fault-free run)
-//   --store=local|wire native engine: array-store backend — the shared
-//                      heap/shm fast path (default) or owner-serviced array
+//   --store=local|wire native engine: array-store backend — the lock-free
+//                      I-structure cell store the PEs share, threads or
+//                      processes alike (default), or owner-serviced array
 //                      messages on the token wire (every non-local array
 //                      access is a transported, fault-injectable, logged
 //                      message; outputs are bit-identical to local)
