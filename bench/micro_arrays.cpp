@@ -2,10 +2,11 @@
 // cell-store LocalStore against the owner-serviced wire store on an
 // array-heavy stencil whose halo reads cross page-ownership boundaries
 // every row. The headline counter is us/remote — the end-to-end cost of
-// one owner-serviced array access (request, service, value reply) — plus
-// rec/dgram, how well array records share datagrams with ordinary tokens
-// under UDP batching (the row-parallel read bursts and park-fill reply
-// bursts are exactly the traffic the outbox coalescer exists for).
+// one remote array access (request, service, value reply, or a page-cache
+// hit) — plus rec/dgram, how well array records share datagrams with
+// ordinary tokens under UDP batching (the row-parallel read bursts and
+// park-fill reply bursts are exactly the traffic the outbox coalescer
+// exists for).
 //
 // The wire-store runs double as a self-gate: a fault-free run must finish
 // with zero retransmits and must batch more than two records per datagram,
@@ -56,13 +57,15 @@ pods::NativeRun runOrDie(const pods::native::NativeConfig& nc,
   return run;
 }
 
-// Remote accesses an iteration generates: split-phase reads + remote writes
-// + shape queries. Under LocalStore these are cell-store ops instead, so
-// the same denominator is derived from the kernel, not the counters.
+// Remote accesses an iteration generates: split-phase reads (sent as
+// requests or answered by the page cache) + remote writes + shape queries,
+// so us/remote stays per remote access however many reads hit. Under
+// LocalStore these are cell-store ops instead, so the same denominator is
+// derived from the kernel, not the counters.
 std::int64_t remoteOps(const pods::NativeRun& run) {
   const auto& c = run.stats.counters;
-  return c.get("net.am.readReqSent") + c.get("net.am.writeSent") +
-         c.get("net.am.dimReqSent");
+  return c.get("net.am.readReqSent") + c.get("net.am.pageHits") +
+         c.get("net.am.writeSent") + c.get("net.am.dimReqSent");
 }
 
 void gateWireInvariants(const pods::NativeRun& run, bool udp) {

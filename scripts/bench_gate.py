@@ -64,6 +64,8 @@ STATS_DELTA_COUNTERS = (
     "net.retx.resent",
     "native.inboxOverflow",
     "net.am.readReqSent",
+    "net.am.pageHits",
+    "net.am.pageFillsSent",
     "net.am.parks",
     "native.shmArrayOps",
 )

@@ -45,11 +45,6 @@ struct NFrame {
   std::unordered_set<std::uint64_t> sentCtxs;
 };
 
-/// Largest array the native engine allocates (ALLOC rejects bigger shapes),
-/// so also the bound on any element offset an owner can be asked to hold.
-constexpr int kOffsetBits = 26;
-constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << kOffsetBits;
-
 /// Cell store (`--store=local`): one worker's view of an array — the store's
 /// cells and shape, plus the ownership layout Range Filters read.
 struct CellArray {
@@ -74,9 +69,33 @@ struct WsCell {
   std::uint32_t parks = kNoPark;
 };
 
+/// Widens the dense slice `v` — v[i] holds index lo + i — to cover index
+/// `idx` (0 <= idx < kMaxArrayElems). Either end grows by at least the
+/// current size, so an ascending or descending sweep costs amortized O(1)
+/// per index.
+template <class T>
+T& widenSlice(std::vector<T>& v, std::int64_t& lo, std::int64_t idx) {
+  if (v.empty()) {
+    lo = idx;
+    v.resize(1);
+  } else if (idx < lo) {
+    const std::int64_t size = static_cast<std::int64_t>(v.size());
+    const std::int64_t newLo =
+        std::max<std::int64_t>(0, std::min(idx, lo - size));
+    std::vector<T> wider(static_cast<std::size_t>(lo - newLo + size));
+    std::move(v.begin(), v.end(), wider.begin() + (lo - newLo));
+    v.swap(wider);
+    lo = newLo;
+  } else if (idx - lo >= static_cast<std::int64_t>(v.size())) {
+    v.resize(static_cast<std::size_t>(idx - lo + 1));
+  }
+  return v[static_cast<std::size_t>(idx - lo)];
+}
+
 /// Wire store: one PE's record of one array — the paper's per-PE run of
 /// pages (§4.1) held as array memory with presence bits and per-element
-/// deferred-read lists (§5.1).
+/// deferred-read lists (§5.1), plus the software cache of remote pages
+/// (§4) this PE has been sent.
 struct WsArray {
   /// Shape + ownership layout once known: the allocator registers at ALLOC,
   /// other PEs on a DimReply. Layout is a pure function of (shape, machine
@@ -88,6 +107,12 @@ struct WsArray {
   /// never allocated or queried — it spans the offsets seen so far.
   std::int64_t lo = 0;
   std::vector<WsCell> cells;
+  /// Requester page cache: pages[p - pageLo] holds the elements of remote
+  /// page p this PE has been sent (page fills and value replies) — empty
+  /// until the first arrives, then one value per page element, absent =
+  /// Tag::Empty. Single assignment makes every cached element final.
+  std::int64_t pageLo = 0;
+  std::vector<std::vector<Value>> pages;
   /// Frames blocked on the unknown shape, requeued by the DimReply.
   std::vector<std::uint32_t> shapeWait;
   bool dimReqSent = false;  // one DimReq per array per PE
@@ -100,26 +125,8 @@ struct WsArray {
     return &cells[static_cast<std::size_t>(i)];
   }
 
-  /// Shape still unknown: widens the slice to cover `off` (0 <= off <
-  /// kMaxArrayElems). Either end grows by at least the current size, so an
-  /// ascending or descending sweep costs amortized O(1) per element.
-  WsCell& widen(std::int64_t off) {
-    if (cells.empty()) {
-      lo = off;
-      cells.resize(1);
-    } else if (off < lo) {
-      const std::int64_t size = static_cast<std::int64_t>(cells.size());
-      const std::int64_t newLo =
-          std::max<std::int64_t>(0, std::min(off, lo - size));
-      std::vector<WsCell> wider(static_cast<std::size_t>(lo - newLo + size));
-      std::move(cells.begin(), cells.end(), wider.begin() + (lo - newLo));
-      cells.swap(wider);
-      lo = newLo;
-    } else if (off - lo >= static_cast<std::int64_t>(cells.size())) {
-      cells.resize(static_cast<std::size_t>(off - lo + 1));
-    }
-    return cells[static_cast<std::size_t>(off - lo)];
-  }
+  /// Shape still unknown: widens the slice to cover `off`.
+  WsCell& widen(std::int64_t off) { return widenSlice(cells, lo, off); }
 
   /// Shape learned: re-seats the slice on exactly `seg`. False when a
   /// non-empty cell lies outside it (a message for an element this PE does
@@ -135,6 +142,25 @@ struct WsArray {
     cells.swap(slice);
     lo = seg.lo;
     return true;
+  }
+
+  /// The cached value of remote element `off` (shape known), or nullptr.
+  const Value* cached(std::int64_t off) const {
+    const std::int64_t n = layout->pageElems();
+    const std::int64_t i = off / n - pageLo;
+    if (i < 0 || i >= static_cast<std::int64_t>(pages.size())) return nullptr;
+    const std::vector<Value>& page = pages[static_cast<std::size_t>(i)];
+    if (page.empty()) return nullptr;
+    const Value& v = page[static_cast<std::size_t>(off % n)];
+    return v.empty() ? nullptr : &v;
+  }
+
+  /// Caches remote element `off` (shape known, 0 <= off < numElems).
+  void cache(std::int64_t off, const Value& v) {
+    const std::int64_t n = layout->pageElems();
+    std::vector<Value>& page = widenSlice(pages, pageLo, off / n);
+    if (page.empty()) page.resize(static_cast<std::size_t>(n));
+    page[static_cast<std::size_t>(off % n)] = v;
   }
 };
 
@@ -158,7 +184,10 @@ struct WorkerStats {
   std::int64_t amWriteApplied = 0;   // remote writes applied as owner
   std::int64_t amDimReqSent = 0;     // shape queries issued to allocators
   std::int64_t amDimReqServed = 0;   // shape queries answered as allocator
-  std::int64_t amRepliesSent = 0;    // value replies sent (immediate + fills)
+  std::int64_t amRepliesSent = 0;    // value replies (immediate + park fills)
+  std::int64_t amPageHits = 0;       // remote reads answered by the page cache
+  std::int64_t amPageFillsSent = 0;  // page elements shipped as owner
+  std::int64_t amPageFillsApplied = 0;  // page fills cached as requester
   std::int64_t amParks = 0;          // deferred reads parked at this owner
   std::int64_t amParkFills = 0;      // parked reads filled by a write
   std::int64_t amLocalReads = 0;     // owner-local reads (no message)
@@ -256,8 +285,9 @@ struct Worker {
   /// list, so steady-state parking allocates nothing.
   std::vector<WsPark> wsParkPool;
   std::uint32_t wsParkFree = kNoPark;
-  /// Respawn replay: replies regenerated from logged Am records, held until
-  /// the worker loop starts (the transport is not up during the rebuild).
+  /// Respawn replay: replies and page fills regenerated from logged Am
+  /// records, held until the worker loop starts (the transport is not up
+  /// during the rebuild).
   std::vector<std::pair<int, NToken>> wsDeferred;
 };
 
@@ -402,8 +432,9 @@ struct NativeMachine::Impl : TransportSink {
   /// the cell store.
   std::unordered_map<ArrayId, NativeArray> wireGathered;
   /// Respawn replay (wire store): true while performKill re-services logged
-  /// Am records — replies regenerated during the rebuild are deferred to
-  /// Worker::wsDeferred instead of sent (no transport is running yet).
+  /// Am records — replies and fills regenerated during the rebuild are
+  /// deferred to Worker::wsDeferred instead of sent (no transport is running
+  /// yet).
   bool amDeferSends = false;
   /// Worker-mode deferred retirements, FIFO (owner-thread-only).
   std::deque<Retiring> retiring;
@@ -743,6 +774,11 @@ struct NativeMachine::Impl : TransportSink {
     std::uint32_t frameIdx;
     std::uint16_t slot;
     if (tok.toCont) {
+      // Wire store: a value reply is final (single assignment), so it fills
+      // the requester's page cache even if the park it answers is gone.
+      if (tok.wakeKey != 0 && wireStore())
+        (void)wireCache(w, wakeKeyArray(tok.wakeKey),
+                        wakeKeyOffset(tok.wakeKey), tok.v);
       if (recMode() && tok.wakeKey != 0) {
         // Array-element wake-up: only valid for a park this worker still
         // remembers. A kill wipes the park registry; wakes for pre-kill
@@ -1013,38 +1049,75 @@ struct NativeMachine::Impl : TransportSink {
     logAppend(pe, e);
   }
 
+  /// Sends what an owner or allocator answers with: value replies, page
+  /// fills, shape answers. During log replay the transport is not up yet,
+  /// so they park in wsDeferred, in order, and ship when the worker loop
+  /// starts.
+  void sendAm(int pe, int dest, NToken tok) {
+    if (amDeferSends) {
+      workers[static_cast<std::size_t>(pe)]->wsDeferred.emplace_back(
+          dest, std::move(tok));
+      return;
+    }
+    send(pe, dest, std::move(tok));
+  }
+
   /// Value reply for a serviced read: an ordinary wake token (the requester's
-  /// myParks registry dedups regenerated copies after a kill). During log
-  /// replay the transport is not up yet, so replies park in wsDeferred and
-  /// ship when the worker loop starts.
+  /// myParks registry dedups regenerated copies after a kill).
   void sendAmReply(int pe, Cont c, const Value& v, std::uint64_t wakeKey) {
-    Worker& w = *workers[static_cast<std::size_t>(pe)];
-    w.st.amRepliesSent++;
+    workers[static_cast<std::size_t>(pe)]->st.amRepliesSent++;
     NToken tok;
     tok.toCont = true;
     tok.cont = c;
     tok.v = v;
     tok.wakeKey = wakeKey;
-    if (amDeferSends) {
-      w.wsDeferred.emplace_back(static_cast<int>(c.pe), std::move(tok));
-      return;
-    }
-    send(pe, static_cast<int>(c.pe), std::move(tok));
+    sendAm(pe, static_cast<int>(c.pe), std::move(tok));
   }
 
   void sendDimReply(int pe, int requester, ArrayId arr, const ArrayShape& s) {
-    Worker& w = *workers[static_cast<std::size_t>(pe)];
     NToken tok;
     tok.amKind = static_cast<std::uint8_t>(AmKind::DimReply);
     tok.ctx = arr;
     tok.slot = static_cast<std::uint16_t>(s.rank);
     tok.senderCtx = static_cast<std::uint64_t>(s.dim0);
     tok.v = Value::intv(s.dim1);
-    if (amDeferSends) {
-      w.wsDeferred.emplace_back(requester, std::move(tok));
-      return;
+    sendAm(pe, requester, std::move(tok));
+  }
+
+  /// Ships every other present element of `off`'s page to `requester`, one
+  /// PageFill each, ahead of the value reply: a remote read of a present
+  /// element moves the page (paper §4). Pages are owned whole, so on a
+  /// shape-less slice the page's other elements are this PE's too; find()
+  /// skips those it has not seen.
+  void wireSendPage(int pe, WsArray& a, ArrayId arr, std::int64_t off,
+                    int requester) {
+    Worker& w = *workers[static_cast<std::size_t>(pe)];
+    const std::int64_t first = off - off % cfg.pageElems;
+    for (std::int64_t o = first; o < first + cfg.pageElems; ++o) {
+      const WsCell* cell = o == off ? nullptr : a.find(o);
+      if (cell == nullptr || cell->v.empty()) continue;
+      w.st.amPageFillsSent++;
+      NToken tok;
+      tok.amKind = static_cast<std::uint8_t>(AmKind::PageFill);
+      tok.ctx = arr;
+      tok.senderCtx = static_cast<std::uint64_t>(o);
+      tok.v = cell->v;
+      sendAm(pe, requester, std::move(tok));
     }
-    send(pe, requester, std::move(tok));
+  }
+
+  /// Requester: caches remote element `off` of `arr` from a page fill or a
+  /// value reply. False when it cannot: this PE does not know the shape (a
+  /// respawned worker before its frames re-query it), the offset lies
+  /// outside the array, or this PE owns the element (a reply to a park at
+  /// itself).
+  bool wireCache(Worker& w, ArrayId arr, std::int64_t off, const Value& v) {
+    WsArray* a = wireMeta(w, arr);
+    if (a == nullptr || v.empty() || off < 0 ||
+        off >= a->shape().numElems() || a->layout->ownerOfOffset(off) == w.id)
+      return false;
+    a->cache(off, v);
+    return true;
   }
 
   /// Parks a deferred read at the owner (I-structure semantics), appending a
@@ -1150,9 +1223,11 @@ struct NativeMachine::Impl : TransportSink {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amReadReqServed++;
         const std::int64_t off = static_cast<std::int64_t>(tok.senderCtx);
-        WsCell* cell = wireOwnedCell(w, w.wsArrays[arr], arr, off);
+        WsArray& a = w.wsArrays[arr];
+        WsCell* cell = wireOwnedCell(w, a, arr, off);
         if (cell == nullptr) return;
         if (!cell->v.empty()) {
+          wireSendPage(pe, a, arr, off, static_cast<int>(tok.cont.pe));
           sendAmReply(pe, tok.cont, cell->v, elemWakeKey(arr, off));
         } else {
           wireParkReader(w, *cell, tok.cont.pack());
@@ -1188,6 +1263,11 @@ struct NativeMachine::Impl : TransportSink {
         wireRequeueShapeWaiters(w, wireRegisterMeta(w, arr, s));
         break;
       }
+      case AmKind::PageFill:
+        // Never logged: a lost fill costs only a re-read.
+        if (wireCache(w, arr, static_cast<std::int64_t>(tok.senderCtx), tok.v))
+          w.st.amPageFillsApplied++;
+        break;
       default:
         w.st.tokensDropped++;  // decode rejects unknown kinds; belt-and-braces
         break;
@@ -1360,6 +1440,10 @@ struct NativeMachine::Impl : TransportSink {
               break;
             }
             wireParkReader(w, *cell, c.pack());  // deferred read at ourselves
+          } else if (const Value* hit = arr.wire->cached(offset)) {
+            w.st.amPageHits++;
+            f.slots[in.dst] = *hit;
+            break;
           } else {
             w.st.amReadReqSent++;
             NToken tok;
@@ -1590,21 +1674,23 @@ struct NativeMachine::Impl : TransportSink {
     w.pendingReplay.clear();
     w.myParks.clear();
     // Wire store: each record's shape waiters and in-flight-DimReq flag
-    // reference the wiped frames — re-executed frames re-block and re-query.
-    // Shapes, elements, parks and the allocation counter are *store* state,
-    // not PE state (like the cell store): an in-process kill leaves them
-    // intact; a respawned process starts empty and rebuilds them from the Am
-    // records below.
+    // reference the wiped frames — re-executed frames re-block and re-query
+    // — and its page cache is volatile, as in a respawned process. Shapes,
+    // elements, parks and the allocation counter are *store* state, not PE
+    // state (like the cell store): an in-process kill leaves them intact; a
+    // respawned process starts empty and rebuilds them from the Am records
+    // below.
     for (auto& [id, a] : w.wsArrays) {
       (void)id;
       a.shapeWait.clear();
       a.dimReqSent = false;
+      a.pages.clear();
     }
     w.wsDeferred.clear();
-    // Replies regenerated by Am replay cannot be sent yet (worker mode runs
-    // this before any transport thread exists); they park in wsDeferred and
-    // ship when the worker loop starts. Only set in worker mode — a single
-    // worker thread — so no other thread can race the flag.
+    // Replies and page fills regenerated by Am replay cannot be sent yet
+    // (worker mode runs this before any transport thread exists); they park
+    // in wsDeferred and ship when the worker loop starts. Only set in worker
+    // mode — a single worker thread — so no other thread can race the flag.
     const bool deferAm = workerMode() && wireStore();
     if (deferAm) amDeferSends = true;
     RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
@@ -1692,9 +1778,9 @@ struct NativeMachine::Impl : TransportSink {
           // Re-service the logged array message against the rebuilding
           // store, in its original receive order: writes are idempotent
           // identical overwrites, re-parked reads dedup by packed cont, and
-          // regenerated replies are deferred here and deduplicated at the
-          // requester (its myParks registry drops wakes for parks it no
-          // longer holds).
+          // regenerated replies and page fills are deferred here; the
+          // requester's myParks registry drops wakes for parks it no longer
+          // holds, and a fill of a final value is harmless twice.
           NToken t;
           t.amKind = static_cast<std::uint8_t>(e.spCode);
           t.ctx = e.ctx;
@@ -2236,8 +2322,9 @@ struct NativeMachine::Impl : TransportSink {
     if (wireStore()) {
       // Array-message ledger ("net.am.*"). Fault-free invariants the tests
       // assert: readReqSent == readReqServed, writeSent == writeApplied,
-      // dimReqSent == dimReqServed, parks == parkFills (summed over PEs —
-      // in multi-process mode after the supervisor merges every worker).
+      // dimReqSent == dimReqServed, parks == parkFills, pageFillsSent ==
+      // pageFillsApplied (summed over PEs — in multi-process mode after the
+      // supervisor merges every worker).
       Counters am;
       for (const auto& w : workers) {
         am.add("readReqSent", w->st.amReadReqSent);
@@ -2247,6 +2334,9 @@ struct NativeMachine::Impl : TransportSink {
         am.add("dimReqSent", w->st.amDimReqSent);
         am.add("dimReqServed", w->st.amDimReqServed);
         am.add("repliesSent", w->st.amRepliesSent);
+        am.add("pageHits", w->st.amPageHits);
+        am.add("pageFillsSent", w->st.amPageFillsSent);
+        am.add("pageFillsApplied", w->st.amPageFillsApplied);
         am.add("parks", w->st.amParks);
         am.add("parkFills", w->st.amParkFills);
         am.add("localReads", w->st.amLocalReads);

@@ -71,7 +71,9 @@ inline std::uint64_t jobCtxBase(std::uint32_t jobId) {
 
 struct NativeConfig {
   int numWorkers = 4;      // the "PE count" seen by NUMPE / Range Filters
-  int pageElems = 32;      // array layout granularity (ownership math only)
+  int pageElems = 32;      // array layout granularity: ownership math, and
+                           // under the wire store the unit a remote read
+                           // ships and the requester caches
   int sliceInstructions = 1024;  // max instructions before draining the inbox
                                  // (must be >= 1: a zero budget would requeue
                                  // a frame forever without progress)

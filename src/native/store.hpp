@@ -16,9 +16,10 @@
 //    `myParks` ledger is kept only in recovery mode, as below.
 //  - WireStore (`podsc --store=wire`): each PE keeps one record per array
 //    it touches — the shape once known, a dense slice over the elements
-//    `ArrayLayout`'s page math assigns it (absent = Tag::Empty), and each
-//    element's parked readers as a FIFO list in a per-PE node pool — and
-//    every non-local access becomes a typed *array message* (AmKind)
+//    `ArrayLayout`'s page math assigns it (absent = Tag::Empty), each
+//    element's parked readers as a FIFO list in a per-PE node pool, and the
+//    remote pages it has been sent — and every non-local access the cache
+//    cannot answer becomes a typed *array message* (AmKind)
 //    riding the existing token wire: the same NToken records, batch
 //    datagrams, per-link sequence windows, cumulative acks, retransmit,
 //    fault dice, and receive-log replay as ordinary tokens. No shared
@@ -26,14 +27,20 @@
 //
 // Protocol (owner-serviced, I-structure semantics):
 //   ReadReq   requester -> owner   split-phase read. If the element is
-//                                  present the owner answers immediately;
-//                                  if absent the requester's continuation is
-//                                  parked at the owner (deferred read) and
-//                                  filled by the eventual write. The owner
-//                                  need not know the shape yet: its slice
-//                                  then spans the offsets seen so far and
-//                                  is re-seated on its segment once the
-//                                  shape arrives.
+//                                  present the owner first sends the
+//                                  requester every other present element of
+//                                  its page, one PageFill each, then the
+//                                  value reply, on the same link (the
+//                                  paper's page shipment, §4); if absent
+//                                  the requester's continuation is parked
+//                                  at the owner (deferred read) and filled
+//                                  by the eventual write with the value
+//                                  alone. The owner need not know the shape
+//                                  yet: its slice then spans the offsets
+//                                  seen so far and is re-seated on its
+//                                  segment once the shape arrives.
+//   PageFill  owner     -> requester  one present element of the page a
+//                                  ReadReq hit, for the requester's cache.
 //   Write     writer    -> owner   fire-and-forget single-assignment write;
 //                                  the owner detects violations and drains
 //                                  parked readers into value replies.
@@ -46,6 +53,15 @@
 //   a kill wiped; outside it no duplicate reply can arrive (the transports
 //   drop duplicates before delivery), so the ledger is not kept.
 //
+// Requester page cache: each PE's record of an array also holds one dense
+// slice per remote page it has been sent (absent = Tag::Empty), filled by
+// PageFills and value replies; ARD consults it before sending a ReadReq.
+// Single assignment makes a cached element final, so nothing is ever
+// invalidated and no coherence traffic exists. The cache is volatile: like
+// DimReply, PageFill is not logged (a lost fill only costs a re-read), a
+// respawned worker starts with an empty cache, and an in-process kill
+// wipes it. During log replay, fills are deferred with the value replies.
+//
 // AllocMeta never travels the wire: it is the receive-log record a
 // multi-process allocator writes so a respawn can rebuild its shape table
 // (and keep answering DimReq) even after the allocating frame retired.
@@ -55,6 +71,11 @@
 #include <string>
 
 namespace pods::native {
+
+/// Largest array the native engine allocates (ALLOC rejects bigger shapes),
+/// so also the bound on any element offset an array message can carry.
+inline constexpr int kOffsetBits = 26;
+inline constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << kOffsetBits;
 
 /// Which array-store backend the native machine uses.
 enum class StoreKind : std::uint8_t {
@@ -70,20 +91,24 @@ const char* storeKindName(StoreKind kind);
 /// (bits 2..4; 0 marks an ordinary token, keeping the wire bit-identical
 /// for non-array traffic). Field reuse on NToken:
 ///   ctx       = array id                  (all kinds)
-///   senderCtx = element offset            (ReadReq / Write); dim0 (DimReply)
+///   senderCtx = element offset            (ReadReq / Write / PageFill);
+///               dim0 (DimReply)
 ///   slot      = requester PE              (ReadReq / DimReq); rank (DimReply)
-///   cont      = requester continuation    (ReadReq)
-///   v         = element value             (Write); dim1 as Int (DimReply)
+///   cont      = requester continuation    (ReadReq; its pe is the
+///               requester, which the reply and fills go to)
+///   v         = element value             (Write / PageFill); dim1 as Int
+///               (DimReply)
 enum class AmKind : std::uint8_t {
   None = 0,      // not an array message
   ReadReq = 1,   // split-phase read request (park at owner when absent)
   Write = 2,     // single-assignment element write
   DimReq = 3,    // shape query to the allocator
   DimReply = 4,  // shape answer (rank, dim0, dim1)
-  AllocMeta = 5, // log-only: allocator's durable (id -> shape) record
+  PageFill = 5,  // one present element of a read page, for the cache
+  AllocMeta = 6, // log-only: allocator's durable (id -> shape) record
 };
 
 /// Highest AmKind value that may appear on the wire (AllocMeta is log-only).
-inline constexpr std::uint8_t kMaxWireAmKind = 4;
+inline constexpr std::uint8_t kMaxWireAmKind = 5;
 
 }  // namespace pods::native

@@ -1181,13 +1181,32 @@ class UdpTransport final : public Transport {
 
   /// True when a decoded batch belongs to link (src -> pe): a source PE
   /// that exists and is not the receiver, and every record's msgId packed
-  /// for that link — the dedup and ack windows key on it.
+  /// for that link — the dedup and ack windows key on it. Array messages
+  /// must also name `src` as their requester, since the owner answers the
+  /// PE a request names and send() indexes its link tables by it, and a
+  /// page fill's offset must fit an array, since the requester indexes its
+  /// cache by it.
   bool onLink(const std::vector<NToken>& toks, int src, int pe) const {
     if (src >= numPes_ || src == pe) return false;
     const std::uint32_t want = proto::Delivery::linkMsgIdLink(
         proto::Delivery::packLinkMsgId(src, pe, 1));
-    for (const NToken& tok : toks)
+    for (const NToken& tok : toks) {
       if (proto::Delivery::linkMsgIdLink(tok.msgId) != want) return false;
+      switch (static_cast<AmKind>(tok.amKind)) {
+        case AmKind::ReadReq:
+          if (tok.slot != src || tok.cont.pe != src) return false;
+          break;
+        case AmKind::DimReq:
+          if (tok.slot != src) return false;
+          break;
+        case AmKind::PageFill:
+          if (tok.senderCtx >= static_cast<std::uint64_t>(kMaxArrayElems))
+            return false;
+          break;
+        default:
+          break;
+      }
+    }
     return true;
   }
 

@@ -196,7 +196,7 @@ TEST(Native, MatchesSimulatorOutputs) {
 
 /// The net.am.* request/serve ledgers must balance in any fault-free run:
 /// every remote read answered, every write applied, every shape query
-/// served, every deferred read eventually filled.
+/// served, every deferred read eventually filled, every page fill cached.
 void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
   EXPECT_EQ(run.stats.counters.get("net.am.readReqSent"),
             run.stats.counters.get("net.am.readReqServed"))
@@ -209,6 +209,9 @@ void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
       << what;
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"))
+      << what;
+  EXPECT_EQ(run.stats.counters.get("net.am.pageFillsSent"),
+            run.stats.counters.get("net.am.pageFillsApplied"))
       << what;
   // The wire store must never touch the cell store.
   EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0) << what;
@@ -324,6 +327,70 @@ def main() {
       EXPECT_EQ(ctr.get("net.am.writeSent"), 0) << k.what;
     }
   }
+}
+
+/// Runs `src` on 2 wire-store PEs over the inbox and the UDP transport,
+/// checks each run bit-identical to the sequential evaluator with balanced
+/// ledgers, and hands its counters to `check`.
+template <class Check>
+void forWireTransports(const std::string& src, Check check) {
+  auto c = compileOk(src);
+  BaselineRun seq = runSequentialBaseline(*c);
+  ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
+  for (const native::TransportKind t :
+       {native::TransportKind::Inbox, native::TransportKind::Udp}) {
+    const std::string what = native::transportKindName(t);
+    native::NativeConfig nc;
+    nc.numWorkers = 2;
+    nc.store = native::StoreKind::Wire;
+    nc.transport = t;
+    NativeRun run = runNative(*c, nc);
+    ASSERT_TRUE(run.stats.ok) << what << ": " << run.stats.error;
+    std::string why;
+    EXPECT_TRUE(sameOutputs(run.out, seq.out, &why)) << what << ": " << why;
+    expectBalancedAmLedger(run, what);
+    check(run.stats.counters, what);
+  }
+}
+
+TEST(WireStore, PageCacheAnswersReadsOfPresentElements) {
+  // Every read of b's loop waits for t, so it can only issue once all of a
+  // is present: the first read of each PE's loop ships the whole remote
+  // page, and the rest hit the cache. The carry loop reads its 32 remote
+  // elements one after another and may miss on each, but its misses leave
+  // the other half of a cached on its PE. Remote reads: 32 in the sum, 32
+  // in each PE's half of b.
+  constexpr const char* kSrc = R"(
+def main() {
+  let n = 64;
+  let a = array(n);
+  for i = 0 to n - 1 { a[i] = real(i) * 0.5 + 1.0; }
+  let t = for i = 0 to n - 1 carry (acc = 0.0) {
+    next acc = acc + a[i];
+  } yield acc;
+  let z = int(t) - int(t);
+  let b = array(n);
+  for i = 0 to n - 1 { b[i] = a[n - 1 - i + z] * 2.0; }
+  return t, b;
+}
+)";
+  forWireTransports(kSrc, [](const Counters& ctr, const std::string& what) {
+    const std::int64_t sent = ctr.get("net.am.readReqSent");
+    EXPECT_EQ(ctr.get("net.am.pageHits") + sent, 96) << what;
+    EXPECT_LE(sent, 33) << what;
+  });
+}
+
+TEST(WireStore, StencilRemoteReadsSplitIntoHitsAndRequests) {
+  // Which reads hit depends on timing; how many remote reads the stencil
+  // makes does not.
+  forWireTransports(
+      workloads::stencilSource(48, 10),
+      [](const Counters& ctr, const std::string& what) {
+        EXPECT_EQ(
+            ctr.get("net.am.pageHits") + ctr.get("net.am.readReqSent"), 920)
+            << what;
+      });
 }
 
 TEST(WireStore, RepeatRunsBitIdentical) {

@@ -405,8 +405,8 @@ class RecordingSink final : public native::TransportSink {
 
 // A worker-style endpoint for PE 1 (no WorkerLink, so it acks at receive),
 // fed by hand from PE 0's socket: only the two live datagram types get
-// through, everything else lands in net.udp.badDatagrams, and the one ack
-// it builds is the one it counts.
+// through, everything else — forged array messages included — lands in
+// net.udp.badDatagrams, and the one ack it builds is the one it counts.
 TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   std::vector<int> fds;
   std::vector<std::uint16_t> ports;
@@ -454,6 +454,23 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   std::uint8_t stray[native::kBatchMaxBytes];
   sendRaw(stray, batchOf(proto::Delivery::packLinkMsgId(0, 0, 1), stray));
   ++bad;  // a record numbered on a link that does not end at PE 1
+  // Array messages numbered on the right link whose fields PE 1 would index
+  // with: a ReadReq answering PE 5 of 2, a DimReq answering PE 9, and a
+  // page fill past the largest array.
+  native::NToken forged[3];
+  forged[0].amKind = static_cast<std::uint8_t>(native::AmKind::ReadReq);
+  forged[0].cont.pe = 5;
+  forged[1].amKind = static_cast<std::uint8_t>(native::AmKind::DimReq);
+  forged[1].slot = 9;
+  forged[2].amKind = static_cast<std::uint8_t>(native::AmKind::PageFill);
+  forged[2].senderCtx = static_cast<std::uint64_t>(native::kMaxArrayElems);
+  forged[2].v = Value::intv(1);
+  for (std::uint64_t i = 0; i < 3; ++i, ++bad) {
+    forged[i].msgId = proto::Delivery::packLinkMsgId(0, 1, 2 + i);
+    std::uint8_t dg[native::kBatchMaxBytes];
+    native::wireEncodeToken(forged[i], 0, dg + native::kBatchHeaderBytes);
+    sendRaw(dg, native::wireEncodeBatchHeader(dg, 0, 1, 0));
+  }
   native::WireCumAck staleAck;
   staleAck.ackerPe = 0;
   staleAck.epoch = 9;  // PE 1 runs epoch 0
@@ -741,6 +758,9 @@ void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
       << what;
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"))
+      << what;
+  EXPECT_EQ(run.stats.counters.get("net.am.pageFillsSent"),
+            run.stats.counters.get("net.am.pageFillsApplied"))
       << what;
   EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0) << what;
 }
