@@ -16,7 +16,7 @@
 #include "native/spsc_ring.hpp"
 #include "native/transport.hpp"
 #include "proto/delivery.hpp"
-#include "runtime/ops.hpp"
+#include "runtime/sp_exec.hpp"
 #include "support/check.hpp"
 #include "support/recovery.hpp"
 
@@ -24,25 +24,9 @@ namespace pods::native {
 
 namespace {
 
-struct NFrame {
-  std::uint16_t spCode = 0;
-  std::uint64_t ctx = 0;
-  std::uint32_t pc = 0;
-  std::uint16_t blockedSlot = kNoSlot;
-  std::uint16_t gen = 0;  // bumped (mod 4096) every time this storage retires
+struct NFrame : SpFrame {
   bool blocked = false;
   bool dead = false;
-  std::vector<Value> slots;
-  // Kill mode: deterministic per-frame streams so a re-executed frame
-  // reproduces the same send keys and minted identities.
-  std::uint32_t sendSeq = 0;
-  std::uint32_t mintSeq = 0;
-  // Kill mode: true on frames rebuilt from the receive log. A replaying
-  // frame only accepts continuation results from contexts it has re-sent to
-  // (sentCtxs); earlier arrivals are parked so a multi-round slot cannot be
-  // filled with a later round's value before the earlier round re-runs.
-  bool replaying = false;
-  std::unordered_set<std::uint64_t> sentCtxs;
 };
 
 /// Cell store (`--store=local`): one worker's view of an array — the store's
@@ -625,18 +609,6 @@ struct NativeMachine::Impl : TransportSink {
     if (!w.freeList.empty()) {
       frameIdx = w.freeList.back();
       w.freeList.pop_back();
-      NFrame& f = *w.frames[frameIdx];
-      f.spCode = spCode;
-      f.ctx = ctx;
-      f.pc = 0;
-      f.blockedSlot = kNoSlot;
-      f.blocked = false;
-      f.dead = false;
-      f.sendSeq = 0;
-      f.mintSeq = 0;
-      f.replaying = false;
-      f.sentCtxs.clear();
-      f.slots.assign(prog.sp(spCode).numSlots, Value{});
       w.st.framesReused++;
     } else {
       frameIdx = static_cast<std::uint32_t>(w.frames.size());
@@ -644,12 +616,12 @@ struct NativeMachine::Impl : TransportSink {
         fail("worker frame table overflow (> 16M live frames)");
         return frameIdx;
       }
-      auto f = std::make_unique<NFrame>();
-      f->spCode = spCode;
-      f->ctx = ctx;
-      f->slots.assign(prog.sp(spCode).numSlots, Value{});
-      w.frames.push_back(std::move(f));
+      w.frames.push_back(std::make_unique<NFrame>());
     }
+    NFrame& f = *w.frames[frameIdx];
+    f.reset(spCode, ctx, prog.sp(spCode).numSlots);
+    f.blocked = false;
+    f.dead = false;
     w.match[ctx] = frameIdx;
     w.ready.push_back(frameIdx);
     pending.fetch_add(1);  // a live frame
@@ -858,13 +830,7 @@ struct NativeMachine::Impl : TransportSink {
         logAppend(pe, e);
       }
     }
-    PODS_CHECK(slot < f.slots.size());
-    if (tok.add) {
-      std::int64_t cur = f.slots[slot].empty() ? 0 : f.slots[slot].asInt();
-      f.slots[slot] = Value::intv(cur + tok.v.asInt());
-    } else {
-      f.slots[slot] = tok.v;
-    }
+    f.apply(slot, tok.v, tok.add);
     if (f.blocked && f.blockedSlot == slot) {
       f.blocked = false;
       f.blockedSlot = kNoSlot;
@@ -872,28 +838,7 @@ struct NativeMachine::Impl : TransportSink {
     }
   }
 
-  enum class Step { Continue, Blocked, Ended, Stopped };
-
   // --- arrays ---------------------------------------------------------------
-
-  /// Mints the frame's next array id from this PE's stream. In recovery
-  /// mode the mint is logged, so a replayed frame's n-th ALLOC returns the
-  /// identity it handed out before the kill — and with it the elements
-  /// written since.
-  Value mintArray(int pe, Worker& w, NFrame& f) {
-    const auto next = [&] {
-      return Value::arrayv(static_cast<ArrayId>(
-          (++w.arraySeq) * static_cast<std::uint64_t>(cfg.numWorkers) +
-          static_cast<unsigned>(pe)));
-    };
-    if (!recMode()) return next();
-    RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-    const std::uint32_t mseq = f.mintSeq++;
-    if (const Value* m = L.findMint(f.ctx, mseq)) return *m;
-    const Value v = next();
-    logMintRec(pe, f.ctx, mseq, v);
-    return v;
-  }
 
   /// Cell store: worker w's view of array `id`, resolved once per worker.
   /// `create` non-null is ALLOC's idempotent create-or-lookup. nullptr when
@@ -918,21 +863,14 @@ struct NativeMachine::Impl : TransportSink {
     CellArray* cell = nullptr;            // cell store
   };
 
-  /// Resolves operand `in.a` of ARD/AWR/RFLO/RFHI/DIMQ. Continue: `out` is
-  /// filled. Blocked: the wire store does not know the shape yet and has
-  /// asked the allocator. Stopped: the run failed — the operand holds a
-  /// non-array value (ill-typed program) or an id no allocation produced
-  /// (stale or corrupted handle), neither of which may be dereferenced.
+  /// Resolves array `id`, the operand of ARD/AWR/RFLO/RFHI/DIMQ `in`.
+  /// Continue: `out` is filled. Blocked: the wire store does not know the
+  /// shape yet and has asked the allocator. Stopped: the run failed — the id
+  /// is one no allocation produced (a stale or corrupted handle), which may
+  /// not be dereferenced.
   Step resolveArray(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
-                    const Instr& in, const SpCode& sp, const char* what,
-                    ArrayOperand& out) {
-    const Value& v = f.slots[in.a];
-    if (!v.isArray()) {
-      fail(std::string(what) + " on non-array operand " + v.str() + " in " +
-           sp.name);
-      return Step::Stopped;
-    }
-    out.id = v.asArray();
+                    const Instr& in, ArrayId id, ArrayOperand& out) {
+    out.id = id;
     if (wireStore()) {
       out.wire = wireMeta(w, out.id);
       if (out.wire == nullptr)
@@ -943,8 +881,8 @@ struct NativeMachine::Impl : TransportSink {
     w.st.shmArrayOps++;
     out.cell = cellArray(w, out.id, nullptr);
     if (out.cell == nullptr) {
-      fail(std::string(what) + " on unknown array id " +
-           std::to_string(out.id) + " in " + sp.name);
+      fail(std::string(arrayOpWhat(in.op)) + " on unknown array id " +
+           std::to_string(out.id) + " in " + prog.sp(f.spCode).name);
       return Step::Stopped;
     }
     out.layout = &out.cell->layout;
@@ -964,15 +902,6 @@ struct NativeMachine::Impl : TransportSink {
     if (!s.inBounds(i0, i1)) return false;
     *offset = s.flatten(i0, i1);
     return true;
-  }
-
-  // --- frame execution --------------------------------------------------------
-
-  bool ensure(NFrame& f, std::uint16_t slot) {
-    if (slot == kNoSlot || !f.slots[slot].empty()) return true;
-    f.blocked = true;
-    f.blockedSlot = slot;
-    return false;
   }
 
   // --- wire array store (cfg.store == Wire; native/store.hpp) ----------------
@@ -1195,7 +1124,6 @@ struct NativeMachine::Impl : TransportSink {
     w.st.amShapeWaits++;
     WsArray& a = w.wsArrays[arr];
     a.shapeWait.push_back(frameIdx);
-    f.blocked = true;
     f.blockedSlot = kNoSlot;
     if (!a.dimReqSent) {
       a.dimReqSent = true;
@@ -1284,371 +1212,280 @@ struct NativeMachine::Impl : TransportSink {
     transport->flush(pe);
   }
 
-  Step step(int pe, std::uint32_t frameIdx, NFrame& f) {
-    const SpCode& sp = prog.sp(f.spCode);
-    PODS_CHECK(f.pc < sp.code.size());
-    const Instr& in = sp.code[f.pc];
+  // --- frame execution --------------------------------------------------------
 
-    switch (in.op) {
-      case Op::LIT: case Op::JMP: case Op::MYPE: case Op::NUMPE:
-      case Op::NEWCTX: case Op::MKCONT: case Op::CLEAR: case Op::END:
-        break;
-      case Op::AWAITN:
-        if (!ensure(f, in.b)) return Step::Blocked;
-        break;
-      case Op::AWR:
-        if (!ensure(f, in.a) || !ensure(f, in.b) || !ensure(f, in.c) ||
-            !ensure(f, in.dst))
-          return Step::Blocked;
-        break;
-      case Op::RFLO: case Op::RFHI:
-        if (!ensure(f, in.a) || !ensure(f, in.b)) return Step::Blocked;
-        break;
-      default:
-        if (!ensure(f, in.a) || !ensure(f, in.b) || !ensure(f, in.c))
-          return Step::Blocked;
-        break;
+  /// ALLOC's store half: registers minted array `id` in the active store.
+  /// False after reporting that the store is exhausted.
+  bool registerArray(Worker& w, ArrayId id, const ArrayShape& shape,
+                     const SpCode& sp) {
+    if (wireStore()) {
+      // The allocator's shape record is the array's durable identity:
+      // registered locally (it answers DimReqs) and, in worker mode, logged
+      // so a respawn can rebuild it. Appended whenever replay did NOT
+      // rebuild it — a kill can land with the mint stable but the AllocMeta
+      // append lost, and the log must self-heal or a later incarnation's
+      // replay could see a DimReq with no shape. Duplicate records replay
+      // idempotently.
+      if (workerMode() && wireMeta(w, id) == nullptr)
+        logAllocMeta(w.id, id, shape);
+      wireRegisterMeta(w, id, shape);
+      return true;
     }
+    // Create-or-lookup even on a mint-log hit: the mint may have reached
+    // stable storage while the kill landed before the table entry was
+    // published. createArray is idempotent, so the replayed call either
+    // publishes it now or finds the original with its elements intact (the
+    // segment restore of recovery).
+    w.st.shmArrayOps++;
+    if (cellArray(w, id, &shape) != nullptr) return true;
+    fail("array store exhausted in " + sp.name);
+    return false;
+  }
 
-    Worker& w = *workers[static_cast<std::size_t>(pe)];
-    w.st.instructions++;
-    std::uint32_t nextPc = f.pc + 1;
-
-    if (isBinaryOp(in.op)) {
-      f.slots[in.dst] = applyBin(in.op, f.slots[in.a], f.slots[in.b]);
-      f.pc = nextPc;
-      return Step::Continue;
+  /// ARD against the active store. Forced inline, with AWR's: as calls out
+  /// of the executor's loop they cost 1-PE SIMPLE jobs about 6%.
+  [[gnu::always_inline]] Step arrayRead(int pe, Worker& w,
+                                        std::uint32_t frameIdx, NFrame& f,
+                                        const Instr& in, ArrayId id) {
+    ArrayOperand arr;
+    if (const Step s = resolveArray(pe, w, frameIdx, f, in, id, arr);
+        s != Step::Continue)
+      return s;
+    std::int64_t offset;
+    if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
+      fail("array read out of bounds in " + prog.sp(f.spCode).name);
+      return Step::Stopped;
     }
-    if (isUnaryOp(in.op)) {
-      f.slots[in.dst] = applyUn(in.op, f.slots[in.a]);
-      f.pc = nextPc;
-      return Step::Continue;
-    }
-
-    switch (in.op) {
-      case Op::LIT:
-        f.slots[in.dst] = in.imm;
-        break;
-      case Op::JMP:
-        nextPc = in.aux;
-        break;
-      case Op::BRF:
-        if (!f.slots[in.a].truthy()) nextPc = in.aux;
-        break;
-      case Op::MYPE:
-        f.slots[in.dst] = Value::intv(pe);
-        break;
-      case Op::NUMPE:
-        f.slots[in.dst] = Value::intv(cfg.numWorkers);
-        break;
-      case Op::NEWCTX:
-        if (recMode()) {
-          // Idempotent mint: the n-th NEWCTX of a replayed frame must return
-          // the context it handed out before the kill. The counter lives in
-          // the stable log so a rebuild never re-mints a pre-kill context.
-          RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-          const std::uint32_t mseq = f.mintSeq++;
-          if (const Value* m = L.findMint(f.ctx, mseq)) {
-            f.slots[in.dst] = *m;
-            break;
-          }
-          Value v = Value::intv(static_cast<std::int64_t>(
-              jobCtxBase(cfg.jobId) |
-              (std::uint64_t(static_cast<unsigned>(pe)) << 40) |
-              ++L.ctxCounter));
-          logMintRec(pe, f.ctx, mseq, v);
-          f.slots[in.dst] = v;
-          break;
+    // Split phase in both stores: clear the target slot and continue —
+    // downstream consumers block on it.
+    f.slots[in.dst] = Value{};
+    const Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
+    if (arr.wire != nullptr) {
+      const int owner = arr.layout->ownerOfOffset(offset);
+      if (owner == pe) {
+        w.st.amLocalReads++;
+        WsCell* cell = wireOwnedCell(w, *arr.wire, arr.id, offset);
+        if (cell == nullptr) return Step::Stopped;
+        if (!cell->v.empty()) {
+          f.slots[in.dst] = cell->v;
+          return Step::Continue;
         }
-        f.slots[in.dst] = Value::intv(static_cast<std::int64_t>(
-            jobCtxBase(cfg.jobId) |
-            (std::uint64_t(static_cast<unsigned>(pe)) << 40) | ++w.ctxCounter));
-        break;
-      case Op::MKCONT: {
-        Cont c;
-        c.pe = static_cast<std::uint16_t>(pe);
-        c.frame = frameIdx;
-        c.slot = static_cast<std::uint16_t>(in.aux);
-        c.gen = f.gen;
-        f.slots[in.dst] = Value::contv(c);
-        break;
-      }
-      case Op::CLEAR:
-        f.slots[in.a] = Value{};
-        break;
-      case Op::ALLOC:
-      case Op::ALLOCD: {
-        ArrayShape shape;
-        shape.rank = in.dim;
-        shape.dim0 = f.slots[in.a].asInt();
-        shape.dim1 = in.dim == 2 ? f.slots[in.b].asInt() : 1;
-        if (shape.dim0 < 0 || shape.dim1 < 0 ||
-            shape.numElems() > kMaxArrayElems) {
-          fail("bad allocation dimensions");
-          return Step::Stopped;
-        }
-        const Value v = mintArray(pe, w, f);
-        if (wireStore()) {
-          // The allocator's shape record is the array's durable identity:
-          // registered locally (it answers DimReqs) and, in worker mode,
-          // logged so a respawn can rebuild it. Appended whenever replay did
-          // NOT rebuild it — a kill can land with the mint stable but the
-          // AllocMeta append lost, and the log must self-heal or a later
-          // incarnation's replay could see a DimReq with no shape.
-          // Duplicate records replay idempotently.
-          if (workerMode() && wireMeta(w, v.asArray()) == nullptr)
-            logAllocMeta(pe, v.asArray(), shape);
-          wireRegisterMeta(w, v.asArray(), shape);
-        } else {
-          // Create-or-lookup even on a mint-log hit: the mint may have
-          // reached stable storage while the kill landed before the table
-          // entry was published. createArray is idempotent, so the replayed
-          // call either publishes it now or finds the original with its
-          // elements intact (the segment restore of recovery).
-          w.st.shmArrayOps++;
-          if (cellArray(w, v.asArray(), &shape) == nullptr) {
-            fail("array store exhausted in " + sp.name);
-            return Step::Stopped;
-          }
-        }
-        f.slots[in.dst] = v;
-        break;
-      }
-      case Op::ARD: {
-        ArrayOperand arr;
-        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
-                                        "array read", arr);
-            s != Step::Continue)
-          return s;
-        std::int64_t offset;
-        if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
-          fail("array read out of bounds in " + sp.name);
-          return Step::Stopped;
-        }
-        // Split phase in both stores: clear the target slot and continue —
-        // downstream consumers block on it via ensure().
-        f.slots[in.dst] = Value{};
-        const Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
-        if (arr.wire != nullptr) {
-          const int owner = arr.layout->ownerOfOffset(offset);
-          if (owner == pe) {
-            w.st.amLocalReads++;
-            WsCell* cell = wireOwnedCell(w, *arr.wire, arr.id, offset);
-            if (cell == nullptr) return Step::Stopped;
-            if (!cell->v.empty()) {
-              f.slots[in.dst] = cell->v;
-              break;
-            }
-            wireParkReader(w, *cell, c.pack());  // deferred read at ourselves
-          } else if (const Value* hit = arr.wire->cached(offset)) {
-            w.st.amPageHits++;
-            f.slots[in.dst] = *hit;
-            break;
-          } else {
-            w.st.amReadReqSent++;
-            NToken tok;
-            tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
-            tok.ctx = arr.id;
-            tok.senderCtx = static_cast<std::uint64_t>(offset);
-            tok.slot = static_cast<std::uint16_t>(pe);
-            tok.cont = c;
-            send(pe, owner, std::move(tok));
-          }
-        } else {
-          Value v;
-          const ShmStore::Read r =
-              cells->readOrPark(arr.cell->ref, offset, c.pack(), &v);
-          if (r == ShmStore::Read::Present) {
-            f.slots[in.dst] = v;
-            break;
-          }
-          if (r == ShmStore::Read::OutOfSpace) {
-            fail("array store exhausted in " + sp.name);
-            return Step::Stopped;
-          }
-        }
-        // Parked. In recovery the park is registered so the filling write's
-        // wake is recognized as live (see Worker::myParks) and a worker
-        // process's park sweeper can re-read the element.
-        if (recMode()) w.myParks[elemWakeKey(arr.id, offset)].insert(c.pack());
-        break;
-      }
-      case Op::AWR: {
-        ArrayOperand arr;
-        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
-                                        "array write", arr);
-            s != Step::Continue)
-          return s;
-        std::int64_t offset;
-        if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
-          fail("array write out of bounds in " + sp.name);
-          return Step::Stopped;
-        }
-        const Value v = f.slots[in.dst];
-        if (arr.wire != nullptr) {
-          const int owner = arr.layout->ownerOfOffset(offset);
-          NToken tok;
-          tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
-          tok.ctx = arr.id;
-          tok.senderCtx = static_cast<std::uint64_t>(offset);
-          tok.slot = static_cast<std::uint16_t>(pe);
-          tok.v = v;
-          if (owner == pe) {
-            w.st.amLocalWrites++;
-            // Worker mode logs its own writes like received ones: the
-            // element lives in process memory, and this frame may retire
-            // (and so never re-execute) before a kill. Logged before the
-            // apply, so every reply the write releases is gated on it.
-            if (workerMode()) logAm(pe, tok);
-            if (!wireApplyWrite(pe, *arr.wire, arr.id, offset, v))
-              return Step::Stopped;
-            break;
-          }
-          // Fire-and-forget: the owner applies, detects violations, and
-          // drains parked readers. Delivery is exactly-once (per-link seq
-          // windows + msgId dedup), and a kill-replay re-send is an
-          // idempotent identical overwrite at the owner.
-          w.st.amWriteSent++;
-          send(pe, owner, std::move(tok));
-          break;
-        }
-        switch (cells->write(arr.cell->ref, offset, v, &w.woken)) {
-          case ShmStore::Write::Filled:
-            break;
-          case ShmStore::Write::Rewrite:
-            // A replayed write of the value the element already holds: a
-            // no-op. Its parks went to the original write — or, if that
-            // writer's process died before its wakes left, the readers'
-            // park sweeper re-reads the element.
-            if (recMode()) break;
-            [[fallthrough]];
-          case ShmStore::Write::Conflict:
-            fail("single-assignment violation at element " +
-                 std::to_string(offset));
-            return Step::Stopped;
-        }
-        for (const std::uint64_t packed : w.woken) {
-          const Cont wc = Cont::unpack(packed);
-          NToken tok;
-          tok.toCont = true;
-          tok.cont = wc;
-          tok.v = v;
-          tok.wakeKey = elemWakeKey(arr.id, offset);
-          send(pe, wc.pe, std::move(tok));
-        }
-        w.woken.clear();
-        break;
-      }
-      case Op::RFLO:
-      case Op::RFHI: {
-        // Answered from the layout, a pure function of (shape, config): the
-        // wire store needs no owner round-trip.
-        ArrayOperand arr;
-        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
-                                        "range filter", arr);
-            s != Step::Continue)
-          return s;
-        const IdxRange r =
-            in.dim == 0
-                ? arr.layout->ownedRows(pe)
-                : arr.layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
-        f.slots[in.dst] =
-            Value::intv((in.op == Op::RFHI ? r.hi : r.lo) - in.off);
-        break;
-      }
-      case Op::BLKLO:
-      case Op::BLKHI: {
-        IdxRange r = blockPartition(f.slots[in.a].asInt(),
-                                    f.slots[in.b].asInt(), pe, cfg.numWorkers);
-        f.slots[in.dst] = Value::intv(in.op == Op::BLKHI ? r.hi : r.lo);
-        break;
-      }
-      case Op::DIMQ: {
-        ArrayOperand arr;
-        if (const Step s = resolveArray(pe, w, frameIdx, f, in, sp,
-                                        "dimension query", arr);
-            s != Step::Continue)
-          return s;
-        const ArrayShape& shape = arr.layout->shape();
-        f.slots[in.dst] = Value::intv(in.dim == 1 ? shape.dim1 : shape.dim0);
-        break;
-      }
-      case Op::SENDA:
-      case Op::SENDD: {
+        wireParkReader(w, *cell, c.pack());  // deferred read at ourselves
+      } else if (const Value* hit = arr.wire->cached(offset)) {
+        w.st.amPageHits++;
+        f.slots[in.dst] = *hit;
+        return Step::Continue;
+      } else {
+        w.st.amReadReqSent++;
         NToken tok;
-        tok.spCode = in.targetSp();
-        tok.slot = in.targetSlot();
-        tok.ctx = static_cast<std::uint64_t>(f.slots[in.b].asInt());
-        tok.v = f.slots[in.a];
-        const std::uint64_t targetCtx = tok.ctx;
-        if (in.op == Op::SENDA) {
-          send(pe, pe, std::move(tok));
-        } else {
-          for (int dest = 0; dest < cfg.numWorkers; ++dest) {
-            send(pe, dest, tok);
-          }
-        }
-        // A rebuilt worker parks logged continuation results until the frame
-        // that consumed them re-runs; the first send *to* the callee's
-        // context is the replay point where its logged replies re-apply.
-        if (recMode() && f.replaying) {
-          f.sentCtxs.insert(targetCtx);
-          if (!w.pendingReplay.empty())
-            replayResponsesFor(pe, targetCtx, frameIdx, f);
-        }
-        break;
-      }
-      case Op::SENDC:
-      case Op::ADDC: {
-        Cont c = f.slots[in.b].asCont();
-        NToken tok;
-        tok.toCont = true;
+        tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
+        tok.ctx = arr.id;
+        tok.senderCtx = static_cast<std::uint64_t>(offset);
+        tok.slot = static_cast<std::uint16_t>(pe);
         tok.cont = c;
-        tok.v = f.slots[in.a];
-        tok.add = in.op == Op::ADDC;
-        if (recMode()) {
-          // Logical send identity: deterministic re-execution reproduces the
-          // same (sender ctx, sender PE, seq) triple, so receivers can drop
-          // the duplicate even though it travels as a brand-new message.
-          tok.senderCtx = f.ctx;
-          // Pre-increment: seq 0 on PE 0 would pack to the "unkeyed" 0.
-          tok.sendKey = packSendKey(pe, ++f.sendSeq);
-        }
-        send(pe, c.pe, std::move(tok));
-        break;
+        send(pe, owner, std::move(tok));
       }
-      case Op::AWAITN: {
-        std::int64_t count = f.slots[in.a].empty() ? 0 : f.slots[in.a].asInt();
-        if (count < f.slots[in.b].asInt()) {
-          f.blocked = true;
-          f.blockedSlot = in.a;
-          return Step::Blocked;
-        }
-        break;
+    } else {
+      Value v;
+      const ShmStore::Read r =
+          cells->readOrPark(arr.cell->ref, offset, c.pack(), &v);
+      if (r == ShmStore::Read::Present) {
+        f.slots[in.dst] = v;
+        return Step::Continue;
       }
-      case Op::RESULT: {
-        std::lock_guard<std::mutex> g(resultM);
-        // Multi-process: result slots are process-local (arrays live in the
-        // cell store but results do not), so the store must reach the
-        // supervisor's log or a kill after this frame retires loses it.
-        // Replay re-execution of an already-applied store (resultSet set
-        // from resumeResults) stores the identical value and is not
-        // re-logged.
-        if (workerMode() && cfg.link != nullptr && !resultSet[in.aux])
-          cfg.link->logResult(in.aux, f.slots[in.a]);
-        results[in.aux] = f.slots[in.a];
-        resultSet[in.aux] = true;
-        break;
+      if (r == ShmStore::Read::OutOfSpace) {
+        fail("array store exhausted in " + prog.sp(f.spCode).name);
+        return Step::Stopped;
       }
-      case Op::END:
-        retireFrame(w, frameIdx, f);
-        return Step::Ended;
-      default:
-        PODS_UNREACHABLE("unhandled opcode");
     }
-    f.pc = nextPc;
+    // Parked. In recovery the park is registered so the filling write's
+    // wake is recognized as live (see Worker::myParks) and a worker
+    // process's park sweeper can re-read the element.
+    if (recMode()) w.myParks[elemWakeKey(arr.id, offset)].insert(c.pack());
     return Step::Continue;
   }
+
+  /// AWR against the active store.
+  [[gnu::always_inline]] Step arrayWrite(int pe, Worker& w,
+                                         std::uint32_t frameIdx, NFrame& f,
+                                         const Instr& in, ArrayId id) {
+    ArrayOperand arr;
+    if (const Step s = resolveArray(pe, w, frameIdx, f, in, id, arr);
+        s != Step::Continue)
+      return s;
+    std::int64_t offset;
+    if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
+      fail("array write out of bounds in " + prog.sp(f.spCode).name);
+      return Step::Stopped;
+    }
+    const Value v = f.slots[in.dst];
+    if (arr.wire != nullptr) {
+      const int owner = arr.layout->ownerOfOffset(offset);
+      NToken tok;
+      tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
+      tok.ctx = arr.id;
+      tok.senderCtx = static_cast<std::uint64_t>(offset);
+      tok.slot = static_cast<std::uint16_t>(pe);
+      tok.v = v;
+      if (owner == pe) {
+        w.st.amLocalWrites++;
+        // Worker mode logs its own writes like received ones: the element
+        // lives in process memory, and this frame may retire (and so never
+        // re-execute) before a kill. Logged before the apply, so every
+        // reply the write releases is gated on it.
+        if (workerMode()) logAm(pe, tok);
+        return wireApplyWrite(pe, *arr.wire, arr.id, offset, v)
+                   ? Step::Continue
+                   : Step::Stopped;
+      }
+      // Fire-and-forget: the owner applies, detects violations, and drains
+      // parked readers. Delivery is exactly-once (per-link seq windows +
+      // msgId dedup), and a kill-replay re-send is an idempotent identical
+      // overwrite at the owner.
+      w.st.amWriteSent++;
+      send(pe, owner, std::move(tok));
+      return Step::Continue;
+    }
+    switch (cells->write(arr.cell->ref, offset, v, &w.woken)) {
+      case ShmStore::Write::Filled:
+        break;
+      case ShmStore::Write::Rewrite:
+        // A replayed write of the value the element already holds: a no-op.
+        // Its parks went to the original write — or, if that writer's
+        // process died before its wakes left, the readers' park sweeper
+        // re-reads the element.
+        if (recMode()) break;
+        [[fallthrough]];
+      case ShmStore::Write::Conflict:
+        fail("single-assignment violation at element " +
+             std::to_string(offset));
+        return Step::Stopped;
+    }
+    for (const std::uint64_t packed : w.woken) {
+      const Cont wc = Cont::unpack(packed);
+      NToken tok;
+      tok.toCont = true;
+      tok.cont = wc;
+      tok.v = v;
+      tok.wakeKey = elemWakeKey(arr.id, offset);
+      send(pe, wc.pe, std::move(tok));
+    }
+    w.woken.clear();
+    return Step::Continue;
+  }
+
+  /// The native side of the SP executor (runtime/sp_exec.hpp), bound to one
+  /// worker: instructions are counted, arrays live in the active store, and
+  /// tokens leave through send().
+  struct Exec {
+    Impl& m;
+    Worker& w;
+    int pe;
+
+    static constexpr std::int64_t kMaxArrayElems = native::kMaxArrayElems;
+
+    int numPEs() const { return m.cfg.numWorkers; }
+    void charge(const NFrame&, const Instr&, bool) { w.st.instructions++; }
+    void fail(const std::string& msg) { m.fail(msg); }
+    std::uint64_t ctxBase() const { return jobCtxBase(m.cfg.jobId); }
+    std::uint64_t& ctxCounter() { return w.ctxCounter; }
+    RecoveryLog* recoveryLog() {
+      return m.recMode() ? &m.recLogs[static_cast<std::size_t>(pe)] : nullptr;
+    }
+    void recordMint(std::uint64_t ctx, std::uint32_t seq, const Value& v) {
+      m.logMintRec(pe, ctx, seq, v);
+    }
+    ParkedReplies& parkedReplies() { return w.pendingReplay; }
+    void replayedToken() { m.recReplayedTokens++; }
+
+    Step alloc(std::uint32_t, NFrame& f, const Instr& in,
+               const ArrayShape& shape) {
+      // Ids come from this PE's stream, id = seq * numPEs + pe, so the
+      // allocator of any id is id % numPEs with no cross-PE coordination.
+      const Value v = mintOnce(*this, f, [&] {
+        return Value::arrayv(static_cast<ArrayId>(
+            (++w.arraySeq) * static_cast<std::uint64_t>(numPEs()) +
+            static_cast<unsigned>(pe)));
+      });
+      if (!m.registerArray(w, v.asArray(), shape, m.prog.sp(f.spCode)))
+        return Step::Stopped;
+      f.slots[in.dst] = v;
+      return Step::Continue;
+    }
+    [[gnu::always_inline]] Step read(std::uint32_t frameIdx, NFrame& f,
+                                     const Instr& in, ArrayId id) {
+      return m.arrayRead(pe, w, frameIdx, f, in, id);
+    }
+    [[gnu::always_inline]] Step write(std::uint32_t frameIdx, NFrame& f,
+                                      const Instr& in, ArrayId id) {
+      return m.arrayWrite(pe, w, frameIdx, f, in, id);
+    }
+    Step rangeFilter(std::uint32_t frameIdx, NFrame& f, const Instr& in,
+                     ArrayId id) {
+      // Answered from the layout, a pure function of (shape, config): the
+      // wire store needs no owner round-trip.
+      ArrayOperand arr;
+      if (const Step s = m.resolveArray(pe, w, frameIdx, f, in, id, arr);
+          s != Step::Continue)
+        return s;
+      const IdxRange r =
+          in.dim == 0 ? arr.layout->ownedRows(pe)
+                      : arr.layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
+      f.slots[in.dst] = Value::intv((in.op == Op::RFHI ? r.hi : r.lo) - in.off);
+      return Step::Continue;
+    }
+    Step dimQuery(std::uint32_t frameIdx, NFrame& f, const Instr& in,
+                  ArrayId id) {
+      ArrayOperand arr;
+      if (const Step s = m.resolveArray(pe, w, frameIdx, f, in, id, arr);
+          s != Step::Continue)
+        return s;
+      const ArrayShape& shape = arr.layout->shape();
+      f.slots[in.dst] = Value::intv(in.dim == 1 ? shape.dim1 : shape.dim0);
+      return Step::Continue;
+    }
+
+    void sendArg(bool broadcast, std::uint16_t spCode, std::uint16_t slot,
+                 std::uint64_t ctx, const Value& v) {
+      NToken tok;
+      tok.spCode = spCode;
+      tok.slot = slot;
+      tok.ctx = ctx;
+      tok.v = v;
+      if (!broadcast) {
+        m.send(pe, pe, std::move(tok));
+        return;
+      }
+      for (int dest = 0; dest < numPEs(); ++dest) m.send(pe, dest, tok);
+    }
+    void sendCont(Cont c, const Value& v, bool add, std::uint64_t senderCtx,
+                  std::uint64_t sendKey) {
+      NToken tok;
+      tok.toCont = true;
+      tok.cont = c;
+      tok.v = v;
+      tok.add = add;
+      tok.senderCtx = senderCtx;
+      tok.sendKey = sendKey;
+      m.send(pe, c.pe, std::move(tok));
+    }
+    void result(std::uint32_t idx, const Value& v) {
+      std::lock_guard<std::mutex> g(m.resultM);
+      // Multi-process: result slots are process-local (arrays live in the
+      // cell store but results do not), so the store must reach the
+      // supervisor's log or a kill after this frame retires loses it.
+      // Replay re-execution of an already-applied store (resultSet set from
+      // resumeResults) stores the identical value and is not re-logged.
+      if (m.workerMode() && m.cfg.link != nullptr && !m.resultSet[idx])
+        m.cfg.link->logResult(idx, v);
+      m.results[idx] = v;
+      m.resultSet[idx] = true;
+    }
+    Step end(std::uint32_t frameIdx, NFrame& f) {
+      m.retireFrame(w, frameIdx, f);
+      return Step::Ended;
+    }
+  };
 
   // --- fail-stop recovery (kill mode) ----------------------------------------
 
@@ -1658,10 +1495,10 @@ struct NativeMachine::Impl : TransportSink {
   /// records both at creation), END records turn storage back into retired
   /// stubs with the same post-retirement generation, and every live frame
   /// re-executes from pc 0. Logged continuation results are parked and
-  /// re-delivered on demand (see replayResponsesFor). The inbox and the
-  /// WorkerStats ledger are deliberately untouched: in-flight tokens belong
-  /// to the network, and the rebuilt live-frame count equals the discarded
-  /// one, so the quiescence charges remain exact.
+  /// re-delivered on demand (replayParked, runtime/sp_exec.hpp). The inbox
+  /// and the WorkerStats ledger are deliberately untouched: in-flight tokens
+  /// belong to the network, and the rebuilt live-frame count equals the
+  /// discarded one, so the quiescence charges remain exact.
   void performKill(int pe) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     killFired = true;
@@ -1712,18 +1549,11 @@ struct NativeMachine::Impl : TransportSink {
                              "recovery log reuses a live frame index");
             }
             NFrame& nf = *w.frames[idx];
-            nf.spCode = e.spCode;
-            nf.ctx = e.ctx;
-            nf.pc = 0;
-            nf.blockedSlot = kNoSlot;
+            nf.reset(e.spCode, e.ctx, prog.sp(e.spCode).numSlots);
             nf.gen = e.gen;
             nf.blocked = false;
             nf.dead = false;
-            nf.sendSeq = 0;
-            nf.mintSeq = 0;
             nf.replaying = true;
-            nf.sentCtxs.clear();
-            nf.slots.assign(prog.sp(e.spCode).numSlots, Value{});
             w.match[e.ctx] = idx;
           } else {
             idx = it->second;
@@ -1803,37 +1633,6 @@ struct NativeMachine::Impl : TransportSink {
         recReplayedFrames++;
       }
     }
-  }
-
-  /// On-demand re-delivery of parked responses: frame `frameIdx` (re-)sent a
-  /// token to context `target`, so every parked continuation delivery *from*
-  /// that context *into* this frame instance is due now. Entries addressed
-  /// to other frames stay parked.
-  void replayResponsesFor(int pe, std::uint64_t target, std::uint32_t frameIdx,
-                          NFrame& f) {
-    Worker& w = *workers[static_cast<std::size_t>(pe)];
-    auto it = w.pendingReplay.find(target);
-    if (it == w.pendingReplay.end()) return;
-    auto& idxs = it->second;
-    const RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-    for (std::size_t i = 0; i < idxs.size();) {
-      const RecEntry& e = L.entries[idxs[i]];
-      if (e.frame != frameIdx || e.gen != f.gen) {
-        ++i;
-        continue;
-      }
-      PODS_CHECK_MSG(e.slot < f.slots.size(), "replayed slot out of range");
-      if (e.add) {
-        std::int64_t cur =
-            f.slots[e.slot].empty() ? 0 : f.slots[e.slot].asInt();
-        f.slots[e.slot] = Value::intv(cur + e.v.asInt());
-      } else {
-        f.slots[e.slot] = e.v;
-      }
-      recReplayedTokens++;
-      idxs.erase(idxs.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    if (idxs.empty()) w.pendingReplay.erase(it);
   }
 
   // --- worker loop ------------------------------------------------------------
@@ -1923,9 +1722,11 @@ struct NativeMachine::Impl : TransportSink {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     NFrame& f = *w.frames[frameIdx];
     if (f.dead) return;
+    Exec ex{*this, w, pe};
     for (int k = 0; k < cfg.sliceInstructions; ++k) {
-      Step s = step(pe, frameIdx, f);
+      const Step s = execute(prog, ex, frameIdx, f);
       if (s == Step::Continue) continue;
+      if (s == Step::Blocked) f.blocked = true;
       // Worker mode holds the retired frame's pending charge through the
       // END-retire barrier; pumpRetiring releases it with the End record.
       if (s == Step::Ended && !workerMode()) finishPending();  // frame retired

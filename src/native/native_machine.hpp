@@ -9,11 +9,12 @@
 //  - one worker thread per "PE"; every frame is owned by exactly one worker
 //    and only its owner ever touches it (tokens cross threads through a
 //    mutex-guarded inbox, so no per-frame locking exists);
-//  - SP semantics are identical to the simulator's: spawn-by-token frame
-//    instantiation keyed on (SP code, context), blocking on empty operand
-//    slots, split-phase I-structure reads with deferred-read wake-up,
-//    counted completion joins, Range Filters computed from array headers
-//    with the worker count as the PE count;
+//  - SP semantics are identical to the simulator's by construction, since
+//    both engines run one SP executor (runtime/sp_exec.hpp): spawn-by-token
+//    frame instantiation keyed on (SP code, context), blocking on empty
+//    operand slots, split-phase I-structure reads with deferred-read
+//    wake-up, counted completion joins, Range Filters computed from array
+//    headers with the worker count as the PE count;
 //  - single assignment is enforced; violations, bounds errors, stale array
 //    handles, and deadlocks (all workers idle with live SPs) are detected
 //    and reported — termination and deadlock are decided by a counting

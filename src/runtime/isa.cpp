@@ -44,7 +44,6 @@ const char* opName(Op op) {
     case Op::RFHI: return "RFHI";
     case Op::BLKLO: return "BLKLO";
     case Op::BLKHI: return "BLKHI";
-    case Op::MYPE: return "MYPE";
     case Op::NUMPE: return "NUMPE";
     case Op::NEWCTX: return "NEWCTX";
     case Op::MKCONT: return "MKCONT";
@@ -58,52 +57,6 @@ const char* opName(Op op) {
     case Op::END: return "END";
   }
   return "?";
-}
-
-bool opIsLocalCompute(Op op) {
-  switch (op) {
-    case Op::LIT:
-    case Op::MOV:
-    case Op::ADD:
-    case Op::SUB:
-    case Op::MUL:
-    case Op::DIV:
-    case Op::MOD:
-    case Op::POW:
-    case Op::MIN2:
-    case Op::MAX2:
-    case Op::NEG:
-    case Op::ABS:
-    case Op::SQRT:
-    case Op::EXP:
-    case Op::LOG:
-    case Op::SIN:
-    case Op::COS:
-    case Op::FLOOR:
-    case Op::CVTI:
-    case Op::CVTR:
-    case Op::CMPLT:
-    case Op::CMPLE:
-    case Op::CMPGT:
-    case Op::CMPGE:
-    case Op::CMPEQ:
-    case Op::CMPNE:
-    case Op::AND:
-    case Op::OR:
-    case Op::NOT:
-    case Op::JMP:
-    case Op::BRF:
-    case Op::BLKLO:
-    case Op::BLKHI:
-    case Op::MYPE:
-    case Op::NUMPE:
-    case Op::NEWCTX:
-    case Op::MKCONT:
-    case Op::CLEAR:
-      return true;
-    default:
-      return false;
-  }
 }
 
 std::string disasmSp(const SpCode& sp) {

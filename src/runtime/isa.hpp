@@ -57,7 +57,6 @@ enum class Op : std::uint8_t {
   RFHI,    // dst <- high bound, same operands
   BLKLO,   // dst <- low bound of even block partition of [[a], [b]] (fallback)
   BLKHI,   // dst <- high bound of same
-  MYPE,    // dst <- this PE's id
   NUMPE,   // dst <- number of PEs
 
   // ---- processes & tokens ----
@@ -76,10 +75,6 @@ enum class Op : std::uint8_t {
 };
 
 const char* opName(Op op);
-
-/// True for ops whose cost is a pure Execution Unit operation (no other
-/// functional unit involved and no effect outside the frame).
-bool opIsLocalCompute(Op op);
 
 struct Instr {
   Op op = Op::END;

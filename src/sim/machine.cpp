@@ -6,10 +6,9 @@
 #include <deque>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "proto/delivery.hpp"
-#include "runtime/ops.hpp"
+#include "runtime/sp_exec.hpp"
 #include "sim/event_queue.hpp"
 #include "support/check.hpp"
 #include "support/recovery.hpp"
@@ -73,23 +72,8 @@ namespace {
 
 enum class FrameState : std::uint8_t { Ready, Running, Blocked, Dead };
 
-struct Frame {
-  std::uint16_t spCode = 0;
-  std::uint64_t ctx = 0;
-  std::uint32_t pc = 0;
+struct Frame : SpFrame {
   FrameState state = FrameState::Ready;
-  std::uint16_t blockedSlot = kNoSlot;
-  std::vector<Value> slots;
-  // Kill mode: deterministic per-frame streams so a re-executed frame
-  // reproduces the same send keys and minted identities.
-  std::uint32_t sendSeq = 0;
-  std::uint32_t mintSeq = 0;
-  // Kill mode: true on frames rebuilt from the receive log. A replaying
-  // frame only accepts continuation results from contexts it has re-sent to
-  // (sentCtxs); earlier arrivals are parked so a multi-round slot cannot be
-  // filled with a later round's value before the earlier round re-runs.
-  bool replaying = false;
-  std::unordered_set<std::uint64_t> sentCtxs;
 };
 
 struct Token {
@@ -928,10 +912,7 @@ struct Machine::Impl {
     const SpCode& sp = prog.sp(spCode);
     unitSched(pe, Unit::MM, t, tm.frameListOp);  // execution-memory allocation
     Frame f;
-    f.spCode = spCode;
-    f.ctx = ctx;
-    f.slots.assign(sp.numSlots, Value{});
-    f.state = FrameState::Ready;
+    f.reset(spCode, ctx, sp.numSlots);
     std::uint32_t idx = static_cast<std::uint32_t>(P.frames.size());
     P.frames.push_back(std::move(f));
     P.match[ctx] = idx;
@@ -1000,14 +981,7 @@ struct Machine::Impl {
       slot = tok.slot;
     }
     if (killMode() && fromMu) logToken(pe, tok, frameIdx);
-    Frame& f = P.frames[frameIdx];
-    PODS_CHECK_MSG(slot < f.slots.size(), "token slot out of range");
-    if (tok.add) {
-      std::int64_t cur = f.slots[slot].empty() ? 0 : f.slots[slot].asInt();
-      f.slots[slot] = Value::intv(cur + tok.v.asInt());
-    } else {
-      f.slots[slot] = tok.v;
-    }
+    P.frames[frameIdx].apply(slot, tok.v, tok.add);
     wakeIfBlockedOn(pe, frameIdx, slot, t);
   }
 
@@ -1029,19 +1003,6 @@ struct Machine::Impl {
     }
     e.v = tok.v;
     recLogs[pe].entries.push_back(e);
-  }
-
-  // --- per-instruction execution -------------------------------------------
-
-  enum class StepResult { Continue, Blocked, Ended };
-
-  bool ensure(PeState& P, Frame& f, std::uint16_t slot) {
-    (void)P;
-    if (slot == kNoSlot) return true;
-    if (!f.slots[slot].empty()) return true;
-    f.state = FrameState::Blocked;
-    f.blockedSlot = slot;
-    return false;
   }
 
   /// True when the header of `arr` is installed on `pe`.
@@ -1079,347 +1040,211 @@ struct Machine::Impl {
     return info.layout.ownedColsOfRow(pe, row);
   }
 
-  StepResult step(std::uint16_t pe, SimTime& t, Frame& f) {
+  /// END: the frame dies and its execution memory is released.
+  void retireFrame(std::uint16_t pe, SimTime t, Frame& f) {
     PeState& P = pes[pe];
-    const SpCode& sp = prog.sp(f.spCode);
-    PODS_CHECK_MSG(f.pc < sp.code.size(), "pc ran off the end of an SP");
-    const Instr& in = sp.code[f.pc];
-
-    // Operand availability: blocking on an empty slot is the data-driven part
-    // of the hybrid model.
-    switch (in.op) {
-      case Op::LIT: case Op::JMP: case Op::MYPE: case Op::NUMPE:
-      case Op::NEWCTX: case Op::MKCONT: case Op::CLEAR: case Op::END:
-        break;
-      case Op::AWAITN:
-        if (!ensure(P, f, in.b)) return StepResult::Blocked;
-        break;
-      case Op::AWR:
-        if (!ensure(P, f, in.a) || !ensure(P, f, in.b) ||
-            !ensure(P, f, in.c) || !ensure(P, f, in.dst))
-          return StepResult::Blocked;
-        break;
-      case Op::RFLO: case Op::RFHI:
-        if (!ensure(P, f, in.a) || !ensure(P, f, in.b))
-          return StepResult::Blocked;
-        break;
-      default:
-        if (!ensure(P, f, in.a)) return StepResult::Blocked;
-        if (!ensure(P, f, in.b)) return StepResult::Blocked;
-        if (!ensure(P, f, in.c)) return StepResult::Blocked;
-        break;
+    f.state = FrameState::Dead;
+    if (faulty()) P.rx.retireCtx(f.ctx);
+    if (killMode()) {
+      RecEntry e;
+      e.kind = RecEntry::Kind::End;
+      e.ctx = f.ctx;
+      recLogs[pe].entries.push_back(e);
+      // The instance is over: its logical-dedup keys and minted values
+      // can never be consulted again (tokens to a dead frame are dropped
+      // or triaged as stragglers first), so the recovery ledgers shed
+      // them here — this is what keeps long runs' logs bounded.
+      P.dedup.retire(f.ctx);
+      recLogs[pe].mints.erase(f.ctx);
     }
+    P.match.erase(f.ctx);
+    f.slots.clear();
+    f.slots.shrink_to_fit();
+    unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
+    stats.counters.add("sp.completed");
+    --liveSps;
+  }
 
-    SpProfile& profile = stats.spProfiles[f.spCode];
-    auto charge = [&](bool realOp) {
-      SimTime c = tm.euCost(in.op, realOp);
+  // --- per-instruction execution -------------------------------------------
+
+  /// The simulator's side of the SP executor (runtime/sp_exec.hpp), bound to
+  /// one PE's Execution Unit at its local clock `t`: instructions cost EU
+  /// time, array instructions become Array Manager tasks issued at `t`, and
+  /// sends go through the Matching and Routing Units.
+  struct Exec {
+    Impl& m;
+    std::uint16_t pe;
+    SimTime& t;
+
+    static constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << 24;
+
+    int numPEs() const { return m.cfg.numPEs; }
+    void charge(const Frame& f, const Instr& in, bool realOp) {
+      const SimTime c = m.tm.euCost(in.op, realOp);
       t += c;
-      euBusy(pe, c);
+      m.euBusy(pe, c);
+      SpProfile& profile = m.stats.spProfiles[f.spCode];
       ++profile.instructions;
       profile.euTime += c;
-    };
-
-    std::uint32_t nextPc = f.pc + 1;
-
-    if (isBinaryOp(in.op)) {
-      const Value& a = f.slots[in.a];
-      const Value& b = f.slots[in.b];
-      charge(binIsReal(a, b));
-      f.slots[in.dst] = applyBin(in.op, a, b);
-      f.pc = nextPc;
-      return StepResult::Continue;
     }
-    if (isUnaryOp(in.op)) {
-      const Value& a = f.slots[in.a];
-      charge(a.isReal());
-      f.slots[in.dst] = applyUn(in.op, a);
-      f.pc = nextPc;
-      return StepResult::Continue;
+    void fail(const std::string& msg) { m.runtimeError(msg); }
+    std::uint64_t ctxBase() const { return 0; }
+    std::uint64_t& ctxCounter() { return m.pes[pe].ctxCounter; }
+    RecoveryLog* recoveryLog() {
+      return m.killMode() ? &m.recLogs[pe] : nullptr;
+    }
+    void recordMint(std::uint64_t ctx, std::uint32_t seq, const Value& v) {
+      m.recLogs[pe].recordMint(ctx, seq, v);
+    }
+    ParkedReplies& parkedReplies() { return m.pes[pe].pendingReplay; }
+    void replayedToken() { m.stats.counters.add("recovery.replayedTokens"); }
+
+    Step alloc(std::uint32_t frameIdx, Frame& f, const Instr& in,
+               const ArrayShape& shape) {
+      f.slots[in.dst] = Value{};  // split-phase: the AM fills in the id
+      AmTask task;
+      task.kind = AmTask::Kind::Alloc;
+      task.distributed = in.op == Op::ALLOCD;
+      task.shape = shape;
+      task.cont = {pe, frameIdx, in.dst};
+      if (m.killMode()) {
+        // Stamp the mint identity so a replayed allocation resolves to the
+        // array created before the kill instead of a fresh (empty) one.
+        task.senderCtx = f.ctx;
+        task.mintSeq = f.mintSeq++;
+      }
+      m.amLocal(pe, t, std::move(task));
+      return Step::Continue;
     }
 
-    switch (in.op) {
-      case Op::LIT:
-        charge(false);
-        f.slots[in.dst] = in.imm;
-        break;
-      case Op::JMP:
-        charge(false);
-        nextPc = in.aux;
-        break;
-      case Op::BRF:
-        charge(false);
-        if (!f.slots[in.a].truthy()) nextPc = in.aux;
-        break;
-      case Op::MYPE:
-        charge(false);
-        f.slots[in.dst] = Value::intv(pe);
-        break;
-      case Op::NUMPE:
-        charge(false);
-        f.slots[in.dst] = Value::intv(cfg.numPEs);
-        break;
-      case Op::NEWCTX:
-        charge(false);
-        if (killMode()) {
-          // Idempotent mint: the n-th NEWCTX of a replayed frame must
-          // return the context it handed out before the kill — children
-          // spawned under it (and their continuations back to us) already
-          // carry that identity. The counter lives in the stable log so a
-          // restart never re-mints a pre-kill context.
-          RecoveryLog& L = recLogs[pe];
-          const std::uint32_t mseq = f.mintSeq++;
-          if (const Value* m = L.findMint(f.ctx, mseq)) {
-            f.slots[in.dst] = *m;
-            break;
-          }
-          Value v = Value::intv(static_cast<std::int64_t>(
-              (std::uint64_t(pe) << 40) | ++L.ctxCounter));
-          L.recordMint(f.ctx, mseq, v);
-          f.slots[in.dst] = v;
-          break;
+    Step read(std::uint32_t frameIdx, Frame& f, const Instr& in,
+              ArrayId arr) {
+      m.stats.counters.add("array.reads");
+      const std::int64_t i0 = f.slots[in.b].asInt();
+      const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
+      f.slots[in.dst] = Value{};  // split-phase
+      if (m.headerPresent(pe, arr)) {
+        const ArrayInfo* info = m.store.find(arr);
+        std::int64_t offset;
+        if (!m.resolveOffset(*info, i0, i1, offset)) {
+          fail("array read out of bounds in " + m.prog.sp(f.spCode).name);
+          return Step::Stopped;
         }
-        // PE-unique, monotonically increasing context tags.
-        f.slots[in.dst] = Value::intv(
-            static_cast<std::int64_t>((std::uint64_t(pe) << 40) |
-                                      ++P.ctxCounter));
-        break;
-      case Op::MKCONT: {
-        charge(false);
-        Cont c;
-        c.pe = pe;
-        c.frame = static_cast<std::uint32_t>(P.current);
-        c.slot = static_cast<std::uint16_t>(in.aux);
-        f.slots[in.dst] = Value::contv(c);
-        break;
-      }
-      case Op::CLEAR:
-        charge(false);
-        f.slots[in.a] = Value{};
-        break;
-      case Op::ALLOC:
-      case Op::ALLOCD: {
-        charge(false);
-        f.slots[in.dst] = Value{};  // split-phase: AM fills in the id
-        AmTask task;
-        task.kind = AmTask::Kind::Alloc;
-        task.distributed = in.op == Op::ALLOCD;
-        task.shape.rank = in.dim;
-        task.shape.dim0 = f.slots[in.a].asInt();
-        task.shape.dim1 = in.dim == 2 ? f.slots[in.b].asInt() : 1;
-        task.cont = {pe, static_cast<std::uint32_t>(P.current), in.dst};
-        if (killMode()) {
-          // Stamp the mint identity so a replayed allocation resolves to the
-          // array created before the kill instead of a fresh (empty) one.
-          task.senderCtx = f.ctx;
-          task.mintSeq = f.mintSeq++;
+        const Value& elem = info->elems[static_cast<std::size_t>(offset)];
+        if (info->owner(offset) == pe && !elem.empty()) {
+          // Local present element: the fast path the 2.7 us covers.
+          f.slots[in.dst] = elem;
+          m.stats.counters.add("array.reads.localHit");
+          return Step::Continue;
         }
-        if (task.shape.dim0 < 0 || task.shape.dim1 < 0 ||
-            task.shape.numElems() > (std::int64_t(1) << 24)) {
-          runtimeError("bad allocation dimensions");
-          break;
-        }
-        amLocal(pe, t, std::move(task));
-        break;
       }
-      case Op::ARD: {
-        charge(false);  // flat 2.7 us local-read budget
-        stats.counters.add("array.reads");
-        const ArrayId arr = f.slots[in.a].asArray();
-        const std::int64_t i0 = f.slots[in.b].asInt();
-        const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-        f.slots[in.dst] = Value{};  // split-phase
-        const Cont cont{pe, static_cast<std::uint32_t>(P.current), in.dst};
-        if (headerPresent(pe, arr)) {
-          const ArrayInfo* info = store.find(arr);
-          std::int64_t offset;
-          if (!resolveOffset(*info, i0, i1, offset)) {
-            runtimeError("array read out of bounds in " + sp.name);
-            break;
-          }
-          if (info->owner(offset) == pe &&
-              !info->elems[static_cast<std::size_t>(offset)].empty()) {
-            // Local present element: the fast path the 2.7 us covers.
-            f.slots[in.dst] = info->elems[static_cast<std::size_t>(offset)];
-            stats.counters.add("array.reads.localHit");
-            break;
-          }
-        }
-        AmTask task;
-        task.kind = AmTask::Kind::Read;
-        task.arr = arr;
-        task.i0 = i0;
-        task.i1 = i1;
-        task.rank = in.c != kNoSlot ? 2 : 1;
-        task.cont = cont;
-        amLocal(pe, t, std::move(task));
-        break;
-      }
-      case Op::AWR: {
-        charge(false);
-        stats.counters.add("array.writes");
-        AmTask task;
-        task.kind = AmTask::Kind::Write;
-        task.arr = f.slots[in.a].asArray();
-        task.i0 = f.slots[in.b].asInt();
-        task.i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
-        task.rank = in.c != kNoSlot ? 2 : 1;
-        task.v = f.slots[in.dst];
-        amLocal(pe, t, std::move(task));
-        break;
-      }
-      case Op::RFLO:
-      case Op::RFHI: {
-        charge(false);
-        const ArrayId arr = f.slots[in.a].asArray();
-        const bool hasRow = in.b != kNoSlot;
-        const std::int64_t row = hasRow ? f.slots[in.b].asInt() : 0;
-        if (headerPresent(pe, arr)) {
-          const ArrayInfo* info = store.find(arr);
-          IdxRange r = rfRange(pe, *info, in.dim, hasRow, row);
-          f.slots[in.dst] = Value::intv(
-              (in.op == Op::RFHI ? r.hi : r.lo) - in.off);
-        } else {
-          f.slots[in.dst] = Value{};  // split-phase via the Array Manager
-          AmTask task;
-          task.kind = AmTask::Kind::Rf;
-          task.arr = arr;
-          task.i0 = row;
-          task.hasRow = hasRow;
-          task.dim = in.dim;
-          task.rfOff = in.off;
-          task.isHi = in.op == Op::RFHI;
-          task.cont = {pe, static_cast<std::uint32_t>(P.current), in.dst};
-          amLocal(pe, t, std::move(task));
-        }
-        break;
-      }
-      case Op::BLKLO:
-      case Op::BLKHI: {
-        charge(false);
-        IdxRange r = blockPartition(f.slots[in.a].asInt(),
-                                    f.slots[in.b].asInt(), pe, cfg.numPEs);
-        f.slots[in.dst] = Value::intv(in.op == Op::BLKHI ? r.hi : r.lo);
-        break;
-      }
-      case Op::DIMQ: {
-        charge(false);
-        const ArrayId arr = f.slots[in.a].asArray();
-        if (headerPresent(pe, arr)) {
-          const ArrayInfo* info = store.find(arr);
-          f.slots[in.dst] = Value::intv(in.dim == 1 ? info->shape.dim1
-                                                    : info->shape.dim0);
-        } else {
-          f.slots[in.dst] = Value{};  // split-phase via the Array Manager
-          AmTask task;
-          task.kind = AmTask::Kind::DimQ;
-          task.arr = arr;
-          task.dim = in.dim;
-          task.cont = {pe, static_cast<std::uint32_t>(P.current), in.dst};
-          amLocal(pe, t, std::move(task));
-        }
-        break;
-      }
-      case Op::SENDA:
-      case Op::SENDD: {
-        charge(false);
-        Token tok;
-        tok.spCode = in.targetSp();
-        tok.slot = in.targetSlot();
-        tok.ctx = static_cast<std::uint64_t>(f.slots[in.b].asInt());
-        tok.v = f.slots[in.a];
-        stats.counters.add("tokens.sent");
-        const std::uint64_t targetCtx = tok.ctx;
-        if (in.op == Op::SENDA) {
-          sendToken(pe, pe, t, std::move(tok));
-        } else {
-          broadcastToken(pe, t, tok);
-        }
-        // A restarted PE parks logged continuation results until the frame
-        // that consumed them re-runs; the first send *to* the callee's
-        // context is the replay point where its logged replies re-apply.
-        if (killMode() && f.replaying) {
-          f.sentCtxs.insert(targetCtx);
-          if (!P.pendingReplay.empty())
-            replayResponsesFor(pe, targetCtx,
-                               static_cast<std::uint32_t>(P.current));
-        }
-        break;
-      }
-      case Op::SENDC:
-      case Op::ADDC: {
-        charge(false);
-        Cont c = f.slots[in.b].asCont();
-        Token tok;
-        tok.toCont = true;
-        tok.cont = c;
-        tok.v = f.slots[in.a];
-        tok.add = in.op == Op::ADDC;
-        if (killMode()) {
-          // Logical send identity: deterministic re-execution reproduces the
-          // same (sender ctx, sender PE, seq) triple, so receivers can drop
-          // the duplicate even though it travels as a brand-new message.
-          tok.senderCtx = f.ctx;
-          // Pre-increment: seq 0 on PE 0 would pack to the "unkeyed" 0.
-          tok.sendKey = packSendKey(pe, ++f.sendSeq);
-        }
-        stats.counters.add("tokens.sent");
-        sendToken(pe, c.pe, t, std::move(tok));
-        break;
-      }
-      case Op::AWAITN: {
-        charge(false);
-        std::int64_t count =
-            f.slots[in.a].empty() ? 0 : f.slots[in.a].asInt();
-        if (count < f.slots[in.b].asInt()) {
-          f.state = FrameState::Blocked;
-          f.blockedSlot = in.a;
-          return StepResult::Blocked;
-        }
-        break;
-      }
-      case Op::RESULT: {
-        charge(false);
-        std::size_t idx = in.aux;
-        PODS_CHECK(idx < stats.results.size());
-        stats.results[idx] = f.slots[in.a];
-        resultSet[idx] = true;
-        break;
-      }
-      case Op::END: {
-        charge(false);
-        f.state = FrameState::Dead;
-        if (faulty()) P.rx.retireCtx(f.ctx);
-        if (killMode()) {
-          RecEntry e;
-          e.kind = RecEntry::Kind::End;
-          e.ctx = f.ctx;
-          recLogs[pe].entries.push_back(e);
-          // The instance is over: its logical-dedup keys and minted values
-          // can never be consulted again (tokens to a dead frame are dropped
-          // or triaged as stragglers first), so the recovery ledgers shed
-          // them here — this is what keeps long runs' logs bounded.
-          P.dedup.retire(f.ctx);
-          recLogs[pe].mints.erase(f.ctx);
-        }
-        P.match.erase(f.ctx);
-        f.slots.clear();
-        f.slots.shrink_to_fit();
-        unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
-        stats.counters.add("sp.completed");
-        --liveSps;
-        return StepResult::Ended;
-      }
-      default:
-        PODS_UNREACHABLE("unhandled opcode");
+      AmTask task;
+      task.kind = AmTask::Kind::Read;
+      task.arr = arr;
+      task.i0 = i0;
+      task.i1 = i1;
+      task.rank = in.c != kNoSlot ? 2 : 1;
+      task.cont = {pe, frameIdx, in.dst};
+      m.amLocal(pe, t, std::move(task));
+      return Step::Continue;
     }
-    f.pc = nextPc;
-    return StepResult::Continue;
-  }
+
+    Step write(std::uint32_t, Frame& f, const Instr& in, ArrayId arr) {
+      m.stats.counters.add("array.writes");
+      AmTask task;
+      task.kind = AmTask::Kind::Write;
+      task.arr = arr;
+      task.i0 = f.slots[in.b].asInt();
+      task.i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
+      task.rank = in.c != kNoSlot ? 2 : 1;
+      task.v = f.slots[in.dst];
+      m.amLocal(pe, t, std::move(task));
+      return Step::Continue;
+    }
+
+    Step rangeFilter(std::uint32_t frameIdx, Frame& f, const Instr& in,
+                     ArrayId arr) {
+      const bool hasRow = in.b != kNoSlot;
+      const std::int64_t row = hasRow ? f.slots[in.b].asInt() : 0;
+      if (m.headerPresent(pe, arr)) {
+        const IdxRange r =
+            m.rfRange(pe, *m.store.find(arr), in.dim, hasRow, row);
+        f.slots[in.dst] =
+            Value::intv((in.op == Op::RFHI ? r.hi : r.lo) - in.off);
+        return Step::Continue;
+      }
+      f.slots[in.dst] = Value{};  // split-phase via the Array Manager
+      AmTask task;
+      task.kind = AmTask::Kind::Rf;
+      task.arr = arr;
+      task.i0 = row;
+      task.hasRow = hasRow;
+      task.dim = in.dim;
+      task.rfOff = in.off;
+      task.isHi = in.op == Op::RFHI;
+      task.cont = {pe, frameIdx, in.dst};
+      m.amLocal(pe, t, std::move(task));
+      return Step::Continue;
+    }
+
+    Step dimQuery(std::uint32_t frameIdx, Frame& f, const Instr& in,
+                  ArrayId arr) {
+      if (m.headerPresent(pe, arr)) {
+        const ArrayShape& shape = m.store.find(arr)->shape;
+        f.slots[in.dst] = Value::intv(in.dim == 1 ? shape.dim1 : shape.dim0);
+        return Step::Continue;
+      }
+      f.slots[in.dst] = Value{};  // split-phase via the Array Manager
+      AmTask task;
+      task.kind = AmTask::Kind::DimQ;
+      task.arr = arr;
+      task.dim = in.dim;
+      task.cont = {pe, frameIdx, in.dst};
+      m.amLocal(pe, t, std::move(task));
+      return Step::Continue;
+    }
+
+    void sendArg(bool broadcast, std::uint16_t spCode, std::uint16_t slot,
+                 std::uint64_t ctx, const Value& v) {
+      Token tok;
+      tok.spCode = spCode;
+      tok.slot = slot;
+      tok.ctx = ctx;
+      tok.v = v;
+      m.stats.counters.add("tokens.sent");
+      if (broadcast) {
+        m.broadcastToken(pe, t, tok);
+      } else {
+        m.sendToken(pe, pe, t, std::move(tok));
+      }
+    }
+    void sendCont(Cont c, const Value& v, bool add, std::uint64_t senderCtx,
+                  std::uint64_t sendKey) {
+      Token tok;
+      tok.toCont = true;
+      tok.cont = c;
+      tok.v = v;
+      tok.add = add;
+      tok.senderCtx = senderCtx;
+      tok.sendKey = sendKey;
+      m.stats.counters.add("tokens.sent");
+      m.sendToken(pe, c.pe, t, std::move(tok));
+    }
+    void result(std::uint32_t idx, const Value& v) {
+      m.stats.results[idx] = v;
+      m.resultSet[idx] = true;
+    }
+    Step end(std::uint32_t, Frame& f) {
+      m.retireFrame(pe, t, f);
+      return Step::Ended;
+    }
+  };
 
   /// The EU scheduler: runs ready SPs, blocking and switching per the paper.
   void euRun(std::uint16_t pe, SimTime tStart) {
     PeState& P = pes[pe];
     SimTime t = std::max(tStart, P.euFree);
+    Exec ex{*this, pe, t};
     std::uint64_t steps = 0;
     // Trace bookkeeping: one slice per contiguous run of one SP.
     SimTime sliceStart{};
@@ -1471,14 +1296,13 @@ struct Machine::Impl {
         return;
       }
       Frame& f = P.frames[static_cast<std::size_t>(P.current)];
-      StepResult r = step(pe, t, f);
-      if (r == StepResult::Blocked) {
-        P.current = -1;
-        stats.counters.add("eu.blocks");
-        endSlice(t);
-        continue;  // pick the next ready SP (context switch charged at pick)
-      }
-      if (r == StepResult::Ended) {
+      const Step r =
+          execute(prog, ex, static_cast<std::uint32_t>(P.current), f);
+      if (r != Step::Continue) {
+        // Blocked on an empty slot, or stopped by an error for good; either
+        // way pick the next ready SP (context switch charged at pick).
+        if (r == Step::Blocked) stats.counters.add("eu.blocks");
+        if (r != Step::Ended) f.state = FrameState::Blocked;
         P.current = -1;
         endSlice(t);
         continue;
@@ -2096,45 +1920,12 @@ struct Machine::Impl {
   std::uint32_t rebuildFrame(PeState& P, std::uint16_t spCode,
                              std::uint64_t ctx) {
     Frame f;
-    f.spCode = spCode;
-    f.ctx = ctx;
-    f.slots.assign(prog.sp(spCode).numSlots, Value{});
+    f.reset(spCode, ctx, prog.sp(spCode).numSlots);
     const std::uint32_t idx = static_cast<std::uint32_t>(P.frames.size());
     P.frames.push_back(std::move(f));
     P.match[ctx] = idx;
     ++liveSps;
     return idx;
-  }
-
-  /// On-demand re-delivery of logged responses: frame `frameIdx` (re-)sent a
-  /// token to context `target`, so every logged continuation-addressed
-  /// delivery *from* that context *into* this frame is due now. Entries
-  /// addressed to other frames stay parked (e.g. array-read wakeups — their
-  /// consumers refill by re-reading the surviving I-structure instead).
-  void replayResponsesFor(std::uint16_t pe, std::uint64_t target,
-                          std::uint32_t frameIdx) {
-    PeState& P = pes[pe];
-    auto it = P.pendingReplay.find(target);
-    if (it == P.pendingReplay.end()) return;
-    auto& idxs = it->second;
-    for (std::size_t i = 0; i < idxs.size();) {
-      const RecEntry& e = recLogs[pe].entries[idxs[i]];
-      if (e.frame != frameIdx) {
-        ++i;
-        continue;
-      }
-      Frame& f = P.frames[frameIdx];
-      PODS_CHECK_MSG(e.slot < f.slots.size(), "replayed slot out of range");
-      if (e.add) {
-        std::int64_t cur = f.slots[e.slot].empty() ? 0 : f.slots[e.slot].asInt();
-        f.slots[e.slot] = Value::intv(cur + e.v.asInt());
-      } else {
-        f.slots[e.slot] = e.v;
-      }
-      stats.counters.add("recovery.replayedTokens");
-      idxs.erase(idxs.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    if (idxs.empty()) P.pendingReplay.erase(it);
   }
 
   // --- main loop ------------------------------------------------------------
@@ -2144,9 +1935,7 @@ struct Machine::Impl {
     {
       PeState& P0 = pes[0];
       Frame f;
-      f.spCode = prog.mainSp;
-      f.ctx = 0;
-      f.slots.assign(prog.sp(prog.mainSp).numSlots, Value{});
+      f.reset(prog.mainSp, 0, prog.sp(prog.mainSp).numSlots);
       P0.frames.push_back(std::move(f));
       P0.match[0] = 0;
       P0.readyQ.push_back(0);

@@ -40,7 +40,6 @@ SimTime Timing::euCost(Op op, bool realOp) const {
       return intAdd;
     case Op::LIT:
     case Op::MOV:
-    case Op::MYPE:
     case Op::NUMPE:
     case Op::NEWCTX:
     case Op::MKCONT:

@@ -134,6 +134,17 @@ TEST(Integration, RfPlacementAblationStaysCorrect) {
   ASSERT_TRUE(rb.stats.ok) << rb.stats.error;
   std::string why;
   EXPECT_TRUE(sameOutputs(ra.out, rb.out, &why)) << why;
+  // The forced block-range plan natively too: BLKLO/BLKHI run on both
+  // engines' shared executor, against either array store.
+  for (const native::StoreKind store :
+       {native::StoreKind::Local, native::StoreKind::Wire}) {
+    native::NativeConfig nc;
+    nc.numWorkers = 4;
+    nc.store = store;
+    NativeRun rn = runNative(*b.compiled, nc);
+    ASSERT_TRUE(rn.stats.ok) << rn.stats.error;
+    EXPECT_TRUE(sameOutputs(rn.out, ra.out, &why)) << why;
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// SP instruction-set tests: encoding helpers, classification, timing table
+// SP instruction-set tests: encoding helpers, op names, timing table
 // coverage, and disassembly.
 #include <gtest/gtest.h>
 
@@ -24,19 +24,6 @@ TEST(Isa, OpNamesAreUniqueAndNonEmpty) {
     EXPECT_NE(n, "?");
     EXPECT_TRUE(names.insert(n).second) << "duplicate op name " << n;
   }
-}
-
-TEST(Isa, LocalComputeClassification) {
-  // Local compute ops never touch another functional unit.
-  EXPECT_TRUE(opIsLocalCompute(Op::ADD));
-  EXPECT_TRUE(opIsLocalCompute(Op::JMP));
-  EXPECT_TRUE(opIsLocalCompute(Op::NEWCTX));
-  EXPECT_FALSE(opIsLocalCompute(Op::ARD));
-  EXPECT_FALSE(opIsLocalCompute(Op::AWR));
-  EXPECT_FALSE(opIsLocalCompute(Op::SENDA));
-  EXPECT_FALSE(opIsLocalCompute(Op::SENDD));
-  EXPECT_FALSE(opIsLocalCompute(Op::ALLOCD));
-  EXPECT_FALSE(opIsLocalCompute(Op::END));
 }
 
 TEST(Isa, EveryOpHasPositiveEuCost) {

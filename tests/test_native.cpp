@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <vector>
 
 #include "core/pods.hpp"
@@ -176,20 +177,52 @@ def main() {
   EXPECT_EQ(run.out.results[1].asInt(), 99);
 }
 
+/// Unary minus, `!`, `&&`, `>`, floor, pow and exp on values that depend on
+/// the loop index, so the frontend cannot fold them: every one of those
+/// opcodes reaches both engines' executor.
+constexpr const char* kOpMix = R"(
+def main() -> real {
+  let n = 12;
+  let a = array(n);
+  for i = 0 to n - 1 {
+    let x = real(i) * 0.25 - 1.0;
+    let flag = if x > 0.5 && !(i == 7) then 1.0 else 0.0;
+    a[i] = floor(-x * 3.0) + pow(1.5, x) + exp(-x) + flag;
+  }
+  let s = for i = 0 to n - 1 carry (acc = 0.0) {
+    next acc = acc + a[i];
+  } yield acc;
+  return s;
+}
+)";
+
 TEST(Native, MatchesSimulatorOutputs) {
   // The two machines implement the same model at different fidelity; their
-  // *results* must agree exactly.
-  auto c = compileOk(workloads::conductionOnlySource(10, 1));
-  sim::MachineConfig mc;
-  mc.numPEs = 4;
-  PodsRun simRun = runPods(*c, mc);
-  ASSERT_TRUE(simRun.stats.ok) << simRun.stats.error;
-  native::NativeConfig nc;
-  nc.numWorkers = 4;
-  NativeRun natRun = runNative(*c, nc);
-  ASSERT_TRUE(natRun.stats.ok) << natRun.stats.error;
-  std::string why;
-  EXPECT_TRUE(sameOutputs(natRun.out, simRun.out, &why)) << why;
+  // *results* must agree exactly, and with the sequential engine's.
+  for (const std::string& src :
+       {workloads::conductionOnlySource(10, 1), std::string(kOpMix)}) {
+    auto c = compileOk(src);
+    BaselineRun seq = runSequentialBaseline(*c);
+    ASSERT_TRUE(seq.stats.ok) << seq.stats.error;
+    sim::MachineConfig mc;
+    mc.numPEs = 4;
+    PodsRun simRun = runPods(*c, mc);
+    ASSERT_TRUE(simRun.stats.ok) << simRun.stats.error;
+    native::NativeConfig nc;
+    nc.numWorkers = 4;
+    NativeRun natRun = runNative(*c, nc);
+    ASSERT_TRUE(natRun.stats.ok) << natRun.stats.error;
+    std::string why;
+    EXPECT_TRUE(sameOutputs(natRun.out, simRun.out, &why)) << why;
+    EXPECT_TRUE(sameOutputs(natRun.out, seq.out, &why)) << why;
+  }
+  const auto mix = compileOk(kOpMix);
+  std::set<Op> emitted;
+  for (const SpCode& sp : mix->program.sps)
+    for (const Instr& in : sp.code) emitted.insert(in.op);
+  for (Op op : {Op::NEG, Op::NOT, Op::AND, Op::CMPGT, Op::FLOOR, Op::POW,
+                Op::EXP})
+    EXPECT_EQ(emitted.count(op), 1u) << opName(op) << " not emitted";
 }
 
 // --- wire array store (--store=wire) ----------------------------------------

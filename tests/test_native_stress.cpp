@@ -1,8 +1,9 @@
 // Native runtime hardening tests: determinism under worker-count sweeps and
 // repetition, frame free-list accounting (no leaked live frames), and the
 // error paths that must report cleanly instead of crashing or hanging —
-// unknown array ids, non-array operands, and genuine deadlocks detected by
-// the counting quiescence protocol within a bounded wall-clock time.
+// unknown array ids, non-array operands and out-of-range result indices (on
+// the simulator too), and genuine deadlocks detected by the counting
+// quiescence protocol within a bounded wall-clock time.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -115,6 +116,16 @@ Instr lit(std::uint16_t dst, Value v) {
   return in;
 }
 
+/// The same hand-assembled program on the simulator, at 2 PEs.
+sim::RunStats runSim(const SpProgram& prog) {
+  sim::MachineConfig mc;
+  mc.numPEs = 2;
+  return sim::Machine(prog, mc).run();
+}
+
+// Both engines run one SP executor, so an ill-typed or out-of-range operand
+// is one structured error on either — never a crash of the whole process.
+
 TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   // ARD on an array id no allocation ever produced: must fail with the SP
   // name, not dereference an array the store never created.
@@ -133,6 +144,11 @@ TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   EXPECT_NE(res.error.find("unknown array id 999"), std::string::npos)
       << res.error;
   EXPECT_NE(res.error.find("handmade"), std::string::npos) << res.error;
+  // The simulator's Array Manager waits for the header of an array it has
+  // not seen, so the run ends in its deadlock report.
+  const sim::RunStats rs = runSim(prog);
+  EXPECT_FALSE(rs.ok);
+  EXPECT_FALSE(rs.error.empty());
 }
 
 TEST(NativeErrors, NonArrayOperandToArdReported) {
@@ -150,6 +166,11 @@ TEST(NativeErrors, NonArrayOperandToArdReported) {
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)
       << res.error;
+  const sim::RunStats rs = runSim(prog);
+  EXPECT_FALSE(rs.ok);
+  EXPECT_NE(rs.error.find("array read on non-array operand 5 in handmade"),
+            std::string::npos)
+      << rs.error;
 }
 
 TEST(NativeErrors, NonArrayOperandToDimqReported) {
@@ -166,6 +187,33 @@ TEST(NativeErrors, NonArrayOperandToDimqReported) {
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)
       << res.error;
+  const sim::RunStats rs = runSim(prog);
+  EXPECT_FALSE(rs.ok);
+  EXPECT_NE(rs.error.find("dimension query on non-array operand 1.5"),
+            std::string::npos)
+      << rs.error;
+}
+
+TEST(NativeErrors, ResultIndexOutOfRangeReported) {
+  // RESULT #3 in a program with one result slot: an error on both engines,
+  // never a write past the end of the results.
+  Instr result;
+  result.op = Op::RESULT;
+  result.a = 0;
+  result.aux = 3;
+  Instr end;
+  end.op = Op::END;
+  SpProgram prog =
+      singleSpProgram({lit(0, Value::intv(7)), result, end}, 1);
+  native::NativeMachine m(prog, {.numWorkers = 2});
+  native::NativeResult res = m.run();
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("result index 3 out of range"), std::string::npos)
+      << res.error;
+  const sim::RunStats rs = runSim(prog);
+  EXPECT_FALSE(rs.ok);
+  EXPECT_NE(rs.error.find("result index 3 out of range"), std::string::npos)
+      << rs.error;
 }
 
 TEST(NativeErrors, DeadlockReportedWithinBoundedTime) {
