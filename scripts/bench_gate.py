@@ -167,7 +167,8 @@ def tokens_per_datagram(counters):
 
 def print_stats_deltas(baseline_path, candidate_path):
     """Forensic (never gated) drift report over the archived counter
-    registries: wall time, batching occupancy, and the hot-path counters in
+    registries: wall time, batching occupancy, the native engine's cost per
+    instruction (derived.native.ns_per_instr), and the hot-path counters in
     STATS_DELTA_COUNTERS. Runs present on only one side are skipped."""
     base, pr = load_stats(baseline_path), load_stats(candidate_path)
     common = sorted(set(base) & set(pr))
@@ -184,6 +185,12 @@ def print_stats_deltas(baseline_path, candidate_path):
             line += (f", tokens/datagram "
                      f"{btpd if btpd is not None else 0:.1f} -> "
                      f"{ptpd if ptpd is not None else 0:.1f}")
+        bns = b.get("derived", {}).get("native.ns_per_instr")
+        pns = p.get("derived", {}).get("native.ns_per_instr")
+        if bns is not None or pns is not None:
+            line += (f", ns/instr "
+                     f"{'-' if bns is None else f'{bns:.1f}'} -> "
+                     f"{'-' if pns is None else f'{pns:.1f}'}")
         print(line)
         bc, pc = b.get("counters", {}), p.get("counters", {})
         for key in STATS_DELTA_COUNTERS:

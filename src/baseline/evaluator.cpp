@@ -242,6 +242,8 @@ class Interp {
       const Value& a = env.at(n.in[0]);
       const Value& b = env.at(n.in[1]);
       charge(m, tm_.euCost(op, binIsReal(a, b)));
+      if (const char* err = binOpError(op, a, b))
+        throw EvalError(std::string(err) + " in " + curBlock_->name);
       env.at(n.dst) = applyBin(op, a, b);
       return;
     }
@@ -293,7 +295,10 @@ class Interp {
   }
 
   void evalBlockBody(const Block& b, Env& env, const Mode& m) {
+    const Block* saved = curBlock_;
+    curBlock_ = &b;
     evalItems(b.body, env, m);
+    curBlock_ = saved;
   }
 
   /// Runs the iterations of `loop` for indices [lo, hi] (respecting loop
@@ -301,7 +306,8 @@ class Interp {
   void runRange(const Block& loop, Env& env, const Mode& m, std::int64_t lo,
                 std::int64_t hi) {
     const Block* savedLoop = curLoop_;
-    curLoop_ = &loop;
+    const Block* savedBlock = curBlock_;
+    curLoop_ = curBlock_ = &loop;
     if (loop.ascending) {
       for (std::int64_t i = lo; i <= hi; ++i) {
         charge(m, loopIterCost());
@@ -316,6 +322,7 @@ class Interp {
       }
     }
     curLoop_ = savedLoop;
+    curBlock_ = savedBlock;
   }
 
   void iterBody(const Block& loop, Env& env, const Mode& m) {
@@ -331,7 +338,8 @@ class Interp {
 
     if (loop.kind == BlockKind::WhileLoop) {
       const Block* savedLoop = curLoop_;
-      curLoop_ = &loop;
+      const Block* savedBlock = curBlock_;
+      curLoop_ = curBlock_ = &loop;
       for (;;) {
         evalItems(loop.condItems, env, m);
         charge(m, tm_.intCmp);
@@ -339,6 +347,7 @@ class Interp {
         iterBody(loop, env, m);
       }
       curLoop_ = savedLoop;
+      curBlock_ = savedBlock;
       evalItems(loop.finalItems, env, m);
       return;
     }
@@ -409,6 +418,9 @@ class Interp {
   std::unordered_map<std::uint64_t, SimTime> fetched_;
   Counters counters_;
   const Block* curLoop_ = nullptr;
+  /// The innermost block being evaluated, whose name (that of its SP) run
+  /// errors report.
+  const Block* curBlock_ = nullptr;
 };
 
 }  // namespace

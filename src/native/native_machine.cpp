@@ -28,13 +28,9 @@ struct NFrame : SpFrame {
   bool blocked = false;
   bool dead = false;
 };
-
-/// Cell store (`--store=local`): one worker's view of an array — the store's
-/// cells and shape, plus the ownership layout Range Filters read.
-struct CellArray {
-  ShmStore::ArrayRef ref;
-  ArrayLayout layout;
-};
+// The flags share SpFrame's first 64 bytes (its tail padding): the run loop
+// tests `dead`, and deliver() `blocked`, next to the fields execute() reads.
+static_assert(sizeof(NFrame) <= 64, "NFrame outgrew one cache line");
 
 /// End-of-list link of the wire store's intrusive park lists.
 constexpr std::uint32_t kNoPark = ~std::uint32_t{0};
@@ -76,19 +72,25 @@ T& widenSlice(std::vector<T>& v, std::int64_t& lo, std::int64_t idx) {
   return v[static_cast<std::size_t>(idx - lo)];
 }
 
-/// Wire store: one PE's record of one array — the paper's per-PE run of
-/// pages (§4.1) held as array memory with presence bits and per-element
-/// deferred-read lists (§5.1), plus the software cache of remote pages
-/// (§4) this PE has been sent.
-struct WsArray {
-  /// Shape + ownership layout once known: the allocator registers at ALLOC,
-  /// other PEs on a DimReply. Layout is a pure function of (shape, machine
-  /// config), so a cached copy is as authoritative as the allocator's.
+/// One worker's record of one array, in whichever store the run uses.
+struct ArrayRec {
+  /// Shape + ownership layout once known. Cell store: set when the worker
+  /// first resolves the id in the store. Wire store: the allocator
+  /// registers it at ALLOC, other PEs on a DimReply. Layout is a pure
+  /// function of (shape, machine config), so a cached copy is as
+  /// authoritative as the allocator's.
   std::optional<ArrayLayout> layout;
+  /// Cell store (`--store=local`): the store's cells and shape.
+  ShmStore::ArrayRef ref;
+
+  // Wire store: the paper's per-PE run of pages (§4.1) held as array memory
+  // with presence bits and per-element deferred-read lists (§5.1), plus the
+  // software cache of remote pages (§4) this PE has been sent.
   /// Dense slice of this PE's owned elements: cells[i] is offset lo + i.
-  /// Once the shape is known it covers exactly layout->elemSegment(pe).
-  /// Before that — an owner can be sent a ReadReq/Write for an array it
-  /// never allocated or queried — it spans the offsets seen so far.
+  /// Once the shape is known it covers exactly layout->elemSegment(pe), so
+  /// find() is the ownership test. Before that — an owner can be sent a
+  /// ReadReq/Write for an array it never allocated or queried — it spans
+  /// the offsets seen so far.
   std::int64_t lo = 0;
   std::vector<WsCell> cells;
   /// Requester page cache: pages[p - pageLo] holds the elements of remote
@@ -103,7 +105,9 @@ struct WsArray {
 
   const ArrayShape& shape() const { return layout->shape(); }
 
-  WsCell* find(std::int64_t off) {
+  /// This PE's cell for element `off`, or nullptr when the slice does not
+  /// hold it — with the shape known, exactly when another PE owns it.
+  [[gnu::always_inline]] WsCell* find(std::int64_t off) {
     const std::int64_t i = off - lo;
     if (i < 0 || i >= static_cast<std::int64_t>(cells.size())) return nullptr;
     return &cells[static_cast<std::size_t>(i)];
@@ -148,6 +152,77 @@ struct WsArray {
   }
 };
 
+/// One worker's array records, indexed the way ids are minted (id = seq *
+/// numPEs + pe): a row per allocating PE, each a directory of fixed-size
+/// record chunks indexed by seq. Dense per PE whatever the allocation skew,
+/// and no hashing on the array-instruction path. Bounded like the cell
+/// store's chunk directory: an id whose seq is at or past kMaxSeq has no
+/// record, so no id — one read off the wire included — can grow a row past
+/// kMaxSeq / kChunk chunk pointers.
+class ArrayTable {
+ public:
+  explicit ArrayTable(int numPEs = 1)
+      : numPEs_(static_cast<std::uint32_t>(numPEs)),
+        recip_((std::uint64_t{1} << 40) / numPEs_ + 1),
+        rows_(static_cast<std::size_t>(numPEs)) {
+    PODS_CHECK(numPEs >= 1 && numPEs <= 256);
+  }
+
+  /// The record of `id` when its chunk exists, else nullptr.
+  [[gnu::always_inline]] ArrayRec* find(ArrayId id) {
+    const std::uint32_t seq = seqOf(id);
+    const Row& row = rows_[id - seq * numPEs_];
+    const std::uint32_t c = seq >> kChunkBits;
+    if (c >= row.size() || row[c] == nullptr) return nullptr;
+    return &row[c][seq & (kChunk - 1)];
+  }
+
+  /// The record of `id`, installing its chunk; nullptr past the bound.
+  ArrayRec* get(ArrayId id) {
+    const std::uint32_t seq = seqOf(id);
+    if (seq >= kMaxSeq) return nullptr;
+    Row& row = rows_[id - seq * numPEs_];
+    const std::uint32_t c = seq >> kChunkBits;
+    if (c >= row.size()) row.resize(c + 1);
+    if (row[c] == nullptr) row[c] = std::make_unique<ArrayRec[]>(kChunk);
+    return &row[c][seq & (kChunk - 1)];
+  }
+
+  /// Calls f(id, record) for every record of every installed chunk.
+  template <class F>
+  void forEach(F f) {
+    for (std::uint32_t pe = 0; pe < numPEs_; ++pe) {
+      const Row& row = rows_[pe];
+      for (std::uint32_t c = 0; c < row.size(); ++c) {
+        if (row[c] == nullptr) continue;
+        for (std::uint32_t i = 0; i < kChunk; ++i)
+          f(static_cast<ArrayId>(((c << kChunkBits) + i) * numPEs_ + pe),
+            row[c][i]);
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kChunkBits = 6;
+  static constexpr std::uint32_t kChunk = 1u << kChunkBits;
+  static constexpr std::uint32_t kMaxSeq = 1u << 22;  // as the cell store
+  using Row = std::vector<std::unique_ptr<ArrayRec[]>>;
+
+  /// id / numPEs as one multiply, off the divider every array access
+  /// would otherwise wait on. Exact for every 32-bit id: recip_ exceeds
+  /// 2^40 / numPEs by e <= 1, so the product overshoots id / numPEs by
+  /// id * e / 2^40 < 2^32 / 2^40 <= 1 / numPEs, never reaching the next
+  /// integer.
+  std::uint32_t seqOf(ArrayId id) const {
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(id) * recip_) >> 40);
+  }
+
+  std::uint32_t numPEs_;
+  std::uint64_t recip_;
+  std::vector<Row> rows_;
+};
+
 /// Owner-thread-only event counters; read cross-thread only after join().
 struct WorkerStats {
   std::int64_t tokensIn = 0;       // tokens drained from the inbox
@@ -159,6 +234,10 @@ struct WorkerStats {
   std::int64_t idleTransitions = 0;
   std::int64_t instructions = 0;
   std::int64_t dupSuppressed = 0;  // duplicate faulty messages deduplicated
+  /// Tokens no sender can have built (forged or corrupted on the wire): an
+  /// unknown SP code, a slot past the frame's slots, or a join-counter add
+  /// that is not Int on Int. Dropped before they touch a frame.
+  std::int64_t badTokens = 0;
   PeakGauge liveFrames;
   // Wire array store ("net.am.*"): typed array messages sent/serviced by
   // this PE, plus the local fast-path accesses that never hit the wire.
@@ -247,10 +326,13 @@ struct Worker {
   /// coordination. Store state: an in-process kill leaves it intact; a
   /// respawned process rebuilds it from the mint log.
   std::uint64_t arraySeq = 0;
+  /// Owner-thread-only: the arrays this PE has touched, in either store.
+  /// Like the elements, the records are *store* state, not PE state: an
+  /// in-process kill wipes the frames but leaves them intact (multi-process
+  /// respawns rebuild wire-store records from the receive log's Am records).
+  ArrayTable arrays;
 
   // ---- Cell store (owner-thread-only; cfg.store == Local) ---------------
-  /// Arrays this worker has resolved in the cell store.
-  std::unordered_map<ArrayId, CellArray> cellArrays;
   /// Scratch for the continuations a filling write releases.
   std::vector<std::uint64_t> woken;
 
@@ -258,13 +340,7 @@ struct Worker {
   //
   // Under the wire store this PE privately owns the elements `ArrayLayout`
   // assigns to it; every non-local access arrives as a typed array message
-  // (native/store.hpp) on the ordinary token transport. Like the cell
-  // store, the array records are *store* state, not PE state: an
-  // in-process kill wipes the frames but leaves elements and parks intact
-  // (multi-process respawns rebuild them from the receive log's Am records
-  // instead).
-  /// One record per array this PE has touched.
-  std::unordered_map<ArrayId, WsArray> wsArrays;
+  // (native/store.hpp) on the ordinary token transport.
   /// Node pool behind every record's park lists; wsParkFree heads the free
   /// list, so steady-state parking allocates nothing.
   std::vector<WsPark> wsParkPool;
@@ -471,6 +547,7 @@ struct NativeMachine::Impl : TransportSink {
       workers.push_back(std::make_unique<Worker>());
       Worker& w = *workers.back();
       w.id = i;
+      w.arrays = ArrayTable(c.numWorkers);
       // One lane per sending worker plus one service lane (numWorkers) for
       // transport threads. Ring storage allocates lazily on a lane's first
       // push — most of the all-to-all matrix never carries a token.
@@ -711,6 +788,15 @@ struct NativeMachine::Impl : TransportSink {
       cfg.link->logMint(ctx, mseq, v, L.ctxCounter);
   }
 
+  /// Whether `tok` can apply at `slot` of a frame with `slots`: in range,
+  /// and a join-counter token adds an Int to an empty or Int slot.
+  static bool tokenFits(const NToken& tok, std::uint16_t slot,
+                        const std::vector<Value>& slots) {
+    return slot < slots.size() &&
+           (!tok.add || (tok.v.isInt() && (slots[slot].empty() ||
+                                           slots[slot].isInt())));
+  }
+
   /// Owner-thread token delivery (frame creation, slot write, wake-up).
   void deliver(int pe, const NToken& tok) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
@@ -772,6 +858,10 @@ struct NativeMachine::Impl : TransportSink {
         return;
       }
       NFrame& fr = *w.frames[frameIdx];
+      if (!tokenFits(tok, slot, fr.slots)) {
+        w.st.badTokens++;
+        return;
+      }
       if (recMode() && tok.sendKey != 0 &&
           !w.dedup.firstCont(fr.ctx, tok.senderCtx, tok.sendKey)) {
         // A re-executed sender re-sent this logical token; it was already
@@ -782,7 +872,7 @@ struct NativeMachine::Impl : TransportSink {
         return;
       }
       if (recMode() && tok.sendKey != 0 && fr.replaying &&
-          fr.sentCtxs.count(tok.senderCtx) == 0) {
+          !fr.sentTo(tok.senderCtx)) {
         // Fresh result racing the replay (e.g. a survivor child finishing
         // after the rebuild): the rebuilt consumer has not re-sent to this
         // context yet, so applying now could clobber an earlier round's
@@ -794,11 +884,21 @@ struct NativeMachine::Impl : TransportSink {
         return;
       }
     } else {
+      // Checked where tokens enter: the SP code a spawn resolves, the slot
+      // of that SP or of the live frame (a forged token may name another
+      // SP), and no join-counter add, which only continuations carry.
+      auto it = w.match.find(tok.ctx);
+      if (tok.add || tok.spCode >= prog.sps.size() ||
+          tok.slot >= prog.sps[tok.spCode].numSlots ||
+          (it != w.match.end() &&
+           !tokenFits(tok, tok.slot, w.frames[it->second]->slots))) {
+        w.st.badTokens++;
+        return;
+      }
       if (recMode() && !w.dedup.firstCtx(tok.ctx, tok.slot)) {
         w.st.tokensDropped++;  // replayed spawn/argument duplicate
         return;
       }
-      auto it = w.match.find(tok.ctx);
       if (it == w.match.end()) {
         if (trackStragglers() && w.rx.straggler(tok.ctx)) {
           w.st.tokensDropped++;  // straggler to a retired instance
@@ -840,53 +940,54 @@ struct NativeMachine::Impl : TransportSink {
 
   // --- arrays ---------------------------------------------------------------
 
-  /// Cell store: worker w's view of array `id`, resolved once per worker.
-  /// `create` non-null is ALLOC's idempotent create-or-lookup. nullptr when
-  /// the id is unknown (lookup) or the store is out of space (create).
-  CellArray* cellArray(Worker& w, ArrayId id, const ArrayShape* create) {
-    auto it = w.cellArrays.find(id);
-    if (it != w.cellArrays.end()) return &it->second;
+  /// Cell store: worker w's record of array `id`, resolved in the store
+  /// once per worker. `create` non-null is ALLOC's idempotent
+  /// create-or-lookup. nullptr when the id is unknown (lookup) or the store
+  /// is out of space (create). Inline, with cellResolve the first-access
+  /// slow path.
+  [[gnu::always_inline]] ArrayRec* cellArray(Worker& w, ArrayId id,
+                                             const ArrayShape* create) {
+    if (ArrayRec* a = w.arrays.find(id); a != nullptr && a->ref.valid())
+      return a;
+    return cellResolve(w, id, create);
+  }
+
+  /// cellArray's first access: the record from the store's table.
+  ArrayRec* cellResolve(Worker& w, ArrayId id, const ArrayShape* create) {
     const ShmStore::ArrayRef ref = create != nullptr
                                        ? cells->createArray(id, *create)
                                        : cells->lookup(id);
     if (!ref.valid()) return nullptr;
-    CellArray a{ref, ArrayLayout(ref.shape, cfg.numWorkers, cfg.pageElems,
-                                 cfg.peWeights)};
-    return &w.cellArrays.emplace(id, std::move(a)).first->second;
+    ArrayRec* a = w.arrays.get(id);  // the store's bound is the table's
+    if (a == nullptr) return nullptr;
+    a->ref = ref;
+    a->layout.emplace(ref.shape, cfg.numWorkers, cfg.pageElems, cfg.peWeights);
+    return a;
   }
 
-  /// An array instruction's operand, resolved in the active store.
-  struct ArrayOperand {
-    ArrayId id = 0;
-    const ArrayLayout* layout = nullptr;  // shape + ownership
-    WsArray* wire = nullptr;              // wire store
-    CellArray* cell = nullptr;            // cell store
-  };
+  /// Fails the run on an array id no allocation produced (a stale or
+  /// corrupted handle), which may not be dereferenced.
+  Step unknownArray(const NFrame& f, const Instr& in, ArrayId id) {
+    fail(std::string(arrayOpWhat(in.op)) + " on unknown array id " +
+         std::to_string(id) + " in " + prog.sp(f.spCode).name);
+    return Step::Stopped;
+  }
 
-  /// Resolves array `id`, the operand of ARD/AWR/RFLO/RFHI/DIMQ `in`.
-  /// Continue: `out` is filled. Blocked: the wire store does not know the
-  /// shape yet and has asked the allocator. Stopped: the run failed — the id
-  /// is one no allocation produced (a stale or corrupted handle), which may
-  /// not be dereferenced.
-  Step resolveArray(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
-                    const Instr& in, ArrayId id, ArrayOperand& out) {
-    out.id = id;
+  /// Resolves array `id`, the operand of ARD/AWR/RFLO/RFHI/DIMQ `in`, to
+  /// this worker's record. Continue: `out` is set and knows the shape.
+  /// Blocked: the wire store does not know the shape yet and has asked the
+  /// allocator. Stopped: the id is unknown (unknownArray). Forced inline
+  /// into ARD and AWR: the record lookup is their common path.
+  [[gnu::always_inline]] Step resolveArray(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
+                    const Instr& in, ArrayId id, ArrayRec*& out) {
     if (wireStore()) {
-      out.wire = wireMeta(w, out.id);
-      if (out.wire == nullptr)
-        return wireAwaitShape(pe, w, frameIdx, f, out.id);
-      out.layout = &*out.wire->layout;
-      return Step::Continue;
+      out = wireMeta(w, id);
+      return out != nullptr ? Step::Continue
+                            : wireAwaitShape(pe, w, frameIdx, f, in, id);
     }
     w.st.shmArrayOps++;
-    out.cell = cellArray(w, out.id, nullptr);
-    if (out.cell == nullptr) {
-      fail(std::string(arrayOpWhat(in.op)) + " on unknown array id " +
-           std::to_string(out.id) + " in " + prog.sp(f.spCode).name);
-      return Step::Stopped;
-    }
-    out.layout = &out.cell->layout;
-    return Step::Continue;
+    out = cellArray(w, id, nullptr);
+    return out != nullptr ? Step::Continue : unknownArray(f, in, id);
   }
 
   /// The flat element offset an ARD/AWR addresses; false when out of bounds.
@@ -912,35 +1013,35 @@ struct NativeMachine::Impl : TransportSink {
   // the same batching/ack/retransmit/dedup machinery as every other token.
 
   /// The record of an array whose shape this PE knows, else nullptr.
-  WsArray* wireMeta(Worker& w, ArrayId id) {
-    auto it = w.wsArrays.find(id);
-    if (it == w.wsArrays.end() || !it->second.layout) return nullptr;
-    return &it->second;
+  [[gnu::always_inline]] static ArrayRec* wireMeta(Worker& w, ArrayId id) {
+    ArrayRec* a = w.arrays.find(id);
+    return a != nullptr && a->layout ? a : nullptr;
   }
 
-  /// Learns an array's shape and seats the owned slice on this PE's segment.
-  /// A duplicate DimReply (or an ALLOC racing one, or a replayed AllocMeta)
-  /// is a no-op: layout is a pure function of (shape, config), so copies
-  /// agree.
-  WsArray& wireRegisterMeta(Worker& w, ArrayId id, const ArrayShape& s) {
-    WsArray& a = w.wsArrays[id];
-    if (a.layout) return a;
+  /// Learns array `id`'s shape and seats the owned slice on this PE's
+  /// segment. A duplicate DimReply (or an ALLOC racing one, or a replayed
+  /// AllocMeta) is a no-op: layout is a pure function of (shape, config),
+  /// so copies agree.
+  void wireRegisterMeta(Worker& w, ArrayRec& a, ArrayId id,
+                        const ArrayShape& s) {
+    if (a.layout) return;
     a.layout.emplace(s, cfg.numWorkers, cfg.pageElems, cfg.peWeights);
     if (!a.seat(a.layout->elemSegment(w.id)))
       fail("array " + std::to_string(id) + " holds elements outside PE " +
            std::to_string(w.id) + "'s owned segment");
-    return a;
   }
 
-  /// The owner's cell for element `off` of `arr`, widening a shape-less
-  /// slice as needed. Returns nullptr after reporting a message for an
-  /// element this PE cannot own — outside its segment once the shape is
-  /// known, outside any array the engine can allocate before.
-  WsCell* wireOwnedCell(Worker& w, WsArray& a, ArrayId arr, std::int64_t off) {
-    if (a.layout) {
-      if (WsCell* c = a.find(off)) return c;
-    } else if (off >= 0 && off < kMaxArrayElems) {
-      return &a.widen(off);
+  /// The owner's cell for element `off` of `arr` (record `a`, nullptr past
+  /// the table's bound), widening a shape-less slice as needed. Returns
+  /// nullptr after reporting a message for an element this PE cannot own —
+  /// outside its segment once the shape is known, outside any array the
+  /// engine can allocate before.
+  WsCell* wireOwnedCell(Worker& w, ArrayRec* a, ArrayId arr,
+                        std::int64_t off) {
+    if (a != nullptr && a->layout) {
+      if (WsCell* c = a->find(off)) return c;
+    } else if (a != nullptr && off >= 0 && off < kMaxArrayElems) {
+      return &a->widen(off);
     }
     fail("array message for element " + std::to_string(off) + " of array " +
          std::to_string(arr) + " not owned by PE " + std::to_string(w.id));
@@ -1018,7 +1119,7 @@ struct NativeMachine::Impl : TransportSink {
   /// element moves the page (paper §4). Pages are owned whole, so on a
   /// shape-less slice the page's other elements are this PE's too; find()
   /// skips those it has not seen.
-  void wireSendPage(int pe, WsArray& a, ArrayId arr, std::int64_t off,
+  void wireSendPage(int pe, ArrayRec& a, ArrayId arr, std::int64_t off,
                     int requester) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     const std::int64_t first = off - off % cfg.pageElems;
@@ -1041,9 +1142,9 @@ struct NativeMachine::Impl : TransportSink {
   /// outside the array, or this PE owns the element (a reply to a park at
   /// itself).
   bool wireCache(Worker& w, ArrayId arr, std::int64_t off, const Value& v) {
-    WsArray* a = wireMeta(w, arr);
+    ArrayRec* a = wireMeta(w, arr);
     if (a == nullptr || v.empty() || off < 0 ||
-        off >= a->shape().numElems() || a->layout->ownerOfOffset(off) == w.id)
+        off >= a->shape().numElems() || a->find(off) != nullptr)
       return false;
     a->cache(off, v);
     return true;
@@ -1071,26 +1172,25 @@ struct NativeMachine::Impl : TransportSink {
     w.st.amParks++;
   }
 
-  /// Applies one element write as owner and drains parked readers. Returns
-  /// false after reporting a single-assignment violation. Parks are drained
-  /// even on an idempotent identical rewrite (recovery replay): the original
-  /// writer may have died between publishing the element and its replies
-  /// getting out, or the parks themselves may be log-rebuilt.
-  bool wireApplyWrite(int pe, WsArray& a, ArrayId arr, std::int64_t off,
+  /// Applies one element write to `cell`, element `off` of `arr` owned
+  /// here, and drains parked readers. Returns false after reporting a
+  /// single-assignment violation. Parks are drained even on an idempotent
+  /// identical rewrite (recovery replay): the original writer may have died
+  /// between publishing the element and its replies getting out, or the
+  /// parks themselves may be log-rebuilt.
+  bool wireApplyWrite(int pe, WsCell& cell, ArrayId arr, std::int64_t off,
                       const Value& v) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
-    WsCell* cell = wireOwnedCell(w, a, arr, off);
-    if (cell == nullptr) return false;
-    if (!cell->v.empty()) {
-      if (!(recMode() && cell->v.identical(v))) {
+    if (!cell.v.empty()) {
+      if (!(recMode() && cell.v.identical(v))) {
         fail("single-assignment violation at element " + std::to_string(off));
         return false;
       }
     } else {
-      cell->v = v;
+      cell.v = v;
     }
-    std::uint32_t i = cell->parks;
-    cell->parks = kNoPark;
+    std::uint32_t i = cell.parks;
+    cell.parks = kNoPark;
     const std::uint64_t key = elemWakeKey(arr, off);
     while (i != kNoPark) {
       const WsPark p = w.wsParkPool[i];
@@ -1105,7 +1205,7 @@ struct NativeMachine::Impl : TransportSink {
 
   /// A DimReply landed: frames blocked on the shape re-execute their array
   /// instruction (pc never advanced past it).
-  void wireRequeueShapeWaiters(Worker& w, WsArray& a) {
+  void wireRequeueShapeWaiters(Worker& w, ArrayRec& a) {
     for (std::uint32_t idx : a.shapeWait) {
       if (idx >= w.frames.size()) continue;
       NFrame& f = *w.frames[idx];
@@ -1118,15 +1218,17 @@ struct NativeMachine::Impl : TransportSink {
 
   /// Blocks a frame on an unknown array shape and queries the allocator
   /// (id % numPEs) — once per (PE, array). blockedSlot stays kNoSlot so no
-  /// slot write can unblock it; only the DimReply requeue does.
+  /// slot write can unblock it; only the DimReply requeue does. An id past
+  /// the table's bound was never allocated: unknownArray.
   Step wireAwaitShape(int pe, Worker& w, std::uint32_t frameIdx, NFrame& f,
-                      ArrayId arr) {
+                      const Instr& in, ArrayId arr) {
+    ArrayRec* a = w.arrays.get(arr);
+    if (a == nullptr) return unknownArray(f, in, arr);
     w.st.amShapeWaits++;
-    WsArray& a = w.wsArrays[arr];
-    a.shapeWait.push_back(frameIdx);
+    a->shapeWait.push_back(frameIdx);
     f.blockedSlot = kNoSlot;
-    if (!a.dimReqSent) {
-      a.dimReqSent = true;
+    if (!a->dimReqSent) {
+      a->dimReqSent = true;
       w.st.amDimReqSent++;
       NToken tok;
       tok.amKind = static_cast<std::uint8_t>(AmKind::DimReq);
@@ -1151,11 +1253,11 @@ struct NativeMachine::Impl : TransportSink {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amReadReqServed++;
         const std::int64_t off = static_cast<std::int64_t>(tok.senderCtx);
-        WsArray& a = w.wsArrays[arr];
+        ArrayRec* a = w.arrays.get(arr);
         WsCell* cell = wireOwnedCell(w, a, arr, off);
         if (cell == nullptr) return;
         if (!cell->v.empty()) {
-          wireSendPage(pe, a, arr, off, static_cast<int>(tok.cont.pe));
+          wireSendPage(pe, *a, arr, off, static_cast<int>(tok.cont.pe));
           sendAmReply(pe, tok.cont, cell->v, elemWakeKey(arr, off));
         } else {
           wireParkReader(w, *cell, tok.cont.pack());
@@ -1165,14 +1267,15 @@ struct NativeMachine::Impl : TransportSink {
       case AmKind::Write: {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amWriteApplied++;
-        (void)wireApplyWrite(pe, w.wsArrays[arr], arr,
-                             static_cast<std::int64_t>(tok.senderCtx), tok.v);
+        const std::int64_t off = static_cast<std::int64_t>(tok.senderCtx);
+        if (WsCell* cell = wireOwnedCell(w, w.arrays.get(arr), arr, off))
+          (void)wireApplyWrite(pe, *cell, arr, off, tok.v);
         break;
       }
       case AmKind::DimReq: {
         if (workerMode() && !fromLog) logAm(pe, tok);
         w.st.amDimReqServed++;
-        const WsArray* m = wireMeta(w, arr);
+        const ArrayRec* m = wireMeta(w, arr);
         if (m == nullptr) {
           // The allocator registers at ALLOC, before the id can escape (and
           // an AllocMeta log record precedes any replayed DimReq), so an
@@ -1188,7 +1291,14 @@ struct NativeMachine::Impl : TransportSink {
         s.rank = static_cast<int>(tok.slot);
         s.dim0 = static_cast<std::int64_t>(tok.senderCtx);
         s.dim1 = tok.v.asInt();
-        wireRequeueShapeWaiters(w, wireRegisterMeta(w, arr, s));
+        // Past the table's bound no frame can be waiting: nothing to learn.
+        ArrayRec* a = w.arrays.get(arr);
+        if (a == nullptr) {
+          w.st.tokensDropped++;
+          break;
+        }
+        wireRegisterMeta(w, *a, arr, s);
+        wireRequeueShapeWaiters(w, *a);
         break;
       }
       case AmKind::PageFill:
@@ -1219,6 +1329,11 @@ struct NativeMachine::Impl : TransportSink {
   bool registerArray(Worker& w, ArrayId id, const ArrayShape& shape,
                      const SpCode& sp) {
     if (wireStore()) {
+      ArrayRec* a = w.arrays.get(id);
+      if (a == nullptr) {
+        fail("array store exhausted in " + sp.name);
+        return false;
+      }
       // The allocator's shape record is the array's durable identity:
       // registered locally (it answers DimReqs) and, in worker mode, logged
       // so a respawn can rebuild it. Appended whenever replay did NOT
@@ -1226,9 +1341,8 @@ struct NativeMachine::Impl : TransportSink {
       // append lost, and the log must self-heal or a later incarnation's
       // replay could see a DimReq with no shape. Duplicate records replay
       // idempotently.
-      if (workerMode() && wireMeta(w, id) == nullptr)
-        logAllocMeta(w.id, id, shape);
-      wireRegisterMeta(w, id, shape);
+      if (workerMode() && !a->layout) logAllocMeta(w.id, id, shape);
+      wireRegisterMeta(w, *a, id, shape);
       return true;
     }
     // Create-or-lookup even on a mint-log hit: the mint may have reached
@@ -1247,12 +1361,12 @@ struct NativeMachine::Impl : TransportSink {
   [[gnu::always_inline]] Step arrayRead(int pe, Worker& w,
                                         std::uint32_t frameIdx, NFrame& f,
                                         const Instr& in, ArrayId id) {
-    ArrayOperand arr;
+    ArrayRec* arr;
     if (const Step s = resolveArray(pe, w, frameIdx, f, in, id, arr);
         s != Step::Continue)
       return s;
     std::int64_t offset;
-    if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
+    if (!elemOffset(f, in, arr->shape(), &offset)) {
       fail("array read out of bounds in " + prog.sp(f.spCode).name);
       return Step::Stopped;
     }
@@ -1260,18 +1374,15 @@ struct NativeMachine::Impl : TransportSink {
     // downstream consumers block on it.
     f.slots[in.dst] = Value{};
     const Cont c{static_cast<std::uint16_t>(pe), frameIdx, in.dst, f.gen};
-    if (arr.wire != nullptr) {
-      const int owner = arr.layout->ownerOfOffset(offset);
-      if (owner == pe) {
+    if (wireStore()) {
+      if (WsCell* cell = arr->find(offset)) {  // owned here
         w.st.amLocalReads++;
-        WsCell* cell = wireOwnedCell(w, *arr.wire, arr.id, offset);
-        if (cell == nullptr) return Step::Stopped;
         if (!cell->v.empty()) {
           f.slots[in.dst] = cell->v;
           return Step::Continue;
         }
         wireParkReader(w, *cell, c.pack());  // deferred read at ourselves
-      } else if (const Value* hit = arr.wire->cached(offset)) {
+      } else if (const Value* hit = arr->cached(offset)) {
         w.st.amPageHits++;
         f.slots[in.dst] = *hit;
         return Step::Continue;
@@ -1279,16 +1390,15 @@ struct NativeMachine::Impl : TransportSink {
         w.st.amReadReqSent++;
         NToken tok;
         tok.amKind = static_cast<std::uint8_t>(AmKind::ReadReq);
-        tok.ctx = arr.id;
+        tok.ctx = id;
         tok.senderCtx = static_cast<std::uint64_t>(offset);
         tok.slot = static_cast<std::uint16_t>(pe);
         tok.cont = c;
-        send(pe, owner, std::move(tok));
+        send(pe, arr->layout->ownerOfOffset(offset), std::move(tok));
       }
     } else {
       Value v;
-      const ShmStore::Read r =
-          cells->readOrPark(arr.cell->ref, offset, c.pack(), &v);
+      const ShmStore::Read r = cells->readOrPark(arr->ref, offset, c.pack(), &v);
       if (r == ShmStore::Read::Present) {
         f.slots[in.dst] = v;
         return Step::Continue;
@@ -1301,7 +1411,7 @@ struct NativeMachine::Impl : TransportSink {
     // Parked. In recovery the park is registered so the filling write's
     // wake is recognized as live (see Worker::myParks) and a worker
     // process's park sweeper can re-read the element.
-    if (recMode()) w.myParks[elemWakeKey(arr.id, offset)].insert(c.pack());
+    if (recMode()) w.myParks[elemWakeKey(id, offset)].insert(c.pack());
     return Step::Continue;
   }
 
@@ -1309,44 +1419,42 @@ struct NativeMachine::Impl : TransportSink {
   [[gnu::always_inline]] Step arrayWrite(int pe, Worker& w,
                                          std::uint32_t frameIdx, NFrame& f,
                                          const Instr& in, ArrayId id) {
-    ArrayOperand arr;
+    ArrayRec* arr;
     if (const Step s = resolveArray(pe, w, frameIdx, f, in, id, arr);
         s != Step::Continue)
       return s;
     std::int64_t offset;
-    if (!elemOffset(f, in, arr.layout->shape(), &offset)) {
+    if (!elemOffset(f, in, arr->shape(), &offset)) {
       fail("array write out of bounds in " + prog.sp(f.spCode).name);
       return Step::Stopped;
     }
     const Value v = f.slots[in.dst];
-    if (arr.wire != nullptr) {
-      const int owner = arr.layout->ownerOfOffset(offset);
+    if (wireStore()) {
       NToken tok;
       tok.amKind = static_cast<std::uint8_t>(AmKind::Write);
-      tok.ctx = arr.id;
+      tok.ctx = id;
       tok.senderCtx = static_cast<std::uint64_t>(offset);
       tok.slot = static_cast<std::uint16_t>(pe);
       tok.v = v;
-      if (owner == pe) {
+      if (WsCell* cell = arr->find(offset)) {  // owned here
         w.st.amLocalWrites++;
         // Worker mode logs its own writes like received ones: the element
         // lives in process memory, and this frame may retire (and so never
         // re-execute) before a kill. Logged before the apply, so every
         // reply the write releases is gated on it.
         if (workerMode()) logAm(pe, tok);
-        return wireApplyWrite(pe, *arr.wire, arr.id, offset, v)
-                   ? Step::Continue
-                   : Step::Stopped;
+        return wireApplyWrite(pe, *cell, id, offset, v) ? Step::Continue
+                                                        : Step::Stopped;
       }
       // Fire-and-forget: the owner applies, detects violations, and drains
       // parked readers. Delivery is exactly-once (per-link seq windows +
       // msgId dedup), and a kill-replay re-send is an idempotent identical
       // overwrite at the owner.
       w.st.amWriteSent++;
-      send(pe, owner, std::move(tok));
+      send(pe, arr->layout->ownerOfOffset(offset), std::move(tok));
       return Step::Continue;
     }
-    switch (cells->write(arr.cell->ref, offset, v, &w.woken)) {
+    switch (cells->write(arr->ref, offset, v, &w.woken)) {
       case ShmStore::Write::Filled:
         break;
       case ShmStore::Write::Rewrite:
@@ -1367,7 +1475,7 @@ struct NativeMachine::Impl : TransportSink {
       tok.toCont = true;
       tok.cont = wc;
       tok.v = v;
-      tok.wakeKey = elemWakeKey(arr.id, offset);
+      tok.wakeKey = elemWakeKey(id, offset);
       send(pe, wc.pe, std::move(tok));
     }
     w.woken.clear();
@@ -1424,23 +1532,23 @@ struct NativeMachine::Impl : TransportSink {
                      ArrayId id) {
       // Answered from the layout, a pure function of (shape, config): the
       // wire store needs no owner round-trip.
-      ArrayOperand arr;
+      ArrayRec* arr;
       if (const Step s = m.resolveArray(pe, w, frameIdx, f, in, id, arr);
           s != Step::Continue)
         return s;
       const IdxRange r =
-          in.dim == 0 ? arr.layout->ownedRows(pe)
-                      : arr.layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
+          in.dim == 0 ? arr->layout->ownedRows(pe)
+                      : arr->layout->ownedColsOfRow(pe, f.slots[in.b].asInt());
       f.slots[in.dst] = Value::intv((in.op == Op::RFHI ? r.hi : r.lo) - in.off);
       return Step::Continue;
     }
     Step dimQuery(std::uint32_t frameIdx, NFrame& f, const Instr& in,
                   ArrayId id) {
-      ArrayOperand arr;
+      ArrayRec* arr;
       if (const Step s = m.resolveArray(pe, w, frameIdx, f, in, id, arr);
           s != Step::Continue)
         return s;
-      const ArrayShape& shape = arr.layout->shape();
+      const ArrayShape& shape = arr->shape();
       f.slots[in.dst] = Value::intv(in.dim == 1 ? shape.dim1 : shape.dim0);
       return Step::Continue;
     }
@@ -1517,12 +1625,11 @@ struct NativeMachine::Impl : TransportSink {
     // state (like the cell store): an in-process kill leaves them intact; a
     // respawned process starts empty and rebuilds them from the Am records
     // below.
-    for (auto& [id, a] : w.wsArrays) {
-      (void)id;
+    w.arrays.forEach([](ArrayId, ArrayRec& a) {
       a.shapeWait.clear();
       a.dimReqSent = false;
       a.pages.clear();
-    }
+    });
     w.wsDeferred.clear();
     // Replies and page fills regenerated by Am replay cannot be sent yet
     // (worker mode runs this before any transport thread exists); they park
@@ -1602,7 +1709,8 @@ struct NativeMachine::Impl : TransportSink {
             s.rank = static_cast<int>(e.slot);
             s.dim0 = static_cast<std::int64_t>(e.senderCtx);
             s.dim1 = e.v.asInt();
-            wireRegisterMeta(w, static_cast<ArrayId>(e.ctx), s);
+            const auto id = static_cast<ArrayId>(e.ctx);
+            if (ArrayRec* a = w.arrays.get(id)) wireRegisterMeta(w, *a, id, s);
             break;
           }
           // Re-service the logged array message against the rebuilding
@@ -1722,9 +1830,11 @@ struct NativeMachine::Impl : TransportSink {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     NFrame& f = *w.frames[frameIdx];
     if (f.dead) return;
+    const SpCode& code = prog.sp(f.spCode);
+    const int budget = cfg.sliceInstructions;
     Exec ex{*this, w, pe};
-    for (int k = 0; k < cfg.sliceInstructions; ++k) {
-      const Step s = execute(prog, ex, frameIdx, f);
+    for (int k = 0; k < budget; ++k) {
+      const Step s = execute(prog, code, ex, frameIdx, f);
       if (s == Step::Continue) continue;
       if (s == Step::Blocked) f.blocked = true;
       // Worker mode holds the retired frame's pending charge through the
@@ -2117,6 +2227,7 @@ struct NativeMachine::Impl : TransportSink {
       c.add("idleTransitions", w->st.idleTransitions);
       c.add("instructions", w->st.instructions);
       c.add("dupSuppressed", w->st.dupSuppressed);
+      c.add("badTokens", w->st.badTokens);
       out.counters.mergePrefixed(c, "native.");
       out.perWorker.push_back(std::move(c));
     }
@@ -2224,22 +2335,19 @@ std::optional<NativeArray> NativeMachine::gather(ArrayId id) const {
   // In-process (threads joined — unguarded reads are safe) or a worker's
   // own view: shape from any record that knows it, elements from every
   // owner's slice.
-  const WsArray* meta = nullptr;
+  const ArrayRec* meta = nullptr;
   for (const auto& w : impl_->workers) {
-    auto it = w->wsArrays.find(id);
-    if (it != w->wsArrays.end() && it->second.layout) {
-      meta = &it->second;
-      break;
-    }
+    meta = Impl::wireMeta(*w, id);
+    if (meta != nullptr) break;
   }
   if (meta == nullptr) return std::nullopt;
   NativeArray view;
   view.shape = meta->shape();
   view.elems.assign(static_cast<std::size_t>(view.shape.numElems()), Value{});
   for (const auto& w : impl_->workers) {
-    auto it = w->wsArrays.find(id);
-    if (it == w->wsArrays.end()) continue;
-    const WsArray& a = it->second;
+    const ArrayRec* rec = w->arrays.find(id);
+    if (rec == nullptr) continue;
+    const ArrayRec& a = *rec;
     for (std::size_t i = 0; i < a.cells.size(); ++i) {
       const std::int64_t off = a.lo + static_cast<std::int64_t>(i);
       if (!a.cells[i].v.empty() &&
@@ -2264,7 +2372,7 @@ std::vector<WireArrayPart> NativeMachine::wireArrayParts() const {
   };
   const auto numPes = static_cast<ArrayId>(impl_->cfg.numWorkers);
   for (const auto& w : impl_->workers) {
-    for (const auto& [id, a] : w->wsArrays) {
+    w->arrays.forEach([&](ArrayId id, const ArrayRec& a) {
       // Only the allocator's shape ships — cached DimReply copies are
       // redundant, and exactly one PE (id % numPEs) is the allocator.
       const bool allocator =
@@ -2272,7 +2380,7 @@ std::vector<WireArrayPart> NativeMachine::wireArrayParts() const {
       const auto present = static_cast<std::size_t>(
           std::count_if(a.cells.begin(), a.cells.end(),
                         [](const WsCell& c) { return !c.v.empty(); }));
-      if (!allocator && present == 0) continue;
+      if (!allocator && present == 0) return;
       WireArrayPart& p = partFor(id);
       if (allocator) {
         p.hasMeta = true;
@@ -2283,7 +2391,7 @@ std::vector<WireArrayPart> NativeMachine::wireArrayParts() const {
         if (!a.cells[i].v.empty())
           p.elems.emplace_back(a.lo + static_cast<std::int64_t>(i),
                                a.cells[i].v);
-    }
+    });
   }
   return parts;
 }

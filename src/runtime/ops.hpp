@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "runtime/isa.hpp"
 #include "runtime/value.hpp"
@@ -22,7 +24,24 @@ inline bool binIsReal(const Value& a, const Value& b) {
   return a.isReal() || b.isReal();
 }
 
-inline Value applyBin(Op op, const Value& a, const Value& b) {
+/// The run-time error binary op `op` raises on these operands, or nullptr:
+/// integer division or modulo by zero, and the one quotient an int64 cannot
+/// hold (INT64_MIN / -1, whose remainder C++ leaves undefined too). Every
+/// engine checks it before applyBin and reports it as a run error, never a
+/// crash.
+inline const char* binOpError(Op op, const Value& a, const Value& b) {
+  if ((op != Op::DIV && op != Op::MOD) || binIsReal(a, b)) return nullptr;
+  if (b.asInt() == 0)
+    return op == Op::DIV ? "integer division by zero" : "modulo by zero";
+  if (b.asInt() == -1 && a.asInt() == std::numeric_limits<std::int64_t>::min())
+    return "integer division overflow";
+  return nullptr;
+}
+
+/// Forced inline so a caller passing a constant `op` (the SP executor's
+/// per-opcode cases) keeps no switch.
+[[gnu::always_inline]] inline Value applyBin(Op op, const Value& a,
+                                             const Value& b) {
   const bool real = binIsReal(a, b);
   switch (op) {
     case Op::ADD:
@@ -74,7 +93,7 @@ inline Value applyBin(Op op, const Value& a, const Value& b) {
   }
 }
 
-inline Value applyUn(Op op, const Value& a) {
+[[gnu::always_inline]] inline Value applyUn(Op op, const Value& a) {
   switch (op) {
     case Op::NEG:
       return a.isReal() ? Value::realv(-a.asReal()) : Value::intv(-a.asInt());

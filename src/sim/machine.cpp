@@ -952,7 +952,7 @@ struct Machine::Impl {
         return;
       }
       if (killMode() && fromMu && tok.sendKey != 0 && fr.replaying &&
-          fr.sentCtxs.count(tok.senderCtx) == 0) {
+          !fr.sentTo(tok.senderCtx)) {
         // Fresh result racing the replay (e.g. a survivor child finishing
         // after the restart): the rebuilt consumer has not re-sent to this
         // context yet, so applying now could clobber an earlier round's
@@ -1245,6 +1245,11 @@ struct Machine::Impl {
     PeState& P = pes[pe];
     SimTime t = std::max(tStart, P.euFree);
     Exec ex{*this, pe, t};
+    // The current frame's code, resolved once per pick.
+    const SpCode* code =
+        P.current >= 0
+            ? &prog.sp(P.frames[static_cast<std::size_t>(P.current)].spCode)
+            : nullptr;
     std::uint64_t steps = 0;
     // Trace bookkeeping: one slice per contiguous run of one SP.
     SimTime sliceStart{};
@@ -1279,8 +1284,9 @@ struct Machine::Impl {
           stats.counters.add("eu.contextSwitches");
           P.lastFrame = idx;
         }
+        code = &prog.sp(f.spCode);
         sliceStart = t;
-        sliceName = &prog.sp(f.spCode).name;
+        sliceName = &code->name;
       }
       // Yield to the global queue whenever our local time passes its head,
       // so cross-PE interactions are exact. The calendar engine answers
@@ -1297,7 +1303,7 @@ struct Machine::Impl {
       }
       Frame& f = P.frames[static_cast<std::size_t>(P.current)];
       const Step r =
-          execute(prog, ex, static_cast<std::uint32_t>(P.current), f);
+          execute(prog, *code, ex, static_cast<std::uint32_t>(P.current), f);
       if (r != Step::Continue) {
         // Blocked on an empty slot, or stopped by an error for good; either
         // way pick the next ready SP (context switch charged at pick).

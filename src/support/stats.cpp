@@ -48,6 +48,13 @@ bool writeStatsJson(const std::string& path, const std::string& engine,
         << "    \"sim.events.persec\": "
         << static_cast<double>(events) / wallSeconds;
     }
+    // The native engine's per-instruction cost: wall time over the
+    // instructions every PE executed.
+    if (const std::int64_t instrs = counters.get("native.instructions");
+        instrs > 0) {
+      f << ",\n    \"native.ns_per_instr\": "
+        << wallSeconds * 1e9 / static_cast<double>(instrs);
+    }
     f << "\n  },\n";
   }
   f << "  \"counters\": {";

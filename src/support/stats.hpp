@@ -35,9 +35,10 @@ std::string jsonEscape(const std::string& s);
 /// --stats-json: the full counter registry of a run as one JSON object,
 /// machine-readable for bench_gate.py, check_stats_schema.py and friends.
 /// Keys are sorted because Counters::all() returns a sorted view, so files
-/// diff cleanly. Host-side quantities (wall time, event rate) go into a
-/// "derived" object, not "counters": the counter registry is the
-/// deterministic contract, wall time is not.
+/// diff cleanly. Host-side quantities (wall time, the simulator's event
+/// rate, the native engine's ns per instruction) go into a "derived"
+/// object, not "counters": the counter registry is the deterministic
+/// contract, wall time is not.
 class Counters;
 bool writeStatsJson(const std::string& path, const std::string& engine,
                     int pes, double timeMs, const Counters& counters,

@@ -23,6 +23,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pods.hpp"
@@ -743,6 +744,59 @@ TEST(ServeDaemon, GarbageFrameCountedConnectionDroppedDaemonAlive) {
       << err;
   EXPECT_EQ(reply.result.ok, 1) << reply.result.error;
   daemon.stop();
+}
+
+// A job that divides by zero, or overflows a division, at run time is the
+// tenant's bug, not the daemon's: it fails with an error reply and a count,
+// and the daemon keeps serving everyone else.
+TEST(ServeDaemon, RuntimeDivisionFaultIsAFailedJobNotADeadDaemon) {
+  TempSock sock;
+  ServeConfig cfg;
+  cfg.pes = 1;
+  Endpoint ep;
+  ep.unixPath = sock.path;
+  Daemon daemon(cfg, ep);
+  std::string err;
+  ASSERT_TRUE(daemon.start(&err)) << err;
+
+  const std::pair<const char*, const char*> hostile[] = {
+      {"let z = len(a) - 4; return 10 / z;", "integer division by zero"},
+      {"let z = len(a) - 4; return 10 % z;", "modulo by zero"},
+      {"let m = 0 - 9223372036854775807 - (len(a) - 3); "
+       "return m / (3 - len(a));",
+       "integer division overflow"}};
+  for (const auto& [body, want] : hostile) {
+    Client bad;
+    WelcomeMsg w;
+    ASSERT_TRUE(bad.connectUnix(sock.path, &err)) << err;
+    ASSERT_TRUE(bad.handshake(&w, &err)) << err;
+    const std::string src =
+        std::string("def main() -> int { let a = array(4); ") + body + " }\n";
+    Client::Reply reply;
+    ASSERT_TRUE(bad.submitSource(src, 0, &reply, &err)) << err;
+    EXPECT_EQ(reply.result.ok, 0);
+    EXPECT_NE(reply.result.error.find(std::string(want) + " in main"),
+              std::string::npos)
+        << reply.result.error;
+  }
+
+  // Another client is served as if nothing happened.
+  Client cli;
+  WelcomeMsg w;
+  ASSERT_TRUE(cli.connectUnix(sock.path, &err)) << err;
+  ASSERT_TRUE(cli.handshake(&w, &err)) << err;
+  const std::string src = workloads::simpleSource(8, 1);
+  Client::Reply reply;
+  ASSERT_TRUE(cli.submitSource(src, 0, &reply, &err)) << err;
+  ASSERT_EQ(reply.result.ok, 1) << reply.result.error;
+  std::string why;
+  EXPECT_TRUE(
+      sameOutputs(Client::toOutputs(reply.result), seqReference(src), &why))
+      << why;
+  daemon.stop();
+  const Counters st = daemon.stats();
+  EXPECT_EQ(st.get("serve.jobs.failed"), 3);
+  EXPECT_EQ(st.get("serve.jobs.ok"), 1);
 }
 
 TEST(ServeDaemon, ConfigHashMismatchIsCountedSeparately) {

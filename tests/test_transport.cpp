@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -508,6 +509,90 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   EXPECT_EQ(sink.toks_[0].spCode, 7);
   EXPECT_EQ(sink.toks_[0].v.asInt(), 42);
   // A worker endpoint leaves its inherited socket to the supervisor.
+  for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
+}
+
+// A worker process's data port is where tokens from outside the process
+// land. A batch on the right link that names an SP code the program does
+// not have, a slot past its SP's slots, or a continuation slot past its
+// frame's is counted in native.badTokens and dropped; the worker runs on
+// until its stop, and the test binary is never taken down.
+TEST(UdpTransport, WorkerDropsAndCountsForgedTokens) {
+  // SP 1 adds two argument tokens: one in slot 0 spawns it, and it then
+  // waits on slot 1 for good.
+  SpProgram prog;
+  SpCode mainSp;
+  mainSp.name = "main";
+  mainSp.numSlots = 1;
+  mainSp.code.push_back(Instr{});  // END
+  SpCode adder;
+  adder.id = 1;
+  adder.name = "adder";
+  adder.numSlots = 3;
+  Instr add;
+  add.op = Op::ADD;
+  add.a = 0;
+  add.b = 1;
+  add.dst = 2;
+  adder.code = {add, Instr{}};
+  prog.sps = {mainSp, adder};
+
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  std::string err;
+  ASSERT_TRUE(native::bindLoopbackUdp(2, fds, ports, &err)) << err;
+  std::atomic<bool> abort{false};
+  native::NativeConfig nc;
+  nc.numWorkers = 2;
+  nc.transport = native::TransportKind::UdpMultiproc;
+  nc.store = native::StoreKind::Wire;  // a worker's cell store is inherited
+  nc.localPe = 1;
+  nc.sockFd = fds[1];
+  nc.peerPorts = ports;
+  nc.abort = &abort;
+  native::NativeMachine m(prog, nc);
+  native::NativeResult res;
+  std::thread runner([&] { res = m.run(); });
+
+  native::NToken toks[4];
+  toks[0].spCode = 1;  // a well-formed spawn: frame 0 on PE 1
+  toks[0].ctx = 99;
+  toks[1].spCode = 7;  // no such SP
+  toks[1].ctx = 100;
+  toks[2].spCode = 1;  // no such slot in SP 1
+  toks[2].ctx = 101;
+  toks[2].slot = 9;
+  toks[3].toCont = true;  // frame 0's slots end at 2
+  toks[3].cont = Cont{1, 0, 9, 0};
+  std::uint8_t dg[native::kBatchMaxBytes];
+  for (int i = 0; i < 4; ++i) {
+    toks[i].v = Value::intv(1);
+    toks[i].msgId = proto::Delivery::packLinkMsgId(0, 1, 1 + i);
+    native::wireEncodeToken(
+        toks[i], 0, dg + native::kBatchHeaderBytes + i * native::kTokenWireBytes);
+  }
+  const std::size_t len = native::wireEncodeBatchHeader(dg, 0, 4, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(ports[1]);
+  ASSERT_EQ(::sendto(fds[0], dg, len, 0, reinterpret_cast<const sockaddr*>(&to),
+                     sizeof to),
+            static_cast<ssize_t>(len));
+
+  // Stop once all four were deposited and drained.
+  for (int i = 0; i < 5000; ++i) {
+    const native::WorkerStatus st = m.workerStatus();
+    if (st.activity >= 4 && st.inboxTokens == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  abort.store(true);
+  runner.join();
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("aborted"), std::string::npos) << res.error;
+  EXPECT_EQ(res.counters.get("native.badTokens"), 3);
+  EXPECT_EQ(res.counters.get("native.framesCreated"), 1);
+  EXPECT_EQ(res.counters.get("net.udp.badDatagrams"), 0);
   for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
 }
 
