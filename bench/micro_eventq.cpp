@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the simulator event engine: the
-// calendar queue against the reference std::priority_queue under the classic
-// hold model (steady-state pop-one push-one at a future deadline), and the
-// two engines end-to-end through an 8-PE simulated run. These measure the
-// *host-side* cost of event dispatch, not simulated time.
+// calendar queue against a plain std::priority_queue reference under the
+// classic hold model (steady-state pop-one push-one at a future deadline),
+// and the calendar queue end-to-end through an 8-PE simulated run. These
+// measure the *host-side* cost of event dispatch, not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,7 +16,7 @@
 namespace {
 
 // Roughly the footprint of a sim Ev payload, so the slab/heap traffic of the
-// two engines is compared on even terms.
+// two queues is compared on even terms.
 struct Payload {
   std::uint64_t words[6] = {};
 };
@@ -78,16 +78,14 @@ void BM_HeapHold(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapHold)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
-// End-to-end: the same 8-PE workload through both engines. The delta here is
-// the whole-run win (or cost) of the calendar engine, timer collapse
-// included; bit-identical outputs are asserted by the fuzz suites, not here.
-void BM_SimFill2d(benchmark::State& state, pods::sim::EventEngine engine) {
+// End-to-end: a fault-free 8-PE simulated run, reported as the simulator's
+// event dispatch rate.
+void BM_SimFill2d(benchmark::State& state) {
   auto cr = pods::compile(pods::workloads::fill2dSource(32, 32));
   std::uint64_t events = 0;
   for (auto _ : state) {
     pods::sim::MachineConfig mc;
     mc.numPEs = 8;
-    mc.eventEngine = engine;
     pods::PodsRun run = pods::runPods(*cr.compiled, mc);
     events += run.stats.events;
     benchmark::DoNotOptimize(run);
@@ -95,14 +93,7 @@ void BM_SimFill2d(benchmark::State& state, pods::sim::EventEngine engine) {
   state.counters["events/s"] = benchmark::Counter(
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
-void BM_SimFill2d_Calendar(benchmark::State& state) {
-  BM_SimFill2d(state, pods::sim::EventEngine::Calendar);
-}
-void BM_SimFill2d_Heap(benchmark::State& state) {
-  BM_SimFill2d(state, pods::sim::EventEngine::BinaryHeap);
-}
-BENCHMARK(BM_SimFill2d_Calendar);
-BENCHMARK(BM_SimFill2d_Heap);
+BENCHMARK(BM_SimFill2d);
 
 }  // namespace
 

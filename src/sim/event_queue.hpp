@@ -1,33 +1,17 @@
 // Calendar-queue event engine for the discrete-event simulator.
 //
-// The simulator used to run on a single std::priority_queue<Ev>: every push
-// and pop paid O(log n) sift steps, and each sift step moved a fat (~300 B)
-// Ev by value. This header replaces it with the classic calendar queue
-// (Brown 1988): events are hashed by timestamp into fixed-width time buckets
-// arranged in a ring, the current bucket is drained through a small binary
-// heap, and events beyond the ring's horizon wait in an overflow list that is
-// poured back into the ring when the cursor reaches it. Push and pop are
-// O(1) amortized, and the Ev payloads live in a slab pool — the buckets and
-// heaps only shuffle 24-byte (key, index) slots.
+// The classic calendar queue (Brown 1988): events are hashed by timestamp
+// into fixed-width time buckets arranged in a ring, the current bucket is
+// drained through a small binary heap, and events beyond the ring's horizon
+// wait in an overflow list that is poured back into the ring when the cursor
+// reaches it. Push and pop are O(1) amortized, and the payloads live in a
+// slab pool — the buckets and heaps only shuffle 24-byte (key, index) slots.
 //
-// Ordering contract: pops come out strictly ordered by (t, seq), exactly the
-// order the old binary heap produced, so simulation outputs stay
-// bit-identical. seq is the caller's global push counter; callers may also
-// push with a previously reserved seq (used by the per-link retransmit-timer
-// collapse in machine.cpp) as long as every (t, seq) key pushed is unique
-// and never earlier than the last key popped.
-//
-// A second, orthogonal service: entries can be pushed *indexed*, which links
-// them into an intrusive doubly linked list threaded through the pool. The
-// simulator indexes the kill victim's PE-local events so fail-stop triage
-// (peKill) can collect exactly that PE's pending events in O(victim) instead
-// of filtering the whole queue. takeIndexed() copies out every indexed entry
-// below a key bound, sorted by (t, seq) — the same order dispatch-time triage
-// would have seen them in — and turns the slots into *ghosts*: they stay
-// queued, keep presenting their key to peekKey() (a reference engine that
-// triages at dispatch still has these events at the head, where they steer
-// the EU yield check), and pop at their exact (t, seq) flagged as ghosts so
-// the caller can count the pop without re-dispatching the event.
+// Ordering contract: every (t, seq) key pushed is unique and never earlier
+// than the last key popped, so pops come out strictly ordered by (t, seq).
+// seq is the caller's global push counter. pop() checks the contract: each
+// popped key must be strictly after the previous one, so a run that drains
+// the queue has provably dispatched every event in sorted (t, seq) order.
 #pragma once
 
 #include <algorithm>
@@ -50,12 +34,6 @@ struct EvKey {
     if (a.t != b.t) return a.t < b.t;
     return a.seq < b.seq;
   }
-  friend constexpr bool operator==(const EvKey& a, const EvKey& b) {
-    return a.t == b.t && a.seq == b.seq;
-  }
-  friend constexpr bool operator!=(const EvKey& a, const EvKey& b) {
-    return !(a == b);
-  }
 };
 
 /// Engine health/occupancy numbers, surfaced as sim.eventq.* counters.
@@ -64,8 +42,6 @@ struct EventQStats {
   std::int64_t peakBucket = 0;      ///< largest single bucket ever drained
   std::int64_t pours = 0;           ///< overflow redistributions
   std::int64_t widthDoublings = 0;  ///< bucket-width adaptations
-  std::int64_t ghostPops = 0;       ///< triaged slots popped as no-ops
-  std::int64_t indexTaken = 0;      ///< entries removed via takeIndexed()
   // Placement census: where pushes landed (current-bucket heap, ring
   // bucket, or overflow) — the per-tier occupancy picture of the calendar.
   std::int64_t pushedNear = 0;
@@ -97,35 +73,37 @@ class CalendarQueue {
     return &cur_.front().key;
   }
 
-  /// Pop the minimum-(t, seq) event. Must be nonempty. `ghost` (when
-  /// non-null) is set when the popped slot was consumed by takeIndexed():
-  /// the payload is a copy of the triaged event, and the pop stands in for
-  /// the dispatch the reference engine would have counted here.
-  E pop(EvKey* keyOut = nullptr, bool* ghost = nullptr) {
+  /// Pop the minimum-(t, seq) event. Must be nonempty; aborts when the key
+  /// is not strictly after the previously popped one (a push behind the
+  /// cursor, or a key pushed twice).
+  E pop(EvKey* keyOut = nullptr) {
     PODS_CHECK_MSG(settle(), "pop on empty CalendarQueue");
     const Slot s = cur_.front();
+    PODS_CHECK_MSG(!popped_ || last_ < s.key,
+                   "CalendarQueue popped a key out of (t, seq) order");
+    popped_ = true;
+    last_ = s.key;
     std::pop_heap(cur_.begin(), cur_.end(), SlotLater{});
     cur_.pop_back();
-    Node& n = pool_[s.idx];
     if (keyOut) *keyOut = s.key;
-    if (ghost) *ghost = n.ghost;
-    if (n.ghost) ++stats_.ghostPops;
-    E ev = std::move(n.ev);
-    unlink(s.idx);
-    freeNode(s.idx);
+    E ev = std::move(pool_[s.idx]);
+    pool_[s.idx] = E{};  // release any heap storage the payload owns
+    free_.push_back(s.idx);
     --live_;
     return ev;
   }
 
-  /// Insert `ev` at `key`. `indexed` additionally links the entry into the
-  /// side index consumed by takeIndexed().
-  void push(const EvKey& key, E ev, bool indexed = false) {
-    const std::uint32_t idx = allocNode();
-    Node& n = pool_[idx];
-    n.key = key;
-    n.ev = std::move(ev);
-    n.ghost = false;
-    if (indexed) linkIndexed(idx);
+  /// Insert `ev` at `key`.
+  void push(const EvKey& key, E ev) {
+    std::uint32_t idx;
+    if (!free_.empty()) {
+      idx = free_.back();
+      free_.pop_back();
+      pool_[idx] = std::move(ev);
+    } else {
+      idx = static_cast<std::uint32_t>(pool_.size());
+      pool_.push_back(std::move(ev));
+    }
     const Slot s{key, idx};
     const std::int64_t b = key.t >> widthShift_;
     if (b <= curBucket_) {
@@ -144,55 +122,7 @@ class CalendarQueue {
     if (live_ > stats_.peakDepth) stats_.peakDepth = live_;
   }
 
-  /// Copy out every *indexed* entry with key < `bound`, sorted by (t, seq).
-  /// Entries at or past `bound` stay queued (and stay indexed). The taken
-  /// slots stay queued as ghosts: they are unlinked from the index, but
-  /// their keys remain visible to peekKey() and they still pop — flagged —
-  /// at their reserved (t, seq), so ordering-sensitive observers (the EU
-  /// yield check) and the pop count see exactly what a dispatch-time-triage
-  /// engine would.
-  std::vector<E> takeIndexed(const EvKey& bound) {
-    std::vector<std::pair<EvKey, std::uint32_t>> picked;
-    std::int32_t i = indexHead_;
-    while (i >= 0) {
-      const auto idx = static_cast<std::uint32_t>(i);
-      Node& n = pool_[idx];
-      const std::int32_t next = n.inext;
-      if (n.key < bound) picked.emplace_back(n.key, idx);
-      i = next;
-    }
-    std::sort(picked.begin(), picked.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<E> out;
-    out.reserve(picked.size());
-    for (const auto& [key, idx] : picked) {
-      Node& n = pool_[idx];
-      out.push_back(n.ev);  // copy: the ghost pop still reports the event
-      unlink(idx);
-      n.ghost = true;
-      ++stats_.indexTaken;
-    }
-    return out;
-  }
-
-  /// True when no indexed entries remain (triage invariant check).
-  bool indexedEmpty() const { return indexHead_ < 0; }
-
   const EventQStats& stats() const { return stats_; }
-
-  /// Per-bucket occupancy snapshot of the ring (live, non-ghost slots),
-  /// for --stats-json observability. Index 0 is the cursor's bucket.
-  std::vector<std::size_t> ringOccupancy() const {
-    std::vector<std::size_t> occ(ring_.size(), 0);
-    for (std::size_t k = 0; k < ring_.size(); ++k) {
-      const std::size_t slot = static_cast<std::size_t>(curBucket_ + static_cast<std::int64_t>(k)) & ringMask_;
-      std::size_t liveHere = 0;
-      for (const Slot& s : ring_[slot])
-        if (!pool_[s.idx].ghost) ++liveHere;
-      occ[k] = liveHere;
-    }
-    return occ;
-  }
 
   std::int64_t bucketWidthNs() const { return std::int64_t{1} << widthShift_; }
 
@@ -205,14 +135,6 @@ class CalendarQueue {
   struct SlotLater {
     bool operator()(const Slot& a, const Slot& b) const { return b.key < a.key; }
   };
-  struct Node {
-    EvKey key;            // mirrors the slot key; read by takeIndexed
-    E ev{};
-    std::int32_t iprev = -1;  // intrusive index list; -1 = not linked / end
-    std::int32_t inext = -1;
-    bool linked = false;
-    bool ghost = false;  // taken by takeIndexed; pops as a flagged no-op
-  };
 
   static std::uint32_t shiftFor(std::int64_t widthNs) {
     PODS_CHECK_MSG(widthNs > 0 && (widthNs & (widthNs - 1)) == 0,
@@ -222,47 +144,8 @@ class CalendarQueue {
     return s;
   }
 
-  std::uint32_t allocNode() {
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
-    }
-    return idx;
-  }
-
-  void freeNode(std::uint32_t idx) {
-    pool_[idx].ev = E{};  // release any heap storage the payload owns
-    free_.push_back(idx);
-  }
-
-  void linkIndexed(std::uint32_t idx) {
-    Node& n = pool_[idx];
-    n.linked = true;
-    n.iprev = -1;
-    n.inext = indexHead_;
-    if (indexHead_ >= 0) pool_[static_cast<std::uint32_t>(indexHead_)].iprev = static_cast<std::int32_t>(idx);
-    indexHead_ = static_cast<std::int32_t>(idx);
-  }
-
-  void unlink(std::uint32_t idx) {
-    Node& n = pool_[idx];
-    if (!n.linked) return;
-    if (n.iprev >= 0)
-      pool_[static_cast<std::uint32_t>(n.iprev)].inext = n.inext;
-    else
-      indexHead_ = n.inext;
-    if (n.inext >= 0) pool_[static_cast<std::uint32_t>(n.inext)].iprev = n.iprev;
-    n.linked = false;
-    n.iprev = n.inext = -1;
-  }
-
   /// Advance the cursor until the current-bucket heap holds the minimum.
-  /// Returns false iff the queue is empty. Ghosts are NOT skipped here:
-  /// their keys must stay visible until their pop moment.
+  /// Returns false iff the queue is empty.
   bool settle() {
     for (;;) {
       if (!cur_.empty()) return true;
@@ -331,10 +214,11 @@ class CalendarQueue {
   std::vector<Slot> overflow_;   // events beyond the ring horizon
   std::int64_t baseBucket_ = 0;  // first bucket the ring currently maps
   std::int64_t curBucket_ = 0;   // bucket the cursor is draining
-  std::int64_t live_ = 0;        // queued entries (ghosts included)
-  std::vector<Node> pool_;
+  std::int64_t live_ = 0;        // queued entries
+  std::vector<E> pool_;          // payload slab, indexed by Slot::idx
   std::vector<std::uint32_t> free_;
-  std::int32_t indexHead_ = -1;
+  EvKey last_;                   // key of the last pop (valid when popped_)
+  bool popped_ = false;
   EventQStats stats_;
 };
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
-#include <queue>
 #include <unordered_map>
 
 #include "proto/delivery.hpp"
@@ -151,7 +150,6 @@ enum class EvKind : std::uint8_t {
   NetTimeout,    // lossy mode: sender retransmit timer fires
   PeKill,        // kill mode: fail-stop one PE (wipe its volatile state)
   PeRestart,     // kill mode: rebuild the killed PE from its receive log
-  LinkTimer,     // calendar engine: one link's earliest retransmit deadline
 };
 
 const char* evKindName(EvKind k) {
@@ -166,14 +164,12 @@ const char* evKindName(EvKind k) {
     case EvKind::NetTimeout: return "NetTimeout";
     case EvKind::PeKill: return "PeKill";
     case EvKind::PeRestart: return "PeRestart";
-    case EvKind::LinkTimer: return "LinkTimer";
   }
   return "?";
 }
 
 struct Ev {
   SimTime t{};
-  std::uint64_t seq = 0;
   EvKind kind = EvKind::EuKick;
   std::uint16_t pe = 0;
   Token tok{};
@@ -186,13 +182,6 @@ struct Ev {
   // Kill mode: the target PE's incarnation when this (PE-local) event was
   // scheduled; a mismatch at dispatch means the PE died in between.
   std::uint32_t inc = 0;
-};
-
-struct EvLater {
-  bool operator()(const Ev& a, const Ev& b) const {
-    if (a.t.ns != b.t.ns) return a.t.ns > b.t.ns;
-    return a.seq > b.seq;
-  }
 };
 
 /// Deferred reads parked on one absent element (at its owner).
@@ -280,13 +269,7 @@ struct Machine::Impl {
   Timing tm;
   ArrayStore store;
   std::vector<PeState> pes;
-  // Event engine: the calendar queue is the production path; the original
-  // binary heap stays selectable (MachineConfig::eventEngine) as the
-  // reference the fuzz suites diff against, bit for bit.
-  const bool calendar;
   CalendarQueue<Ev> cq;
-  std::priority_queue<Ev, std::vector<Ev>, EvLater> q;  // BinaryHeap engine
-  std::int64_t heapPeak = 0;                            // BinaryHeap depth gauge
   std::uint64_t seq = 0;
   std::uint64_t eventsProcessed = 0;
   SimTime now{};
@@ -306,38 +289,6 @@ struct Machine::Impl {
   std::unordered_map<std::uint64_t, RetxEntry> retx;
   // Per-link traffic counter names, built lazily ("net.link.F->T.<what>").
   proto::LinkNameCache linkNames;
-  // Calendar engine, lossy mode: per-link retransmit-timer collapse. Every
-  // armed timeout still *reserves* a global sequence number (so the (t, seq)
-  // stream — and with it every tie-break — matches the binary heap engine
-  // exactly), but instead of one queue event per arm, each link keeps its
-  // own little (deadline, seq) min-heap and the global queue carries at most
-  // one live LinkTimer wakeup per link, keyed by the link's earliest
-  // reserved (t, seq). Entries cancelled by an ack are pre-counted there
-  // (the heap engine pops them later as stale events) and lazily discarded.
-  struct TimerEnt {
-    EvKey key;
-    std::uint64_t msgId = 0;
-    std::uint32_t attempt = 0;
-  };
-  struct TimerEntLater {
-    bool operator()(const TimerEnt& a, const TimerEnt& b) const {
-      return b.key < a.key;
-    }
-  };
-  struct LinkTimerState {
-    std::priority_queue<TimerEnt, std::vector<TimerEnt>, TimerEntLater> heap;
-    EvKey scheduled{-1, 0};  // key of the in-flight wakeup; t < 0 = none
-  };
-  std::unordered_map<std::uint32_t, LinkTimerState> linkTimers;
-  // msgId -> (link, reserved seq of its live timer): the ack path cancels
-  // through this, and stale heap entries are recognized by its absence.
-  std::unordered_map<std::uint64_t, std::pair<std::uint32_t, std::uint64_t>>
-      armedTimers;
-  // Calendar engine, kill mode: the (t, seq) key of the PeRestart event.
-  // peKill triages every indexed event ordered before it; later ones take
-  // the ordinary already-restarted dispatch path.
-  EvKey restartKey_{-1, 0};
-  bool killTriaged_ = false;
   // Completion time excluding stale retransmit timers that fire (and are
   // ignored) after the last real work; `now` still tracks the raw queue.
   SimTime lastUseful{};
@@ -351,8 +302,7 @@ struct Machine::Impl {
         cfg(c),
         tm(c.timing),
         store(c.numPEs, c.timing.pageElems, c.peWeights),
-        pes(static_cast<std::size_t>(c.numPEs)),
-        calendar(c.eventEngine == EventEngine::Calendar) {
+        pes(static_cast<std::size_t>(c.numPEs)) {
     PODS_CHECK(c.numPEs >= 1 && c.numPEs <= 4096);
     PODS_CHECK_MSG(c.timing.pageElems >= 1 && c.timing.pageElems <= 256,
                    "pageElems must be in [1, 256]");
@@ -387,11 +337,10 @@ struct Machine::Impl {
 
   // --- infrastructure ------------------------------------------------------
 
+  /// Queues `ev` at (ev.t, next global sequence number).
   void push(Ev ev) {
-    ev.seq = ++seq;
     // Stamp PE-local events with the target's incarnation: if the PE dies
     // before the event fires, dispatch can tell it belongs to a lost life.
-    bool peLocal = false;
     switch (ev.kind) {
       case EvKind::EuKick:
       case EvKind::TokenAtMu:
@@ -399,51 +348,12 @@ struct Machine::Impl {
       case EvKind::AmArrive:
       case EvKind::SlotFill:
         ev.inc = pes[ev.pe].incarnation;
-        peLocal = true;
         break;
       default:
         break;
     }
-    if (calendar) {
-      // Index the kill victim's PE-local events so peKill can collect them
-      // without touching the rest of the queue. The single kill fires once;
-      // after triage nothing new needs indexing.
-      const bool indexed = peLocal && killMode() && !killTriaged_ &&
-                           static_cast<int>(ev.pe) == cfg.faults.killPe;
-      const EvKey key{ev.t.ns, ev.seq};
-      cq.push(key, std::move(ev), indexed);
-    } else {
-      q.push(std::move(ev));
-      if (static_cast<std::int64_t>(q.size()) > heapPeak)
-        heapPeak = static_cast<std::int64_t>(q.size());
-    }
-  }
-
-  // --- event-queue access (engine-neutral) ---------------------------------
-
-  bool queueEmpty() {
-    return calendar ? cq.empty() : q.empty();
-  }
-
-  /// `ghost` is set when the popped slot was already triaged at peKill time
-  /// (calendar engine only): the payload is a copy of the triaged event and
-  /// the pop must be counted but not re-dispatched.
-  Ev popEvent(bool* ghost = nullptr) {
-    if (ghost) *ghost = false;
-    if (calendar) return cq.pop(nullptr, ghost);
-    Ev ev = q.top();
-    q.pop();
-    return ev;
-  }
-
-  /// O(1) peek used by the EU's per-step yield check: is the global head
-  /// strictly earlier than local time `t`?
-  bool headEarlierThan(SimTime t) {
-    if (calendar) {
-      const EvKey* k = cq.peekKey();
-      return k != nullptr && k->t < t.ns;
-    }
-    return !q.empty() && q.top().t < t;
+    const EvKey key{ev.t.ns, ++seq};
+    cq.push(key, std::move(ev));
   }
 
   void runtimeError(const std::string& msg) {
@@ -568,86 +478,13 @@ struct Machine::Impl {
     }
   }
 
-  static std::uint32_t linkOf(std::uint16_t from, std::uint16_t to) {
-    return (static_cast<std::uint32_t>(from) << 16) | to;
-  }
-
   void armTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime at) {
-    if (!calendar) {
-      Ev ev;
-      ev.t = at;
-      ev.kind = EvKind::NetTimeout;
-      ev.msgId = msgId;
-      ev.attempt = attempt;
-      push(std::move(ev));
-      return;
-    }
-    // Calendar engine: reserve the sequence number the binary heap engine
-    // would have stamped on this timer event (keeping the global tie-break
-    // stream identical), but park the entry in its link's local heap; the
-    // global queue only carries the link's earliest deadline as a LinkTimer
-    // wakeup.
-    const std::uint64_t s = ++seq;
-    auto it = retx.find(msgId);
-    PODS_CHECK_MSG(it != retx.end(), "arming a timer for an unknown message");
-    const std::uint32_t link = linkOf(it->second.fromPe, it->second.toPe);
-    LinkTimerState& L = linkTimers[link];
-    const TimerEnt ent{EvKey{at.ns, s}, msgId, attempt};
-    armedTimers[msgId] = {link, s};
-    L.heap.push(ent);
-    scheduleLinkWakeup(link, L);
-  }
-
-  /// Ensures a LinkTimer wakeup is queued at the link heap's top key.
-  /// Invariant: the top entry — live or ack-cancelled — always has a wakeup
-  /// at exactly its reserved (t, seq), so the global queue presents the
-  /// same head times the binary heap engine would (cancelled entries pop as
-  /// no-ops at their reserved position, just like the heap engine's stale
-  /// NetTimeout events). Superseded wakeups from previously later heads
-  /// stay queued; the key guard at dispatch neutralizes them.
-  void scheduleLinkWakeup(std::uint32_t link, LinkTimerState& L) {
-    if (L.heap.empty()) {
-      L.scheduled = EvKey{-1, 0};
-      return;
-    }
-    const EvKey k = L.heap.top().key;
-    if (L.scheduled == k) return;
-    L.scheduled = k;
     Ev ev;
-    ev.t = SimTime{k.t};
-    ev.seq = k.seq;  // ride the entry's reserved sequence number
-    ev.kind = EvKind::LinkTimer;
-    ev.msgId = link;
-    cq.push(k, std::move(ev), /*indexed=*/false);
-  }
-
-  /// A link's wakeup fired: pop the heap top it was scheduled for (unless a
-  /// duplicate wakeup already consumed it), run it if it is still armed —
-  /// an ack may have cancelled it, making this pop the no-op the heap
-  /// engine's stale-timer pop would have been — and re-schedule the next
-  /// head.
-  void linkTimerFire(Ev& ev) {
-    const std::uint32_t link = static_cast<std::uint32_t>(ev.msgId);
-    auto lit = linkTimers.find(link);
-    if (lit == linkTimers.end()) return;
-    LinkTimerState& L = lit->second;
-    const EvKey k{ev.t.ns, ev.seq};
-    if (L.scheduled == k) L.scheduled = EvKey{-1, 0};
-    if (!L.heap.empty() && L.heap.top().key == k) {
-      const TimerEnt ent = L.heap.top();
-      L.heap.pop();
-      auto a = armedTimers.find(ent.msgId);
-      if (a != armedTimers.end() && a->second.second == ent.key.seq) {
-        armedTimers.erase(a);
-        // This is the pop the binary heap engine counts for the NetTimeout
-        // event carrying this reserved sequence number. (Cancelled entries
-        // were pre-counted when their ack arrived.)
-        ++eventsProcessed;
-        fireTimeout(ent.msgId, ent.attempt, ev.t);
-      }
-    }
-    // fireTimeout may have re-armed (rehash risk on linkTimers): re-find.
-    scheduleLinkWakeup(link, linkTimers[link]);
+    ev.t = at;
+    ev.kind = EvKind::NetTimeout;
+    ev.msgId = msgId;
+    ev.attempt = attempt;
+    push(std::move(ev));
   }
 
   /// Entry point of the reliable-delivery layer: registers the message in
@@ -736,23 +573,21 @@ struct Machine::Impl {
   /// Sender side: a retransmit timer fired. Stale timers (message already
   /// acked, or superseded by a newer transmission's timer) are ignored and
   /// do not count as progress; live ones pay the Routing Unit again and
-  /// back off exponentially. Returns true when the event did real work.
-  /// Shared by both engines: the heap engine calls it from NetTimeout
-  /// events, the calendar engine from linkTimerFire().
-  bool fireTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime t) {
+  /// back off exponentially.
+  void fireTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime t) {
     auto it = retx.find(msgId);
-    if (it == retx.end()) return false;
+    if (it == retx.end()) return;
     const proto::TimeoutDecision d =
         sender.onTimeout(msgId, static_cast<int>(attempt));
     switch (d.kind) {
       case proto::TimeoutDecision::Kind::Stale:
-        return false;
+        return;
       case proto::TimeoutDecision::Kind::GiveUp:
         runtimeError("reliable delivery gave up on a message to PE " +
                      std::to_string(it->second.toPe) + " after " +
                      std::to_string(d.attempt) + " attempts");
         retx.erase(it);
-        return true;
+        return;
       case proto::TimeoutDecision::Kind::Retransmit:
         break;
     }
@@ -763,7 +598,6 @@ struct Machine::Impl {
     netTransmit(msgId, e, done);
     armTimeout(msgId, static_cast<std::uint32_t>(d.attempt),
                done + usec(d.backoffUs));
-    return true;
   }
 
   // --- token plumbing ------------------------------------------------------
@@ -1289,9 +1123,10 @@ struct Machine::Impl {
         sliceName = &code->name;
       }
       // Yield to the global queue whenever our local time passes its head,
-      // so cross-PE interactions are exact. The calendar engine answers
-      // this from its cached minimum in O(1).
-      if (headEarlierThan(t)) {
+      // so cross-PE interactions are exact. The calendar queue answers this
+      // from its cached minimum in O(1).
+      const EvKey* head = cq.peekKey();
+      if (head != nullptr && head->t < t.ns) {
         Frame& f = P.frames[static_cast<std::size_t>(P.current)];
         f.state = FrameState::Ready;
         P.readyQ.push_front(static_cast<std::uint32_t>(P.current));
@@ -1748,30 +1583,6 @@ struct Machine::Impl {
     stats.counters.add("fault.kills");
     P.incarnation += 1;
     P.dead = true;
-    if (calendar) {
-      // Triage the victim's pending events NOW, straight off its index, in
-      // the same (t, seq) order the binary heap engine would have popped
-      // them across the dead window. Only events ordered before the
-      // PeRestart event qualify: anything later pops after the rebuild and
-      // takes the ordinary already-restarted path. No PE-local event
-      // targeting a dead PE is ever pushed during the dead window (the PE
-      // itself is not running, and remote arrivals ride NetDeliver, which
-      // drops at a dead receiver), so this captures exactly the set
-      // dispatch-time triage would have seen. The taken slots stay queued
-      // as ghosts: until each one's (t, seq) comes up, its key must keep
-      // steering the EU yield check exactly as the still-queued event does
-      // in the heap engine, and its pop is counted when it happens.
-      for (Ev& held : cq.takeIndexed(restartKey_)) {
-        if (held.kind == EvKind::EuKick || held.kind == EvKind::SlotFill ||
-            (held.kind == EvKind::AmArrive && amTaskIsLocalRequest(held.am))) {
-          stats.counters.add("recovery.droppedEvents");
-        } else {
-          stats.counters.add("recovery.heldEvents");
-          deadHeld.push_back(std::move(held));
-        }
-      }
-      killTriaged_ = true;
-    }
     for (const Frame& f : P.frames)
       if (f.state != FrameState::Dead) --liveSps;
     P.frames.clear();
@@ -1842,6 +1653,9 @@ struct Machine::Impl {
           --liveSps;
           break;
         }
+        case RecEntry::Kind::Recv:
+        case RecEntry::Kind::Am:
+          PODS_UNREACHABLE("multi-process record in a simulator recovery log");
       }
     }
     // Every frame that was live at the kill restarts from pc 0. Headers come
@@ -1974,18 +1788,11 @@ struct Machine::Impl {
       restart.kind = EvKind::PeRestart;
       restart.pe = static_cast<std::uint16_t>(cfg.faults.killPe);
       restart.t = usec(cfg.faults.killTimeUs + cfg.faults.killRestartUs);
-      const SimTime restartAt = restart.t;
       push(std::move(restart));
-      restartKey_ = EvKey{restartAt.ns, seq};  // push() stamped seq on it
     }
-    while (!queueEmpty()) {
-      bool ghost = false;
-      Ev ev = popEvent(&ghost);
-      // LinkTimer wakeups are calendar-engine plumbing, not simulation
-      // events: the pop they stand in for is counted where the underlying
-      // timer entry is consumed (fire or ack-cancel).
-      const bool isWakeup = ev.kind == EvKind::LinkTimer;
-      if (!isWakeup) ++eventsProcessed;
+    while (!cq.empty()) {
+      Ev ev = cq.pop();
+      ++eventsProcessed;
       if (cfg.abort != nullptr &&
           cfg.abort->load(std::memory_order_relaxed)) {
         stats.ok = false;
@@ -2020,11 +1827,6 @@ struct Machine::Impl {
       // duplicates) can trail past the last real work; `lastUseful` tracks
       // the completion time the program actually observed.
       bool useful = true;
-      // A ghost is a kill-triaged event popping at its reserved (t, seq):
-      // the drop/hold bookkeeping already happened at peKill, so the pop is
-      // counted (above) but not dispatched — the same no-op the heap engine
-      // performs when staleOrHeld swallows the event here.
-      if (ghost) continue;
       if (killMode() && staleOrHeld(ev)) continue;
       switch (ev.kind) {
         case EvKind::EuKick: {
@@ -2059,25 +1861,11 @@ struct Machine::Impl {
         case EvKind::NetAckArrive: {
           sender.onAck(ev.msgId);
           retx.erase(ev.msgId);
-          if (calendar) {
-            // Cancel the message's armed timer entry. Its reserved-seq slot
-            // still pops (as a no-op) at its deadline; count that pop here,
-            // where the heap engine's stale NetTimeout becomes inevitable.
-            auto a = armedTimers.find(ev.msgId);
-            if (a != armedTimers.end()) {
-              armedTimers.erase(a);
-              ++eventsProcessed;
-            }
-          }
           useful = false;
           break;
         }
         case EvKind::NetTimeout:
           fireTimeout(ev.msgId, ev.attempt, ev.t);
-          useful = false;
-          break;
-        case EvKind::LinkTimer:
-          linkTimerFire(ev);
           useful = false;
           break;
         case EvKind::PeKill:
@@ -2091,11 +1879,6 @@ struct Machine::Impl {
       }
       if (useful && now > lastUseful) lastUseful = now;
     }
-    // Index hygiene: after a drained run every indexed entry was either
-    // triaged at the kill or popped (and unlinked) normally.
-    if (calendar && killTriaged_)
-      PODS_CHECK_MSG(cq.indexedEmpty(),
-                     "stale per-PE indexed events survived kill triage");
     stats.total = faulty() ? lastUseful : now;
     // EU time may extend past the last event.
     for (const PeState& P : pes) stats.total = std::max(stats.total, P.euFree);
@@ -2134,24 +1917,17 @@ struct Machine::Impl {
     stats.counters.add("events", static_cast<std::int64_t>(eventsProcessed));
     stats.counters.add("sp.peakLive", peakLiveSps);
     stats.events = eventsProcessed;
-    // Event-engine health gauges. Deterministic (derived from the event
-    // stream alone), but engine-specific: the bit-identity suites compare
-    // counter maps with the sim.eventq.* prefix stripped.
-    if (calendar) {
-      const EventQStats& eq = cq.stats();
-      stats.counters.add("sim.eventq.peakDepth", eq.peakDepth);
-      stats.counters.add("sim.eventq.peakBucket", eq.peakBucket);
-      stats.counters.add("sim.eventq.pours", eq.pours);
-      stats.counters.add("sim.eventq.widthDoublings", eq.widthDoublings);
-      stats.counters.add("sim.eventq.ghostPops", eq.ghostPops);
-      stats.counters.add("sim.eventq.indexTaken", eq.indexTaken);
-      stats.counters.add("sim.eventq.pushedNear", eq.pushedNear);
-      stats.counters.add("sim.eventq.pushedRing", eq.pushedRing);
-      stats.counters.add("sim.eventq.pushedOverflow", eq.pushedOverflow);
-      stats.counters.add("sim.eventq.bucketWidthNs", cq.bucketWidthNs());
-    } else {
-      stats.counters.add("sim.eventq.peakDepth", heapPeak);
-    }
+    // Event-queue health gauges, deterministic like every other counter
+    // (derived from the event stream alone).
+    const EventQStats& eq = cq.stats();
+    stats.counters.add("sim.eventq.peakDepth", eq.peakDepth);
+    stats.counters.add("sim.eventq.peakBucket", eq.peakBucket);
+    stats.counters.add("sim.eventq.pours", eq.pours);
+    stats.counters.add("sim.eventq.widthDoublings", eq.widthDoublings);
+    stats.counters.add("sim.eventq.pushedNear", eq.pushedNear);
+    stats.counters.add("sim.eventq.pushedRing", eq.pushedRing);
+    stats.counters.add("sim.eventq.pushedOverflow", eq.pushedOverflow);
+    stats.counters.add("sim.eventq.bucketWidthNs", cq.bucketWidthNs());
     if (faulty()) {
       // Protocol counters accumulate inside the delivery endpoints; roll
       // them (plus canonical zero registrations, so every faulty run

@@ -38,13 +38,6 @@ enum class Unit : std::uint8_t { EU = 0, MU = 1, MM = 2, AM = 3, RU = 4 };
 inline constexpr int kNumUnits = 5;
 const char* unitName(Unit u);
 
-/// Which event-queue implementation drives the run. Calendar is the indexed
-/// calendar queue (sim/event_queue.hpp) — the default and the fast path.
-/// BinaryHeap keeps the original std::priority_queue engine alive as the
-/// reference implementation: the fuzz suites run both and require
-/// bit-identical outputs, counters, and stats.total.
-enum class EventEngine : std::uint8_t { Calendar = 0, BinaryHeap = 1 };
-
 struct MachineConfig {
   int numPEs = 1;
   Timing timing{};
@@ -64,7 +57,6 @@ struct MachineConfig {
   /// overflow in the trace.dropped counter.
   std::string tracePath;
   std::size_t maxTraceEvents = 200'000;
-  EventEngine eventEngine = EventEngine::Calendar;
   /// Fault injection + reliable delivery (support/fault.hpp). All-zero
   /// probabilities (the default) keep the exact lossless network path; any
   /// nonzero rate switches remote messages onto the ack/retransmit protocol,

@@ -1,8 +1,8 @@
 // Unit tests for the calendar-queue event engine (sim/event_queue.hpp):
 // exact (t, seq) ordering across bucket boundaries, ring wraparound, the
-// overflow pour / width-doubling path for far-future events, the intrusive
-// index (takeIndexed bounds, pop unlinking), ghost-slot visibility, and
-// the occupancy/health stats surfaced as sim.eventq.* counters.
+// overflow pour / width-doubling path for far-future events, the pop-time
+// order check, and the occupancy/health stats surfaced as sim.eventq.*
+// counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,64 +118,30 @@ TEST(CalendarQueue, PeekKeyTracksHead) {
   EXPECT_EQ(q.peekKey(), nullptr);
 }
 
-TEST(CalendarQueue, TakeIndexedRespectsBoundAndSortsByKey) {
-  Q q;
-  q.push({300, 3}, 30, /*indexed=*/true);
-  q.push({100, 1}, 10, /*indexed=*/true);
-  q.push({200, 2}, 20, /*indexed=*/false);  // not indexed: never taken
-  q.push({400, 4}, 40, /*indexed=*/true);
-  EXPECT_FALSE(q.indexedEmpty());
-  // Bound excludes {400, 4}: it stays queued and indexed.
-  const std::vector<int> taken = q.takeIndexed(EvKey{400, 4});
-  ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0], 10);  // (100,1) before (300,3)
-  EXPECT_EQ(taken[1], 30);
-  EXPECT_FALSE(q.indexedEmpty());
-  // Taken entries stay queued as ghosts: their keys still show at the head
-  // and they pop — flagged — at their exact (t, seq).
-  EXPECT_EQ(q.size(), 4);
-  ASSERT_NE(q.peekKey(), nullptr);
-  EXPECT_EQ(q.peekKey()->t, 100);
-  EvKey k;
-  bool ghost = false;
-  EXPECT_EQ(q.pop(&k, &ghost), 10);
-  EXPECT_TRUE(ghost);
-  EXPECT_EQ(k.seq, 1u);
-  EXPECT_EQ(q.pop(&k, &ghost), 20);
-  EXPECT_FALSE(ghost);
-  EXPECT_EQ(q.pop(&k, &ghost), 30);
-  EXPECT_TRUE(ghost);
-  EXPECT_EQ(q.pop(&k, &ghost), 40);  // pop unlinks the indexed entry
-  EXPECT_FALSE(ghost);
-  EXPECT_TRUE(q.indexedEmpty());
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.stats().indexTaken, 2);
-  EXPECT_EQ(q.stats().ghostPops, 2);
+#if GTEST_HAS_DEATH_TEST
+// The ordering contract is checked on every pop, so a caller that breaks it
+// aborts instead of silently dispatching events out of (t, seq) order.
+TEST(CalendarQueue, PopOutOfOrderIsFatal) {
+  EXPECT_DEATH(
+      {
+        Q q;
+        q.push({500, 2}, 1);
+        q.pop();
+        q.push({400, 3}, 2);  // behind the last pop
+        q.pop();
+      },
+      "popped a key out of");
+  EXPECT_DEATH(
+      {
+        Q q;
+        q.push({500, 2}, 1);
+        q.push({500, 2}, 2);  // the same key twice
+        q.pop();
+        q.pop();
+      },
+      "popped a key out of");
 }
-
-TEST(CalendarQueue, GhostsInOverflowSurviveThePourAndPopInOrder) {
-  Q q(4096, 16);
-  // Far-future indexed events land in overflow; taking them must keep
-  // their slots poppable at the right keys through the pour/re-base path.
-  q.push({10, 1}, 1);
-  q.push({500'000'000, 2}, 2, /*indexed=*/true);
-  q.push({500'000'100, 3}, 3, /*indexed=*/true);
-  const std::vector<int> taken = q.takeIndexed(EvKey{500'000'050, 0});
-  ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0], 2);
-  EvKey k;
-  bool ghost = false;
-  EXPECT_EQ(q.pop(&k, &ghost), 1);
-  EXPECT_FALSE(ghost);
-  EXPECT_EQ(q.pop(&k, &ghost), 2);  // the ghost, at its reserved key
-  EXPECT_TRUE(ghost);
-  EXPECT_EQ(k.t, 500'000'000);
-  EXPECT_EQ(q.pop(&k, &ghost), 3);
-  EXPECT_FALSE(ghost);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(q.indexedEmpty());
-  EXPECT_EQ(q.stats().ghostPops, 1);
-}
+#endif
 
 TEST(CalendarQueue, DepthAndPlacementStats) {
   Q q;

@@ -66,19 +66,9 @@ std::map<std::string, std::int64_t> counterMap(const Counters& c) {
   return m;
 }
 
-/// Counter map without the engine-internal sim.eventq.* gauges (queue
-/// depth / bucket occupancy differ between event engines by construction;
-/// everything else must be bit-identical).
-std::map<std::string, std::int64_t> portableCounterMap(const Counters& c) {
-  std::map<std::string, std::int64_t> m;
-  for (const auto& [k, v] : c.all())
-    if (k.rfind("sim.eventq.", 0) != 0) m.emplace(k, v);
-  return m;
-}
-
 /// PE counts for the simulator kill sweeps. PODS_KILL_PES_EXTRA appends one
-/// larger machine (the CI recovery-soak job sets 32, exercising the
-/// calendar engine's indexed triage at the paper's full Figure 10 width).
+/// larger machine (the CI recovery-soak job sets 32, the paper's full
+/// Figure 10 width).
 std::vector<int> killPes() {
   std::vector<int> pes = {4, 8};
   if (const char* env = std::getenv("PODS_KILL_PES_EXTRA")) {
@@ -228,26 +218,30 @@ TEST(KillFuzz, SimRecursiveWorkload) {
 // recovery traffic itself rides the unreliable transport.
 TEST(KillFuzz, SimKillPlusLossyNetwork) {
   auto c = compileOk(workloads::simpleSource(16, 2));
-  sim::MachineConfig clean;
-  clean.numPEs = 4;
-  PodsRun ref = runPods(*c, clean);
-  ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
-  const double totalUs = ref.stats.total.ns / 1e3;
   const int seeds = killSeeds();
-  for (int seed = 1; seed <= seeds; ++seed) {
-    sim::MachineConfig mc;
-    mc.numPEs = 4;
-    ASSERT_TRUE(
-        FaultConfig::parse("drop:0.03,dup:0.02,delay:0.03", mc.faults));
-    mc.faults.seed = static_cast<std::uint64_t>(seed);
-    mc.faults.killPe = seed % 4;
-    mc.faults.killTimeUs = totalUs * seed / (seeds + 1.0);
-    PodsRun run = runPods(*c, mc);
-    ASSERT_TRUE(run.stats.ok) << "seed=" << seed << ": " << run.stats.error;
-    std::string why;
-    ASSERT_TRUE(sameOutputs(run.out, ref.out, &why))
-        << "seed=" << seed << ": " << why;
-    EXPECT_EQ(run.stats.counters.get("fault.kills"), 1);
+  for (int pes : killPes()) {
+    sim::MachineConfig clean;
+    clean.numPEs = pes;
+    PodsRun ref = runPods(*c, clean);
+    ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
+    const double totalUs = ref.stats.total.ns / 1e3;
+    for (int seed = 1; seed <= seeds; ++seed) {
+      sim::MachineConfig mc;
+      mc.numPEs = pes;
+      ASSERT_TRUE(
+          FaultConfig::parse("drop:0.03,dup:0.02,delay:0.03", mc.faults));
+      mc.faults.seed = static_cast<std::uint64_t>(seed);
+      mc.faults.killPe = seed % pes;
+      mc.faults.killTimeUs = totalUs * seed / (seeds + 1.0);
+      PodsRun run = runPods(*c, mc);
+      ASSERT_TRUE(run.stats.ok)
+          << "pes=" << pes << " seed=" << seed << ": " << run.stats.error;
+      std::string why;
+      ASSERT_TRUE(sameOutputs(run.out, ref.out, &why))
+          << "pes=" << pes << " seed=" << seed << ": " << why;
+      EXPECT_EQ(run.stats.counters.get("fault.kills"), 1)
+          << "pes=" << pes << " seed=" << seed;
+    }
   }
 }
 
@@ -321,61 +315,6 @@ TEST(KillFuzz, NativeWeightedOwnershipBitIdentical) {
 
 // Same seed => the killed run replays the exact same schedule: simulated
 // completion time and every counter (including the recovery tallies) match.
-// Calendar engine vs the reference binary heap across the kill fuzz matrix
-// (including kill + lossy network): the indexed eager triage at the kill
-// event must reproduce dispatch-time triage exactly — outputs, stats.total,
-// and all simulation-visible counters (recovery.droppedEvents,
-// recovery.heldEvents, raw "events", ...) bit-identical. Also checks the
-// per-PE index actually did the triage (sim.eventq.indexTaken) somewhere in
-// the sweep.
-TEST(KillFuzz, SimCalendarVsHeapBitIdentical) {
-  auto c = compileOk(workloads::simpleSource(16, 2));
-  const int seeds = killSeeds();
-  std::int64_t indexTaken = 0;
-  for (int pes : killPes()) {
-    sim::MachineConfig clean;
-    clean.numPEs = pes;
-    PodsRun ref = runPods(*c, clean);
-    ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
-    const double totalUs = ref.stats.total.ns / 1e3;
-    for (int seed = 1; seed <= seeds; ++seed) {
-      sim::MachineConfig mc;
-      mc.numPEs = pes;
-      mc.faults = killAt(seed % pes, totalUs * seed / (seeds + 1.0));
-      if (seed % 2 == 0) {
-        // Half the sweep also rides the lossy network, so retransmit-timer
-        // collapse and triage interact with drops/dups/delays.
-        FaultConfig fc;
-        ASSERT_TRUE(FaultConfig::parse("drop:0.03,dup:0.02,delay:0.03", fc));
-        fc.seed = static_cast<std::uint64_t>(seed);
-        fc.killPe = seed % pes;
-        fc.killTimeUs = totalUs * seed / (seeds + 1.0);
-        mc.faults = fc;
-      }
-      mc.eventEngine = sim::EventEngine::Calendar;
-      PodsRun cal = runPods(*c, mc);
-      mc.eventEngine = sim::EventEngine::BinaryHeap;
-      PodsRun heap = runPods(*c, mc);
-      ASSERT_TRUE(cal.stats.ok)
-          << "pes=" << pes << " seed=" << seed << ": " << cal.stats.error;
-      ASSERT_TRUE(heap.stats.ok)
-          << "pes=" << pes << " seed=" << seed << ": " << heap.stats.error;
-      EXPECT_EQ(cal.stats.total.ns, heap.stats.total.ns)
-          << "pes=" << pes << " seed=" << seed;
-      EXPECT_EQ(portableCounterMap(cal.stats.counters),
-                portableCounterMap(heap.stats.counters))
-          << "pes=" << pes << " seed=" << seed;
-      std::string why;
-      ASSERT_TRUE(sameOutputs(cal.out, heap.out, &why))
-          << "pes=" << pes << " seed=" << seed << ": " << why;
-      indexTaken += cal.stats.counters.get("sim.eventq.indexTaken");
-    }
-  }
-  // The per-PE index must have carried real triage work somewhere in the
-  // sweep (kills with nothing pending on the victim legitimately take 0).
-  EXPECT_GT(indexTaken, 0);
-}
-
 TEST(KillFuzz, SimBitDeterministicAcrossRepeats) {
   auto c = compileOk(workloads::simpleSource(16, 2));
   for (int seed : {1, 9, 17}) {

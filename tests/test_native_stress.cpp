@@ -123,6 +123,12 @@ sim::RunStats runSim(const SpProgram& prog) {
   return sim::Machine(prog, mc).run();
 }
 
+native::NativeResult runNativeProg(const SpProgram& prog, int workers) {
+  native::NativeConfig nc;
+  nc.numWorkers = workers;
+  return native::NativeMachine(prog, nc).run();
+}
+
 // Both engines run one SP executor, so an ill-typed or out-of-range operand
 // is one structured error on either — never a crash of the whole process.
 
@@ -138,8 +144,7 @@ TEST(NativeErrors, UnknownArrayIdReportedNotDereferenced) {
   end.op = Op::END;
   SpProgram prog = singleSpProgram(
       {lit(0, Value::arrayv(999)), lit(1, Value::intv(0)), ard, end}, 3);
-  native::NativeMachine m(prog, {.numWorkers = 2});
-  native::NativeResult res = m.run();
+  native::NativeResult res = runNativeProg(prog, 2);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("unknown array id 999"), std::string::npos)
       << res.error;
@@ -161,8 +166,7 @@ TEST(NativeErrors, NonArrayOperandToArdReported) {
   end.op = Op::END;
   SpProgram prog = singleSpProgram(
       {lit(0, Value::intv(5)), lit(1, Value::intv(0)), ard, end}, 3);
-  native::NativeMachine m(prog, {.numWorkers = 2});
-  native::NativeResult res = m.run();
+  native::NativeResult res = runNativeProg(prog, 2);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)
       << res.error;
@@ -182,8 +186,7 @@ TEST(NativeErrors, NonArrayOperandToDimqReported) {
   end.op = Op::END;
   SpProgram prog =
       singleSpProgram({lit(0, Value::realv(1.5)), dimq, end}, 2);
-  native::NativeMachine m(prog, {.numWorkers = 1});
-  native::NativeResult res = m.run();
+  native::NativeResult res = runNativeProg(prog, 1);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("non-array operand"), std::string::npos)
       << res.error;
@@ -205,8 +208,7 @@ TEST(NativeErrors, ResultIndexOutOfRangeReported) {
   end.op = Op::END;
   SpProgram prog =
       singleSpProgram({lit(0, Value::intv(7)), result, end}, 1);
-  native::NativeMachine m(prog, {.numWorkers = 2});
-  native::NativeResult res = m.run();
+  native::NativeResult res = runNativeProg(prog, 2);
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("result index 3 out of range"), std::string::npos)
       << res.error;

@@ -16,9 +16,6 @@
 //   --block-range      ablation: block-partition Range Filters
 //   --page N           array page size in elements       (default: 32)
 //   --no-cache         disable remote-page caching (pods engine)
-//   --eventq=calendar|heap  pods engine event queue: the calendar queue
-//                      (default) or the reference binary heap (A/B runs;
-//                      outputs and counters are bit-identical)
 //   --trace=FILE       write a Chrome-trace timeline (pods engine)
 //   --transport=inbox|udp|udp-multiproc  native engine: cross-PE token
 //                      transport — the in-process inbox (default), per-PE
@@ -76,7 +73,6 @@ struct Options {
   bool blockRange = false;
   int page = 32;
   bool cache = true;
-  pods::sim::EventEngine eventq = pods::sim::EventEngine::Calendar;
   pods::native::TransportKind transport = pods::native::TransportKind::Inbox;
   bool transportSet = false;
   pods::native::StoreKind store = pods::native::StoreKind::Local;
@@ -99,7 +95,6 @@ int usage(const char* argv0) {
                "usage: %s [--engine=pods|seq|static|native] [--pes N] "
                "[--pe-weights=W0,W1,...] "
                "[--no-distribute] [--block-range] [--page N] [--no-cache] "
-               "[--eventq=calendar|heap] "
                "[--transport=inbox|udp|udp-multiproc] [--store=local|wire] "
                "[--trace=FILE] [--faults=SPEC] [--fault-seed N] "
                "[--timeout SEC] "
@@ -219,19 +214,6 @@ bool parseArgs(int argc, char** argv, Options& o) {
       o.blockRange = true;
     } else if (a == "--no-cache") {
       o.cache = false;
-    } else if (a.rfind("--eventq=", 0) == 0) {
-      const std::string kind = a.substr(9);
-      if (kind == "calendar") {
-        o.eventq = pods::sim::EventEngine::Calendar;
-      } else if (kind == "heap") {
-        o.eventq = pods::sim::EventEngine::BinaryHeap;
-      } else {
-        std::fprintf(stderr,
-                     "podsc: --eventq must be 'calendar' or 'heap' "
-                     "(got '%s')\n",
-                     kind.c_str());
-        return false;
-      }
     } else if (a.rfind("--transport=", 0) == 0) {
       if (!pods::native::parseTransportKind(a.substr(12), o.transport)) {
         std::fprintf(stderr,
@@ -381,7 +363,6 @@ int runTool(const Options& o, Watchdog& dog) {
     mc.numPEs = o.pes;
     mc.peWeights = o.peWeights;
     mc.cachePages = o.cache;
-    mc.eventEngine = o.eventq;
     mc.timing.pageElems = o.page;
     mc.tracePath = o.trace;
     mc.faults = o.faults;
