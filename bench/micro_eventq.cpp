@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the simulator event engine: the
 // calendar queue against a plain std::priority_queue reference under the
 // classic hold model (steady-state pop-one push-one at a future deadline),
-// and the calendar queue end-to-end through an 8-PE simulated run. These
-// measure the *host-side* cost of event dispatch, not simulated time.
+// both carrying the event header the simulator queues, and the calendar
+// queue end-to-end through an 8-PE simulated run. These measure the
+// *host-side* cost of event dispatch, not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -15,11 +16,16 @@
 
 namespace {
 
-// Roughly the footprint of a sim Ev payload, so the slab/heap traffic of the
-// two queues is compared on even terms.
+// The 12-byte header the simulator queues per event (kind, PE, incarnation,
+// body index; `Ev` in src/sim/machine.cpp). Event bodies live outside the
+// queue, so both queues move exactly what a simulator run moves.
 struct Payload {
-  std::uint64_t words[6] = {};
+  std::uint8_t kind = 0;
+  std::uint16_t pe = 0;
+  std::uint32_t inc = 0;
+  std::uint32_t body = 0;
 };
+static_assert(sizeof(Payload) == 12);
 
 std::uint64_t lcg(std::uint64_t& s) {
   s = s * 6364136223846793005ull + 1442695040888963407ull;

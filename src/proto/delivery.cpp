@@ -1,7 +1,6 @@
 #include "proto/delivery.hpp"
 
 #include <cstdio>
-#include <string_view>
 
 namespace pods {
 namespace proto {
@@ -10,18 +9,6 @@ std::string linkCounterName(int fromPe, int toPe, const char* what) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "net.link.%d->%d.%s", fromPe, toPe, what);
   return buf;
-}
-
-const std::string& LinkNameCache::name(std::uint16_t from, std::uint16_t to,
-                                       const char* what) {
-  auto it = names_.find(std::make_tuple(from, to, std::string_view(what)));
-  if (it == names_.end()) {
-    it = names_
-             .emplace(std::make_tuple(from, to, std::string(what)),
-                      linkCounterName(from, to, what))
-             .first;
-  }
-  return it->second;
 }
 
 void Delivery::onAck(std::uint64_t msgId) {

@@ -32,10 +32,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -59,26 +57,10 @@ inline constexpr const char* kFaultDups = "fault.dups";
 inline constexpr const char* kFaultDelays = "fault.delays";
 inline constexpr const char* kFaultStalls = "fault.stalls";
 
-/// Canonical per-link counter name: "net.link.F->T.<what>" with
-/// what in {tokens, datagrams, bytes, retx}.
+/// Canonical per-link counter name: "net.link.F->T.<what>". The native
+/// transports count what in {tokens, datagrams, bytes, retx}; the simulator
+/// counts tokens, arrayMsgs, pages and retx.
 std::string linkCounterName(int fromPe, int toPe, const char* what);
-
-/// Memoization cache over linkCounterName keyed on the *full* (from, to,
-/// what) triple. (An earlier machine.cpp-local cache keyed on what[0] only,
-/// which silently aliases two counter kinds sharing a first letter on the
-/// same link — e.g. "retx" and "rx" — to whichever name was built first.)
-class LinkNameCache {
- public:
-  const std::string& name(std::uint16_t from, std::uint16_t to,
-                          const char* what);
-
- private:
-  // Transparent comparator: lookups compare the const char* against the
-  // stored std::string without constructing a temporary.
-  std::map<std::tuple<std::uint16_t, std::uint16_t, std::string>, std::string,
-           std::less<>>
-      names_;
-};
 
 /// What a driver must do when a retransmit timer fires.
 struct TimeoutDecision {

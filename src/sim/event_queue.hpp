@@ -4,8 +4,9 @@
 // into fixed-width time buckets arranged in a ring, the current bucket is
 // drained through a small binary heap, and events beyond the ring's horizon
 // wait in an overflow list that is poured back into the ring when the cursor
-// reaches it. Push and pop are O(1) amortized, and the payloads live in a
-// slab pool — the buckets and heaps only shuffle 24-byte (key, index) slots.
+// reaches it. Push and pop are O(1) amortized. Each slot holds its key and
+// its event by value, so events must be small and trivially copyable: the
+// simulator queues a 12-byte header and keeps any event body elsewhere.
 //
 // Ordering contract: every (t, seq) key pushed is unique and never earlier
 // than the last key popped, so pops come out strictly ordered by (t, seq).
@@ -17,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,9 @@ struct EventQStats {
 
 template <typename E>
 class CalendarQueue {
+  static_assert(std::is_trivially_copyable_v<E>,
+                "CalendarQueue slots copy events by value");
+
  public:
   /// `widthNs` must be a power of two (bucket lookup is a shift); `buckets`
   /// must be a power of two as well. Defaults suit the PODS machine model,
@@ -86,25 +91,13 @@ class CalendarQueue {
     std::pop_heap(cur_.begin(), cur_.end(), SlotLater{});
     cur_.pop_back();
     if (keyOut) *keyOut = s.key;
-    E ev = std::move(pool_[s.idx]);
-    pool_[s.idx] = E{};  // release any heap storage the payload owns
-    free_.push_back(s.idx);
     --live_;
-    return ev;
+    return s.ev;
   }
 
   /// Insert `ev` at `key`.
-  void push(const EvKey& key, E ev) {
-    std::uint32_t idx;
-    if (!free_.empty()) {
-      idx = free_.back();
-      free_.pop_back();
-      pool_[idx] = std::move(ev);
-    } else {
-      idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(std::move(ev));
-    }
-    const Slot s{key, idx};
+  void push(const EvKey& key, const E& ev) {
+    const Slot s{key, ev};
     const std::int64_t b = key.t >> widthShift_;
     if (b <= curBucket_) {
       // Due now (or in the bucket being drained): straight into the heap.
@@ -129,7 +122,7 @@ class CalendarQueue {
  private:
   struct Slot {
     EvKey key;
-    std::uint32_t idx = 0;
+    E ev;
   };
   // Max-comparator so std::push_heap/pop_heap realize a min-heap on EvKey.
   struct SlotLater {
@@ -215,8 +208,6 @@ class CalendarQueue {
   std::int64_t baseBucket_ = 0;  // first bucket the ring currently maps
   std::int64_t curBucket_ = 0;   // bucket the cursor is draining
   std::int64_t live_ = 0;        // queued entries
-  std::vector<E> pool_;          // payload slab, indexed by Slot::idx
-  std::vector<std::uint32_t> free_;
   EvKey last_;                   // key of the last pop (valid when popped_)
   bool popped_ = false;
   EventQStats stats_;

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <unordered_map>
 
 #include "proto/delivery.hpp"
@@ -168,10 +170,25 @@ const char* evKindName(EvKind k) {
   return "?";
 }
 
+constexpr std::uint32_t kNoBody = 0xFFFFFFFFu;
+
+/// What the event queue carries per event. The time lives only in the
+/// queue key; a token, Array Manager task or network fields live in the
+/// body slab at `body`. EuKick, PeKill and PeRestart have no body.
 struct Ev {
-  SimTime t{};
   EvKind kind = EvKind::EuKick;
   std::uint16_t pe = 0;
+  // Kill mode: the target PE's incarnation when this (PE-local) event was
+  // scheduled; a mismatch at dispatch means the PE died in between.
+  std::uint32_t inc = 0;
+  std::uint32_t body = kNoBody;
+};
+static_assert(sizeof(Ev) <= 16, "the queue copies Ev by value");
+
+/// The data of an event that has any. A writer sets the part its kind
+/// reads (`tok`, `am`, or the network fields) and leaves the rest as the
+/// body's previous user left it.
+struct Body {
   Token tok{};
   AmTask am{};
   // Reliable-delivery fields (lossy mode only).
@@ -179,10 +196,161 @@ struct Ev {
   std::uint16_t netFrom = 0; // NetDeliver: sending PE (ack destination)
   std::uint32_t attempt = 0; // NetTimeout: transmission this timer covers
   bool isToken = false;      // NetDeliver payload discriminator
-  // Kill mode: the target PE's incarnation when this (PE-local) event was
-  // scheduled; a mismatch at dispatch means the PE died in between.
-  std::uint32_t inc = 0;
+  bool live = false;         // taken and not yet released
 };
+
+/// Event bodies in fixed-size chunks that never move, so a handler can keep
+/// reading its own body while the events it pushes take new ones. Each
+/// body is released exactly once: release() checks it, and a run that
+/// drains the queue checks that none is left.
+class BodySlab {
+ public:
+  std::uint32_t take() {
+    std::uint32_t i;
+    if (!free_.empty()) {
+      i = free_.back();
+      free_.pop_back();
+    } else {
+      i = size_++;
+      if ((i & kChunkMask) == 0) chunks_.push_back(std::make_unique<Body[]>(kChunk));
+    }
+    (*this)[i].live = true;
+    return i;
+  }
+  Body& operator[](std::uint32_t i) { return chunks_[i >> kChunkShift][i & kChunkMask]; }
+  void release(std::uint32_t i) {
+    Body& b = (*this)[i];
+    PODS_CHECK_MSG(b.live, "event body released twice");
+    b.live = false;
+    free_.push_back(i);
+  }
+  std::size_t live() const { return size_ - free_.size(); }
+
+ private:
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunk = 1u << kChunkShift;
+  static constexpr std::uint32_t kChunkMask = kChunk - 1;
+  std::vector<std::unique_ptr<Body[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+  std::uint32_t size_ = 0;  // bodies ever taken: live ones plus free_
+};
+
+/// The simulator's counters. The hot path bumps them by id; finalize()
+/// folds every touched one into RunStats::counters under its kCtrNames name.
+enum class Ctr : std::uint8_t {
+  RuntimeErrors,
+  TraceDropped,
+  FaultDrops,
+  FaultDups,
+  FaultDelays,
+  FaultStalls,
+  FaultDeadDrops,
+  FaultKills,
+  FaultRestarts,
+  NetTokens,
+  NetBroadcastTokens,
+  NetPages,
+  NetArrayMsgs,
+  NetAcks,
+  SpInstantiated,
+  SpCompleted,
+  TokensSent,
+  TokensMatched,
+  TokensDropped,
+  TokensReplayDup,
+  EuContextSwitches,
+  EuBlocks,
+  AmDeferredOnHeader,
+  ArrayReads,
+  ArrayReadsLocalHit,
+  ArrayReadsDeferred,
+  ArrayReadsRemote,
+  ArrayReadsCacheHit,
+  ArrayReadsCoalesced,
+  ArrayReadsRemoteDeferred,
+  ArrayWrites,
+  ArrayWritesRemote,
+  ArrayWritesReplayDup,
+  ArrayAllocs,
+  ArrayAllocsReplayDup,
+  ArrayPagesSent,
+  ArrayPagesReceived,
+  RecoveryParkedEarly,
+  RecoveryReplayedTokens,
+  RecoveryMigratedArrays,
+  RecoveryDroppedEvents,
+  RecoveryHeldEvents,
+  RecoveryReplayedFrames,
+  RecoveryReRequestedReads,
+  kCount
+};
+constexpr std::size_t kNumCtrs = static_cast<std::size_t>(Ctr::kCount);
+static_assert(kNumCtrs <= 64, "touched counters are one 64-bit mask");
+
+struct CtrName {
+  Ctr id;
+  const char* name;
+};
+constexpr CtrName kCtrNames[] = {
+    {Ctr::RuntimeErrors, "runtime.errors"},
+    {Ctr::TraceDropped, "trace.dropped"},
+    {Ctr::FaultDrops, proto::kFaultDrops},
+    {Ctr::FaultDups, proto::kFaultDups},
+    {Ctr::FaultDelays, proto::kFaultDelays},
+    {Ctr::FaultStalls, proto::kFaultStalls},
+    {Ctr::FaultDeadDrops, "fault.deadDrops"},
+    {Ctr::FaultKills, "fault.kills"},
+    {Ctr::FaultRestarts, "fault.restarts"},
+    {Ctr::NetTokens, "net.tokens"},
+    {Ctr::NetBroadcastTokens, "net.broadcastTokens"},
+    {Ctr::NetPages, "net.pages"},
+    {Ctr::NetArrayMsgs, "net.arrayMsgs"},
+    {Ctr::NetAcks, proto::kAcks},
+    {Ctr::SpInstantiated, "sp.instantiated"},
+    {Ctr::SpCompleted, "sp.completed"},
+    {Ctr::TokensSent, "tokens.sent"},
+    {Ctr::TokensMatched, "tokens.matched"},
+    {Ctr::TokensDropped, "tokens.dropped"},
+    {Ctr::TokensReplayDup, "tokens.replayDup"},
+    {Ctr::EuContextSwitches, "eu.contextSwitches"},
+    {Ctr::EuBlocks, "eu.blocks"},
+    {Ctr::AmDeferredOnHeader, "am.deferredOnHeader"},
+    {Ctr::ArrayReads, "array.reads"},
+    {Ctr::ArrayReadsLocalHit, "array.reads.localHit"},
+    {Ctr::ArrayReadsDeferred, "array.reads.deferred"},
+    {Ctr::ArrayReadsRemote, "array.reads.remote"},
+    {Ctr::ArrayReadsCacheHit, "array.reads.cacheHit"},
+    {Ctr::ArrayReadsCoalesced, "array.reads.coalesced"},
+    {Ctr::ArrayReadsRemoteDeferred, "array.reads.remoteDeferred"},
+    {Ctr::ArrayWrites, "array.writes"},
+    {Ctr::ArrayWritesRemote, "array.writes.remote"},
+    {Ctr::ArrayWritesReplayDup, "array.writes.replayDup"},
+    {Ctr::ArrayAllocs, "array.allocs"},
+    {Ctr::ArrayAllocsReplayDup, "array.allocs.replayDup"},
+    {Ctr::ArrayPagesSent, "array.pagesSent"},
+    {Ctr::ArrayPagesReceived, "array.pagesReceived"},
+    {Ctr::RecoveryParkedEarly, "recovery.parkedEarly"},
+    {Ctr::RecoveryReplayedTokens, "recovery.replayedTokens"},
+    {Ctr::RecoveryMigratedArrays, "recovery.migratedArrays"},
+    {Ctr::RecoveryDroppedEvents, "recovery.droppedEvents"},
+    {Ctr::RecoveryHeldEvents, "recovery.heldEvents"},
+    {Ctr::RecoveryReplayedFrames, "recovery.replayedFrames"},
+    {Ctr::RecoveryReRequestedReads, "recovery.reRequestedReads"},
+};
+
+constexpr bool ctrNamesInIdOrder() {
+  std::size_t i = 0;
+  for (const CtrName& c : kCtrNames)
+    if (static_cast<std::size_t>(c.id) != i++) return false;
+  return i == kNumCtrs;
+}
+static_assert(ctrNamesInIdOrder(), "kCtrNames lists every Ctr once, in order");
+
+/// Per-link traffic kinds, counted as "net.link.F->T.<kind>".
+enum class LinkKind : std::uint8_t { Tokens, ArrayMsgs, Pages, Retx };
+constexpr const char* kLinkKindNames[] = {"tokens", "arrayMsgs", "pages",
+                                          "retx"};
+constexpr std::size_t kNumLinkKinds = std::size(kLinkKindNames);
 
 /// Deferred reads parked on one absent element (at its owner).
 struct Deferred {
@@ -287,13 +455,18 @@ struct Machine::Impl {
   proto::Delivery sender;
   std::uint64_t netSeq = 0;  // message ids and fault-decision stream
   std::unordered_map<std::uint64_t, RetxEntry> retx;
-  // Per-link traffic counter names, built lazily ("net.link.F->T.<what>").
-  proto::LinkNameCache linkNames;
+  BodySlab bodies;
+  // Counters by id (see Ctr), and per-link counts indexed [from][to][kind];
+  // a PE's row is allocated on its first remote send.
+  std::array<std::int64_t, kNumCtrs> ctr{};
+  std::uint64_t ctrTouched = 0;
+  std::vector<std::vector<std::array<std::int64_t, kNumLinkKinds>>> linkCounts;
   // Completion time excluding stale retransmit timers that fire (and are
   // ignored) after the last real work; `now` still tracks the raw queue.
   SimTime lastUseful{};
   // Kill mode: per-PE stable recovery logs (conceptually off-PE storage —
-  // they survive the fail-stop) and the events held during the dead window.
+  // they survive the fail-stop) and the events held during the dead window,
+  // each still owning its body.
   std::vector<RecoveryLog> recLogs;
   std::vector<Ev> deadHeld;
 
@@ -302,7 +475,8 @@ struct Machine::Impl {
         cfg(c),
         tm(c.timing),
         store(c.numPEs, c.timing.pageElems, c.peWeights),
-        pes(static_cast<std::size_t>(c.numPEs)) {
+        pes(static_cast<std::size_t>(c.numPEs)),
+        linkCounts(static_cast<std::size_t>(c.numPEs)) {
     PODS_CHECK(c.numPEs >= 1 && c.numPEs <= 4096);
     PODS_CHECK_MSG(c.timing.pageElems >= 1 && c.timing.pageElems <= 256,
                    "pageElems must be in [1, 256]");
@@ -324,10 +498,15 @@ struct Machine::Impl {
     if (killMode()) recLogs.resize(pes.size());
   }
 
-  /// Memoized canonical per-link counter name.
-  const std::string& linkName(std::uint16_t from, std::uint16_t to,
-                              const char* what) {
-    return linkNames.name(from, to, what);
+  void count(Ctr c, std::int64_t delta = 1) {
+    ctr[static_cast<std::size_t>(c)] += delta;
+    ctrTouched |= std::uint64_t{1} << static_cast<unsigned>(c);
+  }
+
+  void countLink(std::uint16_t from, std::uint16_t to, LinkKind k) {
+    auto& row = linkCounts[from];
+    if (row.empty()) row.resize(pes.size());
+    ++row[to][static_cast<std::size_t>(k)];
   }
 
   /// True when the lossy network + reliable-delivery protocol is active.
@@ -337,28 +516,45 @@ struct Machine::Impl {
 
   // --- infrastructure ------------------------------------------------------
 
-  /// Queues `ev` at (ev.t, next global sequence number).
-  void push(Ev ev) {
+  /// Queues an event at (t, next global sequence number); `body` passes to
+  /// the event.
+  void push(SimTime t, EvKind kind, std::uint16_t pe,
+            std::uint32_t body = kNoBody) {
+    Ev ev;
+    ev.kind = kind;
+    ev.pe = pe;
+    ev.body = body;
     // Stamp PE-local events with the target's incarnation: if the PE dies
     // before the event fires, dispatch can tell it belongs to a lost life.
-    switch (ev.kind) {
+    switch (kind) {
       case EvKind::EuKick:
       case EvKind::TokenAtMu:
       case EvKind::TokenDeliver:
       case EvKind::AmArrive:
       case EvKind::SlotFill:
-        ev.inc = pes[ev.pe].incarnation;
+        ev.inc = pes[pe].incarnation;
         break;
       default:
         break;
     }
-    const EvKey key{ev.t.ns, ++seq};
-    cq.push(key, std::move(ev));
+    cq.push(EvKey{t.ns, ++seq}, ev);
+  }
+
+  void pushToken(SimTime t, EvKind kind, std::uint16_t pe, const Token& tok) {
+    const std::uint32_t b = bodies.take();
+    bodies[b].tok = tok;
+    push(t, kind, pe, b);
+  }
+
+  void pushAm(SimTime t, std::uint16_t pe, const AmTask& task) {
+    const std::uint32_t b = bodies.take();
+    bodies[b].am = task;
+    push(t, EvKind::AmArrive, pe, b);
   }
 
   void runtimeError(const std::string& msg) {
     if (errorCount++ == 0) stats.error = msg;
-    stats.counters.add("runtime.errors");
+    count(Ctr::RuntimeErrors);
   }
 
   /// Serial-resource scheduling: returns completion time, accrues busy time.
@@ -382,7 +578,7 @@ struct Machine::Impl {
       // Keep recording the *fact* of truncation: the counter counts every
       // drop and writeTrace() emits one marker event, so a consumer can
       // tell a short trace from a clipped one.
-      stats.counters.add("trace.dropped");
+      count(Ctr::TraceDropped);
       ++traceDropped;
       return;
     }
@@ -444,32 +640,30 @@ struct Machine::Impl {
   /// FaultPlan drop, duplicate, or delay it.
   void netTransmit(std::uint64_t msgId, const RetxEntry& e, SimTime at) {
     auto deliverAt = [&](SimTime when) {
-      Ev ev;
-      ev.t = when;
-      ev.kind = EvKind::NetDeliver;
-      ev.pe = e.toPe;
-      ev.msgId = msgId;
-      ev.netFrom = e.fromPe;
-      ev.isToken = e.isToken;
+      const std::uint32_t b = bodies.take();
+      Body& body = bodies[b];
+      body.msgId = msgId;
+      body.netFrom = e.fromPe;
+      body.isToken = e.isToken;
       if (e.isToken) {
-        ev.tok = e.tok;
+        body.tok = e.tok;
       } else {
-        ev.am = e.am;
+        body.am = e.am;
       }
-      push(std::move(ev));
+      push(when, EvKind::NetDeliver, e.toPe, b);
     };
     const SimTime arrive = at + tm.networkHop;
     switch (plan.action(++netSeq)) {
       case FaultAction::Drop:
-        stats.counters.add("fault.drops");
+        count(Ctr::FaultDrops);
         break;  // the retransmit timer recovers it
       case FaultAction::Duplicate:
-        stats.counters.add("fault.dups");
+        count(Ctr::FaultDups);
         deliverAt(arrive);
         deliverAt(arrive + tm.networkHop);
         break;
       case FaultAction::Delay:
-        stats.counters.add("fault.delays");
+        count(Ctr::FaultDelays);
         deliverAt(arrive + usec(cfg.faults.simDelayUs));
         break;
       case FaultAction::Deliver:
@@ -479,27 +673,26 @@ struct Machine::Impl {
   }
 
   void armTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime at) {
-    Ev ev;
-    ev.t = at;
-    ev.kind = EvKind::NetTimeout;
-    ev.msgId = msgId;
-    ev.attempt = attempt;
-    push(std::move(ev));
+    const std::uint32_t b = bodies.take();
+    bodies[b].msgId = msgId;
+    bodies[b].attempt = attempt;
+    push(at, EvKind::NetTimeout, 0, b);
   }
 
   /// Entry point of the reliable-delivery layer: registers the message in
   /// the retransmit buffer, transmits the first copy, and arms the timeout.
   /// `sentAt` is the Routing Unit completion time of the initial injection.
   void netSend(std::uint16_t fromPe, std::uint16_t toPe, SimTime sentAt,
-               bool isToken, bool pageSized, Token tok, AmTask am) {
+               bool isToken, bool pageSized, const Token& tok,
+               const AmTask& am) {
     const std::uint64_t msgId = ++netSeq;
     RetxEntry e;
     e.fromPe = fromPe;
     e.toPe = toPe;
     e.isToken = isToken;
     e.pageSized = pageSized;
-    e.tok = std::move(tok);
-    e.am = std::move(am);
+    e.tok = tok;
+    e.am = am;
     auto [it, inserted] = retx.emplace(msgId, std::move(e));
     PODS_CHECK(inserted);
     sender.onSend(msgId);
@@ -511,56 +704,51 @@ struct Machine::Impl {
   /// and acknowledge (again — a duplicate means our previous ack may have
   /// been lost, so re-ack unconditionally). Returns true when the message
   /// was fresh (delivered payload, not a suppressed duplicate).
-  bool netDeliver(Ev& ev) {
-    PeState& P = pes[ev.pe];
+  bool netDeliver(std::uint16_t pe, SimTime t, std::uint32_t b) {
+    PeState& P = pes[pe];
+    const Body& body = bodies[b];
+    const std::uint64_t msgId = body.msgId;
+    const std::uint16_t netFrom = body.netFrom;
     if (P.dead) {
       // A dead PE neither receives nor acknowledges: the sender's
       // retransmit timer re-offers the message until after the restart.
-      stats.counters.add("fault.deadDrops");
+      count(Ctr::FaultDeadDrops);
+      bodies.release(b);
       return false;
     }
-    const bool fresh = P.rx.accept(ev.msgId);
+    const bool fresh = P.rx.accept(msgId);
     if (fresh) {
       if (plan.stallHit(++netSeq)) {
-        stats.counters.add("fault.stalls");
-        const SimTime stallEnd = ev.t + usec(cfg.faults.simStallUs);
+        count(Ctr::FaultStalls);
+        const SimTime stallEnd = t + usec(cfg.faults.simStallUs);
         if (stallEnd > P.euFree) P.euFree = stallEnd;
       }
-      Ev fwd;
-      fwd.t = ev.t;
-      fwd.pe = ev.pe;
-      if (ev.isToken) {
-        fwd.kind = EvKind::TokenAtMu;
-        fwd.tok = std::move(ev.tok);
-      } else {
-        fwd.kind = EvKind::AmArrive;
-        fwd.am = std::move(ev.am);
-      }
-      push(std::move(fwd));
+      // The message becomes its Matching Unit or Array Manager arrival,
+      // which takes over the body.
+      push(t, body.isToken ? EvKind::TokenAtMu : EvKind::AmArrive, pe, b);
+    } else {
+      bodies.release(b);
     }
     const SimTime done =
-        unitSched(ev.pe, Unit::RU, ev.t + tm.unitSignal, tm.tokenRoute());
-    P.rx.count(proto::kAcks);
+        unitSched(pe, Unit::RU, t + tm.unitSignal, tm.tokenRoute());
+    count(Ctr::NetAcks);
     auto ackAt = [&](SimTime when) {
-      Ev ack;
-      ack.t = when;
-      ack.kind = EvKind::NetAckArrive;
-      ack.pe = ev.netFrom;
-      ack.msgId = ev.msgId;
-      push(std::move(ack));
+      const std::uint32_t ack = bodies.take();
+      bodies[ack].msgId = msgId;
+      push(when, EvKind::NetAckArrive, netFrom, ack);
     };
     const SimTime arrive = done + tm.networkHop;
     switch (plan.action(++netSeq)) {
       case FaultAction::Drop:
-        stats.counters.add("fault.drops");
+        count(Ctr::FaultDrops);
         break;  // sender retransmits; we will dedup and re-ack
       case FaultAction::Duplicate:
-        stats.counters.add("fault.dups");
+        count(Ctr::FaultDups);
         ackAt(arrive);
         ackAt(arrive + tm.networkHop);  // second copy erases nothing
         break;
       case FaultAction::Delay:
-        stats.counters.add("fault.delays");
+        count(Ctr::FaultDelays);
         ackAt(arrive + usec(cfg.faults.simDelayUs));
         break;
       case FaultAction::Deliver:
@@ -592,7 +780,7 @@ struct Machine::Impl {
         break;
     }
     RetxEntry& e = it->second;
-    stats.counters.add(linkName(e.fromPe, e.toPe, "retx"));
+    countLink(e.fromPe, e.toPe, LinkKind::Retx);
     const SimTime svc = e.pageSized ? tm.pageMessage() : tm.tokenRoute();
     const SimTime done = unitSched(e.fromPe, Unit::RU, t, svc);
     netTransmit(msgId, e, done);
@@ -603,39 +791,30 @@ struct Machine::Impl {
   // --- token plumbing ------------------------------------------------------
 
   /// EU (or AM) hands a token to this PE's Matching Unit.
-  void tokenToLocalMu(std::uint16_t pe, SimTime t, Token tok) {
-    Ev ev;
-    ev.t = t + tm.unitSignal;
-    ev.kind = EvKind::TokenAtMu;
-    ev.pe = pe;
-    ev.tok = std::move(tok);
-    push(std::move(ev));
+  void tokenToLocalMu(std::uint16_t pe, SimTime t, const Token& tok) {
+    pushToken(t + tm.unitSignal, EvKind::TokenAtMu, pe, tok);
   }
 
   /// EU (or AM) sends a token to another PE through the Routing Unit.
   void tokenToRemote(std::uint16_t fromPe, std::uint16_t toPe, SimTime t,
-                     Token tok) {
+                     const Token& tok) {
     SimTime done = unitSched(fromPe, Unit::RU, t + tm.unitSignal, tm.tokenRoute());
-    stats.counters.add("net.tokens");
-    stats.counters.add(linkName(fromPe, toPe, "tokens"));
+    count(Ctr::NetTokens);
+    countLink(fromPe, toPe, LinkKind::Tokens);
     if (faulty()) {
-      netSend(fromPe, toPe, done, /*isToken=*/true, /*pageSized=*/false,
-              std::move(tok), AmTask{});
+      netSend(fromPe, toPe, done, /*isToken=*/true, /*pageSized=*/false, tok,
+              AmTask{});
       return;
     }
-    Ev ev;
-    ev.t = done + tm.networkHop;
-    ev.kind = EvKind::TokenAtMu;
-    ev.pe = toPe;
-    ev.tok = std::move(tok);
-    push(std::move(ev));
+    pushToken(done + tm.networkHop, EvKind::TokenAtMu, toPe, tok);
   }
 
-  void sendToken(std::uint16_t fromPe, std::uint16_t toPe, SimTime t, Token tok) {
+  void sendToken(std::uint16_t fromPe, std::uint16_t toPe, SimTime t,
+                 const Token& tok) {
     if (fromPe == toPe) {
-      tokenToLocalMu(fromPe, t, std::move(tok));
+      tokenToLocalMu(fromPe, t, tok);
     } else {
-      tokenToRemote(fromPe, toPe, t, std::move(tok));
+      tokenToRemote(fromPe, toPe, t, tok);
     }
   }
 
@@ -648,69 +827,50 @@ struct Machine::Impl {
   void broadcastToken(std::uint16_t fromPe, SimTime t, const Token& tok) {
     SimTime done =
         unitSched(fromPe, Unit::RU, t + tm.unitSignal, tm.tokenRoute());
-    stats.counters.add("net.broadcastTokens");
+    count(Ctr::NetBroadcastTokens);
     for (int dest = 0; dest < cfg.numPEs; ++dest) {
       if (dest == fromPe) {
         tokenToLocalMu(fromPe, t, tok);
         continue;
       }
-      stats.counters.add(
-          linkName(fromPe, static_cast<std::uint16_t>(dest), "tokens"));
+      const auto to = static_cast<std::uint16_t>(dest);
+      countLink(fromPe, to, LinkKind::Tokens);
       if (faulty()) {
         // Every spanning-tree copy is its own reliable message.
-        netSend(fromPe, static_cast<std::uint16_t>(dest), done,
-                /*isToken=*/true, /*pageSized=*/false, tok, AmTask{});
+        netSend(fromPe, to, done, /*isToken=*/true, /*pageSized=*/false, tok,
+                AmTask{});
         continue;
       }
-      Ev ev;
-      ev.t = done + tm.networkHop;
-      ev.kind = EvKind::TokenAtMu;
-      ev.pe = static_cast<std::uint16_t>(dest);
-      ev.tok = tok;
-      push(std::move(ev));
+      pushToken(done + tm.networkHop, EvKind::TokenAtMu, to, tok);
     }
   }
 
   /// AM task transfer to another PE's AM (read requests, forwarded writes,
   /// allocate broadcasts ride token-sized messages; pages use the page cost).
   void amToRemote(std::uint16_t fromPe, std::uint16_t toPe, SimTime t,
-                  AmTask task, bool pageSized) {
+                  const AmTask& task, bool pageSized) {
     SimTime svc = pageSized ? tm.pageMessage() : tm.tokenRoute();
     SimTime done = unitSched(fromPe, Unit::RU, t + tm.unitSignal, svc);
-    stats.counters.add(pageSized ? "net.pages" : "net.arrayMsgs");
-    stats.counters.add(linkName(fromPe, toPe, pageSized ? "pages" : "arrayMsgs"));
+    count(pageSized ? Ctr::NetPages : Ctr::NetArrayMsgs);
+    countLink(fromPe, toPe, pageSized ? LinkKind::Pages : LinkKind::ArrayMsgs);
     if (faulty()) {
-      netSend(fromPe, toPe, done, /*isToken=*/false, pageSized, Token{},
-              std::move(task));
+      netSend(fromPe, toPe, done, /*isToken=*/false, pageSized, Token{}, task);
       return;
     }
-    Ev ev;
-    ev.t = done + tm.networkHop;
-    ev.kind = EvKind::AmArrive;
-    ev.pe = toPe;
-    ev.am = std::move(task);
-    push(std::move(ev));
+    pushAm(done + tm.networkHop, toPe, task);
   }
 
-  void amLocal(std::uint16_t pe, SimTime t, AmTask task) {
-    Ev ev;
-    ev.t = t + tm.unitSignal;
-    ev.kind = EvKind::AmArrive;
-    ev.pe = pe;
-    ev.am = std::move(task);
-    push(std::move(ev));
+  void amLocal(std::uint16_t pe, SimTime t, const AmTask& task) {
+    pushAm(t + tm.unitSignal, pe, task);
   }
 
   void fillSlotLater(std::uint16_t pe, SimTime t, Cont cont, Value v) {
     PODS_CHECK(cont.pe == pe);  // responses are delivered on the owner PE path
-    Ev ev;
-    ev.t = t;
-    ev.kind = EvKind::SlotFill;
-    ev.pe = pe;
-    ev.tok.toCont = true;
-    ev.tok.cont = cont;
-    ev.tok.v = v;
-    push(std::move(ev));
+    Token tok;
+    tok.toCont = true;
+    tok.cont = cont;
+    tok.v = v;
+    pushToken(t, EvKind::SlotFill, pe, tok);
   }
 
   // --- Execution Unit ------------------------------------------------------
@@ -721,11 +881,7 @@ struct Machine::Impl {
     if (P.kickScheduled && P.kickAt <= want) return;
     P.kickScheduled = true;
     P.kickAt = want;
-    Ev ev;
-    ev.t = want;
-    ev.kind = EvKind::EuKick;
-    ev.pe = pe;
-    push(std::move(ev));
+    push(want, EvKind::EuKick, pe);
   }
 
   void wakeIfBlockedOn(std::uint16_t pe, std::uint32_t frameIdx,
@@ -751,7 +907,7 @@ struct Machine::Impl {
     P.frames.push_back(std::move(f));
     P.match[ctx] = idx;
     P.readyQ.push_back(idx);
-    stats.counters.add("sp.instantiated");
+    count(Ctr::SpInstantiated);
     ++stats.spProfiles[spCode].instances;
     peakLiveSps = std::max(peakLiveSps, ++liveSps);
     pushKick(pe, t);
@@ -771,7 +927,7 @@ struct Machine::Impl {
       slot = tok.cont.slot;
       if (frameIdx >= P.frames.size() ||
           P.frames[frameIdx].state == FrameState::Dead) {
-        stats.counters.add("tokens.dropped");
+        count(Ctr::TokensDropped);
         return;
       }
       Frame& fr = P.frames[frameIdx];
@@ -782,7 +938,7 @@ struct Machine::Impl {
         // ledger is keyed by the *consumer's* context — safe because dead
         // consumers drop their tokens above, before dedup is consulted —
         // so END can prune a retired instance's keys.
-        stats.counters.add("tokens.replayDup");
+        count(Ctr::TokensReplayDup);
         return;
       }
       if (killMode() && fromMu && tok.sendKey != 0 && fr.replaying &&
@@ -793,12 +949,12 @@ struct Machine::Impl {
         // slot. Park it; the re-send trigger delivers it in program order.
         P.pendingReplay[tok.senderCtx].push_back(recLogs[pe].entries.size());
         logToken(pe, tok, frameIdx);
-        stats.counters.add("recovery.parkedEarly");
+        count(Ctr::RecoveryParkedEarly);
         return;
       }
     } else {
       if (killMode() && fromMu && !P.dedup.firstCtx(tok.ctx, tok.slot)) {
-        stats.counters.add("tokens.replayDup");
+        count(Ctr::TokensReplayDup);
         return;
       }
       auto it = P.match.find(tok.ctx);
@@ -895,7 +1051,7 @@ struct Machine::Impl {
     f.slots.clear();
     f.slots.shrink_to_fit();
     unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
-    stats.counters.add("sp.completed");
+    count(Ctr::SpCompleted);
     --liveSps;
   }
 
@@ -931,7 +1087,7 @@ struct Machine::Impl {
       m.recLogs[pe].recordMint(ctx, seq, v);
     }
     ParkedReplies& parkedReplies() { return m.pes[pe].pendingReplay; }
-    void replayedToken() { m.stats.counters.add("recovery.replayedTokens"); }
+    void replayedToken() { m.count(Ctr::RecoveryReplayedTokens); }
 
     Step alloc(std::uint32_t frameIdx, Frame& f, const Instr& in,
                const ArrayShape& shape) {
@@ -947,13 +1103,13 @@ struct Machine::Impl {
         task.senderCtx = f.ctx;
         task.mintSeq = f.mintSeq++;
       }
-      m.amLocal(pe, t, std::move(task));
+      m.amLocal(pe, t, task);
       return Step::Continue;
     }
 
     Step read(std::uint32_t frameIdx, Frame& f, const Instr& in,
               ArrayId arr) {
-      m.stats.counters.add("array.reads");
+      m.count(Ctr::ArrayReads);
       const std::int64_t i0 = f.slots[in.b].asInt();
       const std::int64_t i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
       f.slots[in.dst] = Value{};  // split-phase
@@ -968,7 +1124,7 @@ struct Machine::Impl {
         if (info->owner(offset) == pe && !elem.empty()) {
           // Local present element: the fast path the 2.7 us covers.
           f.slots[in.dst] = elem;
-          m.stats.counters.add("array.reads.localHit");
+          m.count(Ctr::ArrayReadsLocalHit);
           return Step::Continue;
         }
       }
@@ -979,12 +1135,12 @@ struct Machine::Impl {
       task.i1 = i1;
       task.rank = in.c != kNoSlot ? 2 : 1;
       task.cont = {pe, frameIdx, in.dst};
-      m.amLocal(pe, t, std::move(task));
+      m.amLocal(pe, t, task);
       return Step::Continue;
     }
 
     Step write(std::uint32_t, Frame& f, const Instr& in, ArrayId arr) {
-      m.stats.counters.add("array.writes");
+      m.count(Ctr::ArrayWrites);
       AmTask task;
       task.kind = AmTask::Kind::Write;
       task.arr = arr;
@@ -992,7 +1148,7 @@ struct Machine::Impl {
       task.i1 = in.c != kNoSlot ? f.slots[in.c].asInt() : 0;
       task.rank = in.c != kNoSlot ? 2 : 1;
       task.v = f.slots[in.dst];
-      m.amLocal(pe, t, std::move(task));
+      m.amLocal(pe, t, task);
       return Step::Continue;
     }
 
@@ -1017,7 +1173,7 @@ struct Machine::Impl {
       task.rfOff = in.off;
       task.isHi = in.op == Op::RFHI;
       task.cont = {pe, frameIdx, in.dst};
-      m.amLocal(pe, t, std::move(task));
+      m.amLocal(pe, t, task);
       return Step::Continue;
     }
 
@@ -1034,7 +1190,7 @@ struct Machine::Impl {
       task.arr = arr;
       task.dim = in.dim;
       task.cont = {pe, frameIdx, in.dst};
-      m.amLocal(pe, t, std::move(task));
+      m.amLocal(pe, t, task);
       return Step::Continue;
     }
 
@@ -1045,11 +1201,11 @@ struct Machine::Impl {
       tok.slot = slot;
       tok.ctx = ctx;
       tok.v = v;
-      m.stats.counters.add("tokens.sent");
+      m.count(Ctr::TokensSent);
       if (broadcast) {
         m.broadcastToken(pe, t, tok);
       } else {
-        m.sendToken(pe, pe, t, std::move(tok));
+        m.sendToken(pe, pe, t, tok);
       }
     }
     void sendCont(Cont c, const Value& v, bool add, std::uint64_t senderCtx,
@@ -1061,8 +1217,8 @@ struct Machine::Impl {
       tok.add = add;
       tok.senderCtx = senderCtx;
       tok.sendKey = sendKey;
-      m.stats.counters.add("tokens.sent");
-      m.sendToken(pe, c.pe, t, std::move(tok));
+      m.count(Ctr::TokensSent);
+      m.sendToken(pe, c.pe, t, tok);
     }
     void result(std::uint32_t idx, const Value& v) {
       m.stats.results[idx] = v;
@@ -1115,7 +1271,7 @@ struct Machine::Impl {
         if (idx != P.lastFrame) {
           t += tm.contextSwitch;
           euBusy(pe, tm.contextSwitch);
-          stats.counters.add("eu.contextSwitches");
+          count(Ctr::EuContextSwitches);
           P.lastFrame = idx;
         }
         code = &prog.sp(f.spCode);
@@ -1142,13 +1298,13 @@ struct Machine::Impl {
       if (r != Step::Continue) {
         // Blocked on an empty slot, or stopped by an error for good; either
         // way pick the next ready SP (context switch charged at pick).
-        if (r == Step::Blocked) stats.counters.add("eu.blocks");
+        if (r == Step::Blocked) count(Ctr::EuBlocks);
         if (r != Step::Ended) f.state = FrameState::Blocked;
         P.current = -1;
         endSlice(t);
         continue;
       }
-      if (errorCount > 0 && stats.counters.get("runtime.errors") > 64) {
+      if (errorCount > 64) {
         // Runaway error loop: stop making progress on this PE.
         endSlice(t);
         P.euFree = t;
@@ -1167,7 +1323,7 @@ struct Machine::Impl {
         !headerPresent(pe, task.arr)) {
       unitSched(pe, Unit::AM, t, tm.memRead);
       P.pendingHeader[task.arr].push_back(task);
-      stats.counters.add("am.deferredOnHeader");
+      count(Ctr::AmDeferredOnHeader);
       return;
     }
     switch (task.kind) {
@@ -1181,7 +1337,7 @@ struct Machine::Impl {
                   recLogs[pe].findMint(task.senderCtx, task.mintSeq)) {
             P.headers.emplace(m->asArray(), 0);
             fillSlotLater(pe, done + tm.unitSignal, task.cont, *m);
-            stats.counters.add("array.allocs.replayDup");
+            count(Ctr::ArrayAllocsReplayDup);
             flushPendingHeader(pe, done, m->asArray());
             break;
           }
@@ -1200,13 +1356,13 @@ struct Machine::Impl {
             for (int d = 0; d < cfg.numPEs; ++d)
               if (pes[d].dead) {
                 born->layout.migratePe(d);
-                stats.counters.add("recovery.migratedArrays");
+                count(Ctr::RecoveryMigratedArrays);
               }
           }
         }
         P.headers.emplace(id, 0);
         fillSlotLater(pe, done + tm.unitSignal, task.cont, Value::arrayv(id));
-        stats.counters.add("array.allocs");
+        count(Ctr::ArrayAllocs);
         if (task.distributed && cfg.numPEs > 1) {
           // Broadcast the allocation to all other PEs (one message injection,
           // replicated by the network like the LD broadcast).
@@ -1222,16 +1378,10 @@ struct Machine::Impl {
             inst.fromPe = pe;
             if (faulty()) {
               netSend(pe, static_cast<std::uint16_t>(dest), sent,
-                      /*isToken=*/false, /*pageSized=*/false, Token{},
-                      std::move(inst));
+                      /*isToken=*/false, /*pageSized=*/false, Token{}, inst);
               continue;
             }
-            Ev ev;
-            ev.t = sent + tm.networkHop;
-            ev.kind = EvKind::AmArrive;
-            ev.pe = static_cast<std::uint16_t>(dest);
-            ev.am = std::move(inst);
-            push(std::move(ev));
+            pushAm(sent + tm.networkHop, static_cast<std::uint16_t>(dest), inst);
           }
         }
         // Any ops that raced ahead of this allocation on this PE.
@@ -1295,14 +1445,7 @@ struct Machine::Impl {
     if (it == P.pendingHeader.end()) return;
     std::vector<AmTask> tasks = std::move(it->second);
     P.pendingHeader.erase(it);
-    for (AmTask& task : tasks) {
-      Ev ev;
-      ev.t = t;
-      ev.kind = EvKind::AmArrive;
-      ev.pe = pe;
-      ev.am = std::move(task);
-      push(std::move(ev));
-    }
+    for (const AmTask& task : tasks) pushAm(t, pe, task);
   }
 
   void amRead(std::uint16_t pe, SimTime t, AmTask& task) {
@@ -1323,12 +1466,12 @@ struct Machine::Impl {
       } else {
         unitSched(pe, Unit::AM, t, tm.enqueueRead);
         P.deferred[task.arr][offset].localWaiters.push_back(task.cont);
-        stats.counters.add("array.reads.deferred");
+        count(Ctr::ArrayReadsDeferred);
       }
       return;
     }
     // Remote element: consult the software page cache first.
-    stats.counters.add("array.reads.remote");
+    count(Ctr::ArrayReadsRemote);
     const std::int64_t page = info->layout.pageOfOffset(offset);
     const int within = static_cast<int>(offset % tm.pageElems);
     if (cfg.cachePages) {
@@ -1337,7 +1480,7 @@ struct Machine::Impl {
         SimTime done = unitSched(pe, Unit::AM, t, tm.memRead);
         fillSlotLater(pe, done + tm.unitSignal, task.cont,
                       info->elems[static_cast<std::size_t>(offset)]);
-        stats.counters.add("array.reads.cacheHit");
+        count(Ctr::ArrayReadsCacheHit);
         return;
       }
     }
@@ -1347,7 +1490,7 @@ struct Machine::Impl {
     if (pit != pending.end()) {
       unitSched(pe, Unit::AM, t, tm.memRead);
       pit->second.push_back(task.cont);
-      stats.counters.add("array.reads.coalesced");
+      count(Ctr::ArrayReadsCoalesced);
       return;
     }
     pending[offset].push_back(task.cont);
@@ -1378,7 +1521,7 @@ struct Machine::Impl {
       if (off >= info.shape.numElems()) break;
       if (!info.elems[static_cast<std::size_t>(off)].empty()) pg.mask.set(i);
     }
-    stats.counters.add("array.pagesSent");
+    count(Ctr::ArrayPagesSent);
     amToRemote(pe, toPe, done, pg, /*pageSized=*/true);
   }
 
@@ -1398,7 +1541,7 @@ struct Machine::Impl {
       if (waiting == task.fromPe) return;  // already queued
     }
     d.remotePes.push_back(task.fromPe);
-    stats.counters.add("array.reads.remoteDeferred");
+    count(Ctr::ArrayReadsRemoteDeferred);
   }
 
   void amPageArrive(std::uint16_t pe, SimTime t, AmTask& task) {
@@ -1408,7 +1551,7 @@ struct Machine::Impl {
     if (cfg.cachePages) {
       P.cache[pageKey(task.arr, task.offset)].merge(task.mask);
     }
-    stats.counters.add("array.pagesReceived");
+    count(Ctr::ArrayPagesReceived);
     // Satisfy every waiting read that this page covers.
     const ArrayInfo* info = store.find(task.arr);
     auto ait = P.pendingRemote.find(task.arr);
@@ -1448,7 +1591,7 @@ struct Machine::Impl {
         !info->elems[static_cast<std::size_t>(offset)].empty() &&
         info->elems[static_cast<std::size_t>(offset)].identical(task.v)) {
       unitSched(pe, Unit::AM, t, tm.memWrite);
-      stats.counters.add("array.writes.replayDup");
+      count(Ctr::ArrayWritesReplayDup);
       return;
     }
     if (owner != pe) {
@@ -1469,7 +1612,7 @@ struct Machine::Impl {
             static_cast<int>(offset % tm.pageElems));
       }
       SimTime done = unitSched(pe, Unit::AM, t, tm.memWrite + tm.memRead);
-      stats.counters.add("array.writes.remote");
+      count(Ctr::ArrayWritesRemote);
       task.forwarded = true;
       amToRemote(pe, static_cast<std::uint16_t>(owner), done, task,
                  /*pageSized=*/false);
@@ -1546,7 +1689,7 @@ struct Machine::Impl {
   /// kill and will never resend — and re-injected after the rebuild,
   /// where the logical dedup filters absorb any copy a replay also
   /// regenerates. Returns true when the event must not be dispatched.
-  bool staleOrHeld(Ev& ev) {
+  bool staleOrHeld(const Ev& ev, SimTime t) {
     switch (ev.kind) {
       case EvKind::EuKick:
       case EvKind::TokenAtMu:
@@ -1560,27 +1703,29 @@ struct Machine::Impl {
     PeState& P = pes[ev.pe];
     if (ev.inc == P.incarnation && !P.dead) return false;
     if (ev.kind == EvKind::EuKick || ev.kind == EvKind::SlotFill ||
-        (ev.kind == EvKind::AmArrive && amTaskIsLocalRequest(ev.am))) {
-      stats.counters.add("recovery.droppedEvents");
+        (ev.kind == EvKind::AmArrive &&
+         amTaskIsLocalRequest(bodies[ev.body].am))) {
+      count(Ctr::RecoveryDroppedEvents);
+      if (ev.body != kNoBody) bodies.release(ev.body);
       return true;
     }
     if (P.dead) {
-      stats.counters.add("recovery.heldEvents");
-      deadHeld.push_back(std::move(ev));
+      count(Ctr::RecoveryHeldEvents);
+      deadHeld.push_back(ev);  // keeps its body until the restart
       return true;
     }
     // Already restarted: deliver as a fresh arrival; dedup does the rest.
     if (ev.kind == EvKind::TokenDeliver) {
-      deliverToken(ev.pe, ev.t, ev.tok, /*fromMu=*/true);
+      deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/true);
+      bodies.release(ev.body);
       return true;
     }
-    ev.inc = P.incarnation;
     return false;
   }
 
   void peKill(std::uint16_t pe, SimTime t) {
     PeState& P = pes[pe];
-    stats.counters.add("fault.kills");
+    count(Ctr::FaultKills);
     P.incarnation += 1;
     P.dead = true;
     for (const Frame& f : P.frames)
@@ -1609,7 +1754,7 @@ struct Machine::Impl {
     PeState& P = pes[pe];
     PODS_CHECK(P.dead);
     P.dead = false;
-    stats.counters.add("fault.restarts");
+    count(Ctr::FaultRestarts);
     RecoveryLog& L = recLogs[pe];
     for (std::size_t i = 0; i < L.entries.size(); ++i) {
       const RecEntry& e = L.entries[i];
@@ -1669,49 +1814,48 @@ struct Machine::Impl {
       P.readyQ.push_back(idx);
       ++replayed;
     }
-    stats.counters.add("recovery.replayedFrames", replayed);
+    count(Ctr::RecoveryReplayedFrames, replayed);
     for (const auto& [id, info] : store.all()) {
       if (info.distributed || info.homePe == static_cast<int>(pe))
         P.headers.emplace(id, 0);
     }
-    for (Ev held : deadHeld) {
+    for (const Ev& held : deadHeld) {
       // In-flight continuation tokens were acked before the kill, so this
       // held copy is the only one left. Delivering it now could land in a
       // multi-round (CLEARed) slot ahead of the round that consumes it and
       // be wiped; park it with the logged responses instead, so the trigger
       // re-delivers it in program order. Context tokens are one-shot per
       // (ctx, slot) and safe to deliver at any time.
-      if (held.kind != EvKind::AmArrive && held.tok.toCont &&
-          held.tok.sendKey != 0) {
+      const Token& tok = bodies[held.body].tok;
+      if (held.kind != EvKind::AmArrive && tok.toCont && tok.sendKey != 0) {
         // A held copy into a frame that has since retired (or never came
         // back) was never going to be applied: parked entries are only
         // re-delivered into live re-sending frames. Dropping it here keeps
         // the dedup ledger consumer-keyed.
-        const std::uint32_t cf = held.tok.cont.frame;
+        const std::uint32_t cf = tok.cont.frame;
         if (cf >= P.frames.size() ||
             P.frames[cf].state == FrameState::Dead) {
-          stats.counters.add("tokens.dropped");
-          continue;
-        }
-        if (P.dedup.firstCont(P.frames[cf].ctx, held.tok.senderCtx,
-                              held.tok.sendKey)) {
+          count(Ctr::TokensDropped);
+        } else if (P.dedup.firstCont(P.frames[cf].ctx, tok.senderCtx,
+                                     tok.sendKey)) {
           RecEntry e;
           e.kind = RecEntry::Kind::ConToken;
-          e.frame = held.tok.cont.frame;
-          e.slot = held.tok.cont.slot;
-          e.v = held.tok.v;
-          e.add = held.tok.add;
-          e.senderCtx = held.tok.senderCtx;
-          e.sendKey = held.tok.sendKey;
+          e.frame = tok.cont.frame;
+          e.slot = tok.cont.slot;
+          e.v = tok.v;
+          e.add = tok.add;
+          e.senderCtx = tok.senderCtx;
+          e.sendKey = tok.sendKey;
           P.pendingReplay[e.senderCtx].push_back(L.entries.size());
           L.entries.push_back(e);
         }
+        bodies.release(held.body);
         continue;
       }
-      held.t = t;
-      held.kind = held.kind == EvKind::AmArrive ? EvKind::AmArrive
-                                                : EvKind::TokenAtMu;
-      push(std::move(held));
+      // Re-injected as a fresh arrival, which takes over the held body.
+      push(t,
+           held.kind == EvKind::AmArrive ? EvKind::AmArrive : EvKind::TokenAtMu,
+           held.pe, held.body);
     }
     deadHeld.clear();
     // Survivors re-announce reads whose owner-side deferral died with `pe`.
@@ -1728,7 +1872,7 @@ struct Machine::Impl {
           req.fromPe = static_cast<std::uint16_t>(from);
           amToRemote(static_cast<std::uint16_t>(from), pe, t, req,
                      /*pageSized=*/false);
-          stats.counters.add("recovery.reRequestedReads");
+          count(Ctr::RecoveryReRequestedReads);
         }
       }
     }
@@ -1759,7 +1903,7 @@ struct Machine::Impl {
       P0.frames.push_back(std::move(f));
       P0.match[0] = 0;
       P0.readyQ.push_back(0);
-      stats.counters.add("sp.instantiated");
+      count(Ctr::SpInstantiated);
       ++stats.spProfiles[prog.mainSp].instances;
       peakLiveSps = std::max(peakLiveSps, ++liveSps);
       pushKick(0, kTimeZero);
@@ -1779,28 +1923,24 @@ struct Machine::Impl {
       boot.spCode = prog.mainSp;
       boot.ctx = 0;
       recLogs[0].entries.push_back(boot);
-      Ev kill;
-      kill.kind = EvKind::PeKill;
-      kill.pe = static_cast<std::uint16_t>(cfg.faults.killPe);
-      kill.t = usec(cfg.faults.killTimeUs);
-      push(std::move(kill));
-      Ev restart;
-      restart.kind = EvKind::PeRestart;
-      restart.pe = static_cast<std::uint16_t>(cfg.faults.killPe);
-      restart.t = usec(cfg.faults.killTimeUs + cfg.faults.killRestartUs);
-      push(std::move(restart));
+      const auto victim = static_cast<std::uint16_t>(cfg.faults.killPe);
+      push(usec(cfg.faults.killTimeUs), EvKind::PeKill, victim);
+      push(usec(cfg.faults.killTimeUs + cfg.faults.killRestartUs),
+           EvKind::PeRestart, victim);
     }
     while (!cq.empty()) {
-      Ev ev = cq.pop();
+      EvKey key;
+      const Ev ev = cq.pop(&key);
+      const SimTime t{key.t};
       ++eventsProcessed;
       if (cfg.abort != nullptr &&
           cfg.abort->load(std::memory_order_relaxed)) {
         stats.ok = false;
         stats.error = "aborted: external stop requested (watchdog) after " +
                       std::to_string(eventsProcessed) +
-                      " events at simulated t=" + std::to_string(ev.t.us()) +
+                      " events at simulated t=" + std::to_string(t.us()) +
                       "us";
-        stats.total = ev.t;
+        stats.total = t;
         return finalize();
       }
       if (cfg.maxEvents && eventsProcessed > cfg.maxEvents) {
@@ -1817,68 +1957,78 @@ struct Machine::Impl {
             std::to_string(eventsProcessed) + " exceeds maxEvents=" +
             std::to_string(cfg.maxEvents) + "; tripping event was " +
             evKindName(ev.kind) + " on PE " + std::to_string(ev.pe) +
-            " at simulated t=" + std::to_string(ev.t.us()) + "us; " +
+            " at simulated t=" + std::to_string(t.us()) + "us; " +
             std::to_string(alive) + " SPs live;" + sample;
-        stats.total = ev.t;
+        stats.total = t;
         return finalize();
       }
-      now = ev.t;
+      now = t;
       // Protocol bookkeeping (acks, retransmit timers, suppressed
       // duplicates) can trail past the last real work; `lastUseful` tracks
       // the completion time the program actually observed.
       bool useful = true;
-      if (killMode() && staleOrHeld(ev)) continue;
+      if (killMode() && staleOrHeld(ev, t)) continue;
+      // Each case releases the event's body or hands it to the event it
+      // becomes.
       switch (ev.kind) {
         case EvKind::EuKick: {
           PeState& P = pes[ev.pe];
-          if (P.kickScheduled && ev.t >= P.kickAt) P.kickScheduled = false;
-          euRun(ev.pe, ev.t);
+          if (P.kickScheduled && t >= P.kickAt) P.kickScheduled = false;
+          euRun(ev.pe, t);
           break;
         }
         case EvKind::TokenAtMu: {
-          SimTime done = unitSched(ev.pe, Unit::MU, ev.t, tm.matchTime);
-          stats.counters.add("tokens.matched");
-          Ev del;
-          del.t = done;
-          del.kind = EvKind::TokenDeliver;
-          del.pe = ev.pe;
-          del.tok = std::move(ev.tok);
-          push(std::move(del));
+          SimTime done = unitSched(ev.pe, Unit::MU, t, tm.matchTime);
+          count(Ctr::TokensMatched);
+          push(done, EvKind::TokenDeliver, ev.pe, ev.body);
           break;
         }
         case EvKind::TokenDeliver:
-          deliverToken(ev.pe, ev.t, ev.tok, /*fromMu=*/true);
+          deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/true);
+          bodies.release(ev.body);
           break;
         case EvKind::AmArrive:
-          amHandle(ev.pe, ev.t, ev.am);
+          amHandle(ev.pe, t, bodies[ev.body].am);
+          bodies.release(ev.body);
           break;
         case EvKind::SlotFill:
-          deliverToken(ev.pe, ev.t, ev.tok, /*fromMu=*/false);
+          deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/false);
+          bodies.release(ev.body);
           break;
         case EvKind::NetDeliver:
-          useful = netDeliver(ev);
+          useful = netDeliver(ev.pe, t, ev.body);
           break;
         case EvKind::NetAckArrive: {
-          sender.onAck(ev.msgId);
-          retx.erase(ev.msgId);
+          const std::uint64_t msgId = bodies[ev.body].msgId;
+          bodies.release(ev.body);
+          sender.onAck(msgId);
+          retx.erase(msgId);
           useful = false;
           break;
         }
-        case EvKind::NetTimeout:
-          fireTimeout(ev.msgId, ev.attempt, ev.t);
+        case EvKind::NetTimeout: {
+          const Body& b = bodies[ev.body];
+          const std::uint64_t msgId = b.msgId;
+          const std::uint32_t attempt = b.attempt;
+          bodies.release(ev.body);
+          fireTimeout(msgId, attempt, t);
           useful = false;
           break;
+        }
         case EvKind::PeKill:
-          peKill(ev.pe, ev.t);
+          peKill(ev.pe, t);
           useful = false;
           break;
         case EvKind::PeRestart:
-          peRestart(ev.pe, ev.t);
+          peRestart(ev.pe, t);
           useful = false;
           break;
       }
       if (useful && now > lastUseful) lastUseful = now;
     }
+    // Every body went back exactly once: through its event's handler, a
+    // kill's triage, or the restart that re-injected or parked it.
+    PODS_CHECK_MSG(bodies.live() == 0, "event bodies outlived the drained queue");
     stats.total = faulty() ? lastUseful : now;
     // EU time may extend past the last event.
     for (const PeState& P : pes) stats.total = std::max(stats.total, P.euFree);
@@ -1947,6 +2097,22 @@ struct Machine::Impl {
       stats.counters.add("recovery.mints.live", liveMints);
     }
     if (tracing) writeTrace();
+    // The counters bumped by id, under their names; last, so that the
+    // trace writer's error counts too.
+    for (const CtrName& c : kCtrNames) {
+      const auto i = static_cast<std::size_t>(c.id);
+      if ((ctrTouched >> i) & 1) stats.counters.add(c.name, ctr[i]);
+    }
+    for (std::size_t from = 0; from < linkCounts.size(); ++from) {
+      const auto& row = linkCounts[from];
+      for (std::size_t to = 0; to < row.size(); ++to)
+        for (std::size_t k = 0; k < kNumLinkKinds; ++k)
+          if (row[to][k] != 0)
+            stats.counters.add(
+                proto::linkCounterName(static_cast<int>(from),
+                                       static_cast<int>(to), kLinkKindNames[k]),
+                row[to][k]);
+    }
     // Diagnose incomplete executions.
     if (stats.error.empty()) {
       int alive = 0;

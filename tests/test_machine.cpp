@@ -3,8 +3,13 @@
 // distributed allocation, deadlock diagnosis, and failure injection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "core/pods.hpp"
+#include "support/fault.hpp"
 #include "workloads/kernels.hpp"
+#include "workloads/simple.hpp"
 
 namespace pods {
 namespace {
@@ -219,6 +224,92 @@ def main() -> matrix {
   EXPECT_GT(run2.stats.counters.get("array.writes.remote"), 0);
   ASSERT_TRUE(run2.out.arrays[0].has_value());
   EXPECT_DOUBLE_EQ((*run2.out.arrays[0]).elems[255].asReal(), 255.0);
+}
+
+/// FNV-1a over the schedule's integer observables: every (counter name,
+/// value) pair outside sim.eventq.* (the queue's own gauges) and every PE's
+/// per-unit busy time. Output values are left out: they are doubles, and
+/// the outputs are checked against the fault-free run instead.
+std::uint64_t scheduleDigest(const sim::RunStats& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= static_cast<const unsigned char*>(p)[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  auto mixInt = [&mix](std::int64_t v) {
+    unsigned char b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
+    mix(b, sizeof b);
+  };
+  for (const auto& [name, value] : s.counters.all()) {
+    if (std::string_view(name).starts_with("sim.eventq.")) continue;
+    mix(name.data(), name.size());
+    mixInt(value);
+  }
+  for (const auto& pe : s.busy)
+    for (const SimTime& unit : pe) mixInt(unit.ns);
+  return h;
+}
+
+// The simulated schedule is pinned by recorded constants: a host-side
+// change to the simulator (event queue, event bodies, counters) must
+// reproduce them exactly, and a model change updates them and states the
+// delta.
+TEST(Machine, ScheduleMatchesRecordedDigests) {
+  struct Want {
+    int pes;
+    const char* mode;  // clean, lossy1, lossy2, kill, killLossy
+    std::int64_t totalNs;
+    std::uint64_t events;
+    std::uint64_t digest;
+  };
+  const Want wants[] = {
+      {1, "clean", 417719579, 28807, 8099619305499925536ULL},
+      {1, "lossy1", 417719579, 28807, 12822152795819895143ULL},
+      {1, "lossy2", 417719579, 28807, 12822152795819895143ULL},
+      {1, "kill", 419408735, 31253, 4847683604155246025ULL},
+      {1, "killLossy", 419408735, 31253, 4847683604155246025ULL},
+      {4, "clean", 136814070, 121559, 18419633650583882991ULL},
+      {4, "lossy1", 178574638, 130756, 6288738521465078884ULL},
+      {4, "lossy2", 172931594, 129951, 15056428083416567908ULL},
+      {4, "kill", 168570263, 136109, 2167803391801572608ULL},
+      {4, "killLossy", 182830409, 132639, 5011929872486863233ULL},
+      {16, "clean", 109362612, 169577, 15832763081792119011ULL},
+      {16, "lossy1", 381655439, 236391, 2923573172736863813ULL},
+      {16, "lossy2", 310940305, 224662, 14230113619022974140ULL},
+      {16, "kill", 365272989, 238060, 12152372382123197662ULL},
+      {16, "killLossy", 387832949, 236846, 12305251331424295178ULL},
+  };
+  auto c = compileOk(workloads::simpleSource(16, 2));
+  ProgramOutputs ref;
+  SimTime cleanTotal{};
+  for (const Want& w : wants) {
+    const std::string mode = w.mode;
+    sim::MachineConfig mc;
+    mc.numPEs = w.pes;
+    if (mode == "lossy1" || mode == "lossy2" || mode == "killLossy") {
+      ASSERT_TRUE(FaultConfig::parse("drop:0.05,dup:0.02,delay:0.05", mc.faults));
+      mc.faults.seed = mode == "lossy2" ? 2 : 1;
+    }
+    if (mode == "kill" || mode == "killLossy") {
+      mc.faults.killPe = w.pes - 1;
+      mc.faults.killTimeUs = cleanTotal.us() / 2;
+    }
+    PodsRun run = runPods(*c, mc);
+    ASSERT_TRUE(run.stats.ok) << w.pes << " " << mode << ": " << run.stats.error;
+    if (mode == "clean") {
+      cleanTotal = run.stats.total;
+      if (w.pes == 1) ref = run.out;
+    }
+    std::string why;
+    EXPECT_TRUE(sameOutputs(run.out, ref, &why)) << w.pes << " " << mode << ": "
+                                                 << why;
+    EXPECT_EQ(run.stats.total.ns, w.totalNs) << w.pes << " " << mode;
+    EXPECT_EQ(run.stats.events, w.events) << w.pes << " " << mode;
+    EXPECT_EQ(scheduleDigest(run.stats), w.digest) << w.pes << " " << mode;
+  }
 }
 
 }  // namespace

@@ -337,23 +337,6 @@ TEST(DeliveryAccounting, LinkCounterNameFormat) {
   EXPECT_EQ(proto::linkCounterName(12, 7, "pages"), "net.link.12->7.pages");
 }
 
-TEST(DeliveryAccounting, LinkNameCacheKeysOnFullKindString) {
-  proto::LinkNameCache cache;
-  // "retx" and "rx" share a first letter: a cache keyed on what[0] (the old
-  // bug) would alias them and charge one counter for both kinds.
-  const std::string retx = cache.name(0, 1, "retx");
-  const std::string rx = cache.name(0, 1, "rx");
-  EXPECT_EQ(retx, "net.link.0->1.retx");
-  EXPECT_EQ(rx, "net.link.0->1.rx");
-  EXPECT_NE(retx, rx);
-  // Same kind on a different link gets its own entry too.
-  EXPECT_EQ(cache.name(1, 0, "retx"), "net.link.1->0.retx");
-  // Repeated lookups are stable and return the identical cached string.
-  const std::string* first = &cache.name(0, 1, "retx");
-  EXPECT_EQ(first, &cache.name(0, 1, "retx"));
-  EXPECT_EQ(*first, retx);
-}
-
 // --- engine counter parity --------------------------------------------------
 
 /// Protocol-level counter names of a run: the canonical namespaces both
