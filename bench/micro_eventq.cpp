@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the simulator event engine: the
-// calendar queue against a plain std::priority_queue reference under the
-// classic hold model (steady-state pop-one push-one at a future deadline),
-// both carrying the event header the simulator queues, and the calendar
-// queue end-to-end through an 8-PE simulated run. These measure the
+// radix-heap event queue against a plain std::priority_queue reference under
+// the classic hold model (steady-state pop-one push-one at a future
+// deadline), both carrying the event header the simulator queues, and the
+// event queue end-to-end through an 8-PE simulated run. These measure the
 // *host-side* cost of event dispatch, not simulated time.
 #include <benchmark/benchmark.h>
 
@@ -41,23 +41,22 @@ std::int64_t holdDelta(std::uint64_t& rng) {
   return static_cast<std::int64_t>(lcg(rng) % 30'000);
 }
 
-void BM_CalendarHold(benchmark::State& state) {
+void BM_EventQueueHold(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
-  pods::sim::CalendarQueue<Payload> q;
-  std::uint64_t rng = 42, seq = 0;
+  pods::sim::EventQueue<Payload> q;
+  std::uint64_t rng = 42;
   std::int64_t now = 0;
-  for (std::size_t i = 0; i < depth; ++i)
-    q.push({holdDelta(rng), ++seq}, Payload{});
+  for (std::size_t i = 0; i < depth; ++i) q.push(holdDelta(rng), Payload{});
   for (auto _ : state) {
     pods::sim::EvKey k;
     Payload p = q.pop(&k);
     benchmark::DoNotOptimize(p);
     now = k.t;
-    q.push({now + holdDelta(rng), ++seq}, Payload{});
+    q.push(now + holdDelta(rng), Payload{});
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CalendarHold)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
+BENCHMARK(BM_EventQueueHold)->Arg(1 << 8)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_HeapHold(benchmark::State& state) {
   struct Ent {

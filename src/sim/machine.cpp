@@ -437,8 +437,7 @@ struct Machine::Impl {
   Timing tm;
   ArrayStore store;
   std::vector<PeState> pes;
-  CalendarQueue<Ev> cq;
-  std::uint64_t seq = 0;
+  EventQueue<Ev> cq;
   std::uint64_t eventsProcessed = 0;
   SimTime now{};
   // Live-SP tracking: PODS removed the k-bounded-loop throttling, so the
@@ -516,8 +515,8 @@ struct Machine::Impl {
 
   // --- infrastructure ------------------------------------------------------
 
-  /// Queues an event at (t, next global sequence number); `body` passes to
-  /// the event.
+  /// Queues an event at `t`, after every event already queued at `t`;
+  /// `body` passes to the event.
   void push(SimTime t, EvKind kind, std::uint16_t pe,
             std::uint32_t body = kNoBody) {
     Ev ev;
@@ -537,7 +536,7 @@ struct Machine::Impl {
       default:
         break;
     }
-    cq.push(EvKey{t.ns, ++seq}, ev);
+    cq.push(t.ns, ev);
   }
 
   void pushToken(SimTime t, EvKind kind, std::uint16_t pe, const Token& tok) {
@@ -1279,8 +1278,9 @@ struct Machine::Impl {
         sliceName = &code->name;
       }
       // Yield to the global queue whenever our local time passes its head,
-      // so cross-PE interactions are exact. The calendar queue answers this
-      // from its cached minimum in O(1).
+      // so cross-PE interactions are exact. The peek never re-bases the
+      // queue: while the EU keeps running, what it pushes may be earlier
+      // than the head.
       const EvKey* head = cq.peekKey();
       if (head != nullptr && head->t < t.ns) {
         Frame& f = P.frames[static_cast<std::size_t>(P.current)];
@@ -2071,13 +2071,7 @@ struct Machine::Impl {
     // (derived from the event stream alone).
     const EventQStats& eq = cq.stats();
     stats.counters.add("sim.eventq.peakDepth", eq.peakDepth);
-    stats.counters.add("sim.eventq.peakBucket", eq.peakBucket);
-    stats.counters.add("sim.eventq.pours", eq.pours);
-    stats.counters.add("sim.eventq.widthDoublings", eq.widthDoublings);
-    stats.counters.add("sim.eventq.pushedNear", eq.pushedNear);
-    stats.counters.add("sim.eventq.pushedRing", eq.pushedRing);
-    stats.counters.add("sim.eventq.pushedOverflow", eq.pushedOverflow);
-    stats.counters.add("sim.eventq.bucketWidthNs", cq.bucketWidthNs());
+    stats.counters.add("sim.eventq.moves", eq.moves);
     if (faulty()) {
       // Protocol counters accumulate inside the delivery endpoints; roll
       // them (plus canonical zero registrations, so every faulty run

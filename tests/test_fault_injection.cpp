@@ -119,7 +119,17 @@ TEST(FaultFuzz, SimSimpleBitIdenticalToFaultFree) {
   auto c = compileOk(workloads::simpleSource(16, 2));
   const int seeds = faultSeeds();
   std::int64_t resent = 0, dedup = 0, injected = 0;
-  for (int pes : {1, 4, 8}) {
+  // The 16-PE cell keeps the default 500 us RTO: at the sweep's 50 us every
+  // 16-PE lossy run gives up (ROADMAP item 7). Its backed-off retransmit
+  // timers, up to 32 ms out, reach the event queue's highest buckets.
+  struct Cell {
+    int pes;
+    double rtoUs;
+  };
+  const double sweepRto = faultRates(1).retry.rtoUs;
+  const double defaultRto = proto::RetryPolicy{}.rtoUs;
+  for (const auto [pes, rtoUs] : {Cell{1, sweepRto}, Cell{4, sweepRto},
+                                  Cell{8, sweepRto}, Cell{16, defaultRto}}) {
     sim::MachineConfig clean;
     clean.numPEs = pes;
     PodsRun ref = runPods(*c, clean);
@@ -128,6 +138,7 @@ TEST(FaultFuzz, SimSimpleBitIdenticalToFaultFree) {
       sim::MachineConfig mc;
       mc.numPEs = pes;
       mc.faults = faultRates(static_cast<std::uint64_t>(seed));
+      mc.faults.retry.rtoUs = rtoUs;
       PodsRun run = runPods(*c, mc);
       ASSERT_TRUE(run.stats.ok)
           << "pes=" << pes << " seed=" << seed << ": " << run.stats.error;
