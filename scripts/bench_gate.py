@@ -65,6 +65,7 @@ STATS_DELTA_COUNTERS = (
     "native.inboxOverflow",
     "net.am.readReqSent",
     "net.am.pageHits",
+    "net.am.pageRunsSent",
     "net.am.pageFillsSent",
     "net.am.parks",
     "native.shmArrayOps",
@@ -168,8 +169,10 @@ def tokens_per_datagram(counters):
 def print_stats_deltas(baseline_path, candidate_path):
     """Forensic (never gated) drift report over the archived counter
     registries: wall time, batching occupancy, the native engine's cost per
-    instruction (derived.native.ns_per_instr), and the hot-path counters in
-    STATS_DELTA_COUNTERS. Runs present on only one side are skipped."""
+    instruction (derived.native.ns_per_instr), the hot-path counters in
+    STATS_DELTA_COUNTERS, and the counter names present on only one side
+    (a stale archive, or a counter added or retired). Runs present on only
+    one side are skipped."""
     base, pr = load_stats(baseline_path), load_stats(candidate_path)
     common = sorted(set(base) & set(pr))
     if not common:
@@ -193,6 +196,10 @@ def print_stats_deltas(baseline_path, candidate_path):
                      f"{'-' if pns is None else f'{pns:.1f}'}")
         print(line)
         bc, pc = b.get("counters", {}), p.get("counters", {})
+        for side, names in (("baseline", set(bc) - set(pc)),
+                            ("candidate", set(pc) - set(bc))):
+            if names:
+                print(f"    only in {side}: {', '.join(sorted(names))}")
         for key in STATS_DELTA_COUNTERS:
             bv, pv = bc.get(key), pc.get(key)
             if bv is None and pv is None:

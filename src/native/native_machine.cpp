@@ -94,7 +94,7 @@ struct ArrayRec {
   std::int64_t lo = 0;
   std::vector<WsCell> cells;
   /// Requester page cache: pages[p - pageLo] holds the elements of remote
-  /// page p this PE has been sent (page fills and value replies) — empty
+  /// page p this PE has been sent (page runs and value replies) — empty
   /// until the first arrives, then one value per page element, absent =
   /// Tag::Empty. Single assignment makes every cached element final.
   std::int64_t pageLo = 0;
@@ -143,12 +143,17 @@ struct ArrayRec {
     return v.empty() ? nullptr : &v;
   }
 
+  /// The cache slice of remote page `p` (shape known), created empty.
+  std::vector<Value>& cachePage(std::int64_t p) {
+    std::vector<Value>& page = widenSlice(pages, pageLo, p);
+    if (page.empty()) page.resize(static_cast<std::size_t>(layout->pageElems()));
+    return page;
+  }
+
   /// Caches remote element `off` (shape known, 0 <= off < numElems).
   void cache(std::int64_t off, const Value& v) {
     const std::int64_t n = layout->pageElems();
-    std::vector<Value>& page = widenSlice(pages, pageLo, off / n);
-    if (page.empty()) page.resize(static_cast<std::size_t>(n));
-    page[static_cast<std::size_t>(off % n)] = v;
+    cachePage(off / n)[static_cast<std::size_t>(off % n)] = v;
   }
 };
 
@@ -249,8 +254,10 @@ struct WorkerStats {
   std::int64_t amDimReqServed = 0;   // shape queries answered as allocator
   std::int64_t amRepliesSent = 0;    // value replies (immediate + park fills)
   std::int64_t amPageHits = 0;       // remote reads answered by the page cache
+  std::int64_t amPageRunsSent = 0;   // page-run messages shipped as owner
+  std::int64_t amPageRunsApplied = 0;   // page runs cached as requester
   std::int64_t amPageFillsSent = 0;  // page elements shipped as owner
-  std::int64_t amPageFillsApplied = 0;  // page fills cached as requester
+  std::int64_t amPageFillsApplied = 0;  // page elements cached as requester
   std::int64_t amParks = 0;          // deferred reads parked at this owner
   std::int64_t amParkFills = 0;      // parked reads filled by a write
   std::int64_t amLocalReads = 0;     // owner-local reads (no message)
@@ -345,7 +352,7 @@ struct Worker {
   /// list, so steady-state parking allocates nothing.
   std::vector<WsPark> wsParkPool;
   std::uint32_t wsParkFree = kNoPark;
-  /// Respawn replay: replies and page fills regenerated from logged Am
+  /// Respawn replay: replies and page runs regenerated from logged Am
   /// records, held until the worker loop starts (the transport is not up
   /// during the rebuild).
   std::vector<std::pair<int, NToken>> wsDeferred;
@@ -492,7 +499,7 @@ struct NativeMachine::Impl : TransportSink {
   /// the cell store.
   std::unordered_map<ArrayId, NativeArray> wireGathered;
   /// Respawn replay (wire store): true while performKill re-services logged
-  /// Am records — replies and fills regenerated during the rebuild are
+  /// Am records — replies and page runs regenerated during the rebuild are
   /// deferred to Worker::wsDeferred instead of sent (no transport is running
   /// yet).
   bool amDeferSends = false;
@@ -536,7 +543,7 @@ struct NativeMachine::Impl : TransportSink {
       : prog(p), cfg(c), plan(c.faults) {
     PODS_CHECK_MSG(c.numWorkers >= 1 && c.numWorkers <= 256,
                    "numWorkers must be in [1, 256]");
-    PODS_CHECK(c.pageElems >= 1 && c.pageElems <= 4096);
+    PODS_CHECK(c.pageElems >= 1 && c.pageElems <= kMaxPageElems);
     PODS_CHECK_MSG(c.sliceInstructions >= 1,
                    "sliceInstructions must be >= 1 (a zero budget would "
                    "requeue frames forever without progress)");
@@ -1080,7 +1087,7 @@ struct NativeMachine::Impl : TransportSink {
   }
 
   /// Sends what an owner or allocator answers with: value replies, page
-  /// fills, shape answers. During log replay the transport is not up yet,
+  /// runs, shape answers. During log replay the transport is not up yet,
   /// so they park in wsDeferred, in order, and ship when the worker loop
   /// starts.
   void sendAm(int pe, int dest, NToken tok) {
@@ -1114,39 +1121,67 @@ struct NativeMachine::Impl : TransportSink {
     sendAm(pe, requester, std::move(tok));
   }
 
-  /// Ships every other present element of `off`'s page to `requester`, one
-  /// PageFill each, ahead of the value reply: a remote read of a present
-  /// element moves the page (paper §4). Pages are owned whole, so on a
-  /// shape-less slice the page's other elements are this PE's too; find()
-  /// skips those it has not seen.
+  /// Ships every other present element of `off`'s page to `requester` as
+  /// one PageRun message, ahead of the value reply: a remote read of a
+  /// present element moves the page (paper §4). A run starts at its first
+  /// present element; a page wider than kPageRunMaxElems may take several.
+  /// Pages are owned whole, so on a shape-less slice the page's other
+  /// elements are this PE's too; find() skips those it has not seen.
   void wireSendPage(int pe, ArrayRec& a, ArrayId arr, std::int64_t off,
                     int requester) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     const std::int64_t first = off - off % cfg.pageElems;
+    std::shared_ptr<PageRun> run;
+    auto ship = [&] {
+      w.st.amPageRunsSent++;
+      w.st.amPageFillsSent += run->count;
+      NToken tok;
+      tok.amKind = static_cast<std::uint8_t>(AmKind::PageRun);
+      tok.ctx = arr;
+      tok.page = std::move(run);
+      sendAm(pe, requester, std::move(tok));
+    };
     for (std::int64_t o = first; o < first + cfg.pageElems; ++o) {
       const WsCell* cell = o == off ? nullptr : a.find(o);
       if (cell == nullptr || cell->v.empty()) continue;
-      w.st.amPageFillsSent++;
-      NToken tok;
-      tok.amKind = static_cast<std::uint8_t>(AmKind::PageFill);
-      tok.ctx = arr;
-      tok.senderCtx = static_cast<std::uint64_t>(o);
-      tok.v = cell->v;
-      sendAm(pe, requester, std::move(tok));
+      if (run != nullptr && o - run->first >= kPageRunMaxElems) ship();
+      if (run == nullptr) {
+        run = std::make_shared<PageRun>();
+        run->first = static_cast<std::uint32_t>(o);
+        run->pageElems = static_cast<std::uint16_t>(cfg.pageElems);
+      }
+      run->add(o, cell->v);
     }
+    if (run != nullptr) ship();
   }
 
-  /// Requester: caches remote element `off` of `arr` from a page fill or a
-  /// value reply. False when it cannot: this PE does not know the shape (a
-  /// respawned worker before its frames re-query it), the offset lies
-  /// outside the array, or this PE owns the element (a reply to a park at
-  /// itself).
+  /// Requester: caches remote element `off` of `arr` from a value reply.
+  /// False when it cannot: this PE does not know the shape (a respawned
+  /// worker before its frames re-query it), the offset lies outside the
+  /// array, or this PE owns the element (a reply to a park at itself).
   bool wireCache(Worker& w, ArrayId arr, std::int64_t off, const Value& v) {
     ArrayRec* a = wireMeta(w, arr);
     if (a == nullptr || v.empty() || off < 0 ||
         off >= a->shape().numElems() || a->find(off) != nullptr)
       return false;
     a->cache(off, v);
+    return true;
+  }
+
+  /// Requester: caches a page run of `arr` in one pass. False when it
+  /// cannot, as wireCache, or when the run was cut for another page size.
+  /// Pages are owned whole, so the run's first element settles ownership.
+  bool wireCacheRun(Worker& w, ArrayId arr, const PageRun& run) {
+    ArrayRec* a = wireMeta(w, arr);
+    const std::int64_t n = cfg.pageElems;
+    if (a == nullptr || run.pageElems != n ||
+        run.first + run.span > a->shape().numElems() ||
+        a->find(run.first) != nullptr)
+      return false;
+    std::vector<Value>& page = a->cachePage(run.first / n);
+    const std::size_t at = static_cast<std::size_t>(run.first % n);
+    for (int i = 0, k = 0; i < run.span; ++i)
+      if (run.has(i)) page[at + static_cast<std::size_t>(i)] = run.vals[k++];
     return true;
   }
 
@@ -1301,10 +1336,12 @@ struct NativeMachine::Impl : TransportSink {
         wireRequeueShapeWaiters(w, *a);
         break;
       }
-      case AmKind::PageFill:
-        // Never logged: a lost fill costs only a re-read.
-        if (wireCache(w, arr, static_cast<std::int64_t>(tok.senderCtx), tok.v))
-          w.st.amPageFillsApplied++;
+      case AmKind::PageRun:
+        // Never logged: a lost run costs only re-reads.
+        if (wireCacheRun(w, arr, *tok.page)) {
+          w.st.amPageRunsApplied++;
+          w.st.amPageFillsApplied += tok.page->count;
+        }
         break;
       default:
         w.st.tokensDropped++;  // decode rejects unknown kinds; belt-and-braces
@@ -1631,7 +1668,7 @@ struct NativeMachine::Impl : TransportSink {
       a.pages.clear();
     });
     w.wsDeferred.clear();
-    // Replies and page fills regenerated by Am replay cannot be sent yet
+    // Replies and page runs regenerated by Am replay cannot be sent yet
     // (worker mode runs this before any transport thread exists); they park
     // in wsDeferred and ship when the worker loop starts. Only set in worker
     // mode — a single worker thread — so no other thread can race the flag.
@@ -1716,9 +1753,9 @@ struct NativeMachine::Impl : TransportSink {
           // Re-service the logged array message against the rebuilding
           // store, in its original receive order: writes are idempotent
           // identical overwrites, re-parked reads dedup by packed cont, and
-          // regenerated replies and page fills are deferred here; the
+          // regenerated replies and page runs are deferred here; the
           // requester's myParks registry drops wakes for parks it no longer
-          // holds, and a fill of a final value is harmless twice.
+          // holds, and caching a final value twice is harmless.
           NToken t;
           t.amKind = static_cast<std::uint8_t>(e.spCode);
           t.ctx = e.ctx;
@@ -2234,9 +2271,10 @@ struct NativeMachine::Impl : TransportSink {
     if (wireStore()) {
       // Array-message ledger ("net.am.*"). Fault-free invariants the tests
       // assert: readReqSent == readReqServed, writeSent == writeApplied,
-      // dimReqSent == dimReqServed, parks == parkFills, pageFillsSent ==
-      // pageFillsApplied (summed over PEs — in multi-process mode after the
-      // supervisor merges every worker).
+      // dimReqSent == dimReqServed, parks == parkFills, pageRunsSent ==
+      // pageRunsApplied (messages) and pageFillsSent == pageFillsApplied
+      // (the elements they carry), summed over PEs — in multi-process mode
+      // after the supervisor merges every worker.
       Counters am;
       for (const auto& w : workers) {
         am.add("readReqSent", w->st.amReadReqSent);
@@ -2247,6 +2285,8 @@ struct NativeMachine::Impl : TransportSink {
         am.add("dimReqServed", w->st.amDimReqServed);
         am.add("repliesSent", w->st.amRepliesSent);
         am.add("pageHits", w->st.amPageHits);
+        am.add("pageRunsSent", w->st.amPageRunsSent);
+        am.add("pageRunsApplied", w->st.amPageRunsApplied);
         am.add("pageFillsSent", w->st.amPageFillsSent);
         am.add("pageFillsApplied", w->st.amPageFillsApplied);
         am.add("parks", w->st.amParks);

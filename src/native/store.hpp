@@ -20,7 +20,7 @@
 //    element's parked readers as a FIFO list in a per-PE node pool, and the
 //    remote pages it has been sent — and every non-local access the cache
 //    cannot answer becomes a typed *array message* (AmKind)
-//    riding the existing token wire: the same NToken records, batch
+//    riding the existing token wire: the same NTokens, batch
 //    datagrams, per-link sequence windows, cumulative acks, retransmit,
 //    fault dice, and receive-log replay as ordinary tokens. No shared
 //    memory: the layering a remote-host worker needs.
@@ -29,9 +29,9 @@
 //   ReadReq   requester -> owner   split-phase read. If the element is
 //                                  present the owner first sends the
 //                                  requester every other present element of
-//                                  its page, one PageFill each, then the
-//                                  value reply, on the same link (the
-//                                  paper's page shipment, §4); if absent
+//                                  its page as one PageRun, then the value
+//                                  reply, on the same link (the paper's
+//                                  page shipment, §4); if absent
 //                                  the requester's continuation is parked
 //                                  at the owner (deferred read) and filled
 //                                  by the eventual write with the value
@@ -39,8 +39,11 @@
 //                                  yet: its slice then spans the offsets
 //                                  seen so far and is re-seated on its
 //                                  segment once the shape arrives.
-//   PageFill  owner     -> requester  one present element of the page a
-//                                  ReadReq hit, for the requester's cache.
+//   PageRun   owner     -> requester  the other present elements of the
+//                                  page a ReadReq hit, for the requester's
+//                                  cache: offset of the first, presence
+//                                  mask, values (a PageRun payload, one
+//                                  message per kPageRunMaxElems offsets).
 //   Write     writer    -> owner   fire-and-forget single-assignment write;
 //                                  the owner detects violations and drains
 //                                  parked readers into value replies.
@@ -55,12 +58,14 @@
 //
 // Requester page cache: each PE's record of an array also holds one dense
 // slice per remote page it has been sent (absent = Tag::Empty), filled by
-// PageFills and value replies; ARD consults it before sending a ReadReq.
+// page runs, each in one pass, and by value replies; ARD consults it before
+// sending a ReadReq.
 // Single assignment makes a cached element final, so nothing is ever
 // invalidated and no coherence traffic exists. The cache is volatile: like
-// DimReply, PageFill is not logged (a lost fill only costs a re-read), a
+// DimReply, a PageRun is not logged (a lost run only costs re-reads), a
 // respawned worker starts with an empty cache, and an in-process kill
-// wipes it. During log replay, fills are deferred with the value replies.
+// wipes it. During log replay, page runs are deferred with the value
+// replies.
 //
 // AllocMeta never travels the wire: it is the receive-log record a
 // multi-process allocator writes so a respawn can rebuild its shape table
@@ -76,6 +81,9 @@ namespace pods::native {
 /// so also the bound on any element offset an array message can carry.
 inline constexpr int kOffsetBits = 26;
 inline constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << kOffsetBits;
+/// Largest page the native engine lays arrays out in (NativeConfig's
+/// pageElems), so also the bound on the page size a page run can name.
+inline constexpr int kMaxPageElems = 4096;
 
 /// Which array-store backend the native machine uses.
 enum class StoreKind : std::uint8_t {
@@ -87,28 +95,31 @@ enum class StoreKind : std::uint8_t {
 bool parseStoreKind(const std::string& name, StoreKind& out);
 const char* storeKindName(StoreKind kind);
 
-/// Typed array-message kinds carried in the token record's flag byte
-/// (bits 2..4; 0 marks an ordinary token, keeping the wire bit-identical
-/// for non-array traffic). Field reuse on NToken:
+/// Typed array-message kinds (NToken::amKind), carried in the token
+/// record's flag byte (bits 2..4; 0 marks an ordinary token, keeping the
+/// wire bit-identical for non-array traffic) — except PageRun, which is a
+/// page record of its own. Field reuse on NToken:
 ///   ctx       = array id                  (all kinds)
-///   senderCtx = element offset            (ReadReq / Write / PageFill);
+///   senderCtx = element offset            (ReadReq / Write);
 ///               dim0 (DimReply)
 ///   slot      = requester PE              (ReadReq / DimReq); rank (DimReply)
 ///   cont      = requester continuation    (ReadReq; its pe is the
 ///               requester, which the reply and fills go to)
-///   v         = element value             (Write / PageFill); dim1 as Int
+///   v         = element value             (Write); dim1 as Int
 ///               (DimReply)
+///   page      = the run's offsets and values (PageRun; null otherwise)
 enum class AmKind : std::uint8_t {
   None = 0,      // not an array message
   ReadReq = 1,   // split-phase read request (park at owner when absent)
   Write = 2,     // single-assignment element write
   DimReq = 3,    // shape query to the allocator
   DimReply = 4,  // shape answer (rank, dim0, dim1)
-  PageFill = 5,  // one present element of a read page, for the cache
+  PageRun = 5,   // present elements of one run of a read page, for the cache
   AllocMeta = 6, // log-only: allocator's durable (id -> shape) record
 };
 
-/// Highest AmKind value that may appear on the wire (AllocMeta is log-only).
-inline constexpr std::uint8_t kMaxWireAmKind = 5;
+/// Highest AmKind value a token record may carry: a PageRun travels as its
+/// own record kind (native/transport.hpp) and AllocMeta is log-only.
+inline constexpr std::uint8_t kMaxWireAmKind = 4;
 
 }  // namespace pods::native

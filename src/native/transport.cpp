@@ -8,8 +8,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -18,7 +18,6 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 
 #include "proto/delivery.hpp"
 #include "support/check.hpp"
@@ -53,8 +52,14 @@ std::uint64_t get64(const std::uint8_t* p) {
 // other unknown type.
 constexpr std::uint8_t kTypeBatch = 6;
 constexpr std::uint8_t kTypeCumAck = 7;
-// Tag byte that opens every 65-byte token record inside a batch.
+// Record kinds: the first byte of every record inside a batch.
 constexpr std::uint8_t kRecordToken = 1;
+constexpr std::uint8_t kRecordPage = 2;
+
+// Most records one batch can hold: the smallest record is a page record
+// with one value.
+constexpr int kBatchMaxRecords = static_cast<int>(
+    kBatchRecordBytes / (kPageRecordFixedBytes + 1 + kPageValueBytes));
 
 // Outbox flush deadline: how long a partially-filled batch may sit before
 // the timer thread ships it. The sending worker's loop flushes far more
@@ -62,9 +67,75 @@ constexpr std::uint8_t kRecordToken = 1;
 constexpr double kFlushDeadlineUs = 50.0;
 
 // Lazy-ack threshold: a receiver answers partial batches and healed
-// duplicates immediately, but lets full-batch streams run this many tokens
+// duplicates immediately, but lets full-batch streams run this many records
 // between cumulative acks (see onBatch).
-constexpr std::int64_t kAckLazyTokens = 64;
+constexpr std::int64_t kAckLazyRecords = 64;
+
+/// The wire images of one link's unacked records, indexed by link seq, for
+/// retransmission. Images sit back to back in seq order; an ack clears its
+/// slot in any order, and the window's low end advances over cleared slots.
+/// Their bytes are reclaimed when the window empties, or by one compaction
+/// once they outnumber the live ones, so both vectors grow to the link's
+/// peak window and are then reused: a warm link's sends allocate nothing.
+class RetxImages {
+ public:
+  /// Stores the image of `seq`, the link's next seq.
+  void put(std::uint64_t seq, const std::uint8_t* rec, std::size_t len) {
+    if (head_ == slots_.size()) {
+      slots_.clear();
+      bytes_.clear();
+      head_ = 0;
+      base_ = seq;
+    } else if (2 * head_ >= slots_.size()) {
+      compact();
+    }
+    PODS_CHECK_MSG(seq == base_ + (slots_.size() - head_),
+                   "retransmit images must be stored in link-seq order");
+    slots_.push_back(Slot{static_cast<std::uint32_t>(bytes_.size()),
+                          static_cast<std::uint32_t>(len)});
+    bytes_.insert(bytes_.end(), rec, rec + len);
+  }
+
+  /// The image of `seq` and its length, or nullptr once acked.
+  const std::uint8_t* find(std::uint64_t seq, std::size_t* len) const {
+    if (seq < base_ || seq - base_ >= slots_.size() - head_) return nullptr;
+    const Slot& s = slots_[head_ + (seq - base_)];
+    if (s.len == 0) return nullptr;
+    *len = s.len;
+    return bytes_.data() + s.off;
+  }
+
+  /// `seq` was acked: its image is no longer needed.
+  void erase(std::uint64_t seq) {
+    if (seq < base_ || seq - base_ >= slots_.size() - head_) return;
+    slots_[head_ + (seq - base_)].len = 0;
+    while (head_ < slots_.size() && slots_[head_].len == 0) {
+      ++head_;
+      ++base_;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t off;  // into bytes_
+    std::uint32_t len;  // 0: acked
+  };
+
+  /// Drops the slots below the window and the bytes before its first image.
+  void compact() {
+    const std::uint32_t cut = slots_[head_].off;
+    slots_.erase(slots_.begin(),
+                 slots_.begin() + static_cast<std::ptrdiff_t>(head_));
+    for (Slot& s : slots_) s.off -= cut;
+    bytes_.erase(bytes_.begin(), bytes_.begin() + cut);
+    head_ = 0;
+  }
+
+  std::uint64_t base_ = 1;  // seq of slots_[head_]
+  std::size_t head_ = 0;    // first slot still in the window
+  std::vector<Slot> slots_;
+  std::vector<std::uint8_t> bytes_;
+};
 
 /// Per-(src,dst) link counters. Written from worker, receiver, and timer
 /// threads; plain atomics, rolled into the Counters map after the run.
@@ -324,16 +395,18 @@ class InboxTransport final : public Transport {
 // (see "acks" below); everything else is shared.
 //
 // Sends coalesce per (src,dst) link: each link keeps a small outbox that
-// accumulates 65-byte token records and ships them as one MTU-sized batch
-// datagram when full (kBatchMaxTokens), when the sending worker's loop
-// calls flush(), or when the 50 µs deadline timer fires.
+// accumulates records (65-byte tokens, variable-length page runs) and ships
+// them as one MTU-sized batch datagram when the next record would not fit,
+// when one more token would not (wireBatchFull), when the sending worker's
+// loop calls flush(), or when the 50 µs deadline timer fires.
 //
 // UDP gives no delivery guarantee even on loopback (a full SO_RCVBUF drops
 // packets silently), so the reliable-delivery protocol ALWAYS runs:
 //
-//   sender    numbers each link's tokens with a dense 1-based sequence
+//   sender    numbers each link's records with a dense 1-based sequence
 //             (packed into the msgId, see proto::Delivery::packLinkMsgId),
-//             keeps every unacked record's wire image per link, and
+//             keeps every unacked record's wire image per link (RetxImages,
+//             indexed by seq, no allocation per record), and
 //             retransmits with exponential backoff until acknowledged
 //             (giving up — failing the run — after maxAttempts). A
 //             retransmitted record rides the link's next batch with its
@@ -344,7 +417,7 @@ class InboxTransport final : public Transport {
 //             self-heals;
 //   acks      are cumulative: the highest contiguously received seq plus a
 //             selective bitmap for seqs above it. Without a WorkerLink a
-//             fresh token is acked at receive (lazily, see kAckLazyTokens).
+//             fresh token is acked at receive (lazily, see kAckLazyRecords).
 //             With one, a token may be acked only once its Recv record is
 //             stable at the supervisor (an acked-but-unlogged token would
 //             never be retransmitted and would vanish with the next kill):
@@ -475,25 +548,23 @@ class UdpTransport final : public Transport {
     LinkOut& lk = linkOut(fromPe, toPe);
     linkStat(fromPe, toPe).tokens.fetch_add(1);
     tokensSent_.fetch_add(1);
+    const std::size_t recLen = wireRecordBytes(tok);
     bool wrote = false;
     bool full = false;
     bool first = false;
     while (!wrote) {
       {
         std::lock_guard<std::mutex> g(lk.m);
-        // The timer thread can leave the outbox exactly full: its
-        // retransmit requeue appends up to the cap under lk.m and flushes
-        // only after dropping it. Writing a record here in that window
-        // would run past buf, so flush the full outbox ourselves and
-        // retry.
-        if (lk.count < kBatchMaxTokens) {
+        // The record may not fit behind what is already coalescing — and
+        // the timer thread's retransmit requeue can leave the outbox full
+        // too, since it appends under lk.m and flushes only after dropping
+        // it. Either way, ship the outbox first and retry.
+        if (lk.bytes + recLen <= kBatchRecordBytes) {
           const std::uint64_t seq = ++lk.nextSeq;
           tok.msgId = proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
-          std::uint8_t* rec =
-              lk.buf + kBatchHeaderBytes +
-              static_cast<std::size_t>(lk.count) * kTokenWireBytes;
-          wireEncodeToken(tok, static_cast<std::uint16_t>(fromPe), rec);
-          std::memcpy(lk.unackedWire[seq].data(), rec, kTokenWireBytes);
+          std::uint8_t* rec = lk.buf + kBatchHeaderBytes + lk.bytes;
+          wireEncodeRecord(tok, static_cast<std::uint16_t>(fromPe), rec);
+          lk.unacked.put(seq, rec, recLen);
           // Output commit: everything this token's payload may depend on
           // (mints, received tokens) is in the log stream by now — the
           // batch must not hit the wire before that prefix is stable.
@@ -505,7 +576,8 @@ class UdpTransport final : public Transport {
           if (lk.freshCount == 0) lk.firstFreshSeq = seq;
           ++lk.count;
           ++lk.freshCount;
-          full = lk.count == kBatchMaxTokens;
+          lk.bytes += recLen;
+          full = wireBatchFull(lk.bytes);
           wrote = true;
         }
       }
@@ -694,24 +766,23 @@ class UdpTransport final : public Transport {
 
  private:
   /// One (src,dst) link's sender state: the coalescing outbox (header
-  /// space + up to kBatchMaxTokens records) and the wire image of every
-  /// unacked record, keyed by link seq, for retransmission. Single fresh
-  /// producer (worker src); the timer thread appends retransmits and the
-  /// receiver thread erases acked images — all under m.
+  /// space + up to kBatchRecordBytes of records) and the wire image of
+  /// every unacked record, indexed by link seq, for retransmission. Single
+  /// fresh producer (worker src); the timer thread appends retransmits and
+  /// the receiver thread erases acked images — all under m.
   struct LinkOut {
     std::mutex m;
     std::uint8_t buf[kBatchMaxBytes];
-    int count = 0;       // records currently in buf
-    int freshCount = 0;  // suffix of count that is first-send (not retx)
+    std::size_t bytes = 0;  // record bytes currently in buf
+    int count = 0;          // records currently in buf
+    int freshCount = 0;     // suffix of count that is first-send (not retx)
     std::uint64_t firstFreshSeq = 0;
     std::uint64_t nextSeq = 0;  // last assigned link sequence
     /// Output-commit gate (WorkerLink only): log stream position that must
     /// be stable before this outbox may hit the wire (high-water over its
     /// parked tokens).
     std::uint64_t gateSeq = 0;
-    std::unordered_map<std::uint64_t,
-                       std::array<std::uint8_t, kTokenWireBytes>>
-        unackedWire;
+    RetxImages unacked;
     /// Retransmit schedule: (deadline, seq) min-heap, consumed lazily (an
     /// acked seq is skipped when its deadline fires). The whole link keeps
     /// at most ~one live Retx timer event — `retxArmed`/`armedDue` dedup
@@ -935,8 +1006,9 @@ class UdpTransport final : public Transport {
       fresh = lk.freshCount;
       firstFreshSeq = lk.firstFreshSeq;
       len = wireEncodeBatchHeader(lk.buf, static_cast<std::uint16_t>(fromPe),
-                                  count, epoch_);
+                                  count, lk.bytes, epoch_);
       std::memcpy(dgram, lk.buf, len);
+      lk.bytes = 0;
       lk.count = 0;
       lk.freshCount = 0;
       dirty(fromPe).fetch_sub(1, std::memory_order_release);
@@ -993,21 +1065,19 @@ class UdpTransport final : public Transport {
       {
         std::lock_guard<std::mutex> g(lk.m);
         for (; i < msgIds.size(); ++i) {
-          const std::uint64_t seq =
-              proto::Delivery::linkMsgIdSeq(msgIds[i]);
-          auto it = lk.unackedWire.find(seq);
-          if (it == lk.unackedWire.end()) continue;  // acked meanwhile
-          if (lk.count == kBatchMaxTokens) {
+          std::size_t len = 0;
+          const std::uint8_t* img = lk.unacked.find(
+              proto::Delivery::linkMsgIdSeq(msgIds[i]), &len);
+          if (img == nullptr) continue;  // acked meanwhile
+          if (lk.bytes + len > kBatchRecordBytes) {
             needFlush = true;
             break;
           }
-          std::memcpy(lk.buf + kBatchHeaderBytes +
-                          static_cast<std::size_t>(lk.count) *
-                              kTokenWireBytes,
-                      it->second.data(), kTokenWireBytes);
+          std::memcpy(lk.buf + kBatchHeaderBytes + lk.bytes, img, len);
           if (lk.count == 0)
             dirty(fromPe).fetch_add(1, std::memory_order_release);
           ++lk.count;
+          lk.bytes += len;
           linkStat(fromPe, toPe).retx.fetch_add(1);
         }
       }
@@ -1171,7 +1241,7 @@ class UdpTransport final : public Transport {
     std::uint8_t epoch = 0;
     WireCumAck ack;
     if (wireDecodeBatch(buf, n, toks, &src, &epoch) && onLink(toks, src, pe))
-      onBatch(pe, src, epoch, toks, fresh);
+      onBatch(pe, src, epoch, n - kBatchHeaderBytes, toks, fresh);
     else if (wireDecodeCumAck(buf, n, ack) && ack.ackerPe < numPes_ &&
              ack.ackerPe != pe)
       onCumAck(pe, ack);
@@ -1181,11 +1251,11 @@ class UdpTransport final : public Transport {
 
   /// True when a decoded batch belongs to link (src -> pe): a source PE
   /// that exists and is not the receiver, and every record's msgId packed
-  /// for that link — the dedup and ack windows key on it. Array messages
+  /// for that link — the dedup and ack windows key on it. Array requests
   /// must also name `src` as their requester, since the owner answers the
-  /// PE a request names and send() indexes its link tables by it, and a
-  /// page fill's offset must fit an array, since the requester indexes its
-  /// cache by it.
+  /// PE a request names and send() indexes its link tables by it. (A page
+  /// run's offsets, which the requester indexes its cache by, were bounded
+  /// by the decoder.)
   bool onLink(const std::vector<NToken>& toks, int src, int pe) const {
     if (src >= numPes_ || src == pe) return false;
     const std::uint32_t want = proto::Delivery::linkMsgIdLink(
@@ -1198,10 +1268,6 @@ class UdpTransport final : public Transport {
           break;
         case AmKind::DimReq:
           if (tok.slot != src) return false;
-          break;
-        case AmKind::PageFill:
-          if (tok.senderCtx >= static_cast<std::uint64_t>(kMaxArrayElems))
-            return false;
           break;
         default:
           break;
@@ -1225,10 +1291,11 @@ class UdpTransport final : public Transport {
     ack.epoch = epoch;
   }
 
-  /// A batch on link (src -> pe): epoch triage, dedup, the ack this mode
-  /// calls for, then the deposits of the fresh tokens.
-  void onBatch(int pe, int src, std::uint8_t epoch, std::vector<NToken>& toks,
-               std::vector<NToken>& fresh) {
+  /// A batch on link (src -> pe) whose records take `recordBytes`: epoch
+  /// triage, dedup, the ack this mode calls for, then the deposits of the
+  /// fresh tokens.
+  void onBatch(int pe, int src, std::uint8_t epoch, std::size_t recordBytes,
+               std::vector<NToken>& toks, std::vector<NToken>& fresh) {
     const std::size_t s = rxSlot(src, pe);
     if (epoch < knownEpoch_[s]) {
       // The sender of this datagram is dead; its reborn successor
@@ -1247,16 +1314,17 @@ class UdpTransport final : public Transport {
     if (link_ == nullptr) {
       // Ack at receive, lazily: a partial batch ends a burst and a
       // duplicate means the sender is already retransmitting — both ack
-      // at once. A stream of FULL batches acks only every kAckLazyTokens
-      // tokens (~every 3rd datagram), cutting ack traffic on hot links by
-      // two thirds; a full-batch tail that never sees a partial flush is
-      // healed by the sender's retransmit, whose duplicates force an ack.
-      // The ack goes out before the deposits, so at termination the final
-      // ack is already in flight toward the sender's socket.
+      // at once. A stream of FULL batches (wireBatchFull: no room for one
+      // more token) acks only every kAckLazyRecords records (~every 3rd
+      // token datagram), cutting ack traffic on hot links by two thirds; a
+      // full-batch tail that never sees a partial flush is healed by the
+      // sender's retransmit, whose duplicates force an ack. The ack goes
+      // out before the deposits, so at termination the final ack is
+      // already in flight toward the sender's socket.
       std::int64_t& since = sinceAck_[s];
       since += static_cast<std::int64_t>(toks.size());
-      if (static_cast<int>(toks.size()) < kBatchMaxTokens || hadDup ||
-          since >= kAckLazyTokens) {
+      if (!wireBatchFull(recordBytes) || hadDup ||
+          since >= kAckLazyRecords) {
         sendCumAck(pe, src, rx_.cumAckView(src, pe), epoch);
         since = 0;
       }
@@ -1304,7 +1372,7 @@ class UdpTransport final : public Transport {
     if (LinkOut* lk = linkOutIfExists(pe, ack.ackerPe)) {
       std::lock_guard<std::mutex> g(lk->m);
       for (const std::uint64_t id : retired)
-        lk->unackedWire.erase(proto::Delivery::linkMsgIdSeq(id));
+        lk->unacked.erase(proto::Delivery::linkMsgIdSeq(id));
     }
   }
 
@@ -1483,44 +1551,162 @@ bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
   return true;
 }
 
+namespace {
+
+std::size_t pageMaskBytes(std::size_t span) { return (span + 7) / 8; }
+
+std::size_t pageRecordBytes(std::size_t span, std::size_t count) {
+  return kPageRecordFixedBytes + pageMaskBytes(span) +
+         count * kPageValueBytes;
+}
+
+void put32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
+std::uint32_t get32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+std::size_t wireEncodePage(const NToken& tok, std::uint16_t srcPe,
+                           std::uint8_t* out) {
+  const PageRun& run = *tok.page;
+  const std::size_t len = pageRecordBytes(run.span, run.count);
+  out[0] = kRecordPage;
+  out[1] = 0;
+  put16(out + 2, srcPe);
+  put16(out + 4, static_cast<std::uint16_t>(len));
+  put16(out + 6, run.span);
+  put16(out + 8, run.pageElems);
+  put16(out + 10, run.count);
+  put32(out + 12, static_cast<std::uint32_t>(tok.ctx));
+  put32(out + 16, run.first);
+  put64(out + 20, tok.msgId);
+  // The mask words' little-endian bytes are the wire mask.
+  std::uint8_t* mask = out + kPageRecordFixedBytes;
+  std::memcpy(mask, run.mask.data(), pageMaskBytes(run.span));
+  std::uint8_t* val = mask + pageMaskBytes(run.span);
+  for (int k = 0; k < run.count; ++k, val += kPageValueBytes) {
+    val[0] = static_cast<std::uint8_t>(run.vals[static_cast<std::size_t>(k)].tag);
+    put64(val + 1, run.vals[static_cast<std::size_t>(k)].bits);
+  }
+  return len;
+}
+
+/// Decodes the page record at `data`, at most `avail` bytes; returns its
+/// length, or 0 when it is malformed (see wireDecodeBatch).
+std::size_t wireDecodePage(const std::uint8_t* data, std::size_t avail,
+                           NToken& tok, std::uint16_t* srcPe) {
+  if (avail < kPageRecordFixedBytes || data[0] != kRecordPage || data[1] != 0)
+    return 0;
+  const std::size_t len = get16(data + 4);
+  const std::size_t span = get16(data + 6);
+  const std::size_t pageElems = get16(data + 8);
+  const std::size_t count = get16(data + 10);
+  const std::uint32_t first = get32(data + 16);
+  if (span < 1 || span > static_cast<std::size_t>(kPageRunMaxElems) ||
+      pageElems < 1 || pageElems > static_cast<std::size_t>(kMaxPageElems) ||
+      first % pageElems + span > pageElems ||
+      first + span > static_cast<std::uint64_t>(kMaxArrayElems) ||
+      count < 1 || count > span || len != pageRecordBytes(span, count) ||
+      len > avail)
+    return 0;
+  // Bits past the span must be clear, and exactly `count` set.
+  const std::uint8_t* mask = data + kPageRecordFixedBytes;
+  if (span % 8 != 0 && (mask[span / 8] >> (span % 8)) != 0) return 0;
+  auto run = std::make_shared<PageRun>();
+  std::memcpy(run->mask.data(), mask, pageMaskBytes(span));
+  std::size_t bits = 0;
+  for (const std::uint64_t word : run->mask)
+    bits += static_cast<std::size_t>(std::popcount(word));
+  if (bits != count) return 0;
+  const std::uint8_t* val = mask + pageMaskBytes(span);
+  for (std::size_t k = 0; k < count; ++k, val += kPageValueBytes) {
+    if (val[0] == static_cast<std::uint8_t>(Tag::Empty) ||
+        val[0] > static_cast<std::uint8_t>(Tag::Cont))
+      return 0;
+    Value& v = run->vals[k];
+    v.tag = static_cast<Tag>(val[0]);
+    v.bits = get64(val + 1);
+  }
+  run->first = first;
+  run->span = static_cast<std::uint16_t>(span);
+  run->pageElems = static_cast<std::uint16_t>(pageElems);
+  run->count = static_cast<std::uint16_t>(count);
+  tok = NToken{};
+  tok.amKind = static_cast<std::uint8_t>(AmKind::PageRun);
+  tok.ctx = get32(data + 12);
+  tok.msgId = get64(data + 20);
+  tok.page = std::move(run);
+  if (srcPe) *srcPe = get16(data + 2);
+  return len;
+}
+
+}  // namespace
+
+std::size_t wireRecordBytes(const NToken& tok) {
+  if (tok.amKind != static_cast<std::uint8_t>(AmKind::PageRun))
+    return kTokenWireBytes;
+  PODS_CHECK_MSG(tok.page != nullptr, "a PageRun message carries no run");
+  return pageRecordBytes(tok.page->span, tok.page->count);
+}
+
+std::size_t wireEncodeRecord(const NToken& tok, std::uint16_t srcPe,
+                             std::uint8_t* out) {
+  if (tok.amKind == static_cast<std::uint8_t>(AmKind::PageRun))
+    return wireEncodePage(tok, srcPe, out);
+  wireEncodeToken(tok, srcPe, out);
+  return kTokenWireBytes;
+}
+
 std::size_t wireEncodeBatchHeader(std::uint8_t* out, std::uint16_t srcPe,
-                                  int count, std::uint8_t epoch) {
-  PODS_CHECK_MSG(count >= 1 && count <= kBatchMaxTokens,
-                 "wireEncodeBatchHeader: count out of range");
+                                  int count, std::size_t recordBytes,
+                                  std::uint8_t epoch) {
+  PODS_CHECK_MSG(count >= 1 && count <= kBatchMaxRecords &&
+                     recordBytes <= kBatchRecordBytes,
+                 "wireEncodeBatchHeader: batch out of range");
   out[0] = kTypeBatch;
   put16(out + 1, srcPe);
   put16(out + 3, static_cast<std::uint16_t>(count));
   out[5] = epoch;
-  return kBatchHeaderBytes + static_cast<std::size_t>(count) * kTokenWireBytes;
+  return kBatchHeaderBytes + recordBytes;
 }
 
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
                      std::vector<NToken>& out, std::uint16_t* srcPe,
                      std::uint8_t* epoch) {
   out.clear();
-  if (len < kBatchHeaderBytes || data[0] != kTypeBatch) return false;
+  if (len < kBatchHeaderBytes || len > kBatchMaxBytes ||
+      data[0] != kTypeBatch)
+    return false;
   const std::uint16_t src = get16(data + 1);
   const int count = get16(data + 3);
   const std::uint8_t e = data[5];
-  // The length must be exactly header + count records: a shorter one is
-  // truncated, a longer one carries trailing junk.
-  if (count < 1 || count > kBatchMaxTokens ||
-      len != kBatchHeaderBytes +
-                 static_cast<std::size_t>(count) * kTokenWireBytes)
-    return false;
+  if (count < 1 || count > kBatchMaxRecords) return false;
   out.reserve(static_cast<std::size_t>(count));
+  // Walk exactly `count` records, which must end exactly at the datagram's
+  // end: a shorter datagram is truncated, a longer one carries junk.
+  std::size_t at = kBatchHeaderBytes;
   for (int i = 0; i < count; ++i) {
     NToken tok;
     std::uint16_t recSrc = 0;
-    if (!wireDecodeToken(data + kBatchHeaderBytes +
-                             static_cast<std::size_t>(i) * kTokenWireBytes,
-                         kTokenWireBytes, tok, &recSrc) ||
-        recSrc != src) {
+    std::size_t used = 0;
+    if (at < len && data[at] == kRecordPage) {
+      used = wireDecodePage(data + at, len - at, tok, &recSrc);
+    } else if (len - at >= kTokenWireBytes &&
+               wireDecodeToken(data + at, kTokenWireBytes, tok, &recSrc)) {
+      used = kTokenWireBytes;
+    }
+    if (used == 0 || recSrc != src) {
       out.clear();  // all-or-nothing: one bad record rejects the datagram
       return false;
     }
     tok.epoch = e;
-    out.push_back(tok);
+    out.push_back(std::move(tok));
+    at += used;
+  }
+  if (at != len) {
+    out.clear();
+    return false;
   }
   if (srcPe) *srcPe = src;
   if (epoch) *epoch = e;

@@ -41,6 +41,7 @@
 // dedup, exactly as before this interface existed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,15 +67,57 @@ enum class TransportKind : std::uint8_t {
 bool parseTransportKind(const std::string& name, TransportKind& out);
 const char* transportKindName(TransportKind kind);
 
-/// A cross-PE token (the native machine's only inter-worker message).
+/// Longest run of page offsets one page-run message covers. A page of up to
+/// this many elements ships as one message; a larger one (NativeConfig's
+/// pageElems goes up to kMaxPageElems) as one message per run of this many
+/// offsets that holds a present element. Sized so a run's wire record fits
+/// one batch datagram on its own (kPageRecordMaxBytes).
+constexpr int kPageRunMaxElems = 128;
+
+/// The payload of a page-run message (AmKind::PageRun, native/store.hpp):
+/// the present elements among `span` consecutive offsets of one page,
+/// starting at `first`. Bit i of `mask` marks offset first + i present;
+/// `vals` holds the `count` present values in offset order. Immutable once
+/// sent, so every copy of the message shares one payload.
+struct PageRun {
+  std::uint32_t first = 0;
+  std::uint16_t span = 0;
+  std::uint16_t pageElems = 0;  // the owner's page size; a run stays in one
+  std::uint16_t count = 0;
+  std::array<std::uint64_t, kPageRunMaxElems / 64> mask{};
+  std::array<Value, kPageRunMaxElems> vals{};
+
+  bool has(int i) const { return (mask[i / 64] >> (i % 64)) & 1; }
+  /// Appends present element `off` (first <= off < first +
+  /// kPageRunMaxElems, above every element added so far).
+  void add(std::int64_t off, const Value& v) {
+    const int i = static_cast<int>(off - first);
+    mask[i / 64] |= std::uint64_t{1} << (i % 64);
+    vals[count++] = v;
+    span = static_cast<std::uint16_t>(i + 1);
+  }
+};
+
+/// A cross-PE token (the native machine's only inter-worker message). The
+/// small fields lead so the struct packs: with the page-run payload pointer
+/// a token takes 96 bytes, and every token copies them.
 struct NToken {
   bool toCont = false;
+  bool add = false;
+  /// Wire array store: nonzero marks this token as a typed array message
+  /// (AmKind in native/store.hpp) with the field reuse documented there.
+  /// Array messages ride the same batch datagrams, sequence windows, acks,
+  /// and fault dice as ordinary tokens.
+  std::uint8_t amKind = 0;
+  /// The sending process's incarnation, stamped from the batch header by
+  /// wireDecodeBatch (not part of any record). Rides to the drain so the
+  /// ack for this token is attributed to the right sender incarnation.
+  std::uint8_t epoch = 0;
   std::uint16_t spCode = 0;
-  std::uint64_t ctx = 0;
   std::uint16_t slot = 0;
   Cont cont{};
+  std::uint64_t ctx = 0;
   Value v{};
-  bool add = false;
   /// Unique id of this cross-worker message (assigned by the transport;
   /// nonzero whenever the transport can duplicate, so the receiver can
   /// suppress copies). Shared by every copy of one logical message.
@@ -86,17 +129,10 @@ struct NToken {
   /// Kill mode: nonzero marks an array-element wake-up; encodes the element
   /// so the receiver can drop wakes for parks wiped by its own kill.
   std::uint64_t wakeKey = 0;
-  /// Wire array store: nonzero marks this token as a typed array message
-  /// (AmKind in native/store.hpp) with the field reuse documented there.
-  /// Array messages ride the same wire records, batch datagrams, sequence
-  /// windows, acks, and fault dice as ordinary tokens.
-  std::uint8_t amKind = 0;
-  /// The sending process's incarnation, stamped from the batch header by
-  /// wireDecodeBatch (not part of the 65-byte token record). Rides to the
-  /// drain so the ack for this token is attributed to the right sender
-  /// incarnation.
-  std::uint8_t epoch = 0;
+  /// AmKind::PageRun only: the run's elements; null on every other token.
+  std::shared_ptr<const PageRun> page;
 };
+static_assert(sizeof(NToken) <= 96, "NToken grew: every token copies it");
 
 /// Machine-side callbacks the transports deliver into. Implemented by the
 /// native machine; all methods are safe to call from any transport thread.
@@ -243,11 +279,25 @@ bool bindLoopbackUdp(int n, std::vector<int>& fds,
 // (epoch) of the process the stream belongs to — always 0 in-process:
 //
 //   batch  6-byte header (type, srcPe u16, count u16, epoch u8) followed by
-//          `count` (1..kBatchMaxTokens) 65-byte token records;
+//          `count` records back to back, kBatchMaxBytes in all at most;
 //   ack    20 bytes (type, ackerPe u16, cum u64, bitmap u64, epoch u8).
 //
-// Any other datagram is malformed. The transport encodes and decodes
-// through these functions only.
+// A batch record opens with its kind byte and carries one message:
+//
+//   token  kind 1, 65 bytes: one NToken, field by field;
+//   page   kind 2, one page run (AmKind::PageRun), variable length:
+//            kind u8, flags u8 (0), srcPe u16, len u16, span u16,
+//            pageElems u16, count u16, array id u32, first u32, msgId u64
+//          — kPageRecordFixedBytes — then the presence mask, ceil(span/8)
+//          bytes with bit i (byte i/8, bit i%8) for offset first + i, then
+//          `count` values of kPageValueBytes (tag u8, bits u64). `len` is
+//          the whole record, kPageRecordMaxBytes at most.
+//
+// Records vary in size, so batching counts bytes: an outbox
+// flushes when the next record would not fit, and is full (flushed at once;
+// acked lazily by the receiver) when one more token record would not fit
+// (wireBatchFull). Any other datagram is malformed. The transport encodes
+// and decodes through these functions only.
 
 /// One token record: encode/decode round-trip every field bit-exactly.
 constexpr std::size_t kTokenWireBytes = 65;
@@ -256,22 +306,55 @@ void wireEncodeToken(const NToken& tok, std::uint16_t srcPe,
 bool wireDecodeToken(const std::uint8_t* data, std::size_t len, NToken& tok,
                      std::uint16_t* srcPe);
 
-/// Batch datagrams are sized to a common 1400-byte MTU budget: 21 records.
+/// One page record.
+constexpr std::size_t kPageRecordFixedBytes = 28;
+constexpr std::size_t kPageValueBytes = 9;
+constexpr std::size_t kPageRecordMaxBytes =
+    kPageRecordFixedBytes + kPageRunMaxElems / 8 +
+    kPageRunMaxElems * kPageValueBytes;
+
+/// Batch datagrams are sized to a common 1400-byte MTU budget: 21 token
+/// records, or fewer records when page records ride along.
 constexpr std::size_t kBatchHeaderBytes = 6;
 constexpr std::size_t kBatchMaxBytes = 1400;
+constexpr std::size_t kBatchRecordBytes = kBatchMaxBytes - kBatchHeaderBytes;
 constexpr int kBatchMaxTokens =
-    static_cast<int>((kBatchMaxBytes - kBatchHeaderBytes) / kTokenWireBytes);
+    static_cast<int>(kBatchRecordBytes / kTokenWireBytes);
+static_assert(kPageRecordMaxBytes <= kBatchRecordBytes,
+              "a page record must fit a batch on its own");
 
-/// Writes the header of a batch whose `count` (1..kBatchMaxTokens) records
-/// already sit at `out + kBatchHeaderBytes`; returns the datagram length.
+/// True when a batch whose records take `recordBytes` cannot take one more
+/// token record: the sender ships such an outbox at once, and the receiver
+/// acks every batch that is not full at once (it ends a burst).
+constexpr bool wireBatchFull(std::size_t recordBytes) {
+  return recordBytes + kTokenWireBytes > kBatchRecordBytes;
+}
+
+/// Bytes `tok` takes as a batch record: a token record, or the page record
+/// of an AmKind::PageRun message.
+std::size_t wireRecordBytes(const NToken& tok);
+/// Encodes `tok` as the record wireRecordBytes sized; returns its length.
+std::size_t wireEncodeRecord(const NToken& tok, std::uint16_t srcPe,
+                             std::uint8_t* out);
+
+/// Writes the header of a batch whose `count` records, `recordBytes` in
+/// all, already sit at `out + kBatchHeaderBytes`; returns the datagram
+/// length.
 std::size_t wireEncodeBatchHeader(std::uint8_t* out, std::uint16_t srcPe,
-                                  int count, std::uint8_t epoch);
+                                  int count, std::size_t recordBytes,
+                                  std::uint8_t epoch);
 
 /// Decodes a batch datagram into `out`, stamping every token's `epoch` from
-/// the header. All-or-nothing: a wrong type byte, a count outside
-/// 1..kBatchMaxTokens, a truncated datagram, trailing junk, a malformed
-/// record, or a record whose srcPe disagrees with the header rejects the
-/// whole datagram (returns false, `out` left empty).
+/// the header. All-or-nothing: a wrong type byte, a datagram over
+/// kBatchMaxBytes, a count that disagrees with the records, a truncated
+/// record, trailing junk, an unknown record kind, a malformed record, or a
+/// record whose srcPe disagrees with the header rejects the whole datagram
+/// (returns false, `out` left empty). A page record is malformed unless its
+/// length is exactly what its span and count call for and at most
+/// kPageRecordMaxBytes; its mask has exactly `count` bits, none past
+/// `span`; its run lies inside one page (1 <= span <= min(pageElems,
+/// kPageRunMaxElems), pageElems <= kMaxPageElems) and below
+/// kMaxArrayElems; and every value is present and well-tagged.
 bool wireDecodeBatch(const std::uint8_t* data, std::size_t len,
                      std::vector<NToken>& out, std::uint16_t* srcPe,
                      std::uint8_t* epoch);

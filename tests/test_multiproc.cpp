@@ -182,6 +182,8 @@ TEST(MultiprocWire, SimpleBitIdenticalWithZeroShmOps) {
             run.stats.counters.get("net.am.dimReqServed"));
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"));
+  EXPECT_EQ(run.stats.counters.get("net.am.pageRunsSent"),
+            run.stats.counters.get("net.am.pageRunsApplied"));
   EXPECT_EQ(run.stats.counters.get("net.am.pageFillsSent"),
             run.stats.counters.get("net.am.pageFillsApplied"));
   EXPECT_EQ(run.stats.counters.get("native.framesCreated"),

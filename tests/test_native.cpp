@@ -243,6 +243,9 @@ void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"))
       << what;
+  EXPECT_EQ(run.stats.counters.get("net.am.pageRunsSent"),
+            run.stats.counters.get("net.am.pageRunsApplied"))
+      << what;
   EXPECT_EQ(run.stats.counters.get("net.am.pageFillsSent"),
             run.stats.counters.get("net.am.pageFillsApplied"))
       << what;

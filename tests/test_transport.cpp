@@ -207,12 +207,17 @@ std::size_t encodeBatch(int count, std::uint16_t srcPe, std::uint8_t epoch,
                             out + native::kBatchHeaderBytes +
                                 static_cast<std::size_t>(i) *
                                     native::kTokenWireBytes);
-  return native::wireEncodeBatchHeader(out, srcPe, count, epoch);
+  return native::wireEncodeBatchHeader(
+      out, srcPe, count,
+      static_cast<std::size_t>(count) * native::kTokenWireBytes, epoch);
 }
 
 bool decodes(const std::uint8_t* data, std::size_t len) {
+  // An exact-size heap copy: under ASan a decoder read past `len` traps.
+  const std::vector<std::uint8_t> exact(data, data + len);
   std::vector<native::NToken> out;
-  const bool ok = native::wireDecodeBatch(data, len, out, nullptr, nullptr);
+  const bool ok =
+      native::wireDecodeBatch(exact.data(), len, out, nullptr, nullptr);
   EXPECT_EQ(out.empty(), !ok) << "a rejected batch must leave no tokens";
   return ok;
 }
@@ -366,6 +371,313 @@ TEST(TransportWire, RejectsRetiredDatagramTypes) {
   EXPECT_FALSE(decodes(ack, sizeof ack));
 }
 
+// --- page records -----------------------------------------------------------
+//
+// A page run (AmKind::PageRun) travels as one variable-length record beside
+// the fixed token records. These tests build a [token, page, token] batch
+// and break its page record one field at a time: the decoder takes the
+// intact datagram and rejects every broken one whole.
+
+// Page-record field offsets (transport.hpp, "Wire format").
+constexpr std::size_t kPageKind = 0, kPageFlags = 1, kPageSrc = 2,
+                      kPageLen = 4, kPageSpan = 6, kPageElemsAt = 8,
+                      kPageCount = 10, kPageFirst = 16;
+
+/// A run of `span` offsets from `first` on `pageElems`-element pages: every
+/// offset present but those at i % 3 == 1 (the last is always present),
+/// with Int, Real and Array values.
+std::shared_ptr<native::PageRun> pageRun(std::uint32_t first, int span,
+                                         int pageElems) {
+  auto run = std::make_shared<native::PageRun>();
+  run->first = first;
+  run->pageElems = static_cast<std::uint16_t>(pageElems);
+  for (int i = 0; i < span; ++i) {
+    if (i % 3 == 1 && i != span - 1) continue;
+    const Value v = i % 2 == 0   ? Value::intv(-i)
+                    : i % 5 == 0 ? Value::arrayv(static_cast<ArrayId>(7 + i))
+                                 : Value::realv(i * 0.5);
+    run->add(first + static_cast<std::uint32_t>(i), v);
+  }
+  return run;
+}
+
+native::NToken pageToken(std::shared_ptr<const native::PageRun> run,
+                         std::uint64_t msgId) {
+  native::NToken tok;
+  tok.amKind = static_cast<std::uint8_t>(native::AmKind::PageRun);
+  tok.ctx = 0xA11A;  // array id
+  tok.msgId = msgId;
+  tok.page = std::move(run);
+  return tok;
+}
+
+/// Encodes [token, page, token] as one batch on link (src -> dst), seqs
+/// 1..3, the page a run of 20 offsets at 64 on 32-element pages. Returns
+/// the datagram length; `pageAt` is the page record's offset in it.
+std::size_t encodeMixedBatch(std::uint16_t src, int dst, std::uint8_t* out,
+                             std::size_t* pageAt) {
+  native::NToken a = wireFuzzToken(0);
+  native::NToken b = wireFuzzToken(2);
+  a.msgId = proto::Delivery::packLinkMsgId(src, dst, 1);
+  b.msgId = proto::Delivery::packLinkMsgId(src, dst, 3);
+  const native::NToken page = pageToken(
+      pageRun(64, 20, 32), proto::Delivery::packLinkMsgId(src, dst, 2));
+  std::size_t at = native::kBatchHeaderBytes;
+  at += native::wireEncodeRecord(a, src, out + at);
+  *pageAt = at;
+  at += native::wireEncodeRecord(page, src, out + at);
+  at += native::wireEncodeRecord(b, src, out + at);
+  return native::wireEncodeBatchHeader(out, src, 3,
+                                       at - native::kBatchHeaderBytes, 0);
+}
+
+void put16At(std::uint8_t* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
+void put32At(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
+std::uint16_t get16At(const std::uint8_t* p) {
+  std::uint16_t v;
+  std::memcpy(&v, p, 2);
+  return v;
+}
+
+/// One way to break the page record of an encodeMixedBatch datagram `dg`
+/// (its record at `pg`, the datagram `len` bytes, which it may change).
+struct PageCorruption {
+  const char* what;
+  void (*apply)(std::uint8_t* dg, std::size_t& len, std::size_t pg);
+};
+
+// The run at 64 spans 20 offsets: mask bytes 0..2 with bits 0, 2, 3, 5, ...
+// set (i % 3 != 1, and 19), 14 values.
+const PageCorruption kPageCorruptions[] = {
+    {"truncated inside the page record",
+     [](std::uint8_t*, std::size_t& len, std::size_t pg) { len = pg + 30; }},
+    {"truncated inside the fixed header",
+     [](std::uint8_t*, std::size_t& len, std::size_t pg) { len = pg + 10; }},
+    {"length one value past the record",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageLen,
+               static_cast<std::uint16_t>(get16At(dg + pg + kPageLen) + 9));
+     }},
+    {"length past the datagram, record self-consistent",
+     [](std::uint8_t* dg, std::size_t& len, std::size_t pg) {
+       // Drop the trailing token and claim one more value than the
+       // datagram holds: count, mask and len all agree with each other.
+       len -= native::kTokenWireBytes;
+       put16At(dg + 3, 2);
+       dg[pg + native::kPageRecordFixedBytes] |= 0x02;  // offset 1 present
+       put16At(dg + pg + kPageCount,
+               static_cast<std::uint16_t>(get16At(dg + pg + kPageCount) + 1));
+       put16At(dg + pg + kPageLen,
+               static_cast<std::uint16_t>(get16At(dg + pg + kPageLen) + 9));
+     }},
+    {"length swallows the next record",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       // The page record claims the trailing token as its own bytes: the
+       // walk would still end at the datagram's end.
+       put16At(dg + 3, 2);
+       put16At(dg + pg + kPageLen,
+               static_cast<std::uint16_t>(get16At(dg + pg + kPageLen) +
+                                          native::kTokenWireBytes));
+     }},
+    {"length past the cap",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageLen,
+               static_cast<std::uint16_t>(native::kPageRecordMaxBytes + 1));
+     }},
+    {"mask has one bit more than the count",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + native::kPageRecordFixedBytes] |= 0x02;
+     }},
+    {"mask has one bit fewer than the count",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + native::kPageRecordFixedBytes] &= 0xFE;
+     }},
+    {"mask bit past the span",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + native::kPageRecordFixedBytes] &= 0xFE;      // offset 0 out,
+       dg[pg + native::kPageRecordFixedBytes + 2] |= 0x20;  // offset 21 in
+     }},
+    {"count disagrees with the length",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageCount,
+               static_cast<std::uint16_t>(get16At(dg + pg + kPageCount) - 1));
+     }},
+    {"run past its page",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put32At(dg + pg + kPageFirst, 64 + 13);  // 13 + 20 > 32
+     }},
+    {"page smaller than the span",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageElemsAt, 16);
+     }},
+    {"page size zero",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageElemsAt, 0);
+     }},
+    {"page size past kMaxPageElems",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageElemsAt,
+               static_cast<std::uint16_t>(native::kMaxPageElems + 1));
+     }},
+    {"span zero",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageSpan, 0);
+     }},
+    {"span past kPageRunMaxElems",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageElemsAt, 4096);
+       put16At(dg + pg + kPageSpan,
+               static_cast<std::uint16_t>(native::kPageRunMaxElems + 1));
+     }},
+    {"run past kMaxArrayElems",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put32At(dg + pg + kPageFirst,
+               static_cast<std::uint32_t>(native::kMaxArrayElems));
+     }},
+    {"unknown record kind",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + kPageKind] = 3;
+     }},
+    {"reserved flags set",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + kPageFlags] = 1;
+     }},
+    {"record srcPe disagrees with the header",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       put16At(dg + pg + kPageSrc, 0x77);
+     }},
+    {"absent value",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + native::kPageRecordFixedBytes + 3] =
+           static_cast<std::uint8_t>(Tag::Empty);
+     }},
+    {"value tag out of range",
+     [](std::uint8_t* dg, std::size_t&, std::size_t pg) {
+       dg[pg + native::kPageRecordFixedBytes + 3 + native::kPageValueBytes] =
+           0xEE;
+     }},
+};
+
+TEST(TransportWire, PageRecordRoundTripsInAMixedBatch) {
+  for (const int span : {1, 2, 8, 20, 32, 127, native::kPageRunMaxElems}) {
+    const int pageElems = span <= 32 ? 32 : native::kMaxPageElems;
+    const auto run =
+        pageRun(static_cast<std::uint32_t>(2 * pageElems), span, pageElems);
+    const native::NToken page =
+        pageToken(run, proto::Delivery::packLinkMsgId(3, 5, 2));
+    const std::size_t rec = native::wireRecordBytes(page);
+    EXPECT_EQ(rec, native::kPageRecordFixedBytes +
+                       static_cast<std::size_t>(span + 7) / 8 +
+                       run->count * native::kPageValueBytes)
+        << "span=" << span;
+    std::uint8_t dg[native::kBatchMaxBytes];
+    std::size_t at = native::kBatchHeaderBytes;
+    at += native::wireEncodeRecord(wireFuzzToken(0), 3, dg + at);
+    EXPECT_EQ(native::wireEncodeRecord(page, 3, dg + at), rec);
+    at += rec;
+    at += native::wireEncodeRecord(wireFuzzToken(2), 3, dg + at);
+    const std::size_t len = native::wireEncodeBatchHeader(
+        dg, 3, 3, at - native::kBatchHeaderBytes, 7);
+    std::vector<native::NToken> back;
+    std::uint16_t srcPe = 0;
+    std::uint8_t epoch = 0;
+    ASSERT_TRUE(native::wireDecodeBatch(dg, len, back, &srcPe, &epoch))
+        << "span=" << span;
+    ASSERT_EQ(back.size(), 3u);
+    EXPECT_EQ(back[0].ctx, wireFuzzToken(0).ctx);
+    EXPECT_EQ(back[2].ctx, wireFuzzToken(2).ctx);
+    const native::NToken& got = back[1];
+    EXPECT_EQ(got.amKind, page.amKind);
+    EXPECT_EQ(got.ctx, page.ctx);
+    EXPECT_EQ(got.msgId, page.msgId);
+    EXPECT_EQ(got.epoch, 7);
+    ASSERT_NE(got.page, nullptr);
+    EXPECT_EQ(got.page->first, run->first);
+    EXPECT_EQ(got.page->span, span);
+    EXPECT_EQ(got.page->pageElems, pageElems);
+    ASSERT_EQ(got.page->count, run->count);
+    for (int i = 0; i < span; ++i)
+      EXPECT_EQ(got.page->has(i), run->has(i)) << "span=" << span << " i=" << i;
+    for (int k = 0; k < run->count; ++k) {
+      const auto at = static_cast<std::size_t>(k);
+      EXPECT_EQ(got.page->vals[at].tag, run->vals[at].tag);
+      EXPECT_EQ(got.page->vals[at].bits, run->vals[at].bits);
+    }
+  }
+  // A run with every one of its kPageRunMaxElems offsets present is the
+  // largest record, and fits a batch on its own.
+  auto full = std::make_shared<native::PageRun>();
+  full->pageElems = native::kMaxPageElems;
+  for (int i = 0; i < native::kPageRunMaxElems; ++i)
+    full->add(i, Value::intv(i));
+  const native::NToken page = pageToken(full, 1);
+  ASSERT_EQ(native::wireRecordBytes(page), native::kPageRecordMaxBytes);
+  std::uint8_t dg[native::kBatchMaxBytes];
+  const std::size_t rec =
+      native::wireEncodeRecord(page, 0, dg + native::kBatchHeaderBytes);
+  EXPECT_TRUE(decodes(dg, native::wireEncodeBatchHeader(dg, 0, 1, rec, 0)));
+}
+
+TEST(TransportWire, PageRecordDecodeRejectsMalformedRecordsWhole) {
+  std::uint8_t dg[native::kBatchMaxBytes];
+  std::size_t pg = 0;
+  const std::size_t len = encodeMixedBatch(3, 5, dg, &pg);
+  ASSERT_TRUE(decodes(dg, len));
+  // Every truncation point rejects.
+  for (std::size_t cut = 0; cut < len; ++cut)
+    EXPECT_FALSE(decodes(dg, cut)) << "cut=" << cut;
+  for (const PageCorruption& c : kPageCorruptions) {
+    std::uint8_t bad[native::kBatchMaxBytes];
+    std::memcpy(bad, dg, len);
+    std::size_t badLen = len;
+    c.apply(bad, badLen, pg);
+    EXPECT_FALSE(decodes(bad, badLen)) << c.what;
+  }
+  // A run wider than kPageRunMaxElems is rejected even when its record is
+  // self-consistent (its mask and values would overrun a PageRun).
+  for (const int span : {native::kPageRunMaxElems, native::kPageRunMaxElems + 1}) {
+    std::uint8_t one[native::kBatchMaxBytes] = {};
+    std::uint8_t* rec = one + native::kBatchHeaderBytes;
+    const std::size_t maskBytes = static_cast<std::size_t>(span + 7) / 8;
+    const std::size_t recLen = native::kPageRecordFixedBytes + maskBytes +
+                               native::kPageValueBytes;
+    rec[kPageKind] = 2;
+    put16At(rec + kPageLen, static_cast<std::uint16_t>(recLen));
+    put16At(rec + kPageSpan, static_cast<std::uint16_t>(span));
+    put16At(rec + kPageElemsAt, native::kMaxPageElems);
+    put16At(rec + kPageCount, 1);
+    rec[native::kPageRecordFixedBytes] = 0x01;  // offset `first` present
+    rec[native::kPageRecordFixedBytes + maskBytes] =
+        static_cast<std::uint8_t>(Tag::Int);
+    const std::size_t oneLen =
+        native::wireEncodeBatchHeader(one, 0, 1, recLen, 0);
+    EXPECT_EQ(decodes(one, oneLen), span <= native::kPageRunMaxElems)
+        << "span=" << span;
+  }
+  // The same run moved to the last page below kMaxArrayElems still decodes.
+  std::uint8_t edge[native::kBatchMaxBytes];
+  std::memcpy(edge, dg, len);
+  put32At(edge + pg + kPageFirst,
+          static_cast<std::uint32_t>(native::kMaxArrayElems - 32));
+  EXPECT_TRUE(decodes(edge, len));
+}
+
+TEST(TransportWire, BatchesFillByBytes) {
+  // 21 token records fill a batch; 20 leave room for one more.
+  EXPECT_TRUE(native::wireBatchFull(native::kBatchMaxTokens *
+                                    native::kTokenWireBytes));
+  EXPECT_FALSE(native::wireBatchFull((native::kBatchMaxTokens - 1) *
+                                     native::kTokenWireBytes));
+  // A page record counts its bytes, not one record slot.
+  std::uint8_t dg[native::kBatchMaxBytes];
+  std::size_t pg = 0;
+  const std::size_t len = encodeMixedBatch(3, 5, dg, &pg);
+  EXPECT_EQ(len - native::kBatchHeaderBytes,
+            2 * native::kTokenWireBytes +
+                native::wireRecordBytes(pageToken(pageRun(64, 20, 32), 0)));
+  EXPECT_FALSE(native::wireBatchFull(len - native::kBatchHeaderBytes));
+}
+
 TEST(TransportKindParse, NamesRoundTrip) {
   native::TransportKind k = native::TransportKind::Udp;
   ASSERT_TRUE(native::parseTransportKind("inbox", k));
@@ -437,7 +749,8 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
     tok.v = Value::intv(42);
     tok.msgId = msgId;
     native::wireEncodeToken(tok, 0, out + native::kBatchHeaderBytes);
-    return native::wireEncodeBatchHeader(out, 0, 1, 0);
+    return native::wireEncodeBatchHeader(out, 0, 1, native::kTokenWireBytes,
+                                         0);
   };
   std::uint8_t batch[native::kBatchMaxBytes];
   const std::size_t len =
@@ -457,20 +770,24 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   ++bad;  // a record numbered on a link that does not end at PE 1
   // Array messages numbered on the right link whose fields PE 1 would index
   // with: a ReadReq answering PE 5 of 2, a DimReq answering PE 9, and a
-  // page fill past the largest array.
+  // page run past the largest array.
   native::NToken forged[3];
   forged[0].amKind = static_cast<std::uint8_t>(native::AmKind::ReadReq);
   forged[0].cont.pe = 5;
   forged[1].amKind = static_cast<std::uint8_t>(native::AmKind::DimReq);
   forged[1].slot = 9;
-  forged[2].amKind = static_cast<std::uint8_t>(native::AmKind::PageFill);
-  forged[2].senderCtx = static_cast<std::uint64_t>(native::kMaxArrayElems);
-  forged[2].v = Value::intv(1);
+  auto past = std::make_shared<native::PageRun>();
+  past->first = static_cast<std::uint32_t>(native::kMaxArrayElems);
+  past->pageElems = 32;
+  past->add(past->first, Value::intv(1));
+  forged[2].amKind = static_cast<std::uint8_t>(native::AmKind::PageRun);
+  forged[2].page = past;
   for (std::uint64_t i = 0; i < 3; ++i, ++bad) {
     forged[i].msgId = proto::Delivery::packLinkMsgId(0, 1, 2 + i);
     std::uint8_t dg[native::kBatchMaxBytes];
-    native::wireEncodeToken(forged[i], 0, dg + native::kBatchHeaderBytes);
-    sendRaw(dg, native::wireEncodeBatchHeader(dg, 0, 1, 0));
+    const std::size_t rec = native::wireEncodeRecord(
+        forged[i], 0, dg + native::kBatchHeaderBytes);
+    sendRaw(dg, native::wireEncodeBatchHeader(dg, 0, 1, rec, 0));
   }
   native::WireCumAck staleAck;
   staleAck.ackerPe = 0;
@@ -509,6 +826,73 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   EXPECT_EQ(sink.toks_[0].spCode, 7);
   EXPECT_EQ(sink.toks_[0].v.asInt(), 42);
   // A worker endpoint leaves its inherited socket to the supervisor.
+  for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
+}
+
+// The same endpoint fed every broken page record of kPageCorruptions, each
+// in a [token, page, token] batch on the right link: each datagram is
+// rejected whole and counted in net.udp.badDatagrams, so none of its records
+// reaches the sink or the link's dedup window — the intact batch sent last,
+// numbered with the same seqs, delivers all three records.
+TEST(UdpTransport, EndpointRejectsMalformedPageRecordsWhole) {
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  std::string err;
+  ASSERT_TRUE(native::bindLoopbackUdp(2, fds, ports, &err)) << err;
+  RecordingSink sink;
+  native::UdpWorkerEndpoint ep;
+  ep.pe = 1;
+  ep.sockFd = fds[1];
+  ep.peerPorts = ports;
+  auto udp = native::makeTransport(native::TransportKind::UdpMultiproc, sink,
+                                   FaultPlan(), 2, &ep);
+  ASSERT_TRUE(udp->start(&err)) << err;
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(ports[1]);
+  auto sendRaw = [&](const std::uint8_t* data, std::size_t len) {
+    EXPECT_EQ(::sendto(fds[0], data, len, 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof to),
+              static_cast<ssize_t>(len));
+  };
+
+  std::uint8_t dg[native::kBatchMaxBytes];
+  std::size_t pg = 0;
+  const std::size_t len = encodeMixedBatch(0, 1, dg, &pg);
+  int bad = 0;
+  for (const PageCorruption& c : kPageCorruptions) {
+    std::uint8_t broken[native::kBatchMaxBytes];
+    std::memcpy(broken, dg, len);
+    std::size_t brokenLen = len;
+    c.apply(broken, brokenLen, pg);
+    sendRaw(broken, brokenLen);
+    ++bad;
+  }
+  sendRaw(dg, len);
+
+  pollfd pfd{fds[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "no ack within 5 s";
+  std::uint8_t pkt[native::kCumAckWireBytes];
+  ASSERT_EQ(::recv(fds[0], pkt, sizeof pkt, 0),
+            static_cast<ssize_t>(native::kCumAckWireBytes));
+  native::WireCumAck ack;
+  ASSERT_TRUE(native::wireDecodeCumAck(pkt, sizeof pkt, ack));
+  EXPECT_EQ(ack.cum, 3u);
+  for (int i = 0; i < 5000 && sink.count() < 3; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  udp->stop();
+
+  Counters c;
+  udp->addStats(c);
+  EXPECT_EQ(c.get("net.udp.badDatagrams"), bad);
+  EXPECT_EQ(c.get("net.udp.datagramsRecv"), bad + 1);
+  ASSERT_EQ(sink.count(), 3u);
+  const native::NToken& page = sink.toks_[1];
+  EXPECT_EQ(page.amKind, static_cast<std::uint8_t>(native::AmKind::PageRun));
+  ASSERT_NE(page.page, nullptr);
+  EXPECT_EQ(page.page->first, 64u);
+  EXPECT_EQ(page.page->span, 20);
   for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
 }
 
@@ -571,7 +955,8 @@ TEST(UdpTransport, WorkerDropsAndCountsForgedTokens) {
     native::wireEncodeToken(
         toks[i], 0, dg + native::kBatchHeaderBytes + i * native::kTokenWireBytes);
   }
-  const std::size_t len = native::wireEncodeBatchHeader(dg, 0, 4, 0);
+  const std::size_t len = native::wireEncodeBatchHeader(
+      dg, 0, 4, 4 * native::kTokenWireBytes, 0);
   sockaddr_in to{};
   to.sin_family = AF_INET;
   to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -843,6 +1228,9 @@ void expectBalancedAmLedger(const NativeRun& run, const std::string& what) {
       << what;
   EXPECT_EQ(run.stats.counters.get("net.am.parks"),
             run.stats.counters.get("net.am.parkFills"))
+      << what;
+  EXPECT_EQ(run.stats.counters.get("net.am.pageRunsSent"),
+            run.stats.counters.get("net.am.pageRunsApplied"))
       << what;
   EXPECT_EQ(run.stats.counters.get("net.am.pageFillsSent"),
             run.stats.counters.get("net.am.pageFillsApplied"))
