@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "proto/delivery.hpp"
+#include "proto/link_window.hpp"
 #include "support/check.hpp"
 
 namespace pods::native {
@@ -31,6 +32,13 @@ using Clock = std::chrono::steady_clock;
 Clock::duration micros(double us) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double, std::micro>(us));
+}
+
+// The UDP send windows keep time in steady-clock ticks: nanoseconds.
+static_assert(std::is_same_v<Clock::period, std::nano>);
+std::int64_t nowNs() { return Clock::now().time_since_epoch().count(); }
+Clock::time_point atNs(std::int64_t ns) {
+  return Clock::time_point(Clock::duration(ns));
 }
 
 void put16(std::uint8_t* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
@@ -70,72 +78,6 @@ constexpr double kFlushDeadlineUs = 50.0;
 // duplicates immediately, but lets full-batch streams run this many records
 // between cumulative acks (see onBatch).
 constexpr std::int64_t kAckLazyRecords = 64;
-
-/// The wire images of one link's unacked records, indexed by link seq, for
-/// retransmission. Images sit back to back in seq order; an ack clears its
-/// slot in any order, and the window's low end advances over cleared slots.
-/// Their bytes are reclaimed when the window empties, or by one compaction
-/// once they outnumber the live ones, so both vectors grow to the link's
-/// peak window and are then reused: a warm link's sends allocate nothing.
-class RetxImages {
- public:
-  /// Stores the image of `seq`, the link's next seq.
-  void put(std::uint64_t seq, const std::uint8_t* rec, std::size_t len) {
-    if (head_ == slots_.size()) {
-      slots_.clear();
-      bytes_.clear();
-      head_ = 0;
-      base_ = seq;
-    } else if (2 * head_ >= slots_.size()) {
-      compact();
-    }
-    PODS_CHECK_MSG(seq == base_ + (slots_.size() - head_),
-                   "retransmit images must be stored in link-seq order");
-    slots_.push_back(Slot{static_cast<std::uint32_t>(bytes_.size()),
-                          static_cast<std::uint32_t>(len)});
-    bytes_.insert(bytes_.end(), rec, rec + len);
-  }
-
-  /// The image of `seq` and its length, or nullptr once acked.
-  const std::uint8_t* find(std::uint64_t seq, std::size_t* len) const {
-    if (seq < base_ || seq - base_ >= slots_.size() - head_) return nullptr;
-    const Slot& s = slots_[head_ + (seq - base_)];
-    if (s.len == 0) return nullptr;
-    *len = s.len;
-    return bytes_.data() + s.off;
-  }
-
-  /// `seq` was acked: its image is no longer needed.
-  void erase(std::uint64_t seq) {
-    if (seq < base_ || seq - base_ >= slots_.size() - head_) return;
-    slots_[head_ + (seq - base_)].len = 0;
-    while (head_ < slots_.size() && slots_[head_].len == 0) {
-      ++head_;
-      ++base_;
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint32_t off;  // into bytes_
-    std::uint32_t len;  // 0: acked
-  };
-
-  /// Drops the slots below the window and the bytes before its first image.
-  void compact() {
-    const std::uint32_t cut = slots_[head_].off;
-    slots_.erase(slots_.begin(),
-                 slots_.begin() + static_cast<std::ptrdiff_t>(head_));
-    for (Slot& s : slots_) s.off -= cut;
-    bytes_.erase(bytes_.begin(), bytes_.begin() + cut);
-    head_ = 0;
-  }
-
-  std::uint64_t base_ = 1;  // seq of slots_[head_]
-  std::size_t head_ = 0;    // first slot still in the window
-  std::vector<Slot> slots_;
-  std::vector<std::uint8_t> bytes_;
-};
 
 /// Per-(src,dst) link counters. Written from worker, receiver, and timer
 /// threads; plain atomics, rolled into the Counters map after the run.
@@ -404,17 +346,18 @@ class InboxTransport final : public Transport {
 // packets silently), so the reliable-delivery protocol ALWAYS runs:
 //
 //   sender    numbers each link's records with a dense 1-based sequence
-//             (packed into the msgId, see proto::Delivery::packLinkMsgId),
-//             keeps every unacked record's wire image per link (RetxImages,
-//             indexed by seq, no allocation per record), and
-//             retransmits with exponential backoff until acknowledged
+//             (packed into the msgId, see proto::Delivery::packLinkMsgId)
+//             and keeps each record in the link's proto::SendWindow from
+//             send() until it is acked: its wire image (indexed by seq, no
+//             allocation per record), its attempt count and its deadline.
+//             It retransmits with exponential backoff until acknowledged
 //             (giving up — failing the run — after maxAttempts). A
 //             retransmitted record rides the link's next batch with its
 //             ORIGINAL msgId (never re-registered, so quiescence is never
 //             double-charged) alongside fresh tokens;
-//   receiver  suppresses duplicates by link sequence before they reach the
-//             inbox, and re-acks a duplicate at once so a lost ack
-//             self-heals;
+//   receiver  suppresses duplicates by link sequence (the link's
+//             proto::RecvWindow) before they reach the inbox, and re-acks a
+//             duplicate at once so a lost ack self-heals;
 //   acks      are cumulative: the highest contiguously received seq plus a
 //             selective bitmap for seqs above it. Without a WorkerLink a
 //             fresh token is acked at receive (lazily, see kAckLazyRecords).
@@ -447,14 +390,16 @@ class InboxTransport final : public Transport {
 // Threads: one receiver thread polls every local PE's socket (the "NIC",
 // which an in-process kill-mode fail-stop deliberately does NOT destroy)
 // plus an eventfd that stop() signals, and one timer thread drives
-// retransmit batches, flush deadlines, and delayed sends — two threads per
-// process at any PE count. Backoff, give-up, sequence windows, and dedup
-// decisions live in proto::Delivery: one sender endpoint under m_, and one
-// receiver endpoint touched only by the receiver thread.
+// retransmit scans, flush deadlines, and delayed sends — two threads per
+// process at any PE count. Backoff and give-up decisions come from the
+// send window's RetryPolicy; sequence windows live in the per-link slots:
+// a link's send window beside its outbox under the link's mutex, its
+// receive window touched only by the receiver thread.
 //
-// Lock order: lk.m (a link's outbox) and m_ (sender window + timer heap)
-// are NEVER held together — every path releases one before taking the
-// other, so the send path stays two short critical sections.
+// Locks: a link's mutex (lk.m) guards its outbox and send window, so
+// sending, flushing, retiring an ack and retransmitting each take that one
+// mutex. m_ guards only the timer heap and the stop flag. The two are
+// NEVER held together — a path that arms a timer releases lk.m first.
 // ---------------------------------------------------------------------------
 
 class UdpTransport final : public Transport {
@@ -471,17 +416,9 @@ class UdpTransport final : public Transport {
         epoch_(worker != nullptr ? worker->epoch : 0),
         link_(worker != nullptr ? worker->link : nullptr),
         links_(static_cast<std::size_t>(numPes) * numPes),
-        // Fault tests tune retry.rtoUs down to recover injected drops
-        // quickly; honor it then. Fault-free, datagram loss is rare (large
-        // SO_RCVBUF) and a sub-millisecond RTO just races thread scheduling
-        // on the ack path, so the policy floors it — spurious retransmits
-        // are harmless (receiver dedup) but wasteful.
-        sender_(plan.config().retry, plan.enabled()),
-        rx_(plan.config().retry, plan.enabled()),
         outSlots_(new std::atomic<LinkOut*>[localLinks()]),
         dirty_(new std::atomic<int>[static_cast<std::size_t>(numLocal_)]),
-        knownEpoch_(localLinks(), 0),
-        sinceAck_(localLinks(), 0) {
+        in_(localLinks()) {
     for (std::size_t i = 0; i < localLinks(); ++i)
       outSlots_[i].store(nullptr, std::memory_order_relaxed);
     for (int i = 0; i < numLocal_; ++i)
@@ -564,7 +501,7 @@ class UdpTransport final : public Transport {
           tok.msgId = proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
           std::uint8_t* rec = lk.buf + kBatchHeaderBytes + lk.bytes;
           wireEncodeRecord(tok, static_cast<std::uint16_t>(fromPe), rec);
-          lk.unacked.put(seq, rec, recLen);
+          lk.window.put(seq, rec, recLen);
           // Output commit: everything this token's payload may depend on
           // (mints, received tokens) is in the log stream by now — the
           // batch must not hit the wire before that prefix is stable.
@@ -573,9 +510,7 @@ class UdpTransport final : public Transport {
             first = true;
             dirty(fromPe).fetch_add(1, std::memory_order_release);
           }
-          if (lk.freshCount == 0) lk.firstFreshSeq = seq;
           ++lk.count;
-          ++lk.freshCount;
           lk.bytes += recLen;
           full = wireBatchFull(lk.bytes);
           wrote = true;
@@ -641,12 +576,10 @@ class UdpTransport final : public Transport {
     out.add("net.udp.batch.flushDeadline", flushDeadline_.load());
     out.add("net.udp.batch.flushDrain", flushDrain_.load());
     out.add("net.udp.batch.flushRetx", flushRetx_.load());
-    {
-      std::lock_guard<std::mutex> g(m_);
-      sender_.addStats(out);
-    }
-    // The receiver thread is joined by stop() before stats are read.
-    rx_.addStats(out);
+    proto::Delivery::registerProtocolCounters(out);
+    out.add(proto::kResent, resent_.load());
+    out.add(proto::kGiveUps, giveUps_.load());
+    out.add(proto::kDupSuppressed, dupSuppressed_.load());
     out.add(proto::kAcks, acksBuilt_.load());
     if (plan_.enabled()) {
       out.add(proto::kFaultDrops, faultDrops_.load());
@@ -678,20 +611,20 @@ class UdpTransport final : public Transport {
         if (src == dst) continue;
         AckState& ack = *acks_[rxSlot(src, dst)];
         if (!ack.due.load(std::memory_order_acquire)) continue;
-        proto::Delivery::CumAckView view;
+        proto::CumAckView view;
         std::uint8_t epoch = 0;
         bool moved = false;
         {
           std::lock_guard<std::mutex> g(ack.m);
           while (!ack.pend.empty() && ack.pend.front().logSeq <= stable) {
-            ack.win.acceptSeq(src, dst, ack.pend.front().seq);
+            ack.win.acceptSeq(ack.pend.front().seq);
             ack.pend.pop_front();
             moved = true;
           }
           if (ack.pend.empty())
             ack.due.store(false, std::memory_order_release);
           if (moved) {
-            view = ack.win.cumAckView(src, dst);
+            view = ack.win.cumAckView();
             epoch = ack.epoch;
           }
         }
@@ -705,16 +638,17 @@ class UdpTransport final : public Transport {
     pumpAcks();
   }
 
+  /// Records sent and not yet acked, whether still coalescing in an outbox
+  /// or on the wire: each link's send window holds them all.
   std::int64_t outstanding() const override {
     std::int64_t n = 0;
     for (std::size_t i = 0; i < localLinks(); ++i) {
       if (LinkOut* lk = outSlots_[i].load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> g(lk->m);
-        n += lk->count;
+        n += static_cast<std::int64_t>(lk->window.live());
       }
     }
-    std::lock_guard<std::mutex> g(m_);
-    return n + static_cast<std::int64_t>(sender_.windowSize());
+    return n;
   }
 
   void primeRecv(std::uint64_t msgId, std::uint8_t epoch) override {
@@ -725,11 +659,11 @@ class UdpTransport final : public Transport {
     const int src = msgSrc(msgId);
     const int dst = msgDst(msgId);
     const std::size_t s = rxSlot(src, dst);
-    if (epoch < knownEpoch_[s]) return;
-    if (epoch > knownEpoch_[s]) adoptEpoch(src, dst, epoch);
+    if (epoch < in_[s].epoch) return;
+    if (epoch > in_[s].epoch) adoptEpoch(src, dst, epoch);
     const std::uint64_t seq = proto::Delivery::linkMsgIdSeq(msgId);
-    rx_.acceptSeq(src, dst, seq);
-    acks_[s]->win.acceptSeq(src, dst, seq);
+    in_[s].win.acceptSeq(seq);
+    acks_[s]->win.acceptSeq(seq);
   }
 
   // The END-retire barrier runs in a multi-process worker, whose one local
@@ -750,50 +684,42 @@ class UdpTransport final : public Transport {
     for (int to = 0; to < numPes_; ++to) {
       const std::uint64_t high = snap[static_cast<std::size_t>(to)];
       if (high == 0) continue;
-      {
-        std::lock_guard<std::mutex> g(m_);
-        const std::uint64_t low = sender_.lowestUnackedSeq(me, to);
-        if (low != 0 && low <= high) return false;
-      }
-      // Tokens still coalescing (or gate-parked) in the outbox are not in
-      // the sender window yet — lowestUnackedSeq alone would pass early.
+      // The send window holds every record from send() to its ack, whether
+      // coalescing, gate-parked or in flight, so its lowest live seq alone
+      // says whether the snapshot's sends are all safe.
       LinkOut& lk = *linkOutIfExists(me, to);
       std::lock_guard<std::mutex> g(lk.m);
-      if (lk.freshCount > 0 && lk.firstFreshSeq <= high) return false;
+      const std::uint64_t low = lk.window.lowestLive();
+      if (low != 0 && low <= high) return false;
     }
     return true;
   }
 
  private:
   /// One (src,dst) link's sender state: the coalescing outbox (header
-  /// space + up to kBatchRecordBytes of records) and the wire image of
-  /// every unacked record, indexed by link seq, for retransmission. Single
-  /// fresh producer (worker src); the timer thread appends retransmits and
-  /// the receiver thread erases acked images — all under m.
+  /// space + up to kBatchRecordBytes of records) and the send window, which
+  /// holds every record from send() to its ack. Single fresh producer
+  /// (worker src); the timer thread appends retransmits and the receiver
+  /// thread retires acked records — all under m.
   struct LinkOut {
+    LinkOut(const proto::RetryPolicy& retry, bool faultsEnabled)
+        : window(retry, faultsEnabled) {}
+
     std::mutex m;
     std::uint8_t buf[kBatchMaxBytes];
     std::size_t bytes = 0;  // record bytes currently in buf
     int count = 0;          // records currently in buf
-    int freshCount = 0;     // suffix of count that is first-send (not retx)
-    std::uint64_t firstFreshSeq = 0;
     std::uint64_t nextSeq = 0;  // last assigned link sequence
     /// Output-commit gate (WorkerLink only): log stream position that must
     /// be stable before this outbox may hit the wire (high-water over its
     /// parked tokens).
     std::uint64_t gateSeq = 0;
-    RetxImages unacked;
-    /// Retransmit schedule: (deadline, seq) min-heap, consumed lazily (an
-    /// acked seq is skipped when its deadline fires). The whole link keeps
-    /// at most ~one live Retx timer event — `retxArmed`/`armedDue` dedup
-    /// the arming — so the timer heap scales with links, not with batches.
-    std::priority_queue<
-        std::pair<Clock::time_point, std::uint64_t>,
-        std::vector<std::pair<Clock::time_point, std::uint64_t>>,
-        std::greater<std::pair<Clock::time_point, std::uint64_t>>>
-        retxQ;
+    proto::SendWindow window;
+    /// The whole link keeps at most ~one live Retx timer event —
+    /// `retxArmed`/`armedDue` dedup the arming — so the timer heap scales
+    /// with links, not with batches.
     bool retxArmed = false;
-    Clock::time_point armedDue{};
+    std::int64_t armedDue = 0;
   };
 
   /// Ack gating state for one inbound link (WorkerLink only). The receiver
@@ -808,9 +734,17 @@ class UdpTransport final : public Transport {
       std::uint64_t logSeq;
     };
     std::deque<Pend> pend;
-    proto::Delivery win;      // ackable window: stable-logged seqs only
+    proto::RecvWindow win;    // ackable window: stable-logged seqs only
     std::uint8_t epoch = 0;   // sender incarnation the window belongs to
     std::atomic<bool> due{false};
+  };
+
+  /// One inbound link's receive state: the dedup window, the highest
+  /// source incarnation seen and the records since the last lazy ack.
+  struct LinkIn {
+    proto::RecvWindow win;
+    std::uint8_t epoch = 0;
+    std::int64_t sinceAck = 0;
   };
 
   enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
@@ -869,7 +803,12 @@ class UdpTransport final : public Transport {
     std::atomic<LinkOut*>& cell = outSlots_[outSlot(fromPe, toPe)];
     LinkOut* lk = cell.load(std::memory_order_acquire);
     if (lk == nullptr) {
-      auto* made = new LinkOut();
+      // Fault tests tune retry.rtoUs down to recover injected drops
+      // quickly; honor it then. Fault-free, datagram loss is rare (large
+      // SO_RCVBUF) and a sub-millisecond RTO just races thread scheduling
+      // on the ack path, so the policy floors it — spurious retransmits
+      // are harmless (receiver dedup) but wasteful.
+      auto* made = new LinkOut(plan_.config().retry, plan_.enabled());
       if (cell.compare_exchange_strong(lk, made, std::memory_order_acq_rel))
         lk = made;
       else
@@ -979,11 +918,11 @@ class UdpTransport final : public Transport {
     pushTimerEv(std::move(ev));
   }
 
-  /// Ships the (fromPe,toPe) outbox as one datagram: snapshot + reset the
-  /// outbox under lk.m, register the fresh tokens' retransmit state under
-  /// m_, then transmit with no lock held. Returns without sending when a
-  /// concurrent flush already emptied the outbox, or when the output-commit
-  /// gate holds it back.
+  /// Ships the (fromPe,toPe) outbox as one datagram: under lk.m, snapshot
+  /// and reset the outbox and mark the records it carries sent in the send
+  /// window (starting each one's deadline), then transmit with no lock
+  /// held. Returns without sending when a concurrent flush already emptied
+  /// the outbox, or when the output-commit gate holds it back.
   void flushLink(int fromPe, int toPe, FlushWhy why) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
     if (lkp == nullptr) return;
@@ -991,8 +930,9 @@ class UdpTransport final : public Transport {
     std::uint8_t dgram[kBatchMaxBytes];
     std::size_t len = 0;
     int count = 0;
-    int fresh = 0;
-    std::uint64_t firstFreshSeq = 0;
+    bool arm = false;
+    std::int64_t due = 0;
+    const std::int64_t now = nowNs();
     {
       std::lock_guard<std::mutex> g(lk.m);
       if (lk.count == 0) return;
@@ -1003,42 +943,24 @@ class UdpTransport final : public Transport {
         return;
       }
       count = lk.count;
-      fresh = lk.freshCount;
-      firstFreshSeq = lk.firstFreshSeq;
       len = wireEncodeBatchHeader(lk.buf, static_cast<std::uint16_t>(fromPe),
                                   count, lk.bytes, epoch_);
       std::memcpy(dgram, lk.buf, len);
       lk.bytes = 0;
       lk.count = 0;
-      lk.freshCount = 0;
       dirty(fromPe).fetch_sub(1, std::memory_order_release);
-    }
-    if (fresh > 0) {
-      const std::uint64_t firstMsgId =
-          proto::Delivery::packLinkMsgId(fromPe, toPe, firstFreshSeq);
-      {
-        std::lock_guard<std::mutex> g(m_);
-        sender_.onSendBatch(firstMsgId, fresh);
-      }
-      // Schedule the batch's retransmit deadline on the link's own queue;
-      // a timer event is pushed only when the link isn't armed yet (or
+      // A timer event is pushed only when the link isn't armed yet (or
       // this deadline precedes the armed one) — typically once per burst,
       // not once per batch.
-      const auto due = Clock::now() + micros(sender_.initialRtoUs());
-      bool arm = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (int i = 0; i < fresh; ++i)
-          lk.retxQ.emplace(due,
-                           firstFreshSeq + static_cast<std::uint64_t>(i));
-        if (!lk.retxArmed || due < lk.armedDue) {
-          lk.retxArmed = true;
-          lk.armedDue = due;
-          arm = true;
-        }
+      due = lk.window.markSent(now);
+      if (due != proto::SendWindow::kNoDeadline &&
+          (!lk.retxArmed || due < lk.armedDue)) {
+        lk.retxArmed = true;
+        lk.armedDue = due;
+        arm = true;
       }
-      if (arm) armTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
     }
+    if (arm) armTimer(TimerEv::Kind::Retx, atNs(due), fromPe, toPe);
     switch (why) {
       case FlushWhy::Full: flushFull_.fetch_add(1); break;
       case FlushWhy::Drain: flushDrain_.fetch_add(1); break;
@@ -1050,77 +972,37 @@ class UdpTransport final : public Transport {
     attemptTransmit(fromPe, toPe, dgram, len);
   }
 
-  /// Appends the still-unacked wire images of `msgIds` to their link's
-  /// outbox (original msgId — the receiver's window dedups, quiescence was
-  /// charged exactly once at the original enqueue) and ships immediately,
-  /// letting retransmits ride with any fresh tokens already coalescing.
-  void requeueRetransmits(int fromPe, int toPe,
-                          const std::vector<std::uint64_t>& msgIds) {
-    LinkOut* lkp = linkOutIfExists(fromPe, toPe);
-    if (lkp == nullptr) return;
-    LinkOut& lk = *lkp;
-    std::size_t i = 0;
-    while (i < msgIds.size()) {
-      bool needFlush = false;
-      {
-        std::lock_guard<std::mutex> g(lk.m);
-        for (; i < msgIds.size(); ++i) {
-          std::size_t len = 0;
-          const std::uint8_t* img = lk.unacked.find(
-              proto::Delivery::linkMsgIdSeq(msgIds[i]), &len);
-          if (img == nullptr) continue;  // acked meanwhile
-          if (lk.bytes + len > kBatchRecordBytes) {
-            needFlush = true;
-            break;
-          }
-          std::memcpy(lk.buf + kBatchHeaderBytes + lk.bytes, img, len);
-          if (lk.count == 0)
-            dirty(fromPe).fetch_add(1, std::memory_order_release);
-          ++lk.count;
-          lk.bytes += len;
-          linkStat(fromPe, toPe).retx.fetch_add(1);
-        }
-      }
-      if (needFlush) flushLink(fromPe, toPe, FlushWhy::Retx);
-    }
-    flushLink(fromPe, toPe, FlushWhy::Retx);
-  }
-
-  /// A link's retransmit deadline fired: pop every due (deadline, seq)
-  /// entry, let the protocol core decide each one (entries acked since
-  /// they were scheduled come back Stale and vanish), requeue the
-  /// survivors' wire images, and re-arm a single event at the link's next
-  /// outstanding deadline.
+  /// A link's retransmit deadline fired: the send window decides every
+  /// record due by now and copies each survivor's image into the outbox in
+  /// the same step (original msgId — the receiver's window dedups,
+  /// quiescence was charged exactly once at the original enqueue), so the
+  /// retransmits ride with any fresh tokens already coalescing. The outbox
+  /// ships after lk.m is dropped, as often as it fills, and each copy's
+  /// backoff starts when it ships; then one event is re-armed at the
+  /// window's next deadline.
   void fireRetx(int fromPe, int toPe) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
     if (lkp == nullptr) return;
     LinkOut& lk = *lkp;
-    std::vector<std::uint64_t> expired;
-    {
-      std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      while (!lk.retxQ.empty() && lk.retxQ.top().first <= now) {
-        expired.push_back(lk.retxQ.top().second);
-        lk.retxQ.pop();
-      }
-    }
-    std::vector<std::uint64_t> again;  // msgIds to retransmit...
-    std::vector<double> backoffUs;     // ...and their re-check distances
+    const std::int64_t now = nowNs();
     int gaveUpAttempt = 0;
-    if (!expired.empty()) {
-      std::lock_guard<std::mutex> g(m_);
-      for (const std::uint64_t seq : expired) {
-        const std::uint64_t msgId =
-            proto::Delivery::packLinkMsgId(fromPe, toPe, seq);
-        const proto::TimeoutDecision d = sender_.onTimeout(msgId);
-        if (d.kind == proto::TimeoutDecision::Kind::Stale) continue;
-        if (d.kind == proto::TimeoutDecision::Kind::GiveUp) {
-          gaveUpAttempt = d.attempt;
-          continue;
-        }
-        again.push_back(msgId);
-        backoffUs.push_back(d.backoffUs);
+    for (bool again = true; again;) {
+      proto::SendWindow::Expired e;
+      {
+        std::lock_guard<std::mutex> g(lk.m);
+        e = lk.window.expire(now, lk.buf + kBatchHeaderBytes + lk.bytes,
+                             kBatchRecordBytes - lk.bytes);
+        if (e.records > 0 && lk.count == 0)
+          dirty(fromPe).fetch_add(1, std::memory_order_release);
+        lk.count += e.records;
+        lk.bytes += e.bytes;
       }
+      linkStat(fromPe, toPe).retx.fetch_add(e.records);
+      resent_.fetch_add(e.records);
+      giveUps_.fetch_add(e.giveUps);
+      if (e.giveUps > 0) gaveUpAttempt = e.gaveUpAttempt;
+      again = e.full;
+      if (e.records > 0 || again) flushLink(fromPe, toPe, FlushWhy::Retx);
     }
     if (gaveUpAttempt != 0) {
       sink_.transportFail(
@@ -1129,25 +1011,15 @@ class UdpTransport final : public Transport {
           std::to_string(fromPe) + " to worker " + std::to_string(toPe) +
           " after " + std::to_string(gaveUpAttempt) + " attempts");
     }
-    if (!again.empty()) requeueRetransmits(fromPe, toPe, again);
-    bool arm = false;
-    Clock::time_point due{};
+    std::int64_t due = proto::SendWindow::kNoDeadline;
     {
       std::lock_guard<std::mutex> g(lk.m);
-      const auto now = Clock::now();
-      for (std::size_t i = 0; i < again.size(); ++i)
-        lk.retxQ.emplace(now + micros(backoffUs[i]),
-                         proto::Delivery::linkMsgIdSeq(again[i]));
-      if (!lk.retxQ.empty()) {
-        due = lk.retxQ.top().first;
-        lk.retxArmed = true;
-        lk.armedDue = due;
-        arm = true;
-      } else {
-        lk.retxArmed = false;
-      }
+      due = lk.window.nextDue();
+      lk.retxArmed = due != proto::SendWindow::kNoDeadline;
+      if (lk.retxArmed) lk.armedDue = due;
     }
-    if (arm) armTimer(TimerEv::Kind::Retx, due, fromPe, toPe);
+    if (due != proto::SendWindow::kNoDeadline)
+      armTimer(TimerEv::Kind::Retx, atNs(due), fromPe, toPe);
   }
 
   /// Builds one cumulative ack from `ackerPe` for the (toPe -> ackerPe)
@@ -1155,8 +1027,7 @@ class UdpTransport final : public Transport {
   /// (lossy-ack model; Delay is treated as Deliver — re-acking already
   /// covers lateness). The one place an ack is built, so the one place
   /// net.retx.acks counts.
-  void sendCumAck(int ackerPe, int toPe,
-                  const proto::Delivery::CumAckView& view,
+  void sendCumAck(int ackerPe, int toPe, const proto::CumAckView& view,
                   std::uint8_t epoch) {
     WireCumAck ack;
     ack.ackerPe = static_cast<std::uint16_t>(ackerPe);
@@ -1281,13 +1152,13 @@ class UdpTransport final : public Transport {
   /// thread, or primeRecv before it starts.
   void adoptEpoch(int src, int dst, std::uint8_t epoch) {
     const std::size_t s = rxSlot(src, dst);
-    knownEpoch_[s] = epoch;
-    rx_.resetRecvLink(src, dst);
+    in_[s].epoch = epoch;
+    in_[s].win = proto::RecvWindow();
     if (link_ == nullptr) return;
     AckState& ack = *acks_[s];
     std::lock_guard<std::mutex> g(ack.m);
     ack.pend.clear();
-    ack.win = proto::Delivery();
+    ack.win = proto::RecvWindow();
     ack.epoch = epoch;
   }
 
@@ -1297,20 +1168,24 @@ class UdpTransport final : public Transport {
   void onBatch(int pe, int src, std::uint8_t epoch, std::size_t recordBytes,
                std::vector<NToken>& toks, std::vector<NToken>& fresh) {
     const std::size_t s = rxSlot(src, pe);
-    if (epoch < knownEpoch_[s]) {
+    LinkIn& in = in_[s];
+    if (epoch < in.epoch) {
       // The sender of this datagram is dead; its reborn successor
       // renumbered the link. Nothing from the old stream may touch the
       // new windows.
       staleEpoch_.fetch_add(1);
       return;
     }
-    if (epoch > knownEpoch_[s]) adoptEpoch(src, pe, epoch);
+    if (epoch > in.epoch) adoptEpoch(src, pe, epoch);
     fresh.clear();
     for (NToken& tok : toks) {
-      if (rx_.acceptSeq(src, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)))
+      if (in.win.acceptSeq(proto::Delivery::linkMsgIdSeq(tok.msgId)))
         fresh.push_back(std::move(tok));
     }
     const bool hadDup = fresh.size() != toks.size();
+    if (hadDup)
+      dupSuppressed_.fetch_add(
+          static_cast<std::int64_t>(toks.size() - fresh.size()));
     if (link_ == nullptr) {
       // Ack at receive, lazily: a partial batch ends a burst and a
       // duplicate means the sender is already retransmitting — both ack
@@ -1321,12 +1196,11 @@ class UdpTransport final : public Transport {
       // sender's retransmit, whose duplicates force an ack. The ack goes
       // out before the deposits, so at termination the final ack is
       // already in flight toward the sender's socket.
-      std::int64_t& since = sinceAck_[s];
-      since += static_cast<std::int64_t>(toks.size());
+      in.sinceAck += static_cast<std::int64_t>(toks.size());
       if (!wireBatchFull(recordBytes) || hadDup ||
-          since >= kAckLazyRecords) {
-        sendCumAck(pe, src, rx_.cumAckView(src, pe), epoch);
-        since = 0;
+          in.sinceAck >= kAckLazyRecords) {
+        sendCumAck(pe, src, in.win.cumAckView(), epoch);
+        in.sinceAck = 0;
       }
     } else if (hadDup) {
       // The sender is retransmitting: re-ack the stable window at once (it
@@ -1334,11 +1208,11 @@ class UdpTransport final : public Transport {
       // and pumpAcks — acking them now would let a kill between ack and
       // log lose the token forever.
       AckState& ack = *acks_[s];
-      proto::Delivery::CumAckView view;
+      proto::CumAckView view;
       std::uint8_t ackEpoch = 0;
       {
         std::lock_guard<std::mutex> g(ack.m);
-        view = ack.win.cumAckView(src, pe);
+        view = ack.win.cumAckView();
         ackEpoch = ack.epoch;
       }
       sendCumAck(pe, src, view, ackEpoch);
@@ -1348,7 +1222,7 @@ class UdpTransport final : public Transport {
       // token that reached the inbox twice would double-release its
       // single quiescence charge.
       PODS_CHECK_MSG(
-          rx_.seenSeq(src, pe, proto::Delivery::linkMsgIdSeq(tok.msgId)),
+          in.win.seenSeq(proto::Delivery::linkMsgIdSeq(tok.msgId)),
           "udp transport: token deposited before dedup recorded it");
       sink_.deposit(pe, numPes_, std::move(tok));
     }
@@ -1363,16 +1237,9 @@ class UdpTransport final : public Transport {
       return;
     }
     acksRecv_.fetch_add(1);
-    std::vector<std::uint64_t> retired;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      retired = sender_.onCumAck(pe, ack.ackerPe, ack.cum, ack.bitmap);
-    }
-    if (retired.empty()) return;
     if (LinkOut* lk = linkOutIfExists(pe, ack.ackerPe)) {
       std::lock_guard<std::mutex> g(lk->m);
-      for (const std::uint64_t id : retired)
-        lk->unacked.erase(proto::Delivery::linkMsgIdSeq(id));
+      lk->window.ack(ack.cum, ack.bitmap);
     }
   }
 
@@ -1425,21 +1292,13 @@ class UdpTransport final : public Transport {
   const std::uint8_t epoch_;  // this process's incarnation
   WorkerLink* const link_;    // output commit for acks and flushes
   std::vector<LinkStat> links_;
-  /// Protocol core endpoints: sender half under m_; receiver half touched
-  /// only by the receiver thread (and primeRecv before it starts), read by
-  /// addStats after join.
-  proto::Delivery sender_;
-  proto::Delivery rx_;
   /// Per-link outboxes, [local src][dst] (lazily allocated; see linkOut),
   /// and a per-local-source count of non-empty ones so the worker-loop
   /// flush is one atomic load when nothing is pending.
   std::unique_ptr<std::atomic<LinkOut*>[]> outSlots_;
   std::unique_ptr<std::atomic<int>[]> dirty_;
-  /// Receive side, [local dst][src], receiver thread only (+ primeRecv):
-  /// the highest source incarnation seen and the tokens since the last
-  /// lazy ack.
-  std::vector<std::uint8_t> knownEpoch_;
-  std::vector<std::int64_t> sinceAck_;
+  /// Receive side, [local dst][src], receiver thread only (+ primeRecv).
+  std::vector<LinkIn> in_;
   std::vector<std::unique_ptr<AckState>> acks_;  // [local dst][src]; link_ only
 
   std::vector<int> fds_;                // [local PE]
@@ -1449,7 +1308,7 @@ class UdpTransport final : public Transport {
   std::thread rxThread_;
   std::thread timerThread_;
 
-  mutable std::mutex m_;  // guards heap_, timerStop_, sender_
+  std::mutex m_;  // guards heap_, timerStop_
   std::condition_variable timerCv_;
   std::vector<TimerEv> heap_;  // min-heap on due (std::push_heap/pop_heap)
   bool timerStop_ = false;
@@ -1474,6 +1333,9 @@ class UdpTransport final : public Transport {
   std::atomic<std::int64_t> flushDeadline_{0};
   std::atomic<std::int64_t> flushDrain_{0};
   std::atomic<std::int64_t> flushRetx_{0};
+  std::atomic<std::int64_t> resent_{0};
+  std::atomic<std::int64_t> giveUps_{0};
+  std::atomic<std::int64_t> dupSuppressed_{0};
   std::atomic<std::int64_t> faultDrops_{0};
   std::atomic<std::int64_t> faultDups_{0};
   std::atomic<std::int64_t> faultDelays_{0};

@@ -1,15 +1,17 @@
 // Engine-agnostic reliable-delivery protocol core.
 //
-// Three drivers share this state machine: the simulator's Routing Unit
-// (driving it with simulated time), the native InboxTransport (wall-clock
-// retransmit daemon), and the native UdpTransport (wall-clock timer thread
-// over real sockets). The core is pure, thread-free, and clock-free: events
-// go in (send / ack / timeout / deliver / context-retired), decisions come
-// out (retransmit-at-deadline, give up, deposit, suppress duplicate, discard
-// straggler). Drivers own threads, clocks, sockets, and — critically — the
-// fault-injection dice: the simulator numbers transmissions in deterministic
-// event order and its bit-exact fault schedules depend on that ordering, so
-// FaultPlan rolls stay outside this class.
+// Three drivers share this per-message state machine: the simulator's
+// Routing Unit (simulated time), the native InboxTransport (wall-clock
+// retransmit daemon) and the native workers' receive ledgers. The native
+// UdpTransport keeps per-link windows instead (link_window.hpp) and shares
+// RetryPolicy, the msgId packing and the counter names. The core is pure,
+// thread-free, and clock-free: events go in (send / ack / timeout / deliver
+// / context-retired), decisions come out (retransmit-at-deadline, give up,
+// deposit, suppress duplicate, discard straggler). Drivers own threads,
+// clocks, sockets, and — critically — the fault-injection dice: the
+// simulator numbers transmissions in deterministic event order and its
+// bit-exact fault schedules depend on that ordering, so FaultPlan rolls
+// stay outside this class.
 //
 // The protocol (established across the fault/recovery/transport PRs, now in
 // one place):
@@ -32,11 +34,9 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "support/fault.hpp"
 #include "support/stats.hpp"
@@ -76,9 +76,9 @@ struct TimeoutDecision {
 
 /// One endpoint's half of the reliable-delivery protocol: a sender window
 /// (msgId -> attempt) and/or a receiver ledger (seen msgIds + retired
-/// contexts). Drivers may use one instance for both halves (UDP per-PE) or
-/// split them (the simulator keeps one global sender window in the event
-/// queue's timeline and one receiver per PE).
+/// contexts). Drivers split the halves: the simulator keeps one global
+/// sender window in the event queue's timeline and one receiver per PE,
+/// the inbox transport one sender, and each native worker one receiver.
 class Delivery {
  public:
   Delivery() = default;
@@ -86,8 +86,6 @@ class Delivery {
   /// injection, the lossless floor otherwise (see RetryPolicy).
   Delivery(const RetryPolicy& policy, bool faultsEnabled)
       : policy_(policy), baseRtoUs_(policy.baseRtoUs(faultsEnabled)) {}
-
-  const RetryPolicy& policy() const { return policy_; }
 
   // ---- Sender window -------------------------------------------------
   /// Timeout to arm for a fresh send (attempt 1).
@@ -104,14 +102,10 @@ class Delivery {
   bool inFlight(std::uint64_t msgId) const { return window_.count(msgId) != 0; }
   std::size_t windowSize() const { return window_.size(); }
 
-  // ---- Per-link sequence windows (batched drivers) ---------------------
-  // A batching driver numbers tokens per (srcPe,dstPe) link with a dense
-  // 1-based sequence and packs the link into the msgId so one cumulative
-  // ack can retire a whole prefix of the window. The plain onSend/onAck
-  // path and these batch entry points share window_ — a driver uses one
-  // style per Delivery instance, and a retransmitted token riding a later
-  // batch keeps its original msgId, so it is never re-registered (no
-  // double entry in the window, no double quiescence charge downstream).
+  // ---- Link msgIds (batched drivers) -----------------------------------
+  // A batching driver numbers each (srcPe,dstPe) link's records with a
+  // dense 1-based sequence and packs the link into the msgId, so one
+  // cumulative ack can retire a prefix of the link's window (SendWindow).
 
   /// msgId layout: [63:56]=srcPe, [55:48]=dstPe, [47:0]=seq (1-based).
   /// PE ids fit 8 bits (NativeConfig caps workers at 256); seq 1 keeps
@@ -127,55 +121,6 @@ class Delivery {
   static std::uint32_t linkMsgIdLink(std::uint64_t msgId) {
     return static_cast<std::uint32_t>(msgId >> 48);
   }
-
-  /// Register `count` fresh consecutive messages (attempt 1 each) starting
-  /// at `firstMsgId` — the fresh tokens of one flushed batch. Retransmits
-  /// riding the same batch are already in the window and must not be
-  /// re-registered.
-  void onSendBatch(std::uint64_t firstMsgId, int count);
-
-  /// A cumulative ack for link (srcPe,dstPe) arrived: every seq <= cumSeq
-  /// is delivered, plus seq cumSeq+1+i for each set bit i of `bitmap`
-  /// (selective acks above the contiguous prefix). Retires all newly-acked
-  /// messages and returns their msgIds so the driver can drop buffered
-  /// wire images.
-  std::vector<std::uint64_t> onCumAck(int srcPe, int dstPe,
-                                      std::uint64_t cumSeq,
-                                      std::uint64_t bitmap);
-
-  /// Receiver half of the link window: first delivery of (srcPe,dstPe,seq)?
-  /// Counts kDupSuppressed and returns false on a redelivery. Unlike the
-  /// flat seen_ set this state is bounded by the reordering span: the
-  /// contiguous prefix collapses into one cursor.
-  bool acceptSeq(int srcPe, int dstPe, std::uint64_t seq);
-
-  /// True when (srcPe,dstPe,seq) has already been recorded by acceptSeq —
-  /// the receive-before-deposit ordering assertion (a token must be in the
-  /// dedup ledger before its inbox-ring deposit charges quiescence).
-  bool seenSeq(int srcPe, int dstPe, std::uint64_t seq) const;
-
-  /// Snapshot of the receive window for composing a cumulative ack:
-  /// highest contiguously received seq + bitmap of cum+1..cum+64.
-  struct CumAckView {
-    std::uint64_t cum = 0;
-    std::uint64_t bitmap = 0;
-  };
-  CumAckView cumAckView(int srcPe, int dstPe) const;
-
-  /// Respawn support (multi-process transport): wipes the sender window of
-  /// link (srcPe,dstPe) and returns the seqs that were still in flight, in
-  /// order — the driver re-sends their payloads under fresh sequence
-  /// numbers once the reborn peer's endpoint is known.
-  std::vector<std::uint64_t> resetSendLink(int srcPe, int dstPe);
-
-  /// Respawn support: wipes the receive window of link (srcPe,dstPe) — a
-  /// reborn peer renumbers its sends from 1.
-  void resetRecvLink(int srcPe, int dstPe);
-
-  /// Lowest sequence still unacked on link (srcPe,dstPe); 0 when the link
-  /// is fully drained. Drives the multi-process END-retire barrier (a
-  /// frame's End may enter the recovery log only after its sends are safe).
-  std::uint64_t lowestUnackedSeq(int srcPe, int dstPe) const;
 
   /// A retransmit timer fired. `expectedAttempt` guards against stale
   /// timers in drivers whose timer events carry the attempt they were armed
@@ -202,7 +147,6 @@ class Delivery {
   void resetReceiver() {
     seen_.clear();
     retired_.clear();
-    linkRecv_.clear();
   }
 
   // ---- Accounting ----------------------------------------------------
@@ -214,27 +158,19 @@ class Delivery {
   /// the protocol counter set so every engine reports the same names.
   void addStats(Counters& out) const;
 
+  /// Zero-register the protocol counter set (kResent, kAcks,
+  /// kDupSuppressed, kGiveUps, kStragglers) — for drivers that count
+  /// protocol events outside a Delivery, as the UDP link windows do.
+  static void registerProtocolCounters(Counters& out);
+
   /// Zero-register the injection counters (kFault*) — for drivers that run
   /// fault dice themselves and count hits via count().
   static void registerInjectionCounters(Counters& out);
 
  private:
-  /// Per-link receive window: cursor for the contiguous prefix plus the
-  /// (sparse, reordering-bounded) set of seqs received above it.
-  struct RecvWin {
-    std::uint64_t cum = 0;
-    std::set<std::uint64_t> above;
-  };
-
-  void eraseLinkInFlight(std::uint64_t msgId);
-
   RetryPolicy policy_{};
   double baseRtoUs_ = RetryPolicy{}.rtoUs;
   std::unordered_map<std::uint64_t, int> window_;
-  /// Sender-side mirror of window_ keyed by link, ordered by seq so a
-  /// cumulative ack can walk the acked prefix and stop at the first hole.
-  std::unordered_map<std::uint32_t, std::set<std::uint64_t>> linkInFlight_;
-  std::unordered_map<std::uint32_t, RecvWin> linkRecv_;
   std::unordered_set<std::uint64_t> seen_;
   std::unordered_set<std::uint64_t> retired_;
   Counters counters_;

@@ -1,13 +1,15 @@
-// Heap-allocation regression test for the native wire store.
+// Heap-allocation regression tests for the native wire store and the UDP
+// send window.
 //
 // This binary replaces the global operator new with a counting one, so it
 // stands alone: linked into another suite it would count that suite's
-// allocations too. The property: the wire store keeps each PE's owned
+// allocations too. The properties: the wire store keeps each PE's owned
 // elements in a dense slice and its parked reads in a pooled node list, so
 // owner-serviced array traffic costs no heap node per element or per park.
 // On a 2-PE stencil over the in-process inbox transport, a wire-store
 // run() must therefore allocate at most twice what the local-store run()
-// allocates; over UDP, at most four times the inbox run (see below).
+// allocates; over UDP, at most four times the inbox run (see below). And a
+// warm proto::SendWindow sends, acks and retransmits without allocating.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 
 #include "core/pods.hpp"
 #include "native/native_machine.hpp"
+#include "proto/link_window.hpp"
 #include "workloads/kernels.hpp"
 
 namespace {
@@ -69,12 +72,14 @@ TEST(WireStoreAllocs, StencilWireRunAllocatesAtMostTwiceLocal) {
       << localAllocs;
 }
 
-// The UDP transport keeps each link's unacked wire images in one seq-indexed
-// store and ships a page as one record, so a udp/wire run pays per datagram
-// and per record, not per page element. On the same 2-PE stencil it may
-// allocate at most 4x what the inbox/wire run does (measured: 2.1-2.4x; a
-// record per page element with a heap node per retransmit image measures
-// 5.3-6.3x and fails).
+// The UDP transport keeps each link's unacked records in one seq-indexed
+// send window and ships a page as one record, so a udp/wire run pays per
+// datagram, not per record or per page element. On the same 2-PE stencil
+// it may allocate at most 4x what the inbox/wire run does (measured:
+// 1.6-1.8x; 2.0-2.5x while the sender's delivery core kept a hash-map and
+// a set node per record and returned a vector per ack; 5.3-6.3x, which
+// fails, with a record per page element and a heap node per retransmit
+// image).
 TEST(WireStoreAllocs, StencilUdpWireRunAllocatesAtMostFourTimesInbox) {
   CompileResult cr = compile(workloads::stencilSource(48, 10), {});
   ASSERT_TRUE(cr.ok) << cr.diagnostics;
@@ -90,6 +95,44 @@ TEST(WireStoreAllocs, StencilUdpWireRunAllocatesAtMostFourTimesInbox) {
   EXPECT_LE(udpAllocs, 4 * inboxAllocs)
       << "udp/wire allocated " << udpAllocs << " times in run(), inbox/wire "
       << inboxAllocs;
+}
+
+// A link's send window holds every record from send() to its ack. Grown
+// once to 256 live slots and warmed through a few compactions, it must run
+// put -> mark sent -> ack, with a retransmit scan every 100 cycles, without
+// one heap allocation: its slot and byte vectors are reused in place.
+TEST(SendWindowAllocs, WarmWindowCyclesAllocateNothing) {
+  proto::RetryPolicy policy;
+  policy.rtoUs = 100.0;
+  proto::SendWindow window(policy, /*faultsEnabled=*/true);
+  std::uint8_t rec[65];
+  for (std::size_t i = 0; i < sizeof rec; ++i)
+    rec[i] = static_cast<std::uint8_t>(i);
+  std::uint8_t out[1394];
+  constexpr std::uint64_t kLive = 256;
+  std::uint64_t seq = 0;
+  std::int64_t now = 0;
+  std::int64_t retransmits = 0;
+  auto cycle = [&](int i) {
+    window.put(++seq, rec, sizeof rec);
+    window.markSent(now);
+    window.ack(seq - kLive, 0);
+    if (i % 100 == 0) {
+      now += 1'000'000;  // ten base RTOs: every live slot is due
+      retransmits += window.expire(now, out, sizeof out).records;
+    }
+  };
+  while (seq < kLive) window.put(++seq, rec, sizeof rec);
+  window.markSent(now);
+  for (int i = 1; i <= 1000; ++i) cycle(i);  // warm: vectors at their peak
+  ASSERT_EQ(window.live(), kLive);
+
+  const std::int64_t before = gAllocs.load();
+  for (int i = 1; i <= 10000; ++i) cycle(i);
+  const std::int64_t allocs = gAllocs.load() - before;
+  EXPECT_EQ(allocs, 0);
+  EXPECT_EQ(window.live(), kLive);
+  EXPECT_GT(retransmits, 0);  // the scans really copied images
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 // core").
 //
 // Three kinds of property live here:
-//   1. proto::Delivery driven directly through drop / duplicate / reorder /
-//      give-up traces — the state machine alone, no engine, no clock;
+//   1. the protocol cores driven directly, no engine, no clock:
+//      proto::Delivery through drop / duplicate / reorder / give-up traces,
+//      and the UDP link windows (proto::SendWindow, proto::RecvWindow)
+//      against set and map models — seeded random traces of put / mark
+//      sent / ack / expire, every ack over every live subset of a small
+//      window, every arrival order of a few seqs;
 //   2. counter parity: the same program + fault config on the simulator and
 //      the native runtime must emit the identical *set* of protocol counter
 //      names (the canonical `net.retx.*` / `fault.*` namespace), so
@@ -15,12 +19,19 @@
 //      dedup keys and mint-log entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <climits>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/pods.hpp"
 #include "proto/delivery.hpp"
+#include "proto/link_window.hpp"
 #include "support/fault.hpp"
 #include "workloads/simple.hpp"
 
@@ -40,6 +51,9 @@ std::unique_ptr<Compiled> compileOk(const std::string& src) {
   EXPECT_TRUE(cr.ok) << cr.diagnostics;
   return std::move(cr.compiled);
 }
+
+/// Room for one batch's records, the most one retransmit scan may append.
+constexpr std::size_t kWindowOut = 1394;
 
 // --- RetryPolicy ------------------------------------------------------------
 
@@ -127,7 +141,7 @@ TEST(DeliverySender, ExpectedAttemptGuardsSupersededTimers) {
   EXPECT_EQ(d.onTimeout(42).kind, proto::TimeoutDecision::Kind::Stale);
 }
 
-// --- Delivery per-link sequence windows (batched drivers) --------------------
+// --- Link msgIds (batched drivers) -------------------------------------------
 
 TEST(DeliveryBatchWindow, PackLinkMsgIdRoundTripsAndStaysNonzero) {
   const std::uint64_t id = proto::Delivery::packLinkMsgId(3, 7, 42);
@@ -143,80 +157,423 @@ TEST(DeliveryBatchWindow, PackLinkMsgIdRoundTripsAndStaysNonzero) {
   EXPECT_NE(proto::Delivery::packLinkMsgId(0, 0, 1), 0u);
 }
 
-TEST(DeliveryBatchWindow, CumAckRetiresContiguousPrefix) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  const std::uint64_t first = proto::Delivery::packLinkMsgId(1, 2, 1);
-  d.onSendBatch(first, 5);  // seqs 1..5 in flight
-  EXPECT_EQ(d.windowSize(), 5u);
+// --- Link windows (batched drivers) ------------------------------------------
 
-  auto retired = d.onCumAck(1, 2, 3, 0);  // everything through seq 3
-  ASSERT_EQ(retired.size(), 3u);
-  for (std::uint64_t i = 0; i < 3; ++i)
-    EXPECT_EQ(proto::Delivery::linkMsgIdSeq(retired[i]), i + 1);
-  EXPECT_EQ(d.windowSize(), 2u);
-  EXPECT_FALSE(d.inFlight(first));
-  EXPECT_TRUE(d.inFlight(first + 3));
+/// Image bytes for link seq `seq`: `len` bytes opening with the seq's own
+/// little-endian bytes, so images of different seqs differ.
+std::vector<std::uint8_t> imageOf(std::uint64_t seq, std::size_t len) {
+  std::vector<std::uint8_t> img(len);
+  for (std::size_t i = 0; i < len; ++i)
+    img[i] = static_cast<std::uint8_t>(i < 8 ? seq >> (8 * i) : i * 7 + 1);
+  return img;
+}
 
+/// Stores seqs first..first+n-1, `len`-byte images each.
+void putRun(proto::SendWindow& w, std::uint64_t first, int n,
+            std::size_t len = 65) {
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t seq = first + static_cast<std::uint64_t>(i);
+    const auto img = imageOf(seq, len);
+    w.put(seq, img.data(), img.size());
+  }
+}
+
+proto::RetryPolicy windowPolicy() {
+  proto::RetryPolicy p;
+  p.rtoUs = 100.0;
+  p.maxAttempts = 5;
+  p.maxBackoffDoublings = 2;
+  return p;
+}
+
+/// Deadline the window sets for a slot transmitted `attempt` times at `now`.
+std::int64_t dueAfter(const proto::RetryPolicy& p, std::int64_t now,
+                      int attempt) {
+  return now + static_cast<std::int64_t>(p.backoffUs(attempt, p.rtoUs) *
+                                         1000.0);
+}
+
+TEST(SendWindow, CumAckRetiresContiguousPrefix) {
+  proto::SendWindow w(windowPolicy(), true);
+  putRun(w, 1, 5);
+  EXPECT_EQ(w.markSent(0), dueAfter(windowPolicy(), 0, 1));
+  EXPECT_EQ(w.live(), 5u);
+
+  EXPECT_EQ(w.ack(3, 0), 3);  // everything through seq 3
+  EXPECT_EQ(w.live(), 2u);
+  EXPECT_EQ(w.lowestLive(), 4u);
+  EXPECT_EQ(w.slot(1).image, nullptr);
+  EXPECT_NE(w.slot(4).image, nullptr);
   // A later (cumulative) ack re-covering the prefix is a harmless no-op.
-  EXPECT_TRUE(d.onCumAck(1, 2, 2, 0).empty());
-  // Acks for a different link never touch this window.
-  EXPECT_TRUE(d.onCumAck(2, 1, 5, 0).empty());
-  EXPECT_EQ(d.windowSize(), 2u);
+  EXPECT_EQ(w.ack(2, 0), 0);
+  EXPECT_EQ(w.live(), 2u);
+  EXPECT_EQ(w.ack(5, 0), 2);
+  EXPECT_EQ(w.live(), 0u);
+  EXPECT_EQ(w.lowestLive(), 0u);
+  EXPECT_EQ(w.nextDue(), proto::SendWindow::kNoDeadline);
 }
 
-TEST(DeliveryBatchWindow, CumAckBitmapRetiresSelectively) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  const std::uint64_t first = proto::Delivery::packLinkMsgId(0, 1, 1);
-  d.onSendBatch(first, 6);  // seqs 1..6
+TEST(SendWindow, CumAckBitmapRetiresSelectively) {
+  const proto::RetryPolicy p = windowPolicy();
+  proto::SendWindow w(p, true);
+  putRun(w, 1, 6);
+  w.markSent(0);
   // cum=1, bitmap bit0 -> seq 2, bit3 -> seq 5: holes at 3, 4, 6.
-  auto retired = d.onCumAck(0, 1, 1, 0b1001);
-  ASSERT_EQ(retired.size(), 3u);
-  EXPECT_EQ(d.windowSize(), 3u);
-  EXPECT_TRUE(d.inFlight(first + 2));   // seq 3
-  EXPECT_TRUE(d.inFlight(first + 3));   // seq 4
-  EXPECT_FALSE(d.inFlight(first + 4));  // seq 5: bitmap-acked
-  EXPECT_TRUE(d.inFlight(first + 5));   // seq 6
-  // The holes still drive retransmission through the normal window path.
-  EXPECT_EQ(d.onTimeout(first + 2).kind,
-            proto::TimeoutDecision::Kind::Retransmit);
-  EXPECT_EQ(d.onTimeout(first + 4).kind, proto::TimeoutDecision::Kind::Stale);
+  EXPECT_EQ(w.ack(1, 0b1001), 3);
+  EXPECT_EQ(w.live(), 3u);
+  EXPECT_EQ(w.lowestLive(), 3u);
+  EXPECT_NE(w.slot(3).image, nullptr);
+  EXPECT_NE(w.slot(4).image, nullptr);
+  EXPECT_EQ(w.slot(5).image, nullptr);  // bitmap-acked
+  EXPECT_NE(w.slot(6).image, nullptr);
+  // The holes still drive retransmission; the acked seq 5 does not.
+  const std::int64_t now = dueAfter(p, 0, 1);
+  std::uint8_t out[kWindowOut];
+  const proto::SendWindow::Expired e = w.expire(now, out, sizeof out);
+  ASSERT_EQ(e.records, 3);
+  EXPECT_FALSE(e.full);
+  std::vector<std::uint8_t> want;
+  for (const std::uint64_t seq : {3, 4, 6}) {
+    const auto img = imageOf(seq, 65);
+    want.insert(want.end(), img.begin(), img.end());
+  }
+  EXPECT_EQ(std::vector<std::uint8_t>(out, out + e.bytes), want);
 }
 
-TEST(DeliveryBatchWindow, RetransmittedTokenIsNeverReRegistered) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  const std::uint64_t first = proto::Delivery::packLinkMsgId(2, 4, 1);
-  d.onSendBatch(first, 2);
-  // A retransmit rides a later batch with its ORIGINAL msgId; only genuinely
-  // fresh tokens are batch-registered, so the window stays at one entry per
-  // logical message and attempt counts keep climbing monotonically.
-  ASSERT_EQ(d.onTimeout(first).attempt, 2);
-  EXPECT_EQ(d.windowSize(), 2u);
-  ASSERT_EQ(d.onTimeout(first).attempt, 3);
-  EXPECT_EQ(d.windowSize(), 2u);
-  auto retired = d.onCumAck(2, 4, 2, 0);
-  EXPECT_EQ(retired.size(), 2u);
-  EXPECT_EQ(d.windowSize(), 0u);
+TEST(SendWindow, RetransmitKeepsItsSlot) {
+  const proto::RetryPolicy p = windowPolicy();
+  proto::SendWindow w(p, true);
+  putRun(w, 1, 2);
+  std::int64_t now = 0;
+  w.markSent(now);
+  // A retransmit rides a later batch with its ORIGINAL msgId: it stays in
+  // its slot, so the window keeps one entry per logical message and the
+  // attempt count climbs monotonically.
+  std::uint8_t out[kWindowOut];
+  for (int attempt = 2; attempt <= 3; ++attempt) {
+    now = w.nextDue();
+    ASSERT_EQ(w.expire(now, out, sizeof out).records, 2);
+    EXPECT_EQ(w.slot(1).attempt, attempt);
+    EXPECT_EQ(w.live(), 2u);
+    // The backoff starts when the batch carrying the copy ships.
+    EXPECT_EQ(w.slot(1).due, proto::SendWindow::kNoDeadline);
+    EXPECT_EQ(w.nextDue(), proto::SendWindow::kNoDeadline);
+    now += 7;
+    EXPECT_EQ(w.markSent(now), dueAfter(p, now, attempt));
+    EXPECT_EQ(w.slot(1).due, dueAfter(p, now, attempt));
+  }
+  EXPECT_EQ(w.ack(2, 0), 2);
+  EXPECT_EQ(w.live(), 0u);
 }
 
-TEST(DeliveryBatchWindow, AcceptSeqDedupsAndSeenSeqAgrees) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  EXPECT_FALSE(d.seenSeq(1, 0, 1));
-  EXPECT_TRUE(d.acceptSeq(1, 0, 1));
-  EXPECT_TRUE(d.seenSeq(1, 0, 1));
-  EXPECT_FALSE(d.acceptSeq(1, 0, 1));  // retransmitted duplicate
+TEST(SendWindow, UntransmittedSlotsStayLiveUntilMarkedSent) {
+  proto::SendWindow w(windowPolicy(), true);
+  putRun(w, 1, 3);
+  w.markSent(0);
+  putRun(w, 4, 2);  // coalescing in the outbox: stored, not transmitted
+  // An ack naming them (forged, or from a dead incarnation) must not
+  // retire them, and no deadline covers them.
+  EXPECT_EQ(w.ack(5, ~0ULL), 3);
+  EXPECT_EQ(w.live(), 2u);
+  EXPECT_EQ(w.lowestLive(), 4u);
+  EXPECT_EQ(w.slot(4).attempt, 0);
+  EXPECT_EQ(w.nextDue(), proto::SendWindow::kNoDeadline);
+  std::uint8_t out[kWindowOut];
+  EXPECT_EQ(w.expire(INT64_MAX, out, sizeof out).records, 0);
+  EXPECT_EQ(w.markSent(7), dueAfter(windowPolicy(), 7, 1));
+  EXPECT_EQ(w.markSent(8), proto::SendWindow::kNoDeadline);  // none waiting
+  EXPECT_EQ(w.ack(5, 0), 2);
+  EXPECT_EQ(w.live(), 0u);
+}
+
+TEST(SendWindow, ExpireStopsAtAFullOutboxAndResumes) {
+  const proto::RetryPolicy p = windowPolicy();
+  proto::SendWindow w(p, true);
+  putRun(w, 1, 5, 100);
+  w.markSent(0);
+  const std::int64_t now = w.nextDue();
+  std::uint8_t out[250];
+  proto::SendWindow::Expired e = w.expire(now, out, sizeof out);
+  EXPECT_EQ(e.records, 2);
+  EXPECT_EQ(e.bytes, 200u);
+  EXPECT_TRUE(e.full);
+  // The driver ships what fit and scans again at the same time: the two
+  // it already handled are no longer due, shipped or not.
+  w.markSent(now + 1);
+  e = w.expire(now, out, sizeof out);
+  EXPECT_EQ(e.records, 2);
+  EXPECT_TRUE(e.full);
+  EXPECT_EQ(std::vector<std::uint8_t>(out, out + 100), imageOf(3, 100));
+  e = w.expire(now, out, sizeof out);
+  EXPECT_EQ(e.records, 1);
+  EXPECT_FALSE(e.full);
+  EXPECT_EQ(w.expire(now, out, sizeof out).records, 0);
+  for (std::uint64_t seq = 1; seq <= 5; ++seq)
+    EXPECT_EQ(w.slot(seq).attempt, 2) << seq;
+  // One batch ships seqs 3..5; an ack retires 4 before it does.
+  EXPECT_EQ(w.ack(0, 0b1000), 1);
+  EXPECT_EQ(w.markSent(now + 2), dueAfter(p, now + 2, 2));
+  EXPECT_EQ(w.slot(1).due, dueAfter(p, now + 1, 2));
+  EXPECT_EQ(w.slot(5).due, dueAfter(p, now + 2, 2));
+  EXPECT_EQ(w.nextDue(), dueAfter(p, now + 1, 2));
+}
+
+TEST(SendWindow, GivesUpAtMaxAttempts) {
+  const proto::RetryPolicy p = windowPolicy();  // maxAttempts 5
+  proto::SendWindow w(p, true);
+  putRun(w, 1, 1);
+  w.markSent(0);
+  std::uint8_t out[kWindowOut];
+  // Attempts 2..5 retransmit with doubling backoff, capped at 2 doublings.
+  for (int attempt = 2; attempt <= 5; ++attempt) {
+    const std::int64_t now = w.nextDue();
+    const proto::SendWindow::Expired e = w.expire(now, out, sizeof out);
+    ASSERT_EQ(e.records, 1);
+    EXPECT_EQ(e.giveUps, 0);
+    w.markSent(now);
+    EXPECT_EQ(w.slot(1).due - now,
+              static_cast<std::int64_t>(p.backoffUs(attempt, p.rtoUs) * 1000));
+  }
+  // Transmitted maxAttempts times: the next deadline gives up and retires.
+  const proto::SendWindow::Expired gu = w.expire(w.nextDue(), out, sizeof out);
+  EXPECT_EQ(gu.records, 0);
+  EXPECT_EQ(gu.giveUps, 1);
+  EXPECT_EQ(gu.gaveUpAttempt, 5);
+  EXPECT_EQ(w.live(), 0u);
+}
+
+/// Model of one send-window slot.
+struct ModelSlot {
+  std::vector<std::uint8_t> image;
+  int attempt = 0;
+  std::int64_t due = 0;
+};
+
+void expectWindowMatchesModel(const proto::SendWindow& w,
+                              const std::map<std::uint64_t, ModelSlot>& model,
+                              std::uint64_t nextSeq, const std::string& at) {
+  ASSERT_EQ(w.live(), model.size()) << at;
+  ASSERT_EQ(w.lowestLive(), model.empty() ? 0 : model.begin()->first) << at;
+  std::int64_t due = proto::SendWindow::kNoDeadline;
+  for (const auto& [seq, s] : model)
+    if (s.attempt > 0 && s.due < due) due = s.due;
+  ASSERT_EQ(w.nextDue(), due) << at;
+  const std::uint64_t from = model.empty() ? nextSeq : model.begin()->first;
+  for (std::uint64_t seq = from > 3 ? from - 3 : 0; seq <= nextSeq + 3;
+       ++seq) {
+    const proto::SendWindow::SlotView v = w.slot(seq);
+    const auto it = model.find(seq);
+    if (it == model.end()) {
+      ASSERT_EQ(v.image, nullptr) << at << " seq=" << seq;
+      continue;
+    }
+    ASSERT_NE(v.image, nullptr) << at << " seq=" << seq;
+    ASSERT_EQ(std::vector<std::uint8_t>(v.image, v.image + v.len),
+              it->second.image)
+        << at << " seq=" << seq;
+    ASSERT_EQ(v.attempt, it->second.attempt) << at << " seq=" << seq;
+    if (v.attempt > 0) {
+      ASSERT_EQ(v.due, it->second.due) << at << " seq=" << seq;
+    }
+  }
+}
+
+TEST(SendWindow, MatchesMapModelOverRandomTraces) {
+  // Seeded random traces of put / mark sent / ack(cum, bitmap) / expire /
+  // clock advance against a std::map model, checked after every step: the
+  // live set, the lowest live seq, every image byte for byte, attempts,
+  // deadlines (so backoffs, which start at the mark sent after the expire
+  // that copied a retransmit out), give-ups and the outbox bytes each
+  // expire appends. Runs of puts and prefix acks keep the window moving,
+  // so put()'s compaction runs many times per trace.
+  proto::RetryPolicy p;
+  p.rtoUs = 50.0;
+  p.maxAttempts = 4;
+  p.maxBackoffDoublings = 2;
+  int totalGiveUps = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    std::mt19937_64 rng(seed);
+    auto pick = [&](std::uint64_t n) { return rng() % n; };
+    proto::SendWindow w(p, true);
+    std::map<std::uint64_t, ModelSlot> model;
+    std::vector<std::uint64_t> requeued;  // copied out, awaiting mark sent
+    std::uint64_t next = 1 + pick(3) * 1000;  // some traces start high
+    std::int64_t now = 1000;
+    for (int step = 0; step < 400; ++step) {
+      const std::string at =
+          "seed=" + std::to_string(seed) + " step=" + std::to_string(step);
+      switch (pick(8)) {
+        case 0:
+        case 1:
+        case 2: {  // put
+          const auto img = imageOf(next, 1 + pick(300));
+          w.put(next, img.data(), img.size());
+          model[next] = ModelSlot{img, 0, 0};
+          ++next;
+          break;
+        }
+        case 3: {  // mark sent: fresh slots and requeued retransmits
+          std::int64_t want = proto::SendWindow::kNoDeadline;
+          for (auto& [seq, s] : model) {
+            if (s.attempt != 0) continue;
+            s.attempt = 1;
+            s.due = dueAfter(p, now, 1);
+            want = s.due;
+          }
+          for (const std::uint64_t seq : requeued) {
+            const auto it = model.find(seq);
+            if (it == model.end()) continue;  // acked meanwhile
+            it->second.due = dueAfter(p, now, it->second.attempt);
+            want = std::min(want, it->second.due);
+          }
+          requeued.clear();
+          ASSERT_EQ(w.markSent(now), want) << at;
+          break;
+        }
+        case 4:
+        case 5: {  // ack(cum, bitmap)
+          const std::uint64_t low =
+              model.empty() ? next : model.begin()->first;
+          std::uint64_t cum = low + pick(8) - 4;  // may wrap below 0: bait
+          if (pick(16) == 0) cum = next + pick(80);      // past the highest
+          if (pick(32) == 0) cum = UINT64_MAX - pick(70);  // wrap bait
+          if (pick(32) == 0) cum = 0;
+          // Sparse selective acks, so some slots live to their give-up.
+          std::uint64_t bitmap = pick(2) == 0 ? 0 : rng() & rng() & rng();
+          int want = 0;
+          for (auto it = model.begin(); it != model.end();) {
+            const std::uint64_t seq = it->first;
+            const bool acked =
+                seq <= cum ||
+                (seq - cum - 1 < 64 && ((bitmap >> (seq - cum - 1)) & 1) != 0);
+            if (it->second.attempt > 0 && acked) {
+              it = model.erase(it);
+              ++want;
+            } else {
+              ++it;
+            }
+          }
+          ASSERT_EQ(w.ack(cum, bitmap), want) << at << " cum=" << cum;
+          break;
+        }
+        case 6: {  // expire into an outbox with room for a few images
+          std::vector<std::uint8_t> out(pick(900));
+          std::vector<std::uint8_t> want;
+          int records = 0, giveUps = 0, gaveUpAttempt = 0;
+          bool full = false;
+          for (auto it = model.begin(); it != model.end();) {
+            ModelSlot& s = it->second;
+            if (s.attempt == 0 || s.due > now) {
+              ++it;
+              continue;
+            }
+            if (p.giveUpAt(s.attempt)) {
+              gaveUpAttempt = s.attempt;
+              ++giveUps;
+              it = model.erase(it);
+              continue;
+            }
+            if (want.size() + s.image.size() > out.size()) {
+              full = true;
+              break;
+            }
+            want.insert(want.end(), s.image.begin(), s.image.end());
+            ++records;
+            ++s.attempt;
+            s.due = proto::SendWindow::kNoDeadline;
+            requeued.push_back(it->first);
+            ++it;
+          }
+          const proto::SendWindow::Expired e =
+              w.expire(now, out.data(), out.size());
+          ASSERT_EQ(e.records, records) << at;
+          ASSERT_EQ(e.bytes, want.size()) << at;
+          ASSERT_EQ(e.full, full) << at;
+          ASSERT_EQ(e.giveUps, giveUps) << at;
+          ASSERT_EQ(e.gaveUpAttempt, gaveUpAttempt) << at;
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin())) << at;
+          totalGiveUps += giveUps;
+          break;
+        }
+        case 7:  // the clock advances by up to four base RTOs
+          now += static_cast<std::int64_t>(pick(200'000));
+          break;
+      }
+      expectWindowMatchesModel(w, model, next, at);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(totalGiveUps, 0);  // the traces reached maxAttempts
+}
+
+TEST(SendWindow, EveryAckOverEveryLiveSubsetRetiresOnlyTransmittedSlots) {
+  // Six transmitted seqs and two stored behind them (still coalescing),
+  // every subset of the six still live, crossed with every ack whose cum
+  // is at most 8 past the window's base with an 8-bit bitmap, a cum past
+  // the highest seq, and cums at UINT64_MAX, where cum + 1 + bit and
+  // cum + 64 wrap. An ack retires exactly the live transmitted seqs it
+  // covers and never a stored one. The windows start at seq 1 and at 1001,
+  // so a wrapped bound would also show as an ack that retires too little.
+  for (const std::uint64_t base : {std::uint64_t{1}, std::uint64_t{1001}}) {
+    for (unsigned subset = 0; subset < 64; ++subset) {
+      proto::SendWindow start(windowPolicy(), true);
+      putRun(start, base, 6);
+      start.markSent(0);
+      ASSERT_EQ(start.ack(base - 1, ~static_cast<std::uint64_t>(subset) & 63),
+                6 - std::popcount(subset));
+      putRun(start, base + 6, 2);
+      std::vector<std::uint64_t> cums;
+      for (std::uint64_t c = 0; c <= 8; ++c) cums.push_back(base - 1 + c);
+      cums.push_back(base + 20);
+      for (std::uint64_t k = 0; k <= 8; ++k) cums.push_back(UINT64_MAX - k);
+      for (const std::uint64_t cum : cums) {
+        for (std::uint64_t bitmap = 0; bitmap < 256; ++bitmap) {
+          proto::SendWindow w = start;
+          std::set<std::uint64_t> live = {base + 6, base + 7};
+          int want = 0;
+          for (int i = 0; i < 6; ++i) {
+            if (((subset >> i) & 1) == 0) continue;
+            const std::uint64_t seq = base + static_cast<std::uint64_t>(i);
+            const bool acked =
+                seq <= cum ||
+                (seq - cum - 1 < 8 && ((bitmap >> (seq - cum - 1)) & 1) != 0);
+            if (acked)
+              ++want;
+            else
+              live.insert(seq);
+          }
+          ASSERT_EQ(w.ack(cum, bitmap), want)
+              << "base=" << base << " subset=" << subset << " cum=" << cum
+              << " bitmap=" << bitmap;
+          ASSERT_EQ(w.live(), live.size());
+          ASSERT_EQ(w.lowestLive(), *live.begin());
+          for (std::uint64_t seq = base; seq < base + 8; ++seq)
+            ASSERT_EQ(w.slot(seq).image != nullptr, live.count(seq) != 0)
+                << "base=" << base << " subset=" << subset << " cum=" << cum
+                << " bitmap=" << bitmap << " seq=" << seq;
+        }
+      }
+    }
+  }
+}
+
+TEST(RecvWindow, AcceptSeqDedupsAndSeenSeqAgrees) {
+  proto::RecvWindow w;
+  EXPECT_FALSE(w.seenSeq(1));
+  EXPECT_TRUE(w.acceptSeq(1));
+  EXPECT_TRUE(w.seenSeq(1));
+  EXPECT_FALSE(w.acceptSeq(1));  // retransmitted duplicate
   // Out-of-order arrival: 3 before 2, both fresh exactly once.
-  EXPECT_TRUE(d.acceptSeq(1, 0, 3));
-  EXPECT_FALSE(d.acceptSeq(1, 0, 3));
-  EXPECT_TRUE(d.acceptSeq(1, 0, 2));
-  EXPECT_FALSE(d.acceptSeq(1, 0, 2));  // now inside the contiguous prefix
-  // Links are independent: the reverse direction starts fresh.
-  EXPECT_TRUE(d.acceptSeq(0, 1, 1));
-  Counters c;
-  d.addStats(c);
-  EXPECT_EQ(c.get(proto::kDupSuppressed), 3);
+  EXPECT_TRUE(w.acceptSeq(3));
+  EXPECT_FALSE(w.acceptSeq(3));
+  EXPECT_TRUE(w.acceptSeq(2));
+  EXPECT_FALSE(w.acceptSeq(2));  // now inside the contiguous prefix
+  // Links are independent: the reverse direction has its own window.
+  proto::RecvWindow reverse;
+  EXPECT_TRUE(reverse.acceptSeq(1));
 }
 
-TEST(DeliveryBatchWindow, AcceptSeqMatchesSetModelOverEveryArrivalSequence) {
+TEST(RecvWindow, AcceptSeqMatchesSetModelOverEveryArrivalSequence) {
   // Every arrival sequence of length 6 over seqs 1..4 — in order (the
   // fast path), reordered, and duplicated — against a plain set: fresh
   // exactly once, and seenSeq / cumAckView agree with the set after
@@ -226,54 +583,47 @@ TEST(DeliveryBatchWindow, AcceptSeqMatchesSetModelOverEveryArrivalSequence) {
   int total = 1;
   for (int i = 0; i < kLen; ++i) total *= kSeqs;
   for (int code = 0; code < total; ++code) {
-    proto::Delivery d(proto::RetryPolicy{}, true);
+    proto::RecvWindow w;
     std::set<std::uint64_t> model;
     int rest = code;
     for (int i = 0; i < kLen; ++i, rest /= kSeqs) {
       const std::uint64_t seq = static_cast<std::uint64_t>(rest % kSeqs) + 1;
-      ASSERT_EQ(d.acceptSeq(0, 1, seq), model.insert(seq).second)
+      ASSERT_EQ(w.acceptSeq(seq), model.insert(seq).second)
           << "code=" << code << " step=" << i;
       std::uint64_t cum = 0;
       while (model.count(cum + 1) != 0) ++cum;
       std::uint64_t bitmap = 0;
       for (std::uint64_t s : model)
         if (s > cum) bitmap |= 1ULL << (s - cum - 1);
-      const auto view = d.cumAckView(0, 1);
+      const proto::CumAckView view = w.cumAckView();
       ASSERT_EQ(view.cum, cum) << "code=" << code << " step=" << i;
       ASSERT_EQ(view.bitmap, bitmap) << "code=" << code << " step=" << i;
       for (std::uint64_t s = 1; s <= kSeqs; ++s)
-        ASSERT_EQ(d.seenSeq(0, 1, s), model.count(s) != 0);
+        ASSERT_EQ(w.seenSeq(s), model.count(s) != 0);
     }
   }
 }
 
-TEST(DeliveryBatchWindow, CumAckViewTracksHolesThenCollapses) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  EXPECT_EQ(d.cumAckView(2, 0).cum, 0u);
-  EXPECT_EQ(d.cumAckView(2, 0).bitmap, 0u);
-  EXPECT_TRUE(d.acceptSeq(2, 0, 1));
-  EXPECT_TRUE(d.acceptSeq(2, 0, 4));
-  EXPECT_TRUE(d.acceptSeq(2, 0, 5));
-  auto v = d.cumAckView(2, 0);
+TEST(RecvWindow, CumAckViewTracksHolesThenCollapses) {
+  proto::RecvWindow w;
+  EXPECT_EQ(w.cumAckView().cum, 0u);
+  EXPECT_EQ(w.cumAckView().bitmap, 0u);
+  EXPECT_TRUE(w.acceptSeq(1));
+  EXPECT_TRUE(w.acceptSeq(4));
+  EXPECT_TRUE(w.acceptSeq(5));
+  proto::CumAckView v = w.cumAckView();
   EXPECT_EQ(v.cum, 1u);
   EXPECT_EQ(v.bitmap, 0b1100u);  // bits for seqs 4 and 5 (cum+3, cum+4)
-  EXPECT_TRUE(d.acceptSeq(2, 0, 2));
-  EXPECT_TRUE(d.acceptSeq(2, 0, 3));
-  v = d.cumAckView(2, 0);
+  EXPECT_TRUE(w.acceptSeq(2));
+  EXPECT_TRUE(w.acceptSeq(3));
+  v = w.cumAckView();
   EXPECT_EQ(v.cum, 5u);  // prefix collapsed through the former holes
   EXPECT_EQ(v.bitmap, 0u);
-}
-
-TEST(DeliveryBatchWindow, ResetReceiverWipesLinkWindows) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  EXPECT_TRUE(d.acceptSeq(3, 1, 1));
-  EXPECT_TRUE(d.acceptSeq(3, 1, 2));
-  d.resetReceiver();
-  // Fail-stop: the link receive window is volatile PE state and rebuilds
-  // from scratch; redelivered tokens are fresh again (recovery-log dedup
-  // above this layer keeps non-idempotent effects exactly-once).
-  EXPECT_FALSE(d.seenSeq(3, 1, 1));
-  EXPECT_TRUE(d.acceptSeq(3, 1, 1));
+  EXPECT_TRUE(w.acceptSeq(69));  // cum+64: the bitmap's last bit
+  EXPECT_EQ(w.cumAckView().bitmap, 1ULL << 63);
+  EXPECT_TRUE(w.acceptSeq(70));  // beyond the bitmap's reach: not in it
+  EXPECT_EQ(w.cumAckView().bitmap, 1ULL << 63);
+  EXPECT_TRUE(w.seenSeq(70));
 }
 
 // --- Delivery receiver ledger -----------------------------------------------

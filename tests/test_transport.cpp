@@ -1148,6 +1148,19 @@ TEST(UdpTransport, LossyFuzzBitIdenticalToFaultFree) {
       // double-released a single quiescence charge.
       EXPECT_EQ(run.stats.counters.get("native.dupSuppressed"), 0)
           << "workers=" << workers << " seed=" << seed;
+      // A retransmit is decided and copied into the outbox in one step
+      // under the link's mutex, so the per-link resend counts add up to
+      // the protocol's, and no record ran out of attempts.
+      std::int64_t linkRetx = 0;
+      for (const auto& [k, v] : run.stats.counters.all()) {
+        if (k.rfind("net.link.", 0) == 0 && k.size() > 5 &&
+            k.compare(k.size() - 5, 5, ".retx") == 0)
+          linkRetx += v;
+      }
+      EXPECT_EQ(linkRetx, run.stats.counters.get("net.retx.resent"))
+          << "workers=" << workers << " seed=" << seed;
+      EXPECT_EQ(run.stats.counters.get("net.retx.giveUps"), 0)
+          << "workers=" << workers << " seed=" << seed;
     }
   }
   // The protocol must actually have been exercised across the sweep.
