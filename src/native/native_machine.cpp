@@ -305,12 +305,13 @@ struct Worker {
   std::deque<std::uint32_t> ready;
   std::uint64_t ctxCounter = 0;
   /// Owner-thread-only receiver half of the delivery protocol: msgId dedup
-  /// (duplicate copies suppressed before they can re-apply a non-idempotent
-  /// token — ADDC, spawn-by-token) plus the retired-instance straggler
-  /// ledger. NEWCTX never reuses a context, so a ctx-matched token arriving
-  /// late (reordered by injected delay/retransmit) for a retired context is
-  /// a straggler the instance never needed — it must be dropped, not spawn
-  /// a zombie frame. The logic lives in proto::Delivery.
+  /// on the inbox transport (duplicate copies suppressed before they can
+  /// re-apply a non-idempotent token — ADDC, spawn-by-token) plus the
+  /// retired-instance straggler ledger. NEWCTX never reuses a context, so a
+  /// ctx-matched token arriving late (reordered by injected delay or
+  /// retransmit) for a retired context is a straggler the instance never
+  /// needed — it must be dropped, not spawn a zombie frame. The logic lives
+  /// in proto::Delivery.
   proto::Delivery rx;
   /// Kill mode, owner-thread-only: logical exactly-once filters and parked
   /// replay state (see support/recovery.hpp). Survivors need them too — they
@@ -808,16 +809,16 @@ struct NativeMachine::Impl : TransportSink {
   void deliver(int pe, const NToken& tok) {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     if (tok.msgId != 0 && !workerMode()) {
-      // Fault injection: exactly-once delivery. Duplicate copies of a
-      // message are suppressed here — single-assignment slot writes would
-      // tolerate redelivery, but ADDC join counters and spawn-by-token
-      // after frame retirement would not. Multi-process mode must NOT use
-      // this window: the transport rx thread already dedups per (link,
-      // epoch) before depositing, and link seq numbering restarts at 1 on
-      // a peer's respawn — an epoch-unaware msgId window here would
-      // suppress a respawned peer's fresh sends as duplicates of the dead
-      // incarnation's early messages.
-      if (!w.rx.accept(tok.msgId)) {
+      // Fault injection on the inbox: exactly-once delivery. Duplicate
+      // copies of a message are suppressed here — single-assignment slot
+      // writes would tolerate redelivery, but ADDC join counters and
+      // spawn-by-token after frame retirement would not. The UDP
+      // transports never deposit a duplicate: each link's receive window
+      // drops it first, per (link, epoch) across processes, where link
+      // seq numbering restarts at 1 on a peer's respawn — an epoch-unaware
+      // msgId window here would suppress a respawned peer's fresh sends as
+      // duplicates of the dead incarnation's early messages.
+      if (cfg.transport == TransportKind::Inbox && !w.rx.accept(tok.msgId)) {
         w.st.dupSuppressed++;
         return;
       }
@@ -902,15 +903,18 @@ struct NativeMachine::Impl : TransportSink {
         w.st.badTokens++;
         return;
       }
+      // A straggler to a retired instance is triaged before the replay
+      // ledger, which shed the context's keys at its END and must not take
+      // new ones; a live context is never retired (contexts are not reused).
+      if (trackStragglers() && w.rx.straggler(tok.ctx)) {
+        w.st.tokensDropped++;
+        return;
+      }
       if (recMode() && !w.dedup.firstCtx(tok.ctx, tok.slot)) {
         w.st.tokensDropped++;  // replayed spawn/argument duplicate
         return;
       }
       if (it == w.match.end()) {
-        if (trackStragglers() && w.rx.straggler(tok.ctx)) {
-          w.st.tokensDropped++;  // straggler to a retired instance
-          return;
-        }
         frameIdx = createFrame(w, tok.spCode, tok.ctx);
         if (frameIdx > Cont::kMaxFrame) return;  // overflow already failed
       } else {
@@ -1484,9 +1488,9 @@ struct NativeMachine::Impl : TransportSink {
                                                         : Step::Stopped;
       }
       // Fire-and-forget: the owner applies, detects violations, and drains
-      // parked readers. Delivery is exactly-once (per-link seq windows +
-      // msgId dedup), and a kill-replay re-send is an idempotent identical
-      // overwrite at the owner.
+      // parked readers. Delivery is exactly-once (per-link seq windows on
+      // UDP, msgId dedup on the inbox), and a kill-replay re-send is an
+      // idempotent identical overwrite at the owner.
       w.st.amWriteSent++;
       send(pe, arr->layout->ownerOfOffset(offset), std::move(tok));
       return Step::Continue;

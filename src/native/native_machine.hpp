@@ -82,11 +82,14 @@ struct NativeConfig {
   /// (runtime/array_layout.hpp). Empty = uniform; otherwise one entry >= 1
   /// per worker, sizing each worker's page share proportionally.
   std::vector<std::int64_t> peWeights;
-  /// Fault injection (support/fault.hpp). Nonzero rates put cross-worker
-  /// token delivery behind an unreliable-transport shim: dropped/delayed
-  /// tokens are re-driven by a wall-clock retransmit daemon with
-  /// exponential backoff, duplicates are suppressed at the receiver by
-  /// message id. Injected tokens keep their quiescence accounting, so
+  /// Fault injection (support/fault.hpp). On the inbox transport, nonzero
+  /// rates put cross-worker token delivery behind an unreliable-transport
+  /// shim: dropped/delayed tokens are re-driven by a wall-clock retransmit
+  /// daemon with exponential backoff, duplicates are suppressed at the
+  /// receiving worker by message id. On the UDP transports the same dice
+  /// roll per datagram, batches and acks alike, under the link windows'
+  /// own retransmit and sequence dedup. A kill entry (killPe) fail-stops a
+  /// worker on either. Injected tokens keep their quiescence accounting, so
   /// termination and deadlock detection stay exact. Results remain
   /// bit-identical to a fault-free run (single assignment + dedup).
   FaultConfig faults;

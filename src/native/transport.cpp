@@ -109,7 +109,10 @@ void addLinkStats(Counters& out, const std::vector<LinkStat>& links,
 // InboxTransport: the original in-process path, verbatim. Without fault
 // injection a send is a direct deposit; with it, every send rolls the
 // seeded dice and dropped/delayed tokens are re-driven by a wall-clock
-// retransmit daemon with exponential backoff.
+// retransmit daemon with exponential backoff. A token's attempt count rides
+// with the token itself: in transmit(), and in the daemon's queue between
+// attempts. So no send takes a lock shared by all workers; a drop or a
+// delay takes the daemon's queue lock.
 // ---------------------------------------------------------------------------
 
 class InboxTransport final : public Transport {
@@ -120,8 +123,7 @@ class InboxTransport final : public Transport {
         numPes_(numPes),
         links_(plan.enabled()
                    ? static_cast<std::size_t>(numPes) * numPes
-                   : 0),
-        sender_(plan.config().retry, /*faultsEnabled=*/true) {}
+                   : 0) {}
 
   ~InboxTransport() override { stop(); }
 
@@ -141,11 +143,7 @@ class InboxTransport final : public Transport {
     }
     if (tok.msgId == 0) tok.msgId = netSeq_.fetch_add(1) + 1;
     link(fromPe, toPe).tokens.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> g(senderM_);
-      sender_.onSend(tok.msgId);
-    }
-    transmit(fromPe, toPe, std::move(tok), /*lane=*/fromPe);
+    transmit(fromPe, toPe, std::move(tok), /*lane=*/fromPe, /*attempt=*/1);
   }
 
   void stop() override {
@@ -163,22 +161,22 @@ class InboxTransport final : public Transport {
     out.add(proto::kFaultDrops, faultDrops_.load());
     out.add(proto::kFaultDups, faultDups_.load());
     out.add(proto::kFaultDelays, faultDelays_.load());
-    {
-      std::lock_guard<std::mutex> g(senderM_);
-      sender_.addStats(out);
-    }
+    proto::Delivery::registerProtocolCounters(out);
+    out.add(proto::kResent, resent_.load());
+    out.add(proto::kGiveUps, giveUps_.load());
     addLinkStats(out, links_, numPes_);
   }
 
  private:
   /// A token parked in the retransmit daemon: either a dropped message
-  /// waiting for its backoff to expire (`redecide` — the resend rolls fresh
-  /// fault dice) or a delayed one waiting out its injected latency
-  /// (delivered as-is).
+  /// waiting for its backoff to expire (`redecide` — the resend, transmission
+  /// #attempt, rolls fresh fault dice) or a delayed one waiting out its
+  /// injected latency (delivered as-is).
   struct RetxItem {
     Clock::time_point due;
     int fromPe = 0;
     int toPe = 0;
+    int attempt = 0;
     bool redecide = true;
     NToken tok;
   };
@@ -192,42 +190,36 @@ class InboxTransport final : public Transport {
     return links_[static_cast<std::size_t>(fromPe * numPes_ + toPe)];
   }
 
-  /// The inbox path has no ack round-trip, so a settled token (anything but
-  /// a drop) is reported to the protocol core as acknowledged — the drop
-  /// branch then drives retransmit/give-up entirely through the core.
-  void settle(std::uint64_t msgId) {
-    std::lock_guard<std::mutex> g(senderM_);
-    sender_.onAck(msgId);
-  }
-
-  /// One transmission attempt: rolls the seeded dice, then delivers,
-  /// duplicates, or hands the token to the retransmit daemon. The token's
-  /// quiescence charges ride along untouched. `lane` identifies the calling
-  /// thread for the destination's SPSC inbox rings (worker PE id, or
-  /// numPes_ from the retransmit daemon).
-  void transmit(int fromPe, int toPe, NToken tok, int lane) {
+  /// Transmission #attempt of a token: rolls the seeded dice, then
+  /// delivers, duplicates, or hands the token to the retransmit daemon. The
+  /// inbox path has no ack round-trip — the injector knows which sends it
+  /// dropped — so only a drop decides, through the RetryPolicy, between a
+  /// retransmit one backoff later and a give-up. The token's quiescence
+  /// charges ride along untouched. `lane` identifies the calling thread for
+  /// the destination's SPSC inbox rings (worker PE id, or numPes_ from the
+  /// retransmit daemon).
+  void transmit(int fromPe, int toPe, NToken tok, int lane, int attempt) {
     switch (plan_.action(netSeq_.fetch_add(1) + 1)) {
       case FaultAction::Drop: {
         faultDrops_.fetch_add(1);
-        proto::TimeoutDecision d;
-        {
-          std::lock_guard<std::mutex> g(senderM_);
-          d = sender_.onTimeout(tok.msgId);
-        }
-        if (d.kind == proto::TimeoutDecision::Kind::GiveUp) {
+        const proto::RetryPolicy& retry = plan_.config().retry;
+        if (retry.giveUpAt(attempt)) {
+          giveUps_.fetch_add(1);
           sink_.transportFail("reliable delivery gave up on a token to "
                               "worker " +
                               std::to_string(toPe) + " after " +
-                              std::to_string(d.attempt) + " attempts");
+                              std::to_string(attempt) + " attempts");
           return;
         }
-        scheduleRetx(fromPe, toPe, std::move(tok), d.backoffUs,
-                     /*redecide=*/true);
+        resent_.fetch_add(1);
+        scheduleRetx(fromPe, toPe, std::move(tok),
+                     retry.backoffUs(attempt + 1,
+                                     retry.baseRtoUs(/*faultsEnabled=*/true)),
+                     /*redecide=*/true, attempt + 1);
         break;
       }
       case FaultAction::Duplicate: {
         faultDups_.fetch_add(1);
-        settle(tok.msgId);
         NToken copy = tok;
         sink_.deposit(toPe, lane, std::move(tok));
         // The duplicate is a real extra message: it carries its own
@@ -238,23 +230,23 @@ class InboxTransport final : public Transport {
       }
       case FaultAction::Delay:
         faultDelays_.fetch_add(1);
-        settle(tok.msgId);
         scheduleRetx(fromPe, toPe, std::move(tok),
-                     plan_.config().nativeDelayUs, /*redecide=*/false);
+                     plan_.config().nativeDelayUs, /*redecide=*/false,
+                     attempt);
         break;
       case FaultAction::Deliver:
-        settle(tok.msgId);
         sink_.deposit(toPe, lane, std::move(tok));
         break;
     }
   }
 
   void scheduleRetx(int fromPe, int toPe, NToken tok, double delayUs,
-                    bool redecide) {
+                    bool redecide, int attempt) {
     RetxItem item;
     item.due = Clock::now() + micros(delayUs);
     item.fromPe = fromPe;
     item.toPe = toPe;
+    item.attempt = attempt;
     item.redecide = redecide;
     item.tok = std::move(tok);
     {
@@ -294,7 +286,7 @@ class InboxTransport final : public Transport {
         if (item.redecide) {
           link(item.fromPe, item.toPe).retx.fetch_add(1);
           transmit(item.fromPe, item.toPe, std::move(item.tok),
-                   /*lane=*/numPes_);
+                   /*lane=*/numPes_, item.attempt);
         } else {
           sink_.deposit(item.toPe, numPes_, std::move(item.tok));
         }
@@ -311,10 +303,8 @@ class InboxTransport final : public Transport {
   std::atomic<std::int64_t> faultDrops_{0};
   std::atomic<std::int64_t> faultDups_{0};
   std::atomic<std::int64_t> faultDelays_{0};
-  /// Sender half of the delivery protocol core (backoff schedule, give-up,
-  /// resend accounting). Shared by worker threads and the retransmit daemon.
-  mutable std::mutex senderM_;
-  proto::Delivery sender_;
+  std::atomic<std::int64_t> resent_{0};
+  std::atomic<std::int64_t> giveUps_{0};
   std::mutex retxM_;
   std::condition_variable retxCv_;
   std::priority_queue<RetxItem, std::vector<RetxItem>, RetxLater> retxQ_;

@@ -7,9 +7,11 @@
 // the hop is a real network message. Two transports implement the seam:
 //
 //  - InboxTransport (default): the original in-process path. Without fault
-//    injection a send is a mutex-guarded deque push; with it, the send goes
-//    through the seeded unreliable-network shim plus a wall-clock
-//    retransmit daemon (exponential backoff, receiver msgId dedup).
+//    injection a send is a push onto the destination's SPSC inbox ring; with
+//    it, the send goes through the seeded unreliable-network shim plus a
+//    wall-clock retransmit daemon (exponential backoff), and the receiving
+//    worker suppresses duplicates by msgId — the one transport where the
+//    workers keep that ledger.
 //  - UdpTransport: the paper's Routing Unit over real sockets. Each PE it
 //    serves owns a UDP socket on 127.0.0.1 — all N PEs in-process
 //    (`--transport=udp`, sockets bound here), or the one PE of a forked
@@ -57,7 +59,7 @@ namespace pods::native {
 
 /// Which cross-PE transport the native machine uses.
 enum class TransportKind : std::uint8_t {
-  Inbox,  // in-process mutex-guarded inbox (default; behavior-unchanged)
+  Inbox,  // in-process SPSC inbox rings (default; behavior-unchanged)
   Udp,    // per-PE UDP loopback sockets, ack/retransmit reliable delivery
   UdpMultiproc,  // PEs are forked worker processes; same UDP batch wire,
                  // sockets bound by (and inherited from) the supervisor

@@ -11,29 +11,10 @@ std::string linkCounterName(int fromPe, int toPe, const char* what) {
   return buf;
 }
 
-void Delivery::onAck(std::uint64_t msgId) { window_.erase(msgId); }
-
-TimeoutDecision Delivery::onTimeout(std::uint64_t msgId, int expectedAttempt) {
-  auto it = window_.find(msgId);
-  if (it == window_.end()) return {};  // acked before the timer fired
-  if (expectedAttempt != 0 && it->second != expectedAttempt)
-    return {};  // superseded: a newer retransmit already re-armed the timer
-  if (policy_.giveUpAt(it->second)) {
-    const int attempt = it->second;
-    window_.erase(it);
-    counters_.add(kGiveUps);
-    return {TimeoutDecision::Kind::GiveUp, attempt, 0.0};
-  }
-  it->second += 1;
-  counters_.add(kResent);
-  return {TimeoutDecision::Kind::Retransmit, it->second,
-          policy_.backoffUs(it->second, baseRtoUs_)};
-}
-
 bool Delivery::accept(std::uint64_t msgId) {
   if (msgId == 0) return true;
   if (!seen_.insert(msgId).second) {
-    counters_.add(kDupSuppressed);
+    ++dupSuppressed_;
     return false;
   }
   return true;
@@ -41,13 +22,14 @@ bool Delivery::accept(std::uint64_t msgId) {
 
 bool Delivery::straggler(std::uint64_t ctx) {
   if (retired_.count(ctx) == 0) return false;
-  counters_.add(kStragglers);
+  ++stragglers_;
   return true;
 }
 
 void Delivery::addStats(Counters& out) const {
   registerProtocolCounters(out);
-  out.merge(counters_);
+  out.add(kDupSuppressed, dupSuppressed_);
+  out.add(kStragglers, stragglers_);
 }
 
 void Delivery::registerProtocolCounters(Counters& out) {

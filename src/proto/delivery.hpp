@@ -1,22 +1,21 @@
 // Engine-agnostic reliable-delivery protocol core.
 //
-// Three drivers share this per-message state machine: the simulator's
-// Routing Unit (simulated time), the native InboxTransport (wall-clock
-// retransmit daemon) and the native workers' receive ledgers. The native
-// UdpTransport keeps per-link windows instead (link_window.hpp) and shares
-// RetryPolicy, the msgId packing and the counter names. The core is pure,
-// thread-free, and clock-free: events go in (send / ack / timeout / deliver
-// / context-retired), decisions come out (retransmit-at-deadline, give up,
-// deposit, suppress duplicate, discard straggler). Drivers own threads,
-// clocks, sockets, and — critically — the fault-injection dice: the
+// Three drivers carry cross-PE messages over a lossy network: the
+// simulator's Routing Unit (simulated time), the native InboxTransport
+// (wall-clock retransmit daemon) and the native UdpTransport (per-link
+// windows, link_window.hpp). Each keeps a message's attempt count beside
+// the message it already holds and decides retransmit or give-up through
+// the one RetryPolicy (support/fault.hpp). What they share here is the
+// receive side, the canonical counter names and the link msgId packing.
+// The core is pure, thread-free and clock-free. Drivers own threads,
+// clocks, sockets and — critically — the fault-injection dice: the
 // simulator numbers transmissions in deterministic event order and its
 // bit-exact fault schedules depend on that ordering, so FaultPlan rolls
-// stay outside this class.
+// stay outside this file.
 //
-// The protocol (established across the fault/recovery/transport PRs, now in
-// one place):
-//   * Sender window: every in-flight message has a 1-based attempt count.
-//     A timeout either retransmits with exponential backoff (RetryPolicy:
+// The protocol every driver implements:
+//   * Sender: every in-flight message has a 1-based attempt count. A
+//     timeout either retransmits with exponential backoff (RetryPolicy:
 //     rto << min(attempt-1, cap)) or gives up after maxAttempts with a
 //     structured error — never silent loss. Stale timeouts (message already
 //     acked, or superseded by a newer retransmit timer) are ignored.
@@ -35,10 +34,8 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "support/fault.hpp"
 #include "support/stats.hpp"
 
 namespace pods {
@@ -62,46 +59,13 @@ inline constexpr const char* kFaultStalls = "fault.stalls";
 /// counts tokens, arrayMsgs, pages and retx.
 std::string linkCounterName(int fromPe, int toPe, const char* what);
 
-/// What a driver must do when a retransmit timer fires.
-struct TimeoutDecision {
-  enum class Kind {
-    Stale,       ///< message already acked or timer superseded — do nothing
-    Retransmit,  ///< send again; re-arm a timer `backoffUs` from now
-    GiveUp,      ///< maxAttempts exhausted — surface a structured error
-  };
-  Kind kind = Kind::Stale;
-  int attempt = 0;      ///< attempt count after this decision (1-based)
-  double backoffUs = 0.0;  ///< next timer distance (Retransmit only)
-};
-
-/// One endpoint's half of the reliable-delivery protocol: a sender window
-/// (msgId -> attempt) and/or a receiver ledger (seen msgIds + retired
-/// contexts). Drivers split the halves: the simulator keeps one global
-/// sender window in the event queue's timeline and one receiver per PE,
-/// the inbox transport one sender, and each native worker one receiver.
+/// One PE's receive ledger: the msgIds it has seen and the contexts that
+/// have retired there. The simulator keeps one per PE and each native
+/// worker one; a native worker consults the msgId half only on the inbox
+/// transport, the one transport that can hand it two copies of a token
+/// (the UDP receive windows drop duplicates before the inbox).
 class Delivery {
  public:
-  Delivery() = default;
-  /// `faultsEnabled` selects the base RTO: the configured value under
-  /// injection, the lossless floor otherwise (see RetryPolicy).
-  Delivery(const RetryPolicy& policy, bool faultsEnabled)
-      : policy_(policy), baseRtoUs_(policy.baseRtoUs(faultsEnabled)) {}
-
-  // ---- Sender window -------------------------------------------------
-  /// Timeout to arm for a fresh send (attempt 1).
-  double initialRtoUs() const { return baseRtoUs_; }
-
-  /// Register a fresh outbound message (attempt 1). msgIds are never
-  /// reused, so double-registration indicates a driver bug.
-  void onSend(std::uint64_t msgId) { window_[msgId] = 1; }
-
-  /// An acknowledgment arrived; retires the message from the window.
-  /// Duplicate / late acks are harmless no-ops.
-  void onAck(std::uint64_t msgId);
-
-  bool inFlight(std::uint64_t msgId) const { return window_.count(msgId) != 0; }
-  std::size_t windowSize() const { return window_.size(); }
-
   // ---- Link msgIds (batched drivers) -----------------------------------
   // A batching driver numbers each (srcPe,dstPe) link's records with a
   // dense 1-based sequence and packs the link into the msgId, so one
@@ -122,12 +86,6 @@ class Delivery {
     return static_cast<std::uint32_t>(msgId >> 48);
   }
 
-  /// A retransmit timer fired. `expectedAttempt` guards against stale
-  /// timers in drivers whose timer events carry the attempt they were armed
-  /// for (the simulator); pass 0 when the driver keeps at most one live
-  /// timer per message (the native transports).
-  TimeoutDecision onTimeout(std::uint64_t msgId, int expectedAttempt = 0);
-
   // ---- Receiver ledger -----------------------------------------------
   /// First delivery of msgId? Counts kDupSuppressed and returns false on a
   /// redelivery. msgId 0 means "not routed through reliable delivery" and
@@ -139,7 +97,7 @@ class Delivery {
   void retireCtx(std::uint64_t ctx) { retired_.insert(ctx); }
 
   /// True (counting kStragglers) when `ctx` has retired and the token must
-  /// be discarded.
+  /// be discarded. A live context is never retired: contexts are not reused.
   bool straggler(std::uint64_t ctx);
 
   /// Fail-stop wipe: a killed PE loses its volatile ledgers (they rebuild
@@ -150,30 +108,24 @@ class Delivery {
   }
 
   // ---- Accounting ----------------------------------------------------
-  /// Count a protocol event the driver observed (acks sent, injected
-  /// faults, ...) into this endpoint's ledger under its canonical name.
-  void count(const char* name, std::int64_t delta = 1) { counters_.add(name, delta); }
-
-  /// Merge this endpoint's counters into `out`, pre-registering zeros for
-  /// the protocol counter set so every engine reports the same names.
+  /// Adds this ledger's counts to `out`, pre-registering zeros for the
+  /// protocol counter set so every engine reports the same names.
   void addStats(Counters& out) const;
 
   /// Zero-register the protocol counter set (kResent, kAcks,
   /// kDupSuppressed, kGiveUps, kStragglers) — for drivers that count
-  /// protocol events outside a Delivery, as the UDP link windows do.
+  /// protocol events themselves, as every sender does.
   static void registerProtocolCounters(Counters& out);
 
   /// Zero-register the injection counters (kFault*) — for drivers that run
-  /// fault dice themselves and count hits via count().
+  /// fault dice themselves and count the hits.
   static void registerInjectionCounters(Counters& out);
 
  private:
-  RetryPolicy policy_{};
-  double baseRtoUs_ = RetryPolicy{}.rtoUs;
-  std::unordered_map<std::uint64_t, int> window_;
   std::unordered_set<std::uint64_t> seen_;
   std::unordered_set<std::uint64_t> retired_;
-  Counters counters_;
+  std::int64_t dupSuppressed_ = 0;
+  std::int64_t stragglers_ = 0;
 };
 
 }  // namespace proto

@@ -252,6 +252,8 @@ enum class Ctr : std::uint8_t {
   NetPages,
   NetArrayMsgs,
   NetAcks,
+  NetRetxResent,
+  NetRetxGiveUps,
   SpInstantiated,
   SpCompleted,
   TokensSent,
@@ -306,6 +308,8 @@ constexpr CtrName kCtrNames[] = {
     {Ctr::NetPages, "net.pages"},
     {Ctr::NetArrayMsgs, "net.arrayMsgs"},
     {Ctr::NetAcks, proto::kAcks},
+    {Ctr::NetRetxResent, proto::kResent},
+    {Ctr::NetRetxGiveUps, proto::kGiveUps},
     {Ctr::SpInstantiated, "sp.instantiated"},
     {Ctr::SpCompleted, "sp.completed"},
     {Ctr::TokensSent, "tokens.sent"},
@@ -404,13 +408,16 @@ struct PeState {
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> pendingReplay;
 };
 
-/// Sender-side payload copy of one unacknowledged reliable message (lossy
-/// mode). The attempt count lives in the proto::Delivery sender window.
+/// Sender-side record of one unacknowledged reliable message (lossy mode):
+/// its payload copy and how many times it has been transmitted. Each
+/// NetTimeout carries the attempt it was armed for, so a timer that a
+/// retransmit superseded no longer matches.
 struct RetxEntry {
   std::uint16_t fromPe = 0;
   std::uint16_t toPe = 0;
   bool isToken = false;
   bool pageSized = false;
+  std::uint32_t attempt = 1;
   Token tok{};
   AmTask am{};
 };
@@ -448,10 +455,10 @@ struct Machine::Impl {
   RunStats stats;
   std::vector<bool> resultSet;
   int errorCount = 0;
-  // Reliable-delivery sender half (lossy mode): the protocol core tracks
-  // attempts/backoff/give-up; `retx` keeps the payload copies by id.
+  // Reliable-delivery sender half (lossy mode): `retx` keeps each
+  // unacknowledged message by id, and cfg.faults.retry decides its
+  // backoff and give-up.
   FaultPlan plan;
-  proto::Delivery sender;
   std::uint64_t netSeq = 0;  // message ids and fault-decision stream
   std::unordered_map<std::uint64_t, RetxEntry> retx;
   BodySlab bodies;
@@ -491,9 +498,6 @@ struct Machine::Impl {
     }
     tracing = !cfg.tracePath.empty();
     plan = FaultPlan(c.faults);
-    sender = proto::Delivery(c.faults.retry, /*faultsEnabled=*/true);
-    for (PeState& P : pes)
-      P.rx = proto::Delivery(c.faults.retry, /*faultsEnabled=*/true);
     if (killMode()) recLogs.resize(pes.size());
   }
 
@@ -671,7 +675,13 @@ struct Machine::Impl {
     }
   }
 
-  void armTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime at) {
+  /// Arms the retransmit timer of transmission #attempt of `msgId`, sent
+  /// at `sentAt`: due one backoff later.
+  void armTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime sentAt) {
+    const proto::RetryPolicy& retry = cfg.faults.retry;
+    const SimTime at =
+        sentAt + usec(retry.backoffUs(static_cast<int>(attempt),
+                                      retry.baseRtoUs(/*faultsEnabled=*/true)));
     const std::uint32_t b = bodies.take();
     bodies[b].msgId = msgId;
     bodies[b].attempt = attempt;
@@ -694,9 +704,8 @@ struct Machine::Impl {
     e.am = am;
     auto [it, inserted] = retx.emplace(msgId, std::move(e));
     PODS_CHECK(inserted);
-    sender.onSend(msgId);
     netTransmit(msgId, it->second, sentAt);
-    armTimeout(msgId, 1, sentAt + usec(sender.initialRtoUs()));
+    armTimeout(msgId, 1, sentAt);
   }
 
   /// Receiver side: dedup, dispatch to MU/AM, inject the optional PE stall,
@@ -763,28 +772,23 @@ struct Machine::Impl {
   /// back off exponentially.
   void fireTimeout(std::uint64_t msgId, std::uint32_t attempt, SimTime t) {
     auto it = retx.find(msgId);
-    if (it == retx.end()) return;
-    const proto::TimeoutDecision d =
-        sender.onTimeout(msgId, static_cast<int>(attempt));
-    switch (d.kind) {
-      case proto::TimeoutDecision::Kind::Stale:
-        return;
-      case proto::TimeoutDecision::Kind::GiveUp:
-        runtimeError("reliable delivery gave up on a message to PE " +
-                     std::to_string(it->second.toPe) + " after " +
-                     std::to_string(d.attempt) + " attempts");
-        retx.erase(it);
-        return;
-      case proto::TimeoutDecision::Kind::Retransmit:
-        break;
-    }
+    if (it == retx.end() || it->second.attempt != attempt) return;
     RetxEntry& e = it->second;
+    if (cfg.faults.retry.giveUpAt(static_cast<int>(e.attempt))) {
+      count(Ctr::NetRetxGiveUps);
+      runtimeError("reliable delivery gave up on a message to PE " +
+                   std::to_string(e.toPe) + " after " +
+                   std::to_string(e.attempt) + " attempts");
+      retx.erase(it);
+      return;
+    }
+    ++e.attempt;
+    count(Ctr::NetRetxResent);
     countLink(e.fromPe, e.toPe, LinkKind::Retx);
     const SimTime svc = e.pageSized ? tm.pageMessage() : tm.tokenRoute();
     const SimTime done = unitSched(e.fromPe, Unit::RU, t, svc);
     netTransmit(msgId, e, done);
-    armTimeout(msgId, static_cast<std::uint32_t>(d.attempt),
-               done + usec(d.backoffUs));
+    armTimeout(msgId, e.attempt, done);
   }
 
   // --- token plumbing ------------------------------------------------------
@@ -952,17 +956,20 @@ struct Machine::Impl {
         return;
       }
     } else {
+      if (faulty() && P.rx.straggler(tok.ctx)) {
+        // Straggler to a retired instance: reordered by injected delay or
+        // retransmission. Spawning here would create a zombie frame. Checked
+        // before the replay ledger, which shed the context's keys at its
+        // END and must not take new ones; a live context is never retired,
+        // because contexts are never reused.
+        return;
+      }
       if (killMode() && fromMu && !P.dedup.firstCtx(tok.ctx, tok.slot)) {
         count(Ctr::TokensReplayDup);
         return;
       }
       auto it = P.match.find(tok.ctx);
       if (it == P.match.end()) {
-        if (faulty() && P.rx.straggler(tok.ctx)) {
-          // Straggler to a retired instance: reordered by injected delay or
-          // retransmission. Spawning here would create a zombie frame.
-          return;
-        }
         frameIdx = createFrame(pe, tok.spCode, tok.ctx, t);
       } else {
         frameIdx = it->second;
@@ -2001,7 +2008,6 @@ struct Machine::Impl {
         case EvKind::NetAckArrive: {
           const std::uint64_t msgId = bodies[ev.body].msgId;
           bodies.release(ev.body);
-          sender.onAck(msgId);
           retx.erase(msgId);
           useful = false;
           break;
@@ -2073,10 +2079,9 @@ struct Machine::Impl {
     stats.counters.add("sim.eventq.peakDepth", eq.peakDepth);
     stats.counters.add("sim.eventq.moves", eq.moves);
     if (faulty()) {
-      // Protocol counters accumulate inside the delivery endpoints; roll
-      // them (plus canonical zero registrations, so every faulty run
-      // reports the same counter-name set) into the run's registry.
-      sender.addStats(stats.counters);
+      // The receive ledgers' counts, plus canonical zero registrations so
+      // every faulty run reports the same counter-name set; the sender's
+      // retransmits and give-ups are counters by id, folded in below.
       for (const PeState& P : pes) P.rx.addStats(stats.counters);
       proto::Delivery::registerInjectionCounters(stats.counters);
     }

@@ -26,10 +26,12 @@
 namespace pods {
 namespace proto {
 
-/// Retransmit tuning shared by every reliable-delivery driver: the sim
-/// Routing Unit (simulated time), the native inbox transport, and the UDP
-/// transport (both wall-clock). One policy, one set of defaults — the three
-/// engines can no longer silently drift apart.
+/// Retransmit tuning and decisions shared by every reliable-delivery
+/// driver: the sim Routing Unit (simulated time), the native inbox
+/// transport, and the UDP transport's send windows (both wall-clock). Each
+/// driver keeps a message's attempt count beside the message itself and
+/// asks giveUpAt() and backoffUs() — one policy, one set of defaults, so
+/// the three drivers cannot silently drift apart.
 struct RetryPolicy {
   /// Initial retransmit timeout in microseconds (simulated or wall-clock,
   /// depending on the driver). Doubles on every retry up to the cap below.

@@ -233,6 +233,14 @@ TEST(FaultFuzz, NativeSimpleBitIdenticalToFaultFree) {
                 run.stats.counters.get("native.framesRetired"))
           << "workers=" << workers << " seed=" << seed;
       EXPECT_EQ(run.stats.counters.get("native.framesLive"), 0);
+      // The inbox deposits both copies of an injected duplicate, and the
+      // receiving worker's msgId ledger suppresses exactly the second. The
+      // checks above would not show a missed one: with the suppression
+      // disabled these runs still match the fault-free outputs and balance
+      // their frame ledgers.
+      EXPECT_EQ(run.stats.counters.get("native.dupSuppressed"),
+                run.stats.counters.get("fault.dups"))
+          << "workers=" << workers << " seed=" << seed;
       injected += run.stats.counters.get("fault.drops") +
                   run.stats.counters.get("fault.dups") +
                   run.stats.counters.get("fault.delays");
@@ -337,6 +345,53 @@ TEST(FaultFuzz, NativeWireStoreKillPlusLossyArrayHeavy) {
     kills += run.stats.counters.get("fault.kills");
   }
   EXPECT_GT(kills, 0);
+}
+
+// --- give-up ----------------------------------------------------------------
+//
+// A message dropped on every one of its RetryPolicy::maxAttempts
+// transmissions is a partition, not a silent loss: the driver that holds
+// it gives up with a structured error and counts it. At drop:0.5 and two
+// attempts a quarter of all messages give up.
+
+FaultConfig giveUpRates() {
+  FaultConfig fc;
+  EXPECT_TRUE(FaultConfig::parse("drop:0.5", fc));
+  fc.retry.maxAttempts = 2;
+  fc.retry.rtoUs = 50.0;
+  return fc;
+}
+
+TEST(DeliveryGiveUp, SimRoutingUnitGivesUpAtMaxAttempts) {
+  auto c = compileOk(workloads::simpleSource(16, 2));
+  sim::MachineConfig mc;
+  mc.numPEs = 4;
+  mc.faults = giveUpRates();
+  PodsRun run = runPods(*c, mc);
+  EXPECT_FALSE(run.stats.ok);
+  EXPECT_NE(run.stats.error.find("reliable delivery gave up on a message to "
+                                 "PE "),
+            std::string::npos)
+      << run.stats.error;
+  EXPECT_NE(run.stats.error.find(" after 2 attempts"), std::string::npos)
+      << run.stats.error;
+  EXPECT_GE(run.stats.counters.get("net.retx.giveUps"), 1);
+}
+
+TEST(DeliveryGiveUp, NativeInboxGivesUpAtMaxAttempts) {
+  auto c = compileOk(workloads::simpleSource(16, 2));
+  native::NativeConfig nc;
+  nc.numWorkers = 4;
+  nc.faults = giveUpRates();
+  NativeRun run = runNative(*c, nc);
+  EXPECT_FALSE(run.stats.ok);
+  EXPECT_NE(run.stats.error.find("reliable delivery gave up on a token to "
+                                 "worker "),
+            std::string::npos)
+      << run.stats.error;
+  EXPECT_NE(run.stats.error.find(" after 2 attempts"), std::string::npos)
+      << run.stats.error;
+  EXPECT_GE(run.stats.counters.get("net.retx.giveUps"), 1);
 }
 
 // --- forensics & watchdog ---------------------------------------------------

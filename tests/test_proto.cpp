@@ -2,12 +2,13 @@
 // core").
 //
 // Three kinds of property live here:
-//   1. the protocol cores driven directly, no engine, no clock:
-//      proto::Delivery through drop / duplicate / reorder / give-up traces,
-//      and the UDP link windows (proto::SendWindow, proto::RecvWindow)
-//      against set and map models — seeded random traces of put / mark
-//      sent / ack / expire, every ack over every live subset of a small
-//      window, every arrival order of a few seqs;
+//   1. the protocol cores driven directly, no engine, no clock: the
+//      RetryPolicy schedule, the proto::Delivery receive ledger through
+//      duplicate, straggler and fail-stop traces, and the UDP link windows
+//      (proto::SendWindow, proto::RecvWindow) against set and map models —
+//      seeded random traces of put / mark sent / ack / expire, every ack
+//      over every live subset of a small window, every arrival order of a
+//      few seqs;
 //   2. counter parity: the same program + fault config on the simulator and
 //      the native runtime must emit the identical *set* of protocol counter
 //      names (the canonical `net.retx.*` / `fault.*` namespace), so
@@ -86,59 +87,6 @@ TEST(RetryPolicy, FaultFreeFloorOnlyRaises) {
   EXPECT_DOUBLE_EQ(p.baseRtoUs(/*faultsEnabled=*/false), 5000.0);
   p.rtoUs = 9000.0;  // already above the floor: honored as-is
   EXPECT_DOUBLE_EQ(p.baseRtoUs(false), 9000.0);
-}
-
-// --- Delivery sender window -------------------------------------------------
-
-TEST(DeliverySender, AckRetiresTheMessage) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  d.onSend(7);
-  EXPECT_TRUE(d.inFlight(7));
-  d.onAck(7);
-  EXPECT_FALSE(d.inFlight(7));
-  // A timeout racing the ack is stale, not a retransmit.
-  EXPECT_EQ(d.onTimeout(7).kind, proto::TimeoutDecision::Kind::Stale);
-  d.onAck(7);  // duplicate ack: harmless
-  EXPECT_EQ(d.windowSize(), 0u);
-}
-
-TEST(DeliverySender, DropTraceRetransmitsThenGivesUp) {
-  proto::RetryPolicy p;
-  p.rtoUs = 100.0;
-  p.maxAttempts = 5;
-  p.maxBackoffDoublings = 2;
-  proto::Delivery d(p, true);
-  d.onSend(1);
-  // Attempts 1..4 time out and retransmit with doubling (capped) backoff.
-  double expected[] = {200.0, 400.0, 400.0};
-  for (int i = 0; i < 3; ++i) {
-    const proto::TimeoutDecision td = d.onTimeout(1);
-    ASSERT_EQ(td.kind, proto::TimeoutDecision::Kind::Retransmit) << i;
-    EXPECT_EQ(td.attempt, i + 2);
-    EXPECT_DOUBLE_EQ(td.backoffUs, expected[i]);
-  }
-  ASSERT_EQ(d.onTimeout(1).kind, proto::TimeoutDecision::Kind::Retransmit);
-  // Attempt 5 == maxAttempts: the next timeout gives up and evicts.
-  const proto::TimeoutDecision gu = d.onTimeout(1);
-  ASSERT_EQ(gu.kind, proto::TimeoutDecision::Kind::GiveUp);
-  EXPECT_EQ(gu.attempt, 5);
-  EXPECT_FALSE(d.inFlight(1));
-  Counters c;
-  d.addStats(c);
-  EXPECT_EQ(c.get(proto::kResent), 4);
-  EXPECT_EQ(c.get(proto::kGiveUps), 1);
-}
-
-TEST(DeliverySender, ExpectedAttemptGuardsSupersededTimers) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
-  d.onSend(9);
-  // The simulator's timer events carry the attempt they were armed for: an
-  // old timer (attempt 1) firing after a retransmit bumped the window to 2
-  // must be ignored.
-  ASSERT_EQ(d.onTimeout(9, 1).kind, proto::TimeoutDecision::Kind::Retransmit);
-  EXPECT_EQ(d.onTimeout(9, 1).kind, proto::TimeoutDecision::Kind::Stale);
-  EXPECT_EQ(d.onTimeout(9, 2).kind, proto::TimeoutDecision::Kind::Retransmit);
-  EXPECT_EQ(d.onTimeout(42).kind, proto::TimeoutDecision::Kind::Stale);
 }
 
 // --- Link msgIds (batched drivers) -------------------------------------------
@@ -629,7 +577,7 @@ TEST(RecvWindow, CumAckViewTracksHolesThenCollapses) {
 // --- Delivery receiver ledger -----------------------------------------------
 
 TEST(DeliveryReceiver, DuplicateMsgIdsAreSuppressedOnce) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
+  proto::Delivery d;
   EXPECT_TRUE(d.accept(5));
   EXPECT_FALSE(d.accept(5));  // network duplicate
   EXPECT_FALSE(d.accept(5));  // retransmitted duplicate
@@ -643,7 +591,7 @@ TEST(DeliveryReceiver, DuplicateMsgIdsAreSuppressedOnce) {
 }
 
 TEST(DeliveryReceiver, RetiredContextTriagesStragglers) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
+  proto::Delivery d;
   EXPECT_FALSE(d.straggler(11));  // live context: token proceeds
   d.retireCtx(11);
   EXPECT_TRUE(d.straggler(11));  // reordered duplicate past END: discard
@@ -654,7 +602,7 @@ TEST(DeliveryReceiver, RetiredContextTriagesStragglers) {
 }
 
 TEST(DeliveryReceiver, FailStopWipesLedgersButKeepsCounters) {
-  proto::Delivery d(proto::RetryPolicy{}, true);
+  proto::Delivery d;
   EXPECT_TRUE(d.accept(3));
   EXPECT_FALSE(d.accept(3));
   d.retireCtx(21);
@@ -841,6 +789,49 @@ TEST(RecoveryLedger, SimKeysAndMintsPrunedByEnd) {
   // hundreds of instances, and the kill must have fired mid-run.
   EXPECT_GT(run.stats.counters.get("sp.instantiated"), 500);
   EXPECT_EQ(run.stats.counters.get("fault.kills"), 1);
+}
+
+// Stragglers must not refill the ledger: a token for a retired context is
+// triaged against the retired-context ledger before the replay ledger is
+// consulted, or each one re-inserts a key for a context whose keys END
+// already shed, and nothing sheds it again. SIMPLE's kill runs deliver such
+// stragglers: at 1 PE killed at half the clean time, 266 keys were left
+// behind when the replay ledger came first.
+TEST(RecoveryLedger, SimStragglersLeaveNoKeysAfterKill) {
+  auto c = compileOk(workloads::simpleSource(16, 2));
+  sim::MachineConfig mc;
+  mc.numPEs = 1;
+  PodsRun clean = runPods(*c, mc);
+  ASSERT_TRUE(clean.stats.ok) << clean.stats.error;
+  mc.faults.killPe = 0;
+  mc.faults.killTimeUs = clean.stats.total.us() / 2;
+  PodsRun run = runPods(*c, mc);
+  ASSERT_TRUE(run.stats.ok) << run.stats.error;
+  std::string why;
+  EXPECT_TRUE(sameOutputs(run.out, clean.out, &why)) << why;
+  EXPECT_EQ(run.stats.counters.get("fault.kills"), 1);
+  EXPECT_GT(run.stats.counters.get(proto::kStragglers), 0);
+  EXPECT_EQ(run.stats.counters.get("recovery.dedup.liveKeys"), 0);
+  EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
+}
+
+// The native engine's order is the same: with the replay ledger first, this
+// kill + loss run left 2-11 keys behind in every run tried.
+TEST(RecoveryLedger, NativeStragglersLeaveNoKeysAfterKill) {
+  auto c = compileOk(workloads::simpleSource(16, 2));
+  native::NativeConfig nc;
+  nc.numWorkers = 4;
+  ASSERT_TRUE(FaultConfig::parse("drop:0.03,dup:0.02", nc.faults));
+  nc.faults.seed = 5;
+  nc.faults.killPe = 2;
+  nc.faults.killTimeUs = 150.0;
+  nc.faults.killRestartUs = 100.0;
+  nc.faults.retry.rtoUs = 50.0;
+  NativeRun run = runNative(*c, nc);
+  ASSERT_TRUE(run.stats.ok) << run.stats.error;
+  EXPECT_EQ(run.stats.counters.get("fault.kills"), 1);
+  EXPECT_EQ(run.stats.counters.get("recovery.dedup.liveKeys"), 0);
+  EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
 }
 
 TEST(RecoveryLedger, NativeKeysAndMintsPrunedByEnd) {

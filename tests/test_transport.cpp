@@ -1142,10 +1142,10 @@ TEST(UdpTransport, LossyFuzzBitIdenticalToFaultFree) {
                   run.stats.counters.get("fault.dups") +
                   run.stats.counters.get("fault.delays");
       dupDropped += run.stats.counters.get("net.retx.dupSuppressed");
-      // Transport-level dedup (the link receive windows) must fire BEFORE
-      // the inbox-ring deposit: if a duplicate ever reached the machine,
-      // its msgId dedup would count here — and the token would have
-      // double-released a single quiescence charge.
+      // Transport-level dedup (the link receive windows) fires BEFORE the
+      // inbox-ring deposit, so UDP workers keep no msgId ledger and count
+      // no duplicate here; a duplicate that reached a worker would
+      // double-release a single quiescence charge.
       EXPECT_EQ(run.stats.counters.get("native.dupSuppressed"), 0)
           << "workers=" << workers << " seed=" << seed;
       // A retransmit is decided and copied into the outbox in one step
