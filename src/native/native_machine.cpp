@@ -16,6 +16,7 @@
 #include "native/spsc_ring.hpp"
 #include "native/transport.hpp"
 #include "proto/delivery.hpp"
+#include "runtime/receive.hpp"
 #include "runtime/sp_exec.hpp"
 #include "support/check.hpp"
 #include "support/recovery.hpp"
@@ -301,23 +302,17 @@ struct Worker {
   // Owner-thread-only state.
   std::vector<std::unique_ptr<NFrame>> frames;
   std::vector<std::uint32_t> freeList;  // retired frame indices, ready to reuse
-  std::unordered_map<std::uint64_t, std::uint32_t> match;
+  /// The match table, replay ledger and parked replies (runtime/receive.hpp).
+  /// A retired context's entry holds kRetiredFrame, as its storage is
+  /// recycled. Survivors need the replay ledger too: it absorbs a rebuilt
+  /// neighbor's re-sent tokens.
+  ReceiveState recv;
   std::deque<std::uint32_t> ready;
   std::uint64_t ctxCounter = 0;
-  /// Owner-thread-only receiver half of the delivery protocol: msgId dedup
-  /// on the inbox transport (duplicate copies suppressed before they can
-  /// re-apply a non-idempotent token — ADDC, spawn-by-token) plus the
-  /// retired-instance straggler ledger. NEWCTX never reuses a context, so a
-  /// ctx-matched token arriving late (reordered by injected delay or
-  /// retransmit) for a retired context is a straggler the instance never
-  /// needed — it must be dropped, not spawn a zombie frame. The logic lives
-  /// in proto::Delivery.
+  /// Owner-thread-only msgId dedup on the inbox transport: duplicate copies
+  /// are suppressed before they can re-apply a non-idempotent token (ADDC,
+  /// spawn-by-token). The logic lives in proto::Delivery.
   proto::Delivery rx;
-  /// Kill mode, owner-thread-only: logical exactly-once filters and parked
-  /// replay state (see support/recovery.hpp). Survivors need them too — they
-  /// absorb a rebuilt neighbor's re-sent tokens.
-  ReplayDedup dedup;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> pendingReplay;
   /// Recovery mode only (recMode), owner-thread-only: outstanding
   /// array-read parks by wake key, each holding the packed conts parked on
   /// that element. A wake whose key is absent was for a park wiped by this
@@ -358,6 +353,10 @@ struct Worker {
   /// during the rebuild).
   std::vector<std::pair<int, NToken>> wsDeferred;
 };
+
+/// Match-table value of a retired context: above every frame index, so it
+/// names no frame.
+constexpr std::uint32_t kRetiredFrame = Cont::kMaxFrame + 1;
 
 /// Wake-token identity of one array element: the top bit keeps the wake
 /// namespace apart from real sender contexts, and every 32-bit array id fits
@@ -531,10 +530,10 @@ struct NativeMachine::Impl : TransportSink {
   /// worker/execution paths.
   bool wireStore() const { return cfg.store == StoreKind::Wire; }
 
-  /// Whether the retired-context straggler ledger is maintained. Needed
-  /// whenever delivery can reorder a token past its instance's END: fault
-  /// injection (delays/retransmits) and the UDP transport (retransmit
-  /// reordering is inherent, faults or not).
+  /// Whether retired contexts stay in the match table for straggler
+  /// triage. Needed whenever delivery can reorder a token past its
+  /// instance's END: fault injection (delays/retransmits) and the UDP
+  /// transport (retransmit reordering is inherent, faults or not).
   bool trackStragglers() const {
     return plan.enabled() || cfg.transport == TransportKind::Udp ||
            cfg.transport == TransportKind::UdpMultiproc;
@@ -699,7 +698,7 @@ struct NativeMachine::Impl : TransportSink {
       frameIdx = static_cast<std::uint32_t>(w.frames.size());
       if (frameIdx > Cont::kMaxFrame) {
         fail("worker frame table overflow (> 16M live frames)");
-        return frameIdx;
+        return kNoFrame;
       }
       w.frames.push_back(std::make_unique<NFrame>());
     }
@@ -707,73 +706,11 @@ struct NativeMachine::Impl : TransportSink {
     f.reset(spCode, ctx, prog.sp(spCode).numSlots);
     f.blocked = false;
     f.dead = false;
-    w.match[ctx] = frameIdx;
     w.ready.push_back(frameIdx);
     pending.fetch_add(1);  // a live frame
     w.st.framesCreated++;
     w.st.liveFrames.inc();
     return frameIdx;
-  }
-
-  /// Retires a frame: storage goes to the free list, the generation bump
-  /// invalidates every outstanding continuation into it.
-  void retireFrame(Worker& w, std::uint32_t frameIdx, NFrame& f) {
-    if (trackStragglers()) w.rx.retireCtx(f.ctx);
-    if (workerMode()) {
-      // Output commit for retirement: the End record may enter the log only
-      // after every send this frame made is acked (otherwise a crash after
-      // End could lose unacked output — replay would see the frame as over
-      // and never re-execute it). Snapshot the per-destination send
-      // high-water now; pumpRetiring completes the retirement when the
-      // barrier passes. The frame dies immediately for everything else.
-      Retiring r;
-      r.frameIdx = frameIdx;
-      r.ctx = f.ctx;
-      transport->barrierSnapshot(r.snap);
-      retiring.push_back(std::move(r));
-      w.dedup.retire(f.ctx);
-      f.dead = true;
-      f.gen = static_cast<std::uint16_t>((f.gen + 1) & Cont::kGenMask);
-      f.slots.clear();
-      w.match.erase(f.ctx);
-      w.st.framesRetired++;
-      w.st.liveFrames.dec();
-      return;
-    }
-    if (killMode()) {
-      RecoveryLog& L = recLogs[static_cast<std::size_t>(w.id)];
-      RecEntry e;
-      e.kind = RecEntry::Kind::End;
-      e.ctx = f.ctx;
-      L.entries.push_back(e);
-      // The instance is over: shed its logical-dedup keys and minted
-      // identities (nothing can consult them again — tokens to a dead
-      // frame are dropped or triaged as stragglers first). This bounds the
-      // recovery ledgers by *live* instances instead of run length.
-      w.dedup.retire(f.ctx);
-      L.mints.erase(f.ctx);
-    }
-    f.dead = true;
-    f.gen = static_cast<std::uint16_t>((f.gen + 1) & Cont::kGenMask);
-    f.slots.clear();  // drop payloads; capacity is kept for reuse
-    w.match.erase(f.ctx);
-    w.freeList.push_back(frameIdx);
-    w.st.framesRetired++;
-    w.st.liveFrames.dec();
-  }
-
-  static RecEntry contLogEntry(const NToken& tok, std::uint32_t frameIdx,
-                               std::uint16_t gen) {
-    RecEntry e;
-    e.kind = RecEntry::Kind::ConToken;
-    e.frame = frameIdx;
-    e.gen = gen;
-    e.slot = tok.cont.slot;
-    e.v = tok.v;
-    e.add = tok.add;
-    e.senderCtx = tok.senderCtx;
-    e.sendKey = tok.sendKey;
-    return e;
   }
 
   /// Appends one receive-log record to PE `pe`'s log and, in worker mode,
@@ -794,15 +731,6 @@ struct NativeMachine::Impl : TransportSink {
     L.recordMint(ctx, mseq, v);
     if (workerMode() && cfg.link != nullptr)
       cfg.link->logMint(ctx, mseq, v, L.ctxCounter);
-  }
-
-  /// Whether `tok` can apply at `slot` of a frame with `slots`: in range,
-  /// and a join-counter token adds an Int to an empty or Int slot.
-  static bool tokenFits(const NToken& tok, std::uint16_t slot,
-                        const std::vector<Value>& slots) {
-    return slot < slots.size() &&
-           (!tok.add || (tok.v.isInt() && (slots[slot].empty() ||
-                                           slots[slot].isInt())));
   }
 
   /// Owner-thread token delivery (frame creation, slot write, wake-up).
@@ -837,15 +765,13 @@ struct NativeMachine::Impl : TransportSink {
       handleAm(pe, tok, /*fromLog=*/false);
       return;
     }
-    std::uint32_t frameIdx;
-    std::uint16_t slot;
-    if (tok.toCont) {
+    if (tok.toCont && tok.wakeKey != 0) {
       // Wire store: a value reply is final (single assignment), so it fills
       // the requester's page cache even if the park it answers is gone.
-      if (tok.wakeKey != 0 && wireStore())
+      if (wireStore())
         (void)wireCache(w, wakeKeyArray(tok.wakeKey),
                         wakeKeyOffset(tok.wakeKey), tok.v);
-      if (recMode() && tok.wakeKey != 0) {
+      if (recMode()) {
         // Array-element wake-up: only valid for a park this worker still
         // remembers. A kill wipes the park registry; wakes for pre-kill
         // parks are redundant (the re-executed read found the element
@@ -858,95 +784,9 @@ struct NativeMachine::Impl : TransportSink {
         }
         if (pit->second.empty()) w.myParks.erase(pit);
       }
-      frameIdx = tok.cont.frame;
-      slot = tok.cont.slot;
-      if (frameIdx >= w.frames.size() || w.frames[frameIdx]->dead ||
-          w.frames[frameIdx]->gen != tok.cont.gen) {
-        w.st.tokensDropped++;  // stale continuation: the frame is gone
-        return;
-      }
-      NFrame& fr = *w.frames[frameIdx];
-      if (!tokenFits(tok, slot, fr.slots)) {
-        w.st.badTokens++;
-        return;
-      }
-      if (recMode() && tok.sendKey != 0 &&
-          !w.dedup.firstCont(fr.ctx, tok.senderCtx, tok.sendKey)) {
-        // A re-executed sender re-sent this logical token; it was already
-        // applied (or parked) exactly once. The ledger is keyed by the
-        // consuming context — dead/stale frames are dropped above before
-        // dedup is consulted, so END can prune a retired instance's keys.
-        w.st.tokensDropped++;
-        return;
-      }
-      if (recMode() && tok.sendKey != 0 && fr.replaying &&
-          !fr.sentTo(tok.senderCtx)) {
-        // Fresh result racing the replay (e.g. a survivor child finishing
-        // after the rebuild): the rebuilt consumer has not re-sent to this
-        // context yet, so applying now could clobber an earlier round's
-        // slot. Park it; the re-send trigger delivers it in program order.
-        w.pendingReplay[tok.senderCtx].push_back(
-            recLogs[static_cast<std::size_t>(pe)].entries.size());
-        logAppend(pe, contLogEntry(tok, frameIdx, fr.gen));
-        recParkedEarly++;
-        return;
-      }
-    } else {
-      // Checked where tokens enter: the SP code a spawn resolves, the slot
-      // of that SP or of the live frame (a forged token may name another
-      // SP), and no join-counter add, which only continuations carry.
-      auto it = w.match.find(tok.ctx);
-      if (tok.add || tok.spCode >= prog.sps.size() ||
-          tok.slot >= prog.sps[tok.spCode].numSlots ||
-          (it != w.match.end() &&
-           !tokenFits(tok, tok.slot, w.frames[it->second]->slots))) {
-        w.st.badTokens++;
-        return;
-      }
-      // A straggler to a retired instance is triaged before the replay
-      // ledger, which shed the context's keys at its END and must not take
-      // new ones; a live context is never retired (contexts are not reused).
-      if (trackStragglers() && w.rx.straggler(tok.ctx)) {
-        w.st.tokensDropped++;
-        return;
-      }
-      if (recMode() && !w.dedup.firstCtx(tok.ctx, tok.slot)) {
-        w.st.tokensDropped++;  // replayed spawn/argument duplicate
-        return;
-      }
-      if (it == w.match.end()) {
-        frameIdx = createFrame(w, tok.spCode, tok.ctx);
-        if (frameIdx > Cont::kMaxFrame) return;  // overflow already failed
-      } else {
-        frameIdx = it->second;
-      }
-      slot = tok.slot;
     }
-    NFrame& f = *w.frames[frameIdx];
-    if (recMode() && !(tok.toCont && tok.sendKey == 0)) {
-      // Receive log: every applied ctx token (frame creation order and
-      // argument values) and every keyed continuation token. Wake-ups are
-      // excluded — a replayed read regenerates them from the I-structure.
-      if (tok.toCont) {
-        logAppend(pe, contLogEntry(tok, frameIdx, f.gen));
-      } else {
-        RecEntry e;
-        e.kind = RecEntry::Kind::CtxToken;
-        e.spCode = tok.spCode;
-        e.ctx = tok.ctx;
-        e.slot = slot;
-        e.v = tok.v;
-        e.frame = frameIdx;
-        e.gen = f.gen;
-        logAppend(pe, e);
-      }
-    }
-    f.apply(slot, tok.v, tok.add);
-    if (f.blocked && f.blockedSlot == slot) {
-      f.blocked = false;
-      f.blockedSlot = kNoSlot;
-      w.ready.push_back(frameIdx);
-    }
+    Exec ex{*this, w, pe};
+    receive(ex, w.recv, tok);
   }
 
   // --- arrays ---------------------------------------------------------------
@@ -1523,9 +1363,10 @@ struct NativeMachine::Impl : TransportSink {
     return Step::Continue;
   }
 
-  /// The native side of the SP executor (runtime/sp_exec.hpp), bound to one
-  /// worker: instructions are counted, arrays live in the active store, and
-  /// tokens leave through send().
+  /// The native side of the SP executor (runtime/sp_exec.hpp) and of the
+  /// receive core (runtime/receive.hpp), bound to one worker: instructions
+  /// are counted, arrays live in the active store, tokens leave through
+  /// send(), and frame storage is recycled under generation tags.
   struct Exec {
     Impl& m;
     Worker& w;
@@ -1544,8 +1385,107 @@ struct NativeMachine::Impl : TransportSink {
     void recordMint(std::uint64_t ctx, std::uint32_t seq, const Value& v) {
       m.logMintRec(pe, ctx, seq, v);
     }
-    ParkedReplies& parkedReplies() { return w.pendingReplay; }
+    ParkedReplies& parkedReplies() { return w.recv.parked; }
     void replayedToken() { m.recReplayedTokens++; }
+
+    // Receive core hooks.
+    NFrame* liveFrame(std::uint32_t idx) {
+      return idx < w.frames.size() && !w.frames[idx]->dead
+                 ? w.frames[idx].get()
+                 : nullptr;
+    }
+    /// Checked where tokens enter: the SP code a spawn resolves, the slot
+    /// of that SP or of the frame (a forged token may name another SP), and
+    /// a join-counter add only on a continuation, of an Int to an empty or
+    /// Int slot.
+    bool wellFormed(const NToken& tok, const NFrame* f) {
+      const std::uint16_t slot = tok.toCont ? tok.cont.slot : tok.slot;
+      const bool fits =
+          f == nullptr ||
+          (slot < f->slots.size() &&
+           (!tok.add || (tok.v.isInt() && (f->slots[slot].empty() ||
+                                           f->slots[slot].isInt()))));
+      const bool ok = fits && (tok.toCont ||
+                               (!tok.add && tok.spCode < m.prog.sps.size() &&
+                                slot < m.prog.sps[tok.spCode].numSlots));
+      if (!ok) w.st.badTokens++;
+      return ok;
+    }
+    void drop(Drop) { w.st.tokensDropped++; }
+    std::uint32_t spawn(std::uint16_t spCode, std::uint64_t ctx) {
+      return m.createFrame(w, spCode, ctx);
+    }
+    void logRecord(const RecEntry& e) { m.logAppend(pe, e); }
+    void parkedEarly() { m.recParkedEarly++; }
+    void wake(std::uint32_t idx, NFrame& f, std::uint16_t slot) {
+      if (f.blocked && f.blockedSlot == slot) {
+        f.blocked = false;
+        f.blockedSlot = kNoSlot;
+        w.ready.push_back(idx);
+      }
+    }
+    bool tracksStragglers() const { return m.trackStragglers(); }
+    std::uint32_t retiredEntry(std::uint32_t) const { return kRetiredFrame; }
+    bool holdsEnd() const { return m.workerMode(); }
+    /// A rebuilt frame returns to its original index and generation; the
+    /// index is the next one or a retired one, by log order.
+    std::uint32_t restore(const RecEntry& e) {
+      const std::uint32_t idx = e.frame;
+      PODS_CHECK_MSG(idx <= w.frames.size(),
+                     "recovery log creates frames out of order");
+      if (idx == w.frames.size()) {
+        w.frames.push_back(std::make_unique<NFrame>());
+      } else {
+        PODS_CHECK_MSG(w.frames[idx]->dead,
+                       "recovery log reuses a live frame index");
+      }
+      NFrame& f = *w.frames[idx];
+      f.reset(e.spCode, e.ctx, m.prog.sp(e.spCode).numSlots);
+      f.gen = e.gen;
+      f.blocked = false;
+      f.dead = false;
+      return idx;
+    }
+    void restoreEnd(NFrame& f) {
+      f.dead = true;
+      f.gen = static_cast<std::uint16_t>((f.gen + 1) & Cont::kGenMask);
+      f.slots.clear();
+    }
+    /// The multi-process records of a rebuild (the core replays the rest).
+    void replayRecord(const RecEntry& e) {
+      if (e.kind == RecEntry::Kind::Recv) {
+        // A wire-accepted inbound msgId (sender incarnation in `gen`).
+        // Re-prime the UDP receive-dedup and ackable windows so a survivor's
+        // retransmits of old-numbered tokens still dedup and ack instead of
+        // double-applying — runs before transport threads exist (a no-op on
+        // in-process transports).
+        m.transport->primeRecv(e.msgId, static_cast<std::uint8_t>(e.gen));
+        return;
+      }
+      if (static_cast<AmKind>(e.spCode) == AmKind::AllocMeta) {
+        ArrayShape s;
+        s.rank = static_cast<int>(e.slot);
+        s.dim0 = static_cast<std::int64_t>(e.senderCtx);
+        s.dim1 = e.v.asInt();
+        const auto id = static_cast<ArrayId>(e.ctx);
+        if (ArrayRec* a = w.arrays.get(id)) m.wireRegisterMeta(w, *a, id, s);
+        return;
+      }
+      // Re-service the logged array message against the rebuilding store,
+      // in its original receive order: writes are idempotent identical
+      // overwrites, re-parked reads dedup by packed cont, and regenerated
+      // replies and page runs are deferred here; the requester's myParks
+      // registry drops wakes for parks it no longer holds, and caching a
+      // final value twice is harmless.
+      NToken t;
+      t.amKind = static_cast<std::uint8_t>(e.spCode);
+      t.ctx = e.ctx;
+      t.slot = e.slot;
+      t.senderCtx = e.senderCtx;
+      t.v = e.v;
+      t.cont = Cont::unpack(e.sendKey);
+      m.handleAm(pe, t, /*fromLog=*/true);
+    }
 
     Step alloc(std::uint32_t, NFrame& f, const Instr& in,
                const ArrayShape& shape) {
@@ -1630,8 +1570,30 @@ struct NativeMachine::Impl : TransportSink {
       m.results[idx] = v;
       m.resultSet[idx] = true;
     }
+    /// Storage goes to the free list; the generation bump invalidates
+    /// every outstanding continuation into it.
     Step end(std::uint32_t frameIdx, NFrame& f) {
-      m.retireFrame(w, frameIdx, f);
+      retire(*this, w.recv, f.ctx, frameIdx);
+      if (m.workerMode()) {
+        // Output commit for retirement: the End record may enter the log
+        // only after every send this frame made is acked (otherwise a crash
+        // after End could lose unacked output — replay would see the frame
+        // as over and never re-execute it). Snapshot the per-destination
+        // send high-water now; pumpRetiring completes the retirement when
+        // the barrier passes. The frame dies now for everything else.
+        Retiring r;
+        r.frameIdx = frameIdx;
+        r.ctx = f.ctx;
+        m.transport->barrierSnapshot(r.snap);
+        m.retiring.push_back(std::move(r));
+      } else {
+        w.freeList.push_back(frameIdx);
+      }
+      f.dead = true;
+      f.gen = static_cast<std::uint16_t>((f.gen + 1) & Cont::kGenMask);
+      f.slots.clear();  // drop payloads; capacity is kept for reuse
+      w.st.framesRetired++;
+      w.st.liveFrames.dec();
       return Step::Ended;
     }
   };
@@ -1653,11 +1615,9 @@ struct NativeMachine::Impl : TransportSink {
     killFired = true;
     w.frames.clear();
     w.freeList.clear();
-    w.match.clear();
     w.ready.clear();
+    w.recv.wipe();
     w.rx.resetReceiver();
-    w.dedup.clear();
-    w.pendingReplay.clear();
     w.myParks.clear();
     // Wire store: each record's shape waiters and in-flight-DimReq flag
     // reference the wiped frames — re-executed frames re-block and re-query
@@ -1678,100 +1638,8 @@ struct NativeMachine::Impl : TransportSink {
     // mode — a single worker thread — so no other thread can race the flag.
     const bool deferAm = workerMode() && wireStore();
     if (deferAm) amDeferSends = true;
-    RecoveryLog& L = recLogs[static_cast<std::size_t>(pe)];
-    for (std::size_t i = 0; i < L.entries.size(); ++i) {
-      const RecEntry& e = L.entries[i];
-      switch (e.kind) {
-        case RecEntry::Kind::Boot:
-        case RecEntry::Kind::CtxToken: {
-          std::uint32_t idx;
-          auto it = w.match.find(e.ctx);
-          if (it == w.match.end()) {
-            idx = e.frame;
-            PODS_CHECK_MSG(idx <= w.frames.size(),
-                           "recovery log creates frames out of order");
-            if (idx == w.frames.size()) {
-              w.frames.push_back(std::make_unique<NFrame>());
-            } else {
-              PODS_CHECK_MSG(w.frames[idx]->dead,
-                             "recovery log reuses a live frame index");
-            }
-            NFrame& nf = *w.frames[idx];
-            nf.reset(e.spCode, e.ctx, prog.sp(e.spCode).numSlots);
-            nf.gen = e.gen;
-            nf.blocked = false;
-            nf.dead = false;
-            nf.replaying = true;
-            w.match[e.ctx] = idx;
-          } else {
-            idx = it->second;
-          }
-          if (e.kind == RecEntry::Kind::CtxToken) {
-            w.dedup.firstCtx(e.ctx, e.slot);
-            w.frames[idx]->slots[e.slot] = e.v;
-          }
-          break;
-        }
-        case RecEntry::Kind::ConToken:
-          // Held back until the re-executing consumer re-sends to the
-          // original sender's context, so multi-round slots refill in
-          // program order. The consumer frame exists in its original
-          // incarnation by log order (creations/Ends replay in sequence).
-          PODS_CHECK_MSG(e.frame < w.frames.size(),
-                         "replayed delivery targets an unknown frame");
-          w.dedup.firstCont(w.frames[e.frame]->ctx, e.senderCtx, e.sendKey);
-          w.pendingReplay[e.senderCtx].push_back(i);
-          break;
-        case RecEntry::Kind::End: {
-          auto it = w.match.find(e.ctx);
-          PODS_CHECK_MSG(it != w.match.end(),
-                         "recovery log retires an unknown context");
-          NFrame& nf = *w.frames[it->second];
-          nf.dead = true;
-          nf.gen = static_cast<std::uint16_t>((nf.gen + 1) & Cont::kGenMask);
-          nf.slots.clear();
-          w.rx.retireCtx(e.ctx);
-          w.dedup.retire(e.ctx);
-          L.mints.erase(e.ctx);
-          w.match.erase(it);
-          break;
-        }
-        case RecEntry::Kind::Recv:
-          // Multi-process: a wire-accepted inbound msgId (sender incarnation
-          // in `gen`). Re-prime the UDP receive-dedup and ackable windows so
-          // a survivor's retransmits of old-numbered tokens still dedup and
-          // ack instead of double-applying — runs before transport threads
-          // exist (a no-op on in-process transports).
-          transport->primeRecv(e.msgId, static_cast<std::uint8_t>(e.gen));
-          break;
-        case RecEntry::Kind::Am: {
-          if (static_cast<AmKind>(e.spCode) == AmKind::AllocMeta) {
-            ArrayShape s;
-            s.rank = static_cast<int>(e.slot);
-            s.dim0 = static_cast<std::int64_t>(e.senderCtx);
-            s.dim1 = e.v.asInt();
-            const auto id = static_cast<ArrayId>(e.ctx);
-            if (ArrayRec* a = w.arrays.get(id)) wireRegisterMeta(w, *a, id, s);
-            break;
-          }
-          // Re-service the logged array message against the rebuilding
-          // store, in its original receive order: writes are idempotent
-          // identical overwrites, re-parked reads dedup by packed cont, and
-          // regenerated replies and page runs are deferred here; the
-          // requester's myParks registry drops wakes for parks it no longer
-          // holds, and caching a final value twice is harmless.
-          NToken t;
-          t.amKind = static_cast<std::uint8_t>(e.spCode);
-          t.ctx = e.ctx;
-          t.slot = e.slot;
-          t.senderCtx = e.senderCtx;
-          t.v = e.v;
-          t.cont = Cont::unpack(e.sendKey);
-          handleAm(pe, t, /*fromLog=*/true);
-          break;
-        }
-      }
-    }
+    Exec ex{*this, w, pe};
+    rebuild(ex, w.recv);
     if (deferAm) amDeferSends = false;
     for (std::uint32_t idx = 0;
          idx < static_cast<std::uint32_t>(w.frames.size()); ++idx) {
@@ -1900,11 +1768,8 @@ struct NativeMachine::Impl : TransportSink {
     while (!retiring.empty()) {
       const Retiring& r = retiring.front();
       if (!transport->barrierPassed(r.snap)) return;
-      RecEntry e;
-      e.kind = RecEntry::Kind::End;
-      e.ctx = r.ctx;
-      logAppend(pe, e);
-      recLogs[static_cast<std::size_t>(pe)].mints.erase(r.ctx);
+      Exec ex{*this, w, pe};
+      writeEnd(ex, r.ctx);
       w.freeList.push_back(r.frameIdx);
       retiring.pop_front();
       finishPending();  // the frame's live charge, held through the barrier
@@ -2143,53 +2008,29 @@ struct NativeMachine::Impl : TransportSink {
             }
           }
         }
-        if (pe == 0 && L.entries.empty()) {
-          // PE 0 died before its Boot record reached the supervisor: the
-          // resume log is empty, so nothing rebuilt main. Boot it fresh —
-          // the stream always starts with Boot, so emptiness is the exact
-          // "nothing ever stabilized" case.
-          RecEntry boot;
-          boot.kind = RecEntry::Kind::Boot;
-          boot.spCode = prog.mainSp;
-          boot.ctx = jobCtxBase(cfg.jobId);
-          logAppend(0, boot);
-          createFrame(*workers[0], prog.mainSp, jobCtxBase(cfg.jobId));
-        }
-      } else if (pe == 0) {
-        // First boot of PE 0: log the bootstrap frame (it is not spawned by
-        // a token) so a later kill of this process can rebuild main.
-        RecEntry boot;
-        boot.kind = RecEntry::Kind::Boot;
-        boot.spCode = prog.mainSp;
-        boot.ctx = jobCtxBase(cfg.jobId);
-        logAppend(0, boot);
-        createFrame(*workers[0], prog.mainSp, jobCtxBase(cfg.jobId));
       }
-      // Execution (and on resume, re-sending) begins only on the
-      // supervisor's Start — it is gating the respawn barrier.
-      if (cfg.link != nullptr && !cfg.link->waitStart()) {
-        NativeResult bad;
-        bad.ok = false;
-        bad.error = "aborted before Start";
-        return bad;
-      }
-    } else {
-      if (killMode()) {
-        killAt = t0 + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double, std::micro>(
-                              cfg.faults.killTimeUs));
-        // The boot frame is not spawned by a token; log it so a kill of
-        // worker 0 can rebuild main.
-        RecEntry boot;
-        boot.kind = RecEntry::Kind::Boot;
-        boot.spCode = prog.mainSp;
-        boot.ctx = jobCtxBase(cfg.jobId);
-        recLogs[0].entries.push_back(boot);
-      }
-      // Boot main on worker 0 via a spawn token carrying no payload slot —
-      // create the frame directly instead (main may take no arguments).
-      createFrame(*workers[0], prog.mainSp, jobCtxBase(cfg.jobId));
+    } else if (killMode()) {
+      killAt = t0 + std::chrono::duration_cast<
+                        std::chrono::steady_clock::duration>(
+                        std::chrono::duration<double, std::micro>(
+                            cfg.faults.killTimeUs));
+    }
+    // No token spawns main (it may take no arguments). A worker process
+    // boots it unless its resume log rebuilt it: the log starts with the
+    // Boot record, so an empty one on PE 0 means nothing ever stabilized.
+    if (!workerMode() || (cfg.localPe == 0 && recLogs[0].entries.empty())) {
+      Exec ex{*this, *workers[0], 0};
+      const std::uint64_t ctx = jobCtxBase(cfg.jobId);
+      bootMain(ex, workers[0]->recv, prog.mainSp, ctx,
+               createFrame(*workers[0], prog.mainSp, ctx));
+    }
+    // A worker process begins execution (and on resume, re-sending) only on
+    // the supervisor's Start: it is gating the respawn barrier.
+    if (workerMode() && cfg.link != nullptr && !cfg.link->waitStart()) {
+      NativeResult bad;
+      bad.ok = false;
+      bad.error = "aborted before Start";
+      return bad;
     }
     // Transport service threads (retransmit daemon, UDP sockets/receivers)
     // come up before the workers so no send can outrun them.
@@ -2323,9 +2164,12 @@ struct NativeMachine::Impl : TransportSink {
     transport->addStats(out.counters);
     if (trackStragglers()) {
       // Receiver-half protocol counters (msgId dedup, straggler triage)
-      // accumulate inside each worker's proto::Delivery endpoint; roll them
-      // up here so faulty runs report the canonical counter-name set.
-      for (const auto& w : workers) w->rx.addStats(out.counters);
+      // accumulate per worker; roll them up here so faulty runs report the
+      // canonical counter-name set.
+      for (const auto& w : workers) {
+        w->rx.addStats(out.counters);
+        out.counters.add(proto::kStragglers, w->recv.stragglers);
+      }
     }
     if (plan.enabled()) {
       out.counters.add("fault.stalls", faultStalls.load());
@@ -2340,7 +2184,7 @@ struct NativeMachine::Impl : TransportSink {
       out.counters.add("recovery.parkedEarly", recParkedEarly);
       // Post-END ledger residency: bounded by live instances (recovery.hpp).
       std::int64_t liveKeys = 0, liveMints = 0;
-      for (const auto& w : workers) liveKeys += w->dedup.liveKeys();
+      for (const auto& w : workers) liveKeys += w->recv.dedup.liveKeys();
       for (const RecoveryLog& L : recLogs)
         for (const auto& [ctx, m] : L.mints)
           liveMints += static_cast<std::int64_t>(m.size());

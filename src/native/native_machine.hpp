@@ -7,10 +7,12 @@
 //
 // Fidelity to the model:
 //  - one worker thread per "PE"; every frame is owned by exactly one worker
-//    and only its owner ever touches it (tokens cross threads through a
-//    mutex-guarded inbox, so no per-frame locking exists);
+//    and only its owner ever touches it (tokens cross threads through the
+//    worker's inbox, lock-free SPSC rings with a mutex-guarded overflow
+//    deque, so no per-frame locking exists);
 //  - SP semantics are identical to the simulator's by construction, since
-//    both engines run one SP executor (runtime/sp_exec.hpp): spawn-by-token
+//    both engines run one SP executor (runtime/sp_exec.hpp) and one receive
+//    core (runtime/receive.hpp): spawn-by-token
 //    frame instantiation keyed on (SP code, context), blocking on empty
 //    operand slots, split-phase I-structure reads with deferred-read
 //    wake-up, counted completion joins, Range Filters computed from array

@@ -20,16 +20,9 @@ bool Delivery::accept(std::uint64_t msgId) {
   return true;
 }
 
-bool Delivery::straggler(std::uint64_t ctx) {
-  if (retired_.count(ctx) == 0) return false;
-  ++stragglers_;
-  return true;
-}
-
 void Delivery::addStats(Counters& out) const {
   registerProtocolCounters(out);
   out.add(kDupSuppressed, dupSuppressed_);
-  out.add(kStragglers, stragglers_);
 }
 
 void Delivery::registerProtocolCounters(Counters& out) {

@@ -24,9 +24,6 @@
 //     acks). Single-assignment slots make redelivery of *data* harmless;
 //     dedup is what protects the non-idempotent tokens (ADDC counters,
 //     spawn-by-token).
-//   * Straggler triage: contexts are never reused, so a token addressed to
-//     a retired (ENDed) context is a reordered duplicate from a previous
-//     delivery attempt and is discarded, not an error.
 //   * Counter accounting: one canonical `net.*` / `fault.*` namespace, zero
 //     registered up front so both engines emit the identical *set* of
 //     counter names whether or not an event ever fired.
@@ -59,11 +56,12 @@ inline constexpr const char* kFaultStalls = "fault.stalls";
 /// counts tokens, arrayMsgs, pages and retx.
 std::string linkCounterName(int fromPe, int toPe, const char* what);
 
-/// One PE's receive ledger: the msgIds it has seen and the contexts that
-/// have retired there. The simulator keeps one per PE and each native
-/// worker one; a native worker consults the msgId half only on the inbox
-/// transport, the one transport that can hand it two copies of a token
-/// (the UDP receive windows drop duplicates before the inbox).
+/// One PE's receive ledger: the msgIds it has seen. The simulator keeps one
+/// per PE and each native worker one; a native worker consults it only on
+/// the inbox transport, the one transport that can hand it two copies of a
+/// token (the UDP receive windows drop duplicates before the inbox). What
+/// happens to a token past this ledger (straggler triage, replay dedup and
+/// the receive log) is the receive core's (runtime/receive.hpp).
 class Delivery {
  public:
   // ---- Link msgIds (batched drivers) -----------------------------------
@@ -92,20 +90,9 @@ class Delivery {
   /// is always fresh.
   bool accept(std::uint64_t msgId);
 
-  /// The context finished (END executed); tokens still addressed to it are
-  /// stragglers from past delivery attempts.
-  void retireCtx(std::uint64_t ctx) { retired_.insert(ctx); }
-
-  /// True (counting kStragglers) when `ctx` has retired and the token must
-  /// be discarded. A live context is never retired: contexts are not reused.
-  bool straggler(std::uint64_t ctx);
-
-  /// Fail-stop wipe: a killed PE loses its volatile ledgers (they rebuild
-  /// from the recovery log) but its counters describe history and survive.
-  void resetReceiver() {
-    seen_.clear();
-    retired_.clear();
-  }
+  /// Fail-stop wipe: a killed PE loses its volatile ledger but its counter
+  /// describes history and survives.
+  void resetReceiver() { seen_.clear(); }
 
   // ---- Accounting ----------------------------------------------------
   /// Adds this ledger's counts to `out`, pre-registering zeros for the
@@ -123,9 +110,7 @@ class Delivery {
 
  private:
   std::unordered_set<std::uint64_t> seen_;
-  std::unordered_set<std::uint64_t> retired_;
   std::int64_t dupSuppressed_ = 0;
-  std::int64_t stragglers_ = 0;
 };
 
 }  // namespace proto

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "proto/delivery.hpp"
+#include "runtime/receive.hpp"
 #include "runtime/sp_exec.hpp"
 #include "sim/event_queue.hpp"
 #include "support/check.hpp"
@@ -365,7 +366,10 @@ struct Deferred {
 struct PeState {
   // Execution memory.
   std::vector<Frame> frames;
-  std::unordered_map<std::uint64_t, std::uint32_t> match;  // ctx -> frame
+  // The Matching Unit's table, replay ledger and parked replies
+  // (runtime/receive.hpp). A retired context's entry keeps pointing at its
+  // dead frame, whose storage is never reused.
+  ReceiveState recv;
   std::deque<std::uint32_t> readyQ;
   std::int64_t current = -1;
   std::uint32_t lastFrame = 0xFFFFFFFFu;
@@ -387,25 +391,13 @@ struct PeState {
   std::unordered_map<ArrayId, std::unordered_map<std::int64_t, Deferred>>
       deferred;  // absent elements we own with waiting readers
 
-  // Reliable-delivery receiver half (lossy mode): msgId dedup (so
-  // retransmissions and injected duplicates are suppressed) and the
-  // retired-instance ledger. NEWCTX never reuses a context, so a token
-  // matching a retired context is a straggler its instance provably never
-  // needed (the instance retired without it) — delivered late only because
-  // injected delays/retransmits broke the network's normal FIFO order. It
-  // must be discarded, not allowed to spawn a zombie instance. All of that
-  // logic lives in proto::Delivery; this PE just drives it.
+  // Reliable-delivery receiver half (lossy mode): msgId dedup, so
+  // retransmissions and injected duplicates are suppressed (proto::Delivery).
   proto::Delivery rx;
 
   // Kill mode.
   bool dead = false;           // inside the fail-stop window
   std::uint32_t incarnation = 0;
-  ReplayDedup dedup;           // logical exactly-once filter (see recovery.hpp)
-  // Logged continuation-addressed deliveries awaiting on-demand re-delivery
-  // after a restart: sender ctx -> indices into the PE's receive log. They
-  // are handed out when a re-executing frame re-sends to that sender's
-  // context, which is exactly after the slot's CLEAR of the matching round.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> pendingReplay;
 };
 
 /// Sender-side record of one unacknowledged reliable message (lossy mode):
@@ -887,28 +879,12 @@ struct Machine::Impl {
     push(want, EvKind::EuKick, pe);
   }
 
-  void wakeIfBlockedOn(std::uint16_t pe, std::uint32_t frameIdx,
-                       std::uint16_t slot, SimTime t) {
-    PeState& P = pes[pe];
-    Frame& f = P.frames[frameIdx];
-    if (f.state == FrameState::Blocked && f.blockedSlot == slot) {
-      f.state = FrameState::Ready;
-      f.blockedSlot = kNoSlot;
-      P.readyQ.push_back(frameIdx);
-      pushKick(pe, t);
-    }
-  }
-
+  /// Instantiates an SP frame for context `ctx` on `pe`, ready at `t`.
   std::uint32_t createFrame(std::uint16_t pe, std::uint16_t spCode,
                             std::uint64_t ctx, SimTime t) {
     PeState& P = pes[pe];
-    const SpCode& sp = prog.sp(spCode);
-    unitSched(pe, Unit::MM, t, tm.frameListOp);  // execution-memory allocation
-    Frame f;
-    f.reset(spCode, ctx, sp.numSlots);
-    std::uint32_t idx = static_cast<std::uint32_t>(P.frames.size());
-    P.frames.push_back(std::move(f));
-    P.match[ctx] = idx;
+    P.frames.emplace_back().reset(spCode, ctx, prog.sp(spCode).numSlots);
+    const auto idx = static_cast<std::uint32_t>(P.frames.size() - 1);
     P.readyQ.push_back(idx);
     count(Ctr::SpInstantiated);
     ++stats.spProfiles[spCode].instances;
@@ -917,88 +893,10 @@ struct Machine::Impl {
     return idx;
   }
 
-  /// `fromMu` distinguishes real token traffic (logged + logically
-  /// deduplicated in kill mode) from local Array Manager slot fills, which
-  /// a replayed frame regenerates by re-issuing its requests.
-  void deliverToken(std::uint16_t pe, SimTime t, const Token& tok,
-                    bool fromMu) {
-    PeState& P = pes[pe];
-    std::uint32_t frameIdx;
-    std::uint16_t slot;
-    if (tok.toCont) {
-      frameIdx = tok.cont.frame;
-      slot = tok.cont.slot;
-      if (frameIdx >= P.frames.size() ||
-          P.frames[frameIdx].state == FrameState::Dead) {
-        count(Ctr::TokensDropped);
-        return;
-      }
-      Frame& fr = P.frames[frameIdx];
-      if (killMode() && fromMu && tok.sendKey != 0 &&
-          !P.dedup.firstCont(fr.ctx, tok.senderCtx, tok.sendKey)) {
-        // A re-executed sender re-sent this logical token (or a held copy
-        // raced a replayed one): it was already applied exactly once. The
-        // ledger is keyed by the *consumer's* context — safe because dead
-        // consumers drop their tokens above, before dedup is consulted —
-        // so END can prune a retired instance's keys.
-        count(Ctr::TokensReplayDup);
-        return;
-      }
-      if (killMode() && fromMu && tok.sendKey != 0 && fr.replaying &&
-          !fr.sentTo(tok.senderCtx)) {
-        // Fresh result racing the replay (e.g. a survivor child finishing
-        // after the restart): the rebuilt consumer has not re-sent to this
-        // context yet, so applying now could clobber an earlier round's
-        // slot. Park it; the re-send trigger delivers it in program order.
-        P.pendingReplay[tok.senderCtx].push_back(recLogs[pe].entries.size());
-        logToken(pe, tok, frameIdx);
-        count(Ctr::RecoveryParkedEarly);
-        return;
-      }
-    } else {
-      if (faulty() && P.rx.straggler(tok.ctx)) {
-        // Straggler to a retired instance: reordered by injected delay or
-        // retransmission. Spawning here would create a zombie frame. Checked
-        // before the replay ledger, which shed the context's keys at its
-        // END and must not take new ones; a live context is never retired,
-        // because contexts are never reused.
-        return;
-      }
-      if (killMode() && fromMu && !P.dedup.firstCtx(tok.ctx, tok.slot)) {
-        count(Ctr::TokensReplayDup);
-        return;
-      }
-      auto it = P.match.find(tok.ctx);
-      if (it == P.match.end()) {
-        frameIdx = createFrame(pe, tok.spCode, tok.ctx, t);
-      } else {
-        frameIdx = it->second;
-      }
-      slot = tok.slot;
-    }
-    if (killMode() && fromMu) logToken(pe, tok, frameIdx);
-    P.frames[frameIdx].apply(slot, tok.v, tok.add);
-    wakeIfBlockedOn(pe, frameIdx, slot, t);
-  }
-
-  /// Appends one applied delivery to the PE's stable receive log.
-  void logToken(std::uint16_t pe, const Token& tok, std::uint32_t frameIdx) {
-    RecEntry e;
-    if (tok.toCont) {
-      e.kind = RecEntry::Kind::ConToken;
-      e.frame = frameIdx;
-      e.slot = tok.cont.slot;
-      e.senderCtx = tok.senderCtx;
-      e.sendKey = tok.sendKey;
-      e.add = tok.add;
-    } else {
-      e.kind = RecEntry::Kind::CtxToken;
-      e.ctx = tok.ctx;
-      e.slot = tok.slot;
-      e.spCode = tok.spCode;
-    }
-    e.v = tok.v;
-    recLogs[pe].entries.push_back(e);
+  /// The Matching Unit delivers a token (runtime/receive.hpp) at time `t`.
+  void deliverToken(std::uint16_t pe, SimTime t, const Token& tok) {
+    Exec ex{*this, pe, t};
+    receive(ex, pes[pe].recv, tok);
   }
 
   /// True when the header of `arr` is installed on `pe`.
@@ -1036,37 +934,13 @@ struct Machine::Impl {
     return info.layout.ownedColsOfRow(pe, row);
   }
 
-  /// END: the frame dies and its execution memory is released.
-  void retireFrame(std::uint16_t pe, SimTime t, Frame& f) {
-    PeState& P = pes[pe];
-    f.state = FrameState::Dead;
-    if (faulty()) P.rx.retireCtx(f.ctx);
-    if (killMode()) {
-      RecEntry e;
-      e.kind = RecEntry::Kind::End;
-      e.ctx = f.ctx;
-      recLogs[pe].entries.push_back(e);
-      // The instance is over: its logical-dedup keys and minted values
-      // can never be consulted again (tokens to a dead frame are dropped
-      // or triaged as stragglers first), so the recovery ledgers shed
-      // them here — this is what keeps long runs' logs bounded.
-      P.dedup.retire(f.ctx);
-      recLogs[pe].mints.erase(f.ctx);
-    }
-    P.match.erase(f.ctx);
-    f.slots.clear();
-    f.slots.shrink_to_fit();
-    unitSched(pe, Unit::MM, t, tm.frameListOp);  // frame release
-    count(Ctr::SpCompleted);
-    --liveSps;
-  }
-
   // --- per-instruction execution -------------------------------------------
 
-  /// The simulator's side of the SP executor (runtime/sp_exec.hpp), bound to
-  /// one PE's Execution Unit at its local clock `t`: instructions cost EU
-  /// time, array instructions become Array Manager tasks issued at `t`, and
-  /// sends go through the Matching and Routing Units.
+  /// The simulator's side of the SP executor (runtime/sp_exec.hpp) and of
+  /// the receive core (runtime/receive.hpp), bound to one PE at its local
+  /// clock `t`: instructions cost EU time, array instructions become Array
+  /// Manager tasks issued at `t`, sends go through the Matching and Routing
+  /// Units, and a spawn charges the Memory Manager.
   struct Exec {
     Impl& m;
     std::uint16_t pe;
@@ -1092,8 +966,54 @@ struct Machine::Impl {
     void recordMint(std::uint64_t ctx, std::uint32_t seq, const Value& v) {
       m.recLogs[pe].recordMint(ctx, seq, v);
     }
-    ParkedReplies& parkedReplies() { return m.pes[pe].pendingReplay; }
+    ParkedReplies& parkedReplies() { return m.pes[pe].recv.parked; }
     void replayedToken() { m.count(Ctr::RecoveryReplayedTokens); }
+
+    // Receive core hooks.
+    Frame* liveFrame(std::uint32_t idx) {
+      std::vector<Frame>& frames = m.pes[pe].frames;
+      return idx < frames.size() && frames[idx].state != FrameState::Dead
+                 ? &frames[idx]
+                 : nullptr;
+    }
+    bool wellFormed(const Token&, const Frame*) const { return true; }
+    void drop(Drop why) {
+      if (why == Drop::Stale) m.count(Ctr::TokensDropped);
+      if (why == Drop::ReplayDup) m.count(Ctr::TokensReplayDup);
+    }
+    std::uint32_t spawn(std::uint16_t spCode, std::uint64_t ctx) {
+      m.unitSched(pe, Unit::MM, t, m.tm.frameListOp);  // memory allocation
+      return m.createFrame(pe, spCode, ctx, t);
+    }
+    void logRecord(const RecEntry& e) { m.recLogs[pe].entries.push_back(e); }
+    void parkedEarly() { m.count(Ctr::RecoveryParkedEarly); }
+    void wake(std::uint32_t idx, Frame& f, std::uint16_t slot) {
+      if (f.state != FrameState::Blocked || f.blockedSlot != slot) return;
+      f.state = FrameState::Ready;
+      f.blockedSlot = kNoSlot;
+      m.pes[pe].readyQ.push_back(idx);
+      m.pushKick(pe, t);
+    }
+    bool tracksStragglers() const { return m.faulty(); }
+    std::uint32_t retiredEntry(std::uint32_t idx) const { return idx; }
+    bool holdsEnd() const { return false; }
+    /// A rebuilt frame takes the next index, as its creation did; it is not
+    /// counted again.
+    std::uint32_t restore(const RecEntry& e) {
+      std::vector<Frame>& frames = m.pes[pe].frames;
+      frames.emplace_back().reset(e.spCode, e.ctx,
+                                  m.prog.sp(e.spCode).numSlots);
+      ++m.liveSps;
+      return static_cast<std::uint32_t>(frames.size() - 1);
+    }
+    void restoreEnd(Frame& f) {
+      f.state = FrameState::Dead;
+      f.slots.clear();
+      --m.liveSps;
+    }
+    void replayRecord(const RecEntry&) {
+      PODS_UNREACHABLE("multi-process record in a simulator recovery log");
+    }
 
     Step alloc(std::uint32_t frameIdx, Frame& f, const Instr& in,
                const ArrayShape& shape) {
@@ -1230,8 +1150,15 @@ struct Machine::Impl {
       m.stats.results[idx] = v;
       m.resultSet[idx] = true;
     }
-    Step end(std::uint32_t, Frame& f) {
-      m.retireFrame(pe, t, f);
+    /// The frame dies and its execution memory is released.
+    Step end(std::uint32_t frameIdx, Frame& f) {
+      retire(*this, m.pes[pe].recv, f.ctx, frameIdx);
+      f.state = FrameState::Dead;
+      f.slots.clear();
+      f.slots.shrink_to_fit();
+      m.unitSched(pe, Unit::MM, t, m.tm.frameListOp);  // frame release
+      m.count(Ctr::SpCompleted);
+      --m.liveSps;
       return Step::Ended;
     }
   };
@@ -1723,7 +1650,7 @@ struct Machine::Impl {
     }
     // Already restarted: deliver as a fresh arrival; dedup does the rest.
     if (ev.kind == EvKind::TokenDeliver) {
-      deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/true);
+      deliverToken(ev.pe, t, bodies[ev.body].tok);
       bodies.release(ev.body);
       return true;
     }
@@ -1738,7 +1665,6 @@ struct Machine::Impl {
     for (const Frame& f : P.frames)
       if (f.state != FrameState::Dead) --liveSps;
     P.frames.clear();
-    P.match.clear();
     P.readyQ.clear();
     P.current = -1;
     P.lastFrame = 0xFFFFFFFFu;
@@ -1749,9 +1675,8 @@ struct Machine::Impl {
     P.cache.clear();
     P.pendingRemote.clear();
     P.deferred.clear();
+    P.recv.wipe();
     P.rx.resetReceiver();
-    P.dedup.clear();
-    P.pendingReplay.clear();
   }
 
   /// Rebuilds the killed PE from its receive log, then re-injects the held
@@ -1762,54 +1687,8 @@ struct Machine::Impl {
     PODS_CHECK(P.dead);
     P.dead = false;
     count(Ctr::FaultRestarts);
-    RecoveryLog& L = recLogs[pe];
-    for (std::size_t i = 0; i < L.entries.size(); ++i) {
-      const RecEntry& e = L.entries[i];
-      switch (e.kind) {
-        case RecEntry::Kind::Boot:
-        case RecEntry::Kind::CtxToken: {
-          std::uint32_t idx;
-          if (e.kind == RecEntry::Kind::Boot) {
-            idx = rebuildFrame(P, e.spCode, e.ctx);
-          } else {
-            P.dedup.firstCtx(e.ctx, e.slot);
-            auto it = P.match.find(e.ctx);
-            idx = it != P.match.end() ? it->second
-                                      : rebuildFrame(P, e.spCode, e.ctx);
-            P.frames[idx].slots[e.slot] = e.v;
-          }
-          break;
-        }
-        case RecEntry::Kind::ConToken:
-          // Not applied here: held back until the re-executing consumer
-          // re-sends to the original sender's context (after the matching
-          // round's CLEAR), so multi-round slots refill in program order.
-          // The consumer frame exists by log order (its creating record
-          // precedes every delivery into it).
-          PODS_CHECK_MSG(e.frame < P.frames.size(),
-                         "replayed delivery targets an unknown frame");
-          P.dedup.firstCont(P.frames[e.frame].ctx, e.senderCtx, e.sendKey);
-          P.pendingReplay[e.senderCtx].push_back(i);
-          break;
-        case RecEntry::Kind::End: {
-          auto it = P.match.find(e.ctx);
-          PODS_CHECK_MSG(it != P.match.end(),
-                         "recovery log retires an unknown context");
-          Frame& f = P.frames[it->second];
-          f.state = FrameState::Dead;
-          f.slots.clear();
-          P.rx.retireCtx(e.ctx);
-          P.dedup.retire(e.ctx);
-          L.mints.erase(e.ctx);
-          P.match.erase(it);
-          --liveSps;
-          break;
-        }
-        case RecEntry::Kind::Recv:
-        case RecEntry::Kind::Am:
-          PODS_UNREACHABLE("multi-process record in a simulator recovery log");
-      }
-    }
+    Exec ex{*this, pe, t};
+    rebuild(ex, P.recv);
     // Every frame that was live at the kill restarts from pc 0. Headers come
     // back from the global store: every distributed array broadcast its
     // header to all PEs, and an undistributed array homed here was installed
@@ -1817,7 +1696,6 @@ struct Machine::Impl {
     std::int64_t replayed = 0;
     for (std::uint32_t idx = 0; idx < P.frames.size(); ++idx) {
       if (P.frames[idx].state == FrameState::Dead) continue;
-      P.frames[idx].replaying = true;
       P.readyQ.push_back(idx);
       ++replayed;
     }
@@ -1835,27 +1713,7 @@ struct Machine::Impl {
       // (ctx, slot) and safe to deliver at any time.
       const Token& tok = bodies[held.body].tok;
       if (held.kind != EvKind::AmArrive && tok.toCont && tok.sendKey != 0) {
-        // A held copy into a frame that has since retired (or never came
-        // back) was never going to be applied: parked entries are only
-        // re-delivered into live re-sending frames. Dropping it here keeps
-        // the dedup ledger consumer-keyed.
-        const std::uint32_t cf = tok.cont.frame;
-        if (cf >= P.frames.size() ||
-            P.frames[cf].state == FrameState::Dead) {
-          count(Ctr::TokensDropped);
-        } else if (P.dedup.firstCont(P.frames[cf].ctx, tok.senderCtx,
-                                     tok.sendKey)) {
-          RecEntry e;
-          e.kind = RecEntry::Kind::ConToken;
-          e.frame = tok.cont.frame;
-          e.slot = tok.cont.slot;
-          e.v = tok.v;
-          e.add = tok.add;
-          e.senderCtx = tok.senderCtx;
-          e.sendKey = tok.sendKey;
-          P.pendingReplay[e.senderCtx].push_back(L.entries.size());
-          L.entries.push_back(e);
-        }
+        parkHeldReply(ex, P.recv, tok);
         bodies.release(held.body);
         continue;
       }
@@ -1886,34 +1744,16 @@ struct Machine::Impl {
     pushKick(pe, t);
   }
 
-  /// Frame reconstruction during restart: no stats/profile counting (these
-  /// are the same instances that were already counted at first creation).
-  std::uint32_t rebuildFrame(PeState& P, std::uint16_t spCode,
-                             std::uint64_t ctx) {
-    Frame f;
-    f.reset(spCode, ctx, prog.sp(spCode).numSlots);
-    const std::uint32_t idx = static_cast<std::uint32_t>(P.frames.size());
-    P.frames.push_back(std::move(f));
-    P.match[ctx] = idx;
-    ++liveSps;
-    return idx;
-  }
-
   // --- main loop ------------------------------------------------------------
 
   RunStats run() {
-    // Boot: instantiate main's frame on PE 0 with context 0.
+    // Boot: instantiate main's frame on PE 0 with context 0. No token spawns
+    // it, so it costs the Memory Manager nothing.
     {
-      PeState& P0 = pes[0];
-      Frame f;
-      f.reset(prog.mainSp, 0, prog.sp(prog.mainSp).numSlots);
-      P0.frames.push_back(std::move(f));
-      P0.match[0] = 0;
-      P0.readyQ.push_back(0);
-      count(Ctr::SpInstantiated);
-      ++stats.spProfiles[prog.mainSp].instances;
-      peakLiveSps = std::max(peakLiveSps, ++liveSps);
-      pushKick(0, kTimeZero);
+      SimTime t0 = kTimeZero;
+      Exec ex{*this, 0, t0};
+      bootMain(ex, pes[0].recv, prog.mainSp, 0,
+               createFrame(0, prog.mainSp, 0, t0));
     }
     if (killMode()) {
       if (cfg.faults.killPe >= cfg.numPEs) {
@@ -1923,13 +1763,6 @@ struct Machine::Impl {
         stats.ok = false;
         return finalize();
       }
-      // The boot frame is not spawned by a token; log it so a kill of PE 0
-      // can rebuild main.
-      RecEntry boot;
-      boot.kind = RecEntry::Kind::Boot;
-      boot.spCode = prog.mainSp;
-      boot.ctx = 0;
-      recLogs[0].entries.push_back(boot);
       const auto victim = static_cast<std::uint16_t>(cfg.faults.killPe);
       push(usec(cfg.faults.killTimeUs), EvKind::PeKill, victim);
       push(usec(cfg.faults.killTimeUs + cfg.faults.killRestartUs),
@@ -1991,7 +1824,7 @@ struct Machine::Impl {
           break;
         }
         case EvKind::TokenDeliver:
-          deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/true);
+          deliverToken(ev.pe, t, bodies[ev.body].tok);
           bodies.release(ev.body);
           break;
         case EvKind::AmArrive:
@@ -1999,7 +1832,7 @@ struct Machine::Impl {
           bodies.release(ev.body);
           break;
         case EvKind::SlotFill:
-          deliverToken(ev.pe, t, bodies[ev.body].tok, /*fromMu=*/false);
+          deliverToken(ev.pe, t, bodies[ev.body].tok);
           bodies.release(ev.body);
           break;
         case EvKind::NetDeliver:
@@ -2082,14 +1915,17 @@ struct Machine::Impl {
       // The receive ledgers' counts, plus canonical zero registrations so
       // every faulty run reports the same counter-name set; the sender's
       // retransmits and give-ups are counters by id, folded in below.
-      for (const PeState& P : pes) P.rx.addStats(stats.counters);
+      for (const PeState& P : pes) {
+        P.rx.addStats(stats.counters);
+        stats.counters.add(proto::kStragglers, P.recv.stragglers);
+      }
       proto::Delivery::registerInjectionCounters(stats.counters);
     }
     if (killMode()) {
       // Recovery-ledger residency after END-pruning: bounded by the number
       // of *live* instances, not the length of the run (see recovery.hpp).
       std::int64_t liveKeys = 0, liveMints = 0;
-      for (const PeState& P : pes) liveKeys += P.dedup.liveKeys();
+      for (const PeState& P : pes) liveKeys += P.recv.dedup.liveKeys();
       for (const RecoveryLog& L : recLogs)
         for (const auto& [ctx, m] : L.mints) liveMints += static_cast<std::int64_t>(m.size());
       stats.counters.add("recovery.dedup.liveKeys", liveKeys);

@@ -1,4 +1,5 @@
-// Fail-stop recovery support shared by the simulated and native engines.
+// Fail-stop recovery state shared by the simulated and native engines; the
+// rules that write and replay it are in runtime/{receive,sp_exec}.hpp.
 //
 // PODS needs no checkpoints to survive a PE fail-stop: single assignment
 // (I-structure arrays, write-once frame slots) makes re-execution of a lost
@@ -11,8 +12,9 @@
 //   1. rebuilds its frame table by replaying the receive log in order —
 //      context-addressed tokens recreate frames at their original indices
 //      (and original generations in the native engine), END records turn
-//      frames back into retired stubs so straggler continuations still
-//      resolve to "dead" instead of aliasing;
+//      frames back into retired stubs and their contexts back into retired
+//      match-table entries, so straggler continuations and context tokens
+//      still resolve to "dead" instead of aliasing or respawning;
 //   2. re-executes every frame that was live at the kill from pc 0; the
 //      mint log makes NEWCTX/ALLOC idempotent (the n-th mint by a given
 //      context returns its original identity), and array writes /
@@ -47,7 +49,7 @@ struct RecEntry {
     Boot,      // the bootstrap main frame (created without a spawn token)
     CtxToken,  // context-addressed delivery (spawn/call argument)
     ConToken,  // continuation-addressed delivery (result / yield / join add)
-    End,       // frame retirement (its ctx entered the retired ledger)
+    End,       // frame retirement (its ctx is retired in the match table)
     Recv,      // multi-process: wire-accepted inbound token (msgId only) —
                // replayed to rebuild the UDP receive/ack windows so a
                // survivor's old-numbered retransmits still dedup and ack
@@ -106,12 +108,13 @@ struct RecoveryLog {
 /// to absorb a restarted neighbor's re-sent tokens.
 ///
 /// Both ledgers are keyed by the *consuming* context so retire() can shed an
-/// instance's keys the moment it ENDs. That is sound because consumers check
-/// frame liveness before consulting dedup: a late duplicate addressed to a
-/// retired instance is dropped (dead frame) or triaged as a straggler before
-/// the pruned entry would ever be missed. Without pruning the ledgers grow
-/// with the total instance count of the run; with it they are bounded by the
-/// number of concurrently-live instances.
+/// instance's keys the moment it ENDs. That is sound because the receive
+/// core (runtime/receive.hpp) checks frame liveness before consulting dedup:
+/// a late duplicate addressed to a retired instance is dropped (dead frame)
+/// or triaged as a straggler before the pruned entry would ever be missed.
+/// Without pruning the ledgers grow with the total instance count of the
+/// run; with it they are bounded by the number of concurrently-live
+/// instances.
 struct ReplayDedup {
   // (target ctx) -> slots already filled by a context-addressed token.
   std::unordered_map<std::uint64_t, std::unordered_set<std::uint32_t>> ctxSlots;

@@ -120,6 +120,26 @@ def main() {
 )";
 }
 
+std::string spreadFibSource(int n) {
+  return R"(
+def fib(n: int) -> int {
+  let r = if n < 2 then n else fib(n - 1) + fib(n - 2);
+  return r;
+}
+def main() -> real {
+  let n = )" + std::to_string(n) + R"(;
+  let v = array(n);
+  for k = 0 to n - 1 {
+    v[k] = real(fib(5 + k % 5));
+  }
+  let s = for k = 0 to n - 1 carry (acc = 0.0) {
+    next acc = acc + v[k];
+  } yield acc;
+  return s;
+}
+)";
+}
+
 std::string triangularSource(int n) {
   return R"(
 def main() -> array {

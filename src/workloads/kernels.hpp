@@ -28,6 +28,12 @@ std::string reduceSource(int n);
 /// owner). main returns b and a checksum.
 std::string reversalSource(int n);
 
+/// Recursion on every PE: a distributed loop over an n-element array
+/// stores real(fib(5 + k % 5)) at each index k, and a carried loop sums
+/// the array. Every PE runs its slice's calls, so faults and kills land on
+/// recursive frames everywhere. main returns the sum.
+std::string spreadFibSource(int n);
+
 /// Triangular workload: row i does i+1 writes — deliberate load imbalance
 /// across the row-partitioned iteration space. main returns the row sums.
 std::string triangularSource(int n);

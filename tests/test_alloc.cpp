@@ -8,7 +8,7 @@
 // owner-serviced array traffic costs no heap node per element or per park.
 // On a 2-PE stencil over the in-process inbox transport, a wire-store
 // run() must therefore allocate at most twice what the local-store run()
-// allocates; over UDP, at most twice the inbox run (see below). And a
+// allocates; over UDP, at most 1.5 times the inbox run (see below). And a
 // warm proto::SendWindow sends, acks and retransmits without allocating.
 #include <gtest/gtest.h>
 
@@ -74,17 +74,19 @@ TEST(WireStoreAllocs, StencilWireRunAllocatesAtMostTwiceLocal) {
 
 // The UDP transport keeps each link's unacked records in one seq-indexed
 // send window and ships a page as one record, so a udp/wire run pays per
-// datagram, not per record or per page element, and its workers keep no
-// msgId ledger: the link receive windows already dropped every duplicate.
-// On the same 2-PE stencil it may allocate at most 2x what the inbox/wire
-// run does. Measured over 60 runs of one run() each: udp/wire 2,626-2,807
-// against inbox/wire 1,861-2,012, 1.3-1.5x; 3,034-3,175 against
-// 1,970-2,022 (1.5-1.6x) while every worker also inserted each drained
-// msgId into its ledger; 2.0-2.5x while the sender's delivery core kept a
-// hash-map and a set node per record and returned a vector per ack;
-// 5.3-6.3x with a record per page element and a heap node per retransmit
-// image.
-TEST(WireStoreAllocs, StencilUdpWireRunAllocatesAtMostTwiceInbox) {
+// datagram, not per record or per page element; its workers keep no msgId
+// ledger, the link receive windows having dropped every duplicate, and a
+// retired context stays in the match table it already occupies. On the
+// same 2-PE stencil it may allocate at most 1.5x what the inbox/wire run
+// does. Measured over 30 runs of one run() each: udp/wire 2,172-2,227
+// against inbox/wire 1,974-2,011, 1.1x; 2,754-2,787 against 1,975-2,011
+// (1.4x) while each retirement inserted its context into a set of its own
+// (552 frames retire per run); 3,034-3,175 against 1,970-2,022 (1.5-1.6x)
+// while every worker also inserted each drained msgId into its ledger;
+// 2.0-2.5x while the sender's delivery core kept a hash-map and a set node
+// per record and returned a vector per ack; 5.3-6.3x with a record per page
+// element and a heap node per retransmit image.
+TEST(WireStoreAllocs, StencilUdpWireRunAllocatesAtMostOneAndAHalfTimesInbox) {
   CompileResult cr = compile(workloads::stencilSource(48, 10), {});
   ASSERT_TRUE(cr.ok) << cr.diagnostics;
   native::NativeConfig inbox;
@@ -96,7 +98,7 @@ TEST(WireStoreAllocs, StencilUdpWireRunAllocatesAtMostTwiceInbox) {
   const std::int64_t inboxAllocs = runAllocs(*cr.compiled, inbox);
   const std::int64_t udpAllocs = runAllocs(*cr.compiled, udp);
   EXPECT_GT(inboxAllocs, 0);  // the counter is live
-  EXPECT_LE(udpAllocs, 2 * inboxAllocs)
+  EXPECT_LE(udpAllocs, 3 * inboxAllocs / 2)
       << "udp/wire allocated " << udpAllocs << " times in run(), inbox/wire "
       << inboxAllocs;
 }

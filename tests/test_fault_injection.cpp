@@ -6,10 +6,10 @@
 // must complete and produce results bit-identical to a fault-free run —
 // single assignment makes redelivered data harmless, message-id dedup makes
 // non-idempotent tokens (ADDC, spawn-by-token) exactly-once, and the
-// retired-context ledger swallows stragglers reordered past an instance's
-// END. The sweeps run PODS_FAULT_SEEDS seeds (default 32; CI soak raises
-// it) across engines and PE counts, on SIMPLE 16x16 and a recursive
-// workload.
+// receive core triages stragglers reordered past an instance's END. The
+// sweeps run PODS_FAULT_SEEDS seeds (default 32; CI soak raises it) across
+// engines and PE counts, on SIMPLE 16x16 and a recursive workload that runs
+// on every PE.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,14 +26,6 @@
 
 namespace pods {
 namespace {
-
-constexpr const char* kFibSource = R"(
-def fib(n: int) -> int {
-  let r = if n < 2 then n else fib(n - 1) + fib(n - 2);
-  return r;
-}
-def main() -> int { return fib(13); }
-)";
 
 std::unique_ptr<Compiled> compileOk(const std::string& src) {
   CompileResult cr = compile(src, {});
@@ -59,6 +51,11 @@ FaultConfig faultRates(std::uint64_t seed) {
   fc.retry.rtoUs = 50.0;
   fc.nativeDelayUs = 20.0;
   return fc;
+}
+
+/// Injected network faults of a run.
+std::int64_t injectedFaults(const Counters& c) {
+  return c.get("fault.drops") + c.get("fault.dups") + c.get("fault.delays");
 }
 
 std::map<std::string, std::int64_t> counterMap(const Counters& c) {
@@ -152,9 +149,7 @@ TEST(FaultFuzz, SimSimpleBitIdenticalToFaultFree) {
           << "pes=" << pes << " seed=" << seed;
       resent += run.stats.counters.get("net.retx.resent");
       dedup += run.stats.counters.get("net.retx.dupSuppressed");
-      injected += run.stats.counters.get("fault.drops") +
-                  run.stats.counters.get("fault.dups") +
-                  run.stats.counters.get("fault.delays");
+      injected += injectedFaults(run.stats.counters);
     }
   }
   // The protocol must actually have been exercised across the sweep.
@@ -163,13 +158,16 @@ TEST(FaultFuzz, SimSimpleBitIdenticalToFaultFree) {
   EXPECT_GT(dedup, 0);
 }
 
+// The recursion runs on every PE (fib(13) alone keeps every frame on PE 0,
+// so its sweeps rolled no fault dice), and the sweep must inject faults.
 TEST(FaultFuzz, SimRecursiveWorkload) {
-  auto c = compileOk(kFibSource);
+  auto c = compileOk(workloads::spreadFibSource(256));
   sim::MachineConfig clean;
   clean.numPEs = 4;
   PodsRun ref = runPods(*c, clean);
   ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
   const int seeds = faultSeeds();
+  std::int64_t injected = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     sim::MachineConfig mc;
     mc.numPEs = 4;
@@ -183,7 +181,9 @@ TEST(FaultFuzz, SimRecursiveWorkload) {
     EXPECT_EQ(run.stats.counters.get("sp.instantiated"),
               run.stats.counters.get("sp.completed"))
         << "seed=" << seed;
+    injected += injectedFaults(run.stats.counters);
   }
+  EXPECT_GT(injected, 0);
 }
 
 TEST(FaultFuzz, SimBitDeterministicAcrossRepeats) {
@@ -241,21 +241,20 @@ TEST(FaultFuzz, NativeSimpleBitIdenticalToFaultFree) {
       EXPECT_EQ(run.stats.counters.get("native.dupSuppressed"),
                 run.stats.counters.get("fault.dups"))
           << "workers=" << workers << " seed=" << seed;
-      injected += run.stats.counters.get("fault.drops") +
-                  run.stats.counters.get("fault.dups") +
-                  run.stats.counters.get("fault.delays");
+      injected += injectedFaults(run.stats.counters);
     }
   }
   EXPECT_GT(injected, 0);
 }
 
 TEST(FaultFuzz, NativeRecursiveWorkload) {
-  auto c = compileOk(kFibSource);
+  auto c = compileOk(workloads::spreadFibSource(256));
   native::NativeConfig clean;
   clean.numWorkers = 4;
   NativeRun ref = runNative(*c, clean);
   ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
   const int seeds = faultSeeds();
+  std::int64_t injected = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     native::NativeConfig nc;
     nc.numWorkers = 8;
@@ -268,7 +267,9 @@ TEST(FaultFuzz, NativeRecursiveWorkload) {
         << "seed=" << seed << ": " << why;
     EXPECT_EQ(run.stats.counters.get("native.framesCreated"),
               run.stats.counters.get("native.framesRetired"));
+    injected += injectedFaults(run.stats.counters);
   }
+  EXPECT_GT(injected, 0);
 }
 
 // --- wire-store sweeps ------------------------------------------------------
@@ -303,9 +304,7 @@ TEST(FaultFuzz, NativeWireStoreArrayHeavyBitIdenticalToFaultFree) {
         << "seed=" << seed;
     EXPECT_EQ(run.stats.counters.get("native.shmArrayOps"), 0)
         << "seed=" << seed;
-    injected += run.stats.counters.get("fault.drops") +
-                run.stats.counters.get("fault.dups") +
-                run.stats.counters.get("fault.delays");
+    injected += injectedFaults(run.stats.counters);
     // The workload is array-message dominated: remote reads must have
     // happened for the dice to have had anything array-shaped to hit.
     EXPECT_GT(run.stats.counters.get("net.am.readReqSent"), 0)

@@ -3,12 +3,14 @@
 //
 // Three kinds of property live here:
 //   1. the protocol cores driven directly, no engine, no clock: the
-//      RetryPolicy schedule, the proto::Delivery receive ledger through
-//      duplicate, straggler and fail-stop traces, and the UDP link windows
+//      RetryPolicy schedule, the proto::Delivery msgId ledger through
+//      duplicate and fail-stop traces, the UDP link windows
 //      (proto::SendWindow, proto::RecvWindow) against set and map models —
 //      seeded random traces of put / mark sent / ack / expire, every ack
 //      over every live subset of a small window, every arrival order of a
-//      few seqs;
+//      few seqs — and the receive core (runtime/receive.hpp) through a stub
+//      engine over every arrival order of a few tokens, ENDs and a
+//      fail-stop;
 //   2. counter parity: the same program + fault config on the simulator and
 //      the native runtime must emit the identical *set* of protocol counter
 //      names (the canonical `net.retx.*` / `fault.*` namespace), so
@@ -33,19 +35,13 @@
 #include "core/pods.hpp"
 #include "proto/delivery.hpp"
 #include "proto/link_window.hpp"
+#include "runtime/receive.hpp"
 #include "support/fault.hpp"
+#include "workloads/kernels.hpp"
 #include "workloads/simple.hpp"
 
 namespace pods {
 namespace {
-
-constexpr const char* kFibSource = R"(
-def fib(n: int) -> int {
-  let r = if n < 2 then n else fib(n - 1) + fib(n - 2);
-  return r;
-}
-def main() -> int { return fib(13); }
-)";
 
 std::unique_ptr<Compiled> compileOk(const std::string& src) {
   CompileResult cr = compile(src, {});
@@ -590,26 +586,13 @@ TEST(DeliveryReceiver, DuplicateMsgIdsAreSuppressedOnce) {
   EXPECT_EQ(c.get(proto::kDupSuppressed), 2);
 }
 
-TEST(DeliveryReceiver, RetiredContextTriagesStragglers) {
-  proto::Delivery d;
-  EXPECT_FALSE(d.straggler(11));  // live context: token proceeds
-  d.retireCtx(11);
-  EXPECT_TRUE(d.straggler(11));  // reordered duplicate past END: discard
-  EXPECT_FALSE(d.straggler(12));
-  Counters c;
-  d.addStats(c);
-  EXPECT_EQ(c.get(proto::kStragglers), 1);
-}
-
 TEST(DeliveryReceiver, FailStopWipesLedgersButKeepsCounters) {
   proto::Delivery d;
   EXPECT_TRUE(d.accept(3));
   EXPECT_FALSE(d.accept(3));
-  d.retireCtx(21);
   d.resetReceiver();
-  // Ledgers are volatile PE state: gone after the fail-stop...
+  // The ledger is volatile PE state: gone after the fail-stop...
   EXPECT_TRUE(d.accept(3));
-  EXPECT_FALSE(d.straggler(21));
   // ...but history counters describe the whole run and survive.
   Counters c;
   d.addStats(c);
@@ -633,6 +616,370 @@ TEST(DeliveryAccounting, CanonicalNamesAreZeroRegistered) {
 TEST(DeliveryAccounting, LinkCounterNameFormat) {
   EXPECT_EQ(proto::linkCounterName(0, 3, "tokens"), "net.link.0->3.tokens");
   EXPECT_EQ(proto::linkCounterName(12, 7, "pages"), "net.link.12->7.pages");
+}
+
+// --- receive core -----------------------------------------------------------
+//
+// The receive core (runtime/receive.hpp) driven through a recording stub
+// engine, as SpExec.* drives execute(): every arrival order of at most four
+// tokens to one PE, interleaved with their contexts' ENDs, each with and
+// without a fail-stop wipe and a rebuild from the records logged so far, is
+// checked step by step against a set model. The stub binds the core both
+// ways the engines do: the simulator's, whose frame storage is never reused
+// and whose retired contexts keep pointing at their dead frames, and the
+// native engine's, which recycles storage under generation tags and marks
+// retired contexts with an index past every frame.
+
+constexpr std::uint64_t kCtxA = 11, kCtxB = 12;
+constexpr std::uint64_t kReplySender = 99, kReplyKey = 7;
+constexpr std::uint16_t kArgSlot = 0, kReplySlot = 1, kFillSlot = 2;
+constexpr std::uint16_t kStubSlots = 3;
+constexpr std::uint32_t kStubRetired = 1u << 24;
+
+struct StubFrame : SpFrame {
+  bool dead = false;
+};
+
+/// The token fields receive() reads.
+struct StubToken {
+  bool toCont = false;
+  bool add = false;
+  std::uint16_t spCode = 0;
+  std::uint16_t slot = 0;
+  std::uint64_t ctx = 0;
+  Cont cont{};
+  Value v{};
+  std::uint64_t senderCtx = 0;
+  std::uint64_t sendKey = 0;
+};
+
+/// What the core did with one token.
+enum class Outcome { None, Applied, Parked, Stale, ReplayDup, Straggler };
+
+/// A stub engine that records what the receive core asks of it.
+struct RecvStub {
+  bool recycles = false;
+  std::vector<StubFrame> frames;
+  std::vector<std::uint32_t> freeList;
+  RecoveryLog log;
+  Outcome outcome = Outcome::None;
+  std::vector<std::uint64_t> spawned;  // contexts, in spawn order
+  std::map<std::pair<std::uint64_t, std::uint16_t>, int> applies;
+
+  RecoveryLog* recoveryLog() { return &log; }
+  StubFrame* liveFrame(std::uint32_t idx) {
+    return idx < frames.size() && !frames[idx].dead ? &frames[idx] : nullptr;
+  }
+  bool wellFormed(const StubToken&, const StubFrame*) { return true; }
+  void drop(Drop why) {
+    outcome = why == Drop::Stale       ? Outcome::Stale
+              : why == Drop::ReplayDup ? Outcome::ReplayDup
+                                       : Outcome::Straggler;
+  }
+  std::uint32_t spawn(std::uint16_t spCode, std::uint64_t ctx) {
+    spawned.push_back(ctx);
+    std::uint32_t idx;
+    if (recycles && !freeList.empty()) {
+      idx = freeList.back();
+      freeList.pop_back();
+    } else {
+      idx = static_cast<std::uint32_t>(frames.size());
+      frames.emplace_back();
+    }
+    frames[idx].reset(spCode, ctx, kStubSlots);
+    frames[idx].dead = false;
+    return idx;
+  }
+  void logRecord(const RecEntry& e) { log.entries.push_back(e); }
+  void parkedEarly() { outcome = Outcome::Parked; }
+  void wake(std::uint32_t, StubFrame& f, std::uint16_t slot) {
+    outcome = Outcome::Applied;
+    ++applies[{f.ctx, slot}];
+  }
+  bool tracksStragglers() const { return true; }
+  std::uint32_t retiredEntry(std::uint32_t idx) const {
+    return recycles ? kStubRetired : idx;
+  }
+  bool holdsEnd() const { return false; }
+  std::uint32_t restore(const RecEntry& e) {
+    if (e.frame == frames.size()) frames.emplace_back();
+    EXPECT_LT(e.frame, frames.size());
+    StubFrame& f = frames[e.frame];
+    EXPECT_TRUE(f.dead || e.frame + 1 == frames.size());
+    f.reset(e.spCode, e.ctx, kStubSlots);
+    f.gen = e.gen;
+    f.dead = false;
+    return e.frame;
+  }
+  void restoreEnd(StubFrame& f) {
+    f.dead = true;
+    if (recycles) f.gen = static_cast<std::uint16_t>(f.gen + 1);
+    f.slots.clear();
+  }
+  void replayRecord(const RecEntry&) { ADD_FAILURE() << "unexpected record"; }
+};
+
+/// The arrivals a scenario draws from: arguments for contexts A and B, a
+/// replayed copy of one of them, a keyed reply into A, its replayed copy,
+/// and an unkeyed fill into A; ENDs of A and B; and one fail-stop.
+enum class Ev {
+  ArgA, ArgB, DupArgA, ReplyA, DupReplyA, FillA, EndA, EndB, Wipe
+};
+
+const char* evName(Ev e) {
+  constexpr const char* kNames[] = {"ArgA",  "ArgB",      "DupArgA",
+                                    "ReplyA", "DupReplyA", "FillA",
+                                    "EndA",  "EndB",      "Wipe"};
+  return kNames[static_cast<int>(e)];
+}
+
+/// The set model: what each context and ledger should hold.
+struct RecvModel {
+  enum class Ctx { Absent, Live, Ended };
+  std::map<std::uint64_t, Ctx> ctx = {{kCtxA, Ctx::Absent},
+                                      {kCtxB, Ctx::Absent}};
+  std::set<std::uint64_t> replaying;
+  std::set<std::pair<std::uint64_t, std::uint16_t>> filled;
+  std::set<std::uint64_t> repliesSeen;  // consumer contexts, one key each
+  std::vector<RecEntry::Kind> logKinds;
+  std::vector<std::uint64_t> logCtxs;  // the context each record concerns
+};
+
+/// One scenario run: stub, receive state and model, stepped together.
+struct RecvWorld {
+  RecvStub E;
+  ReceiveState R;
+  RecvModel M;
+  Cont contA{};  // A's instance, once spawned
+  std::string trace;
+
+  StubToken argTok(std::uint64_t ctx) const {
+    StubToken t;
+    t.ctx = ctx;
+    t.slot = kArgSlot;
+    t.v = Value::intv(static_cast<std::int64_t>(ctx));
+    return t;
+  }
+  StubToken replyTok(bool keyed) const {
+    StubToken t;
+    t.toCont = true;
+    t.cont = contA;
+    t.cont.slot = keyed ? kReplySlot : kFillSlot;
+    t.v = Value::intv(keyed ? 3 : 4);
+    t.senderCtx = keyed ? kReplySender : 0;
+    t.sendKey = keyed ? kReplyKey : 0;
+    return t;
+  }
+
+  /// The model's verdict on an argument for `ctx`, updating the model.
+  Outcome modelArg(std::uint64_t c) {
+    if (M.ctx[c] == RecvModel::Ctx::Ended) return Outcome::Straggler;
+    if (!M.filled.insert({c, kArgSlot}).second) return Outcome::ReplayDup;
+    M.ctx[c] = RecvModel::Ctx::Live;
+    M.logKinds.push_back(RecEntry::Kind::CtxToken);
+    M.logCtxs.push_back(c);
+    return Outcome::Applied;
+  }
+  Outcome modelReply(bool keyed) {
+    if (M.ctx[kCtxA] != RecvModel::Ctx::Live) return Outcome::Stale;
+    if (!keyed) return Outcome::Applied;
+    if (!M.repliesSeen.insert(kCtxA).second) return Outcome::ReplayDup;
+    M.logKinds.push_back(RecEntry::Kind::ConToken);
+    M.logCtxs.push_back(kCtxA);
+    return M.replaying.count(kCtxA) != 0 ? Outcome::Parked : Outcome::Applied;
+  }
+
+  void retireCtx(std::uint64_t c) {
+    const std::uint32_t idx = R.match.at(c);
+    retire(E, R, c, idx);
+    E.restoreEnd(E.frames[idx]);  // the frame dies as a rebuilt one does
+    if (E.recycles) E.freeList.push_back(idx);
+    M.ctx[c] = RecvModel::Ctx::Ended;
+    M.replaying.erase(c);
+    M.logKinds.push_back(RecEntry::Kind::End);
+    M.logCtxs.push_back(c);
+  }
+
+  /// A context's frame as the match table resolves it: its slots when live,
+  /// "retired" when its entry names no live frame, "absent" without one.
+  std::string snapshot(std::uint64_t c) {
+    const auto it = R.match.find(c);
+    if (it == R.match.end()) return "absent";
+    const StubFrame* f = E.liveFrame(it->second);
+    if (f == nullptr) return "retired";
+    return "live sp" + std::to_string(f->spCode) + " gen" +
+           std::to_string(f->gen) + " idx" + std::to_string(it->second) +
+           " arg=" + f->slots[kArgSlot].str();
+  }
+
+  void wipeAndRebuild() {
+    const std::string a = snapshot(kCtxA), b = snapshot(kCtxB);
+    const std::int64_t keys = R.dedup.liveKeys();
+    E.frames.clear();
+    E.freeList.clear();
+    R.wipe();
+    rebuild(E, R);
+    for (std::uint32_t i = 0; i < E.frames.size(); ++i)
+      if (E.frames[i].dead && E.recycles) E.freeList.push_back(i);
+    EXPECT_EQ(snapshot(kCtxA), a) << trace;
+    EXPECT_EQ(snapshot(kCtxB), b) << trace;
+    EXPECT_EQ(R.dedup.liveKeys(), keys) << trace;
+    // A reply that a live A applied or parked before the wipe is parked for
+    // its sender's re-send.
+    if (M.ctx[kCtxA] == RecvModel::Ctx::Live) {
+      EXPECT_EQ(R.parked.count(kReplySender) != 0,
+                M.repliesSeen.count(kCtxA) != 0)
+          << trace;
+    }
+    for (const auto& [c, st] : M.ctx) {
+      if (st == RecvModel::Ctx::Live) {
+        M.replaying.insert(c);
+        EXPECT_TRUE(E.liveFrame(R.match.at(c))->replaying) << trace;
+      }
+    }
+  }
+
+  void step(Ev e) {
+    trace += std::string(" ") + evName(e);
+    E.outcome = Outcome::None;
+    Outcome want = Outcome::None;
+    switch (e) {
+      case Ev::ArgA:
+      case Ev::DupArgA:
+      case Ev::ArgB: {
+        const std::uint64_t c = e == Ev::ArgB ? kCtxB : kCtxA;
+        const bool spawns = M.ctx[c] == RecvModel::Ctx::Absent;
+        want = modelArg(c);
+        const std::size_t spawnedBefore = E.spawned.size();
+        receive(E, R, argTok(c));
+        EXPECT_EQ(E.spawned.size(), spawnedBefore + (spawns ? 1 : 0)) << trace;
+        if (spawns && c == kCtxA) {
+          const std::uint32_t idx = R.match.at(kCtxA);
+          contA = Cont{0, idx, 0, E.frames[idx].gen};
+        }
+        break;
+      }
+      case Ev::ReplyA:
+      case Ev::DupReplyA:
+      case Ev::FillA: {
+        const bool keyed = e != Ev::FillA;
+        want = modelReply(keyed);
+        receive(E, R, replyTok(keyed));
+        break;
+      }
+      case Ev::EndA:
+      case Ev::EndB:
+        retireCtx(e == Ev::EndA ? kCtxA : kCtxB);
+        break;
+      case Ev::Wipe:
+        wipeAndRebuild();
+        break;
+    }
+    EXPECT_EQ(static_cast<int>(E.outcome), static_cast<int>(want)) << trace;
+    check();
+  }
+
+  /// The model's invariants, after every step.
+  void check() {
+    // No context spawns after its END, and none spawns twice.
+    std::set<std::uint64_t> seen;
+    for (std::uint64_t c : E.spawned)
+      EXPECT_TRUE(seen.insert(c).second) << "respawned " << c << ":" << trace;
+    // Each (ctx, slot) and each keyed reply applies at most once.
+    for (const auto& [key, n] : E.applies) {
+      if (key.second != kFillSlot) {
+        EXPECT_LE(n, 1) << "ctx " << key.first << " slot " << key.second
+                        << ":" << trace;
+      }
+    }
+    // Every applied or parked token but the unkeyed fill is logged, once,
+    // in arrival order, with an End record per retirement.
+    ASSERT_EQ(E.log.entries.size(), M.logKinds.size()) << trace;
+    for (std::size_t i = 0; i < M.logKinds.size(); ++i) {
+      const RecEntry& r = E.log.entries[i];
+      EXPECT_EQ(static_cast<int>(r.kind), static_cast<int>(M.logKinds[i]))
+          << trace;
+      if (r.kind != RecEntry::Kind::ConToken) {
+        EXPECT_EQ(r.ctx, M.logCtxs[i]) << trace;
+      }
+    }
+    // The replay ledger holds keys for live contexts only: END shed them,
+    // and a straggler must not put one back.
+    for (const auto& [c, slots] : R.dedup.ctxSlots)
+      EXPECT_EQ(M.ctx[c], RecvModel::Ctx::Live) << "keys of " << c << trace;
+    for (const auto& [c, senders] : R.dedup.contKeys)
+      EXPECT_EQ(M.ctx[c], RecvModel::Ctx::Live) << "keys of " << c << trace;
+  }
+};
+
+/// Whether `e` can arrive after `prefix`: a reply only once its consumer A
+/// exists (A minted the continuation), an END only of a live context.
+bool arrivalValid(const std::vector<Ev>& prefix, Ev e) {
+  const auto has = [&](Ev x) {
+    return std::find(prefix.begin(), prefix.end(), x) != prefix.end();
+  };
+  const bool aSpawned = has(Ev::ArgA) || has(Ev::DupArgA);
+  switch (e) {
+    case Ev::ReplyA:
+    case Ev::DupReplyA:
+    case Ev::FillA:
+      return aSpawned;
+    case Ev::EndA:
+      return aSpawned;
+    case Ev::EndB:
+      return has(Ev::ArgB);
+    default:
+      return true;
+  }
+}
+
+/// Every maximal arrival sequence drawn from `pool`, each event at most
+/// once; every shorter sequence is a prefix of one of them.
+void everyOrder(const std::vector<Ev>& pool, std::vector<Ev>& prefix,
+                std::vector<bool>& used, std::vector<std::vector<Ev>>& out) {
+  bool extended = false;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    if (used[i] || !arrivalValid(prefix, pool[i])) continue;
+    extended = true;
+    used[i] = true;
+    prefix.push_back(pool[i]);
+    everyOrder(pool, prefix, used, out);
+    prefix.pop_back();
+    used[i] = false;
+  }
+  if (!extended) out.push_back(prefix);
+}
+
+TEST(ReceiveCore, EveryArrivalOrderMatchesTheSetModel) {
+  const std::vector<std::vector<Ev>> tokenSets = {
+      {Ev::ArgA, Ev::ArgB, Ev::DupArgA, Ev::ReplyA},
+      {Ev::ArgA, Ev::ArgB, Ev::ReplyA, Ev::DupReplyA},
+      {Ev::ArgA, Ev::ArgB, Ev::ReplyA, Ev::FillA},
+  };
+  int runs = 0;
+  for (bool recycles : {false, true}) {
+    for (const std::vector<Ev>& tokens : tokenSets) {
+      for (bool wipe : {false, true}) {
+        std::vector<Ev> pool = tokens;
+        pool.push_back(Ev::EndA);
+        pool.push_back(Ev::EndB);
+        if (wipe) pool.push_back(Ev::Wipe);
+        std::vector<Ev> prefix;
+        std::vector<bool> used(pool.size(), false);
+        std::vector<std::vector<Ev>> orders;
+        everyOrder(pool, prefix, used, orders);
+        for (const std::vector<Ev>& order : orders) {
+          // Checked after every step, so each prefix is checked too.
+          RecvWorld w;
+          w.E.recycles = recycles;
+          for (Ev e : order) w.step(e);
+          ASSERT_FALSE(HasFailure()) << "recycles=" << recycles;
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_GT(runs, 1000);
 }
 
 // --- engine counter parity --------------------------------------------------
@@ -771,29 +1118,35 @@ TEST(WeightedOwnership, SkewedNativeMatchesUniformOutputs) {
 // message loss retires instances continuously, and every END must shed its
 // dedup keys and mint-log entries. At quiescence every instance has ENDed,
 // so the live-residency counters must read zero — without pruning they grow
-// with the total instance count of the run (fib(13) creates ~1100 frames).
+// with the total instance count of the run (13,128 frames here). The
+// recursion runs on every PE, so the killed PE holds frames to replay.
 TEST(RecoveryLedger, SimKeysAndMintsPrunedByEnd) {
-  auto c = compileOk(kFibSource);
+  auto c = compileOk(workloads::spreadFibSource(256));
   sim::MachineConfig mc;
   mc.numPEs = 4;
+  PodsRun clean = runPods(*c, mc);
+  ASSERT_TRUE(clean.stats.ok) << clean.stats.error;
   ASSERT_TRUE(FaultConfig::parse("drop:0.03,dup:0.02", mc.faults));
   mc.faults.seed = 5;
   mc.faults.killPe = 1;
-  mc.faults.killTimeUs = 900.0;
+  mc.faults.killTimeUs = clean.stats.total.us() / 2;
   mc.faults.killRestartUs = 400.0;
   PodsRun run = runPods(*c, mc);
   ASSERT_TRUE(run.stats.ok) << run.stats.error;
+  std::string why;
+  EXPECT_TRUE(sameOutputs(run.out, clean.out, &why)) << why;
   EXPECT_EQ(run.stats.counters.get("recovery.dedup.liveKeys"), 0);
   EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
-  // The ledger was actually exercised, not trivially empty: fib(13) makes
-  // hundreds of instances, and the kill must have fired mid-run.
+  // The ledger was actually exercised, not trivially empty: the run makes
+  // thousands of instances, and the kill fired mid-run on a PE with frames.
   EXPECT_GT(run.stats.counters.get("sp.instantiated"), 500);
   EXPECT_EQ(run.stats.counters.get("fault.kills"), 1);
+  EXPECT_GT(run.stats.counters.get("recovery.replayedFrames"), 0);
 }
 
 // Stragglers must not refill the ledger: a token for a retired context is
-// triaged against the retired-context ledger before the replay ledger is
-// consulted, or each one re-inserts a key for a context whose keys END
+// triaged against the match table's retired entry before the replay ledger
+// is consulted, or each one re-inserts a key for a context whose keys END
 // already shed, and nothing sheds it again. SIMPLE's kill runs deliver such
 // stragglers: at 1 PE killed at half the clean time, 266 keys were left
 // behind when the replay ledger came first.
@@ -834,21 +1187,36 @@ TEST(RecoveryLedger, NativeStragglersLeaveNoKeysAfterKill) {
   EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
 }
 
+// A native kill lands at a wall-clock time, and early in the run the victim
+// may hold no frame yet, so worker 2 is killed at growing fractions of the
+// lossy run's duration until a kill finds frames to replay. Every run must
+// end with empty ledgers.
 TEST(RecoveryLedger, NativeKeysAndMintsPrunedByEnd) {
-  auto c = compileOk(kFibSource);
+  auto c = compileOk(workloads::spreadFibSource(256));
   native::NativeConfig nc;
   nc.numWorkers = 4;
   ASSERT_TRUE(FaultConfig::parse("drop:0.03,dup:0.02", nc.faults));
   nc.faults.seed = 5;
-  nc.faults.killPe = 2;
-  nc.faults.killTimeUs = 700.0;
-  nc.faults.killRestartUs = 100.0;
   nc.faults.retry.rtoUs = 50.0;
-  NativeRun run = runNative(*c, nc);
-  ASSERT_TRUE(run.stats.ok) << run.stats.error;
-  EXPECT_EQ(run.stats.counters.get("recovery.dedup.liveKeys"), 0);
-  EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
-  EXPECT_GT(run.stats.counters.get("native.framesCreated"), 500);
+  NativeRun lossy = runNative(*c, nc);
+  ASSERT_TRUE(lossy.stats.ok) << lossy.stats.error;
+  nc.faults.killPe = 2;
+  nc.faults.killRestartUs = 100.0;
+  std::int64_t kills = 0, replayed = 0;
+  for (int tenths = 1; tenths <= 9 && replayed == 0; ++tenths) {
+    nc.faults.killTimeUs = lossy.stats.wallSeconds * 1e5 * tenths;
+    NativeRun run = runNative(*c, nc);
+    ASSERT_TRUE(run.stats.ok) << run.stats.error;
+    std::string why;
+    EXPECT_TRUE(sameOutputs(run.out, lossy.out, &why)) << why;
+    EXPECT_EQ(run.stats.counters.get("recovery.dedup.liveKeys"), 0);
+    EXPECT_EQ(run.stats.counters.get("recovery.mints.live"), 0);
+    EXPECT_GT(run.stats.counters.get("native.framesCreated"), 500);
+    kills = run.stats.counters.get("fault.kills");
+    replayed = run.stats.counters.get("recovery.replayedFrames");
+  }
+  EXPECT_EQ(kills, 1);
+  EXPECT_GT(replayed, 0);
 }
 
 }  // namespace

@@ -1168,14 +1168,17 @@ TEST(UdpTransport, LossyFuzzBitIdenticalToFaultFree) {
   EXPECT_GT(dupDropped, 0);
 }
 
+// The recursion runs on every PE: fib(13) alone keeps every frame on PE 0,
+// and its sweep sent nothing the fault dice could land on.
 TEST(UdpTransport, LossyFuzzRecursiveWorkload) {
-  auto c = compileOk(kFibSource);
+  auto c = compileOk(workloads::spreadFibSource(256));
   native::NativeConfig clean;
   clean.numWorkers = 4;
   NativeRun ref = runNative(*c, clean);
   ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
 
   const int seeds = transportSeeds();
+  std::int64_t injected = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     native::NativeConfig nc;
     nc.numWorkers = 8;
@@ -1187,7 +1190,11 @@ TEST(UdpTransport, LossyFuzzRecursiveWorkload) {
     ASSERT_TRUE(sameOutputs(run.out, ref.out, &why))
         << "seed=" << seed << ": " << why;
     expectBalancedLedger(run, "seed=" + std::to_string(seed));
+    injected += run.stats.counters.get("fault.drops") +
+                run.stats.counters.get("fault.dups") +
+                run.stats.counters.get("fault.delays");
   }
+  EXPECT_GT(injected, 0);
 }
 
 // --- kill + restart over real sockets ---------------------------------------
