@@ -60,7 +60,6 @@ STATS_DELTA_COUNTERS = (
     "net.udp.datagramsSent",
     "net.udp.acksSent",
     "net.udp.batch.flushFull",
-    "net.udp.batch.flushDeadline",
     "net.retx.resent",
     "native.inboxOverflow",
     "net.am.readReqSent",

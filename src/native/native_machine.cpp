@@ -1831,8 +1831,8 @@ struct NativeMachine::Impl : TransportSink {
         runSlice(pe, idx);
         // A worker with a deep ready queue still ships its outboxes every
         // few slices — enough slack for sends to coalesce into near-full
-        // batches, without leaning on the transport's deadline timer (and
-        // its extra thread wake-ups) for the steady-state flow.
+        // batches. The worker loop is the transport's only flusher, so a
+        // busy worker's sends wait at most four slices.
         if (++slicesSinceFlush >= 4) {
           transport->flush(pe);
           if (wmode) transport->pumpAcks();
@@ -1842,8 +1842,7 @@ struct NativeMachine::Impl : TransportSink {
       }
       slicesSinceFlush = 0;
       // Out of local work: ship any tokens coalescing in this worker's
-      // transport outboxes. While the worker stays busy, outboxes keep
-      // coalescing and the transport's deadline timer bounds their latency.
+      // transport outboxes.
       transport->flush(pe);
       if (wmode) {
         transport->pumpAcks();

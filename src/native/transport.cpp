@@ -34,12 +34,10 @@ Clock::duration micros(double us) {
       std::chrono::duration<double, std::micro>(us));
 }
 
-// The UDP send windows keep time in steady-clock ticks: nanoseconds.
+// The UDP send windows and deadlines keep time in steady-clock ticks:
+// nanoseconds.
 static_assert(std::is_same_v<Clock::period, std::nano>);
 std::int64_t nowNs() { return Clock::now().time_since_epoch().count(); }
-Clock::time_point atNs(std::int64_t ns) {
-  return Clock::time_point(Clock::duration(ns));
-}
 
 void put16(std::uint8_t* p, std::uint16_t v) { std::memcpy(p, &v, 2); }
 void put64(std::uint8_t* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -69,17 +67,12 @@ constexpr std::uint8_t kRecordPage = 2;
 constexpr int kBatchMaxRecords = static_cast<int>(
     kBatchRecordBytes / (kPageRecordFixedBytes + 1 + kPageValueBytes));
 
-// Outbox flush deadline: how long a partially-filled batch may sit before
-// the timer thread ships it. The sending worker's loop flushes far more
-// often than this; the deadline only covers a worker stuck in a long slice.
-constexpr double kFlushDeadlineUs = 50.0;
-
 // Lazy-ack threshold: a receiver answers partial batches and healed
 // duplicates immediately, but lets full-batch streams run this many records
 // between cumulative acks (see onBatch).
 constexpr std::int64_t kAckLazyRecords = 64;
 
-/// Per-(src,dst) link counters. Written from worker, receiver, and timer
+/// Per-(src,dst) link counters. Written from worker and transport service
 /// threads; plain atomics, rolled into the Counters map after the run.
 struct LinkStat {
   std::atomic<std::int64_t> tokens{0};     // logical tokens first sent
@@ -329,8 +322,8 @@ class InboxTransport final : public Transport {
 // Sends coalesce per (src,dst) link: each link keeps a small outbox that
 // accumulates records (65-byte tokens, variable-length page runs) and ships
 // them as one MTU-sized batch datagram when the next record would not fit,
-// when one more token would not (wireBatchFull), when the sending worker's
-// loop calls flush(), or when the 50 µs deadline timer fires.
+// when one more token would not (wireBatchFull), or when the sending
+// worker's loop calls flush() — the only flusher of a partial batch.
 //
 // UDP gives no delivery guarantee even on loopback (a full SO_RCVBUF drops
 // packets silently), so the reliable-delivery protocol ALWAYS runs:
@@ -374,22 +367,27 @@ class InboxTransport final : public Transport {
 // batch (first flush and every retransmit flush) rolls the seeded FaultPlan
 // dice — Drop suppresses the sendto for the whole batch (the backoff timers
 // recover each token), Duplicate sends the wire image twice, Delay parks
-// the image in the timer. A multi-process worker's plan rolls no dice: the
-// supervisor injects its faults as real SIGKILLs.
+// the image in the deadline heap. A multi-process worker's plan rolls no
+// dice: the supervisor injects its faults as real SIGKILLs.
 //
-// Threads: one receiver thread polls every local PE's socket (the "NIC",
+// Threads: one service thread per process, at any PE count — the PEs'
+// Routing Unit. It sleeps in ppoll on every local PE's socket (the "NIC",
 // which an in-process kill-mode fail-stop deliberately does NOT destroy)
-// plus an eventfd that stop() signals, and one timer thread drives
-// retransmit scans, flush deadlines, and delayed sends — two threads per
-// process at any PE count. Backoff and give-up decisions come from the
-// send window's RetryPolicy; sequence windows live in the per-link slots:
-// a link's send window beside its outbox under the link's mutex, its
-// receive window touched only by the receiver thread.
+// and an eventfd, until a datagram arrives, the eventfd is written (stop(),
+// or a push that armed a new earliest deadline), or the earliest deadline
+// passes. It then drains every socket until a whole pass reads nothing and
+// only then runs the deadlines (retransmit scans, fault-delayed datagrams)
+// that were due when that quiet pass began: no retransmit is decided while
+// an ack that already arrived sits unread, and a deadline re-armed for
+// "now" cannot keep the thread from draining. Backoff and give-up decisions
+// come from the send window's RetryPolicy; sequence windows live in the
+// per-link slots: a link's send window beside its outbox under the link's
+// mutex, its receive window touched only by the service thread.
 //
 // Locks: a link's mutex (lk.m) guards its outbox and send window, so
 // sending, flushing, retiring an ack and retransmitting each take that one
-// mutex. m_ guards only the timer heap and the stop flag. The two are
-// NEVER held together — a path that arms a timer releases lk.m first.
+// mutex. m_ guards only the deadline heap. The two are NEVER held together
+// — a path that arms a deadline releases lk.m first.
 // ---------------------------------------------------------------------------
 
 class UdpTransport final : public Transport {
@@ -425,6 +423,7 @@ class UdpTransport final : public Transport {
 
   ~UdpTransport() override {
     stop();
+    if (wakeFd_ >= 0) ::close(wakeFd_);
     for (std::size_t i = 0; i < localLinks(); ++i)
       delete outSlots_[i].load(std::memory_order_relaxed);
   }
@@ -460,13 +459,12 @@ class UdpTransport final : public Transport {
     const int rcvbuf = 4 << 20;
     for (const int fd : fds_)
       ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
-    rxThread_ = std::thread([this] { recvMain(); });
-    timerThread_ = std::thread([this] { timerMain(); });
+    serviceThread_ = std::thread([this] { serviceMain(); });
     return true;
   }
 
   /// Parks the token in the (fromPe,toPe) outbox; ships when the batch
-  /// fills, when the worker's loop flushes, or at the deadline. The token's
+  /// fills or when the sending worker's loop flushes. The token's
   /// quiescence charge was made at enqueue and keeps it visible while it
   /// coalesces here.
   void send(int fromPe, int toPe, NToken tok) override {
@@ -478,12 +476,11 @@ class UdpTransport final : public Transport {
     const std::size_t recLen = wireRecordBytes(tok);
     bool wrote = false;
     bool full = false;
-    bool first = false;
     while (!wrote) {
       {
         std::lock_guard<std::mutex> g(lk.m);
         // The record may not fit behind what is already coalescing — and
-        // the timer thread's retransmit requeue can leave the outbox full
+        // the service thread's retransmit requeue can leave the outbox full
         // too, since it appends under lk.m and flushes only after dropping
         // it. Either way, ship the outbox first and retry.
         if (lk.bytes + recLen <= kBatchRecordBytes) {
@@ -496,10 +493,8 @@ class UdpTransport final : public Transport {
           // (mints, received tokens) is in the log stream by now — the
           // batch must not hit the wire before that prefix is stable.
           if (link_ != nullptr) lk.gateSeq = link_->logAppended();
-          if (lk.count == 0) {
-            first = true;
+          if (lk.count == 0)
             dirty(fromPe).fetch_add(1, std::memory_order_release);
-          }
           ++lk.count;
           lk.bytes += recLen;
           full = wireBatchFull(lk.bytes);
@@ -508,16 +503,13 @@ class UdpTransport final : public Transport {
       }
       if (!wrote) flushLink(fromPe, toPe, FlushWhy::Full);
     }
-    if (full)
-      flushLink(fromPe, toPe, FlushWhy::Full);
-    else if (first)
-      armTimer(TimerEv::Kind::Flush, Clock::now() + micros(kFlushDeadlineUs),
-               fromPe, toPe);
+    if (full) flushLink(fromPe, toPe, FlushWhy::Full);
   }
 
   /// Ships everything coalescing in fromPe's outboxes. Called by the
-  /// sending worker from its scheduling loop (Transport::flush); the dirty
-  /// count makes the common (nothing pending) case one atomic load.
+  /// sending worker from its scheduling loop (Transport::flush), the only
+  /// flusher of a partial batch; the dirty count makes the common (nothing
+  /// pending) case one atomic load.
   void flush(int fromPe) override {
     if (dirty(fromPe).load(std::memory_order_acquire) == 0) return;
     for (int to = 0; to < numPes_; ++to) {
@@ -526,24 +518,18 @@ class UdpTransport final : public Transport {
     }
   }
 
-  /// Called after every worker has joined. The timer thread stops first,
-  /// then the eventfd wakes the receiver, which sweeps every socket dry
-  /// before it exits — so it sees every datagram the workers and the timer
-  /// ever sent, and acksSent/acksRecv close exactly on a fault-free run.
+  /// Called after every worker has joined. Raises the stop flag and writes
+  /// the eventfd; the service thread runs no further deadline, drains the
+  /// sockets until a pass that began after it saw the flag reads nothing,
+  /// and exits — so it sees every datagram the workers and it ever sent,
+  /// and acksSent/acksRecv close exactly on a fault-free run. The eventfd
+  /// stays open until destruction: a worker process's ctl thread may still
+  /// flush on a late LogAck, and its wake must not hit a closed fd.
   void stop() override {
-    if (!rxThread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> g(m_);
-      timerStop_ = true;
-    }
-    timerCv_.notify_all();
-    timerThread_.join();
-    const std::uint64_t one = 1;
-    const ssize_t n = ::write(wakeFd_, &one, sizeof one);
-    (void)n;  // an eventfd write only fails on counter overflow
-    rxThread_.join();
-    ::close(wakeFd_);
-    wakeFd_ = -1;
+    if (!serviceThread_.joinable()) return;
+    stop_.store(true, std::memory_order_release);
+    wake();
+    serviceThread_.join();
     closeSockets();
   }
 
@@ -563,7 +549,6 @@ class UdpTransport final : public Transport {
     out.add("net.udp.batch.datagrams", batchDgrams_.load());
     out.add("net.udp.batch.tokens", batchTokens_.load());
     out.add("net.udp.batch.flushFull", flushFull_.load());
-    out.add("net.udp.batch.flushDeadline", flushDeadline_.load());
     out.add("net.udp.batch.flushDrain", flushDrain_.load());
     out.add("net.udp.batch.flushRetx", flushRetx_.load());
     proto::Delivery::registerProtocolCounters(out);
@@ -689,8 +674,8 @@ class UdpTransport final : public Transport {
   /// One (src,dst) link's sender state: the coalescing outbox (header
   /// space + up to kBatchRecordBytes of records) and the send window, which
   /// holds every record from send() to its ack. Single fresh producer
-  /// (worker src); the timer thread appends retransmits and the receiver
-  /// thread retires acked records — all under m.
+  /// (worker src); the service thread appends retransmits and retires acked
+  /// records — all under m.
   struct LinkOut {
     LinkOut(const proto::RetryPolicy& retry, bool faultsEnabled)
         : window(retry, faultsEnabled) {}
@@ -705,9 +690,9 @@ class UdpTransport final : public Transport {
     /// parked tokens).
     std::uint64_t gateSeq = 0;
     proto::SendWindow window;
-    /// The whole link keeps at most ~one live Retx timer event —
-    /// `retxArmed`/`armedDue` dedup the arming — so the timer heap scales
-    /// with links, not with batches.
+    /// The whole link keeps at most ~one live Retx deadline —
+    /// `retxArmed`/`armedDue` dedup the arming — so the deadline heap
+    /// scales with links, not with batches.
     bool retxArmed = false;
     std::int64_t armedDue = 0;
   };
@@ -737,15 +722,15 @@ class UdpTransport final : public Transport {
     std::int64_t sinceAck = 0;
   };
 
-  enum class FlushWhy : std::uint8_t { Full, Drain, Deadline, Retx };
+  enum class FlushWhy : std::uint8_t { Full, Drain, Retx };
 
+  /// A deadline the service thread keeps: a link's retransmit scan, or a
+  /// fault-delayed datagram waiting out its injected latency.
   struct TimerEv {
-    Clock::time_point due;
-    enum class Kind : std::uint8_t { Retx, Flush, DelayedWire } kind =
-        Kind::Retx;
+    std::int64_t due = 0;  // steady-clock ns
     int fromPe = 0;
     int toPe = 0;
-    std::vector<std::uint8_t> wire;  // DelayedWire: parked datagram
+    std::vector<std::uint8_t> wire;  // the delayed datagram; empty: Retx
   };
   struct EvLater {
     bool operator()(const TimerEv& a, const TimerEv& b) const {
@@ -865,17 +850,12 @@ class UdpTransport final : public Transport {
           faultDups_.fetch_add(1);
           xmitWire(fromPe, toPe, data, len);
           break;  // fall through to the normal copy below
-        case FaultAction::Delay: {
+        case FaultAction::Delay:
           faultDelays_.fetch_add(1);
-          TimerEv ev;
-          ev.due = Clock::now() + micros(plan_.config().nativeDelayUs);
-          ev.kind = TimerEv::Kind::DelayedWire;
-          ev.fromPe = fromPe;
-          ev.toPe = toPe;
-          ev.wire.assign(data, data + len);
-          pushTimerEv(std::move(ev));
+          pushTimerEv({nowNs() + static_cast<std::int64_t>(
+                                     plan_.config().nativeDelayUs * 1000.0),
+                       fromPe, toPe, {data, data + len}});
           return;
-        }
         case FaultAction::Deliver:
           break;
       }
@@ -883,10 +863,9 @@ class UdpTransport final : public Transport {
     xmitWire(fromPe, toPe, data, len);
   }
 
-  /// Pushes a timer event, waking the timer thread only when the event
-  /// becomes the new earliest deadline — a later event will be seen when
-  /// the thread wakes for the current front anyway, and every avoided
-  /// notify is an avoided context switch on the send path.
+  /// Pushes a deadline, writing the eventfd only when it becomes the new
+  /// earliest one: the service thread sleeps until the earliest deadline
+  /// and sees later ones when it wakes for that.
   void pushTimerEv(TimerEv ev) {
     bool newFront = false;
     {
@@ -895,27 +874,25 @@ class UdpTransport final : public Transport {
       heap_.push_back(std::move(ev));
       std::push_heap(heap_.begin(), heap_.end(), EvLater{});
     }
-    if (newFront) timerCv_.notify_one();
+    if (newFront) wake();
   }
 
-  void armTimer(TimerEv::Kind kind, Clock::time_point due, int fromPe,
-                int toPe) {
-    TimerEv ev;
-    ev.due = due;
-    ev.kind = kind;
-    ev.fromPe = fromPe;
-    ev.toPe = toPe;
-    pushTimerEv(std::move(ev));
+  /// Wakes the service thread from its ppoll.
+  void wake() {
+    const std::uint64_t one = 1;
+    const ssize_t n = ::write(wakeFd_, &one, sizeof one);
+    (void)n;  // an eventfd write only fails on counter overflow
   }
 
   /// Ships the (fromPe,toPe) outbox as one datagram: under lk.m, snapshot
   /// and reset the outbox and mark the records it carries sent in the send
   /// window (starting each one's deadline), then transmit with no lock
   /// held. Returns without sending when a concurrent flush already emptied
-  /// the outbox, or when the output-commit gate holds it back.
-  void flushLink(int fromPe, int toPe, FlushWhy why) {
+  /// the outbox, or — returning false — when the output-commit gate holds
+  /// it back.
+  bool flushLink(int fromPe, int toPe, FlushWhy why) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
-    if (lkp == nullptr) return;
+    if (lkp == nullptr) return true;
     LinkOut& lk = *lkp;
     std::uint8_t dgram[kBatchMaxBytes];
     std::size_t len = 0;
@@ -925,12 +902,12 @@ class UdpTransport final : public Transport {
     const std::int64_t now = nowNs();
     {
       std::lock_guard<std::mutex> g(lk.m);
-      if (lk.count == 0) return;
+      if (lk.count == 0) return true;
       if (link_ != nullptr && link_->logStable() < lk.gateSeq) {
         // Output commit: the log prefix behind these sends is not stable
         // yet. Retried by the worker loop's poll and onStableAdvance().
         gatedFlushes_.fetch_add(1);
-        return;
+        return false;
       }
       count = lk.count;
       len = wireEncodeBatchHeader(lk.buf, static_cast<std::uint16_t>(fromPe),
@@ -939,9 +916,9 @@ class UdpTransport final : public Transport {
       lk.bytes = 0;
       lk.count = 0;
       dirty(fromPe).fetch_sub(1, std::memory_order_release);
-      // A timer event is pushed only when the link isn't armed yet (or
-      // this deadline precedes the armed one) — typically once per burst,
-      // not once per batch.
+      // A deadline is pushed only when the link isn't armed yet (or this
+      // one precedes the armed one) — typically once per burst, not once
+      // per batch.
       due = lk.window.markSent(now);
       if (due != proto::SendWindow::kNoDeadline &&
           (!lk.retxArmed || due < lk.armedDue)) {
@@ -950,16 +927,16 @@ class UdpTransport final : public Transport {
         arm = true;
       }
     }
-    if (arm) armTimer(TimerEv::Kind::Retx, atNs(due), fromPe, toPe);
+    if (arm) pushTimerEv({due, fromPe, toPe, {}});
     switch (why) {
       case FlushWhy::Full: flushFull_.fetch_add(1); break;
       case FlushWhy::Drain: flushDrain_.fetch_add(1); break;
-      case FlushWhy::Deadline: flushDeadline_.fetch_add(1); break;
       case FlushWhy::Retx: flushRetx_.fetch_add(1); break;
     }
     batchDgrams_.fetch_add(1);
     batchTokens_.fetch_add(count);
     attemptTransmit(fromPe, toPe, dgram, len);
+    return true;
   }
 
   /// A link's retransmit deadline fired: the send window decides every
@@ -968,8 +945,10 @@ class UdpTransport final : public Transport {
   /// quiescence was charged exactly once at the original enqueue), so the
   /// retransmits ride with any fresh tokens already coalescing. The outbox
   /// ships after lk.m is dropped, as often as it fills, and each copy's
-  /// backoff starts when it ships; then one event is re-armed at the
-  /// window's next deadline.
+  /// backoff starts when it ships; then one deadline is re-armed at the
+  /// window's next one. A flush the output-commit gate holds back ends the
+  /// scan: the records still due keep their deadlines, so the re-arm
+  /// retries them after the next drain instead of spinning here.
   void fireRetx(int fromPe, int toPe) {
     LinkOut* lkp = linkOutIfExists(fromPe, toPe);
     if (lkp == nullptr) return;
@@ -992,7 +971,8 @@ class UdpTransport final : public Transport {
       giveUps_.fetch_add(e.giveUps);
       if (e.giveUps > 0) gaveUpAttempt = e.gaveUpAttempt;
       again = e.full;
-      if (e.records > 0 || again) flushLink(fromPe, toPe, FlushWhy::Retx);
+      if ((e.records > 0 || again) && !flushLink(fromPe, toPe, FlushWhy::Retx))
+        again = false;
     }
     if (gaveUpAttempt != 0) {
       sink_.transportFail(
@@ -1009,7 +989,7 @@ class UdpTransport final : public Transport {
       if (lk.retxArmed) lk.armedDue = due;
     }
     if (due != proto::SendWindow::kNoDeadline)
-      armTimer(TimerEv::Kind::Retx, atNs(due), fromPe, toPe);
+      pushTimerEv({due, fromPe, toPe, {}});
   }
 
   /// Builds one cumulative ack from `ackerPe` for the (toPe -> ackerPe)
@@ -1048,47 +1028,92 @@ class UdpTransport final : public Transport {
     }
   }
 
-  /// Receiver loop: one thread polls every local PE's socket — the
-  /// machine's "NIC" — and the wake-up eventfd. Deposits go through the
-  /// service lane, so one thread for all PEs keeps the
-  /// single-producer-per-lane invariant trivially true and the thread
-  /// count (and context-switch pressure) flat in PEs.
-  void recvMain() {
+  /// The one transport thread (see "Threads" above). Each pass polls every
+  /// local PE's socket and the eventfd and reads the readable sockets dry;
+  /// it blocks, until the earliest deadline, only once a quiet pass has run
+  /// what was due. Deposits go through the service lane, so one thread for
+  /// all PEs keeps the single-producer-per-lane invariant trivially true.
+  void serviceMain() {
     std::uint8_t buf[2048];
     std::vector<NToken> toks;
     std::vector<NToken> fresh;
+    std::vector<TimerEv> due;
     std::vector<pollfd> pfds(fds_.size() + 1);
     for (std::size_t i = 0; i < fds_.size(); ++i)
       pfds[i] = {fds_[i], POLLIN, 0};
     pfds.back() = {wakeFd_, POLLIN, 0};
+    bool mayBlock = true;  // a quiet pass just ran its deadlines
     for (;;) {
-      if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1) < 0) {
+      // Read before the pass: a quiet pass that saw the flag began after
+      // every worker had joined, so it found their last datagrams.
+      const bool stopping = stop_.load(std::memory_order_acquire);
+      const bool block = mayBlock && !stopping;
+      const std::int64_t passAt = nowNs();
+      timespec wait{0, 0};
+      const timespec* timeout = block ? untilNextDeadline(passAt, wait) : &wait;
+      if (::ppoll(pfds.data(), static_cast<nfds_t>(pfds.size()), timeout,
+                  nullptr) < 0) {
         if (errno == EINTR) continue;
-        break;
+        return;
       }
+      bool got = false;
       for (int i = 0; i < numLocal_; ++i) {
         if (pfds[static_cast<std::size_t>(i)].revents != 0)
-          drainSocket(firstLocal_ + i, buf, sizeof buf, toks, fresh);
+          got |= drainSocket(firstLocal_ + i, buf, sizeof buf, toks, fresh);
       }
-      if (pfds.back().revents != 0) break;  // stop()
+      if (pfds.back().revents != 0) {
+        std::uint64_t wakes = 0;
+        const ssize_t n = ::read(wakeFd_, &wakes, sizeof wakes);
+        (void)n;  // POLLIN: the counter is nonzero, so this cannot block
+      }
+      mayBlock = false;
+      if (got || block) continue;  // not yet a quiet non-blocking pass
+      if (stopping) return;
+      // Every datagram that arrived before passAt is handled. The deadlines
+      // due by then leave the heap before any runs, so one re-armed
+      // meanwhile, even for a time already past, waits for the next drain.
+      {
+        std::lock_guard<std::mutex> g(m_);
+        while (!heap_.empty() && heap_.front().due <= passAt) {
+          std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
+          due.push_back(std::move(heap_.back()));
+          heap_.pop_back();
+        }
+      }
+      for (TimerEv& ev : due) {
+        if (ev.wire.empty())
+          fireRetx(ev.fromPe, ev.toPe);
+        else  // a fault-delayed datagram: its original image, no dice
+          xmitWire(ev.fromPe, ev.toPe, ev.wire.data(), ev.wire.size());
+      }
+      due.clear();
+      mayBlock = true;
     }
-    // A datagram can land on one socket after that socket's last poll
-    // (an ack this thread sent to a sibling PE, say); one non-blocking
-    // sweep drains the ledgers dry.
-    for (int pe = firstLocal_; pe < firstLocal_ + numLocal_; ++pe)
-      drainSocket(pe, buf, sizeof buf, toks, fresh);
+  }
+
+  /// A blocking pass's ppoll timeout: until the earliest deadline, or none
+  /// (nullptr) while no deadline is armed.
+  const timespec* untilNextDeadline(std::int64_t now, timespec& ts) {
+    std::lock_guard<std::mutex> g(m_);
+    if (heap_.empty()) return nullptr;
+    const std::int64_t ns = std::max<std::int64_t>(0, heap_.front().due - now);
+    ts = {static_cast<time_t>(ns / 1'000'000'000), ns % 1'000'000'000};
+    return &ts;
   }
 
   /// Handles every datagram queued on `pe`'s socket, without blocking.
-  void drainSocket(int pe, std::uint8_t* buf, std::size_t cap,
+  /// Returns whether it read any.
+  bool drainSocket(int pe, std::uint8_t* buf, std::size_t cap,
                    std::vector<NToken>& toks, std::vector<NToken>& fresh) {
+    bool got = false;
     for (;;) {
       const ssize_t n = ::recv(fdOf(pe), buf, cap, MSG_DONTWAIT);
       if (n < 0) {
         if (errno == EINTR) continue;
-        return;  // EAGAIN: this socket is drained
+        return got;  // EAGAIN: this socket is drained
       }
       handleDatagram(pe, buf, static_cast<std::size_t>(n), toks, fresh);
+      got = true;
     }
   }
 
@@ -1233,45 +1258,6 @@ class UdpTransport final : public Transport {
     }
   }
 
-  /// Timer loop: drives flush deadlines for partially-filled outboxes,
-  /// retransmit batches for unacked tokens (fresh dice per flush,
-  /// exponential backoff, give-up after maxAttempts fails the run), and
-  /// fault-injected delayed sends (the original wire image, no dice).
-  void timerMain() {
-    std::unique_lock<std::mutex> g(m_);
-    while (!timerStop_) {
-      if (heap_.empty()) {
-        timerCv_.wait(g, [&] { return timerStop_ || !heap_.empty(); });
-        continue;
-      }
-      const auto due = heap_.front().due;
-      if (timerCv_.wait_until(g, due, [&] {
-            return timerStop_ || heap_.front().due < due;
-          })) {
-        if (timerStop_) break;
-        continue;  // an earlier event was parked; recompute the sleep
-      }
-      while (!heap_.empty() && heap_.front().due <= Clock::now()) {
-        std::pop_heap(heap_.begin(), heap_.end(), EvLater{});
-        TimerEv ev = std::move(heap_.back());
-        heap_.pop_back();
-        g.unlock();
-        switch (ev.kind) {
-          case TimerEv::Kind::Flush:
-            flushLink(ev.fromPe, ev.toPe, FlushWhy::Deadline);
-            break;
-          case TimerEv::Kind::DelayedWire:
-            xmitWire(ev.fromPe, ev.toPe, ev.wire.data(), ev.wire.size());
-            break;
-          case TimerEv::Kind::Retx:
-            fireRetx(ev.fromPe, ev.toPe);
-            break;
-        }
-        g.lock();
-      }
-    }
-  }
-
   TransportSink& sink_;
   FaultPlan plan_;
   const int numPes_;
@@ -1287,21 +1273,19 @@ class UdpTransport final : public Transport {
   /// flush is one atomic load when nothing is pending.
   std::unique_ptr<std::atomic<LinkOut*>[]> outSlots_;
   std::unique_ptr<std::atomic<int>[]> dirty_;
-  /// Receive side, [local dst][src], receiver thread only (+ primeRecv).
+  /// Receive side, [local dst][src], service thread only (+ primeRecv).
   std::vector<LinkIn> in_;
   std::vector<std::unique_ptr<AckState>> acks_;  // [local dst][src]; link_ only
 
   std::vector<int> fds_;                // [local PE]
   std::vector<std::uint16_t> ports_;    // [PE]
   std::vector<sockaddr_in> addrs_;      // [PE]
-  int wakeFd_ = -1;                     // stop() -> receiver
-  std::thread rxThread_;
-  std::thread timerThread_;
+  int wakeFd_ = -1;  // stop() and new earliest deadlines -> service thread
+  std::thread serviceThread_;
+  std::atomic<bool> stop_{false};  // set by stop(), after the workers join
 
-  std::mutex m_;  // guards heap_, timerStop_
-  std::condition_variable timerCv_;
+  std::mutex m_;  // guards heap_
   std::vector<TimerEv> heap_;  // min-heap on due (std::push_heap/pop_heap)
-  bool timerStop_ = false;
 
   std::atomic<std::uint64_t> txSeq_{0};
   std::atomic<std::int64_t> tokensSent_{0};
@@ -1320,7 +1304,6 @@ class UdpTransport final : public Transport {
   std::atomic<std::int64_t> batchDgrams_{0};
   std::atomic<std::int64_t> batchTokens_{0};
   std::atomic<std::int64_t> flushFull_{0};
-  std::atomic<std::int64_t> flushDeadline_{0};
   std::atomic<std::int64_t> flushDrain_{0};
   std::atomic<std::int64_t> flushRetx_{0};
   std::atomic<std::int64_t> resent_{0};

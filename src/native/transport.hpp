@@ -17,19 +17,20 @@
 //    (`--transport=udp`, sockets bound here), or the one PE of a forked
 //    worker (`--transport=udp-multiproc`, socket bound by the supervisor and
 //    inherited). Tokens for one destination coalesce into MTU-sized batch
-//    datagrams (flushed when full, when the sending worker's loop comes
-//    around, or by a 50 µs deadline timer). UDP may drop, duplicate, or
-//    reorder even on loopback, so this transport ALWAYS runs a
-//    reliable-delivery protocol: each (src,dst) link numbers its tokens with
-//    a dense sequence, the receiver answers with cumulative acks (highest
-//    contiguous seq + selective bitmap), unacked tokens are retransmitted
-//    with exponential backoff (riding later batches, keeping their original
-//    msgId), and the receiver suppresses duplicates by link sequence before
-//    they reach the inbox. FaultPlan injection composes at the datagram
-//    level (batch sends AND acks roll the seeded dice), so
+//    datagrams (flushed when full or when the sending worker's loop comes
+//    around). UDP may drop, duplicate, or reorder even on loopback, so this
+//    transport ALWAYS runs a reliable-delivery protocol: each (src,dst) link
+//    numbers its tokens with a dense sequence, the receiver answers with
+//    cumulative acks (highest contiguous seq + selective bitmap), unacked
+//    tokens are retransmitted with exponential backoff (riding later batches,
+//    keeping their original msgId), and the receiver suppresses duplicates by
+//    link sequence before they reach the inbox. FaultPlan injection composes
+//    at the datagram level (batch sends AND acks roll the seeded dice), so
 //    `--faults=drop/dup/delay` specs and kill recovery work unchanged over
 //    real sockets. Both modes put the same two epoch-stamped datagram types
-//    on the socket (see the wire format below).
+//    on the socket (see the wire format below), and both run one service
+//    thread per process: it receives, acks and deposits, and between drains
+//    it runs the retransmit and fault-delay deadlines.
 //
 // Quiescence contract: the machine charges `pending`/`inboxTokens` once per
 // logical token at send time, and the charges are released only when the
@@ -147,8 +148,9 @@ class TransportSink {
   /// `lane` selects the destination's SPSC inbox ring and must identify the
   /// calling thread uniquely per destination: sending worker threads pass
   /// their own PE id (lanes 0..numPes-1); a transport's service thread (the
-  /// inbox retransmit daemon, the UDP receiver thread) passes numPes. The
-  /// single-producer invariant is what lets the ring run lock-free.
+  /// inbox retransmit daemon, or the UDP transport's one thread) passes
+  /// numPes. The single-producer invariant is what lets the ring run
+  /// lock-free.
   virtual void deposit(int pe, int lane, NToken tok) = 0;
   /// Charges one extra in-flight token: an injected duplicate copy that
   /// will reach the inbox and be consumed by the receiver's msgId dedup.
@@ -201,8 +203,8 @@ class Transport {
   /// Ships any tokens coalescing in `fromPe`'s outboxes. The sending
   /// worker calls this every few slices while busy and again after its last
   /// inbox drain before it sleeps, so every path from a send to a cv-wait
-  /// passes a flush — the deadline timer is a latency backstop, not a
-  /// liveness requirement. No-op by default.
+  /// passes a flush. That makes the worker loop the only flusher a batching
+  /// transport needs: no deadline ships a partial batch. No-op by default.
   virtual void flush(int fromPe) { (void)fromPe; }
   /// Stops service threads. Tokens still parked in retransmit queues at
   /// stop() were already either delivered (late acks) or the run failed.

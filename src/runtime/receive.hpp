@@ -254,8 +254,9 @@ void retire(Engine& E, ReceiveState& R, std::uint64_t ctx,
 /// log order: Boot and CtxToken records recreate frames at their original
 /// indices and refill their context slots, ConToken records re-enter the
 /// replay ledger and are parked for their consumer's re-send, and End
-/// records retire their frames again. Every rebuilt frame replays from pc 0;
-/// the engine requeues the live ones.
+/// records retire their frames again. A consumer retired later in the log
+/// never re-sends, so its parked replies go. Every rebuilt frame replays
+/// from pc 0; the engine requeues the live ones.
 template <class Engine>
 void rebuild(Engine& E, ReceiveState& R) {
   RecoveryLog& L = *E.recoveryLog();
@@ -300,6 +301,14 @@ void rebuild(Engine& E, ReceiveState& R) {
       default:
         E.replayRecord(e);
     }
+  }
+  for (auto it = R.parked.begin(); it != R.parked.end();) {
+    std::erase_if(it->second, [&](std::size_t i) {
+      const RecEntry& e = L.entries[i];
+      const auto* f = E.liveFrame(e.frame);
+      return f == nullptr || f->gen != e.gen;
+    });
+    it = it->second.empty() ? R.parked.erase(it) : std::next(it);
   }
 }
 

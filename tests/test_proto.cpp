@@ -825,12 +825,12 @@ struct RecvWorld {
     EXPECT_EQ(snapshot(kCtxB), b) << trace;
     EXPECT_EQ(R.dedup.liveKeys(), keys) << trace;
     // A reply that a live A applied or parked before the wipe is parked for
-    // its sender's re-send.
-    if (M.ctx[kCtxA] == RecvModel::Ctx::Live) {
-      EXPECT_EQ(R.parked.count(kReplySender) != 0,
-                M.repliesSeen.count(kCtxA) != 0)
-          << trace;
-    }
+    // its sender's re-send; nothing else is, since a retired A never
+    // re-sends.
+    EXPECT_EQ(R.parked.count(kReplySender) != 0,
+              M.ctx[kCtxA] == RecvModel::Ctx::Live &&
+                  M.repliesSeen.count(kCtxA) != 0)
+        << trace;
     for (const auto& [c, st] : M.ctx) {
       if (st == RecvModel::Ctx::Live) {
         M.replaying.insert(c);

@@ -18,8 +18,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -829,6 +832,107 @@ TEST(UdpTransport, EndpointTakesOnlyTheTwoDatagramTypes) {
   for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
 }
 
+/// Threads of this process, as /proc/self/task lists them, once two reads
+/// 2 ms apart agree (a joined thread can linger there for a moment).
+int settledThreadCount() {
+  auto count = [] {
+    return static_cast<int>(
+        std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                      std::filesystem::directory_iterator{}));
+  };
+  int last = count();
+  for (int i = 0; i < 500; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int now = count();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+// A worker-style endpoint for PE 1 runs one transport thread, and that
+// thread both receives and retransmits: a token flushed to a silent peer
+// comes again with the same msgId one fault-free RTO later with no further
+// call, and once the peer acks, no third copy follows within three RTOs.
+TEST(UdpTransport, EndpointRetransmitsFromItsOneServiceThread) {
+  std::vector<int> fds;
+  std::vector<std::uint16_t> ports;
+  std::string err;
+  ASSERT_TRUE(native::bindLoopbackUdp(2, fds, ports, &err)) << err;
+  RecordingSink sink;
+  native::UdpWorkerEndpoint ep;
+  ep.pe = 1;
+  ep.sockFd = fds[1];
+  ep.peerPorts = ports;
+  const FaultPlan plan;
+  auto udp = native::makeTransport(native::TransportKind::UdpMultiproc, sink,
+                                   plan, 2, &ep);
+  const int before = settledThreadCount();
+  ASSERT_TRUE(udp->start(&err)) << err;
+  EXPECT_EQ(settledThreadCount(), before + 1);
+
+  const auto rto = std::chrono::microseconds(static_cast<std::int64_t>(
+      plan.config().retry.baseRtoUs(/*faultsEnabled=*/false)));
+  // The next batch on PE 0's socket, or the default token when none comes
+  // within `wait`.
+  auto nextCopy = [&](std::chrono::milliseconds wait) {
+    pollfd pfd{fds[0], POLLIN, 0};
+    native::NToken tok;
+    if (::poll(&pfd, 1, static_cast<int>(wait.count())) != 1) return tok;
+    std::uint8_t dg[native::kBatchMaxBytes];
+    const ssize_t n = ::recv(fds[0], dg, sizeof dg, 0);
+    std::vector<native::NToken> toks;
+    std::uint16_t src = 0;
+    std::uint8_t epoch = 0;
+    EXPECT_TRUE(native::wireDecodeBatch(dg, static_cast<std::size_t>(n), toks,
+                                        &src, &epoch));
+    EXPECT_EQ(src, 1);
+    EXPECT_EQ(toks.size(), 1u);
+    return toks.empty() ? tok : toks[0];
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  native::NToken tok;
+  tok.spCode = 7;
+  tok.v = Value::intv(42);
+  udp->send(1, 0, tok);
+  udp->flush(1);
+  const native::NToken first = nextCopy(std::chrono::milliseconds(5000));
+  ASSERT_EQ(first.msgId, proto::Delivery::packLinkMsgId(1, 0, 1));
+  EXPECT_EQ(first.v.asInt(), 42);
+  const native::NToken again = nextCopy(std::chrono::milliseconds(5000));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, rto);
+  ASSERT_EQ(again.msgId, first.msgId);
+
+  native::WireCumAck ack;
+  ack.ackerPe = 0;
+  ack.cum = 1;
+  std::uint8_t pkt[native::kCumAckWireBytes];
+  native::wireEncodeCumAck(ack, pkt);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(ports[1]);
+  ASSERT_EQ(::sendto(fds[0], pkt, sizeof pkt, 0,
+                     reinterpret_cast<const sockaddr*>(&to), sizeof to),
+            static_cast<ssize_t>(sizeof pkt));
+  EXPECT_EQ(nextCopy(std::chrono::duration_cast<std::chrono::milliseconds>(
+                         3 * rto))
+                .msgId,
+            0u)
+      << "a third copy after the ack";
+  EXPECT_EQ(udp->outstanding(), 0);
+  udp->stop();
+  EXPECT_EQ(settledThreadCount(), before);
+
+  Counters c;
+  udp->addStats(c);
+  EXPECT_GE(c.get("net.retx.resent"), 1);
+  EXPECT_EQ(c.get("net.udp.acksRecv"), 1);
+  EXPECT_EQ(sink.count(), 0u);
+  for (const int fd : fds) EXPECT_EQ(::close(fd), 0);
+}
+
 // The same endpoint fed every broken page record of kPageCorruptions, each
 // in a [token, page, token] batch on the right link: each datagram is
 // rejected whole and counted in net.udp.badDatagrams, so none of its records
@@ -1028,10 +1132,78 @@ TEST(UdpTransport, SimpleBitIdenticalToInboxAcrossPeCounts) {
     for (const char* key :
          {"net.udp.sendErrors", "net.udp.badDatagrams",
           "net.udp.batch.datagrams", "net.udp.batch.tokens",
-          "net.udp.batch.flushFull", "net.udp.batch.flushDeadline",
-          "net.udp.batch.flushDrain", "net.udp.batch.flushRetx"}) {
+          "net.udp.batch.flushFull", "net.udp.batch.flushDrain",
+          "net.udp.batch.flushRetx"}) {
       EXPECT_EQ(run.stats.counters.all().count(key), 1u)
           << "workers=" << workers << " missing " << key;
+    }
+  }
+}
+
+/// Raises `flag` if it is still alive after `limit`, so a run that would
+/// hang fails with "aborted" instead.
+class Watchdog {
+ public:
+  Watchdog(std::atomic<bool>& flag, std::chrono::seconds limit)
+      : thread_([this, &flag, limit] {
+          std::unique_lock<std::mutex> g(m_);
+          if (!cv_.wait_for(g, limit, [&] { return done_; })) flag.store(true);
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> g(m_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // last: starts once the members above exist
+};
+
+// No deadline ships a partial batch: the sending worker's loop is the only
+// flusher. Whether a worker runs one instruction per slice or 65,536, on 2
+// or 8 workers, with either store, every batch it leaves coalescing must
+// still go out, or the run hangs — cut short here by a watchdog.
+TEST(UdpTransport, WorkerLoopIsTheOnlyFlusher) {
+  for (const std::string& src :
+       {workloads::simpleSource(16, 2), workloads::stencilSource(24, 4)}) {
+    auto c = compileOk(src);
+    NativeRun ref = runNative(*c, native::NativeConfig{});
+    ASSERT_TRUE(ref.stats.ok) << ref.stats.error;
+    for (int slice : {1, 65536}) {
+      for (int workers : {2, 8}) {
+        for (native::StoreKind store :
+             {native::StoreKind::Local, native::StoreKind::Wire}) {
+          const std::string what =
+              "slice=" + std::to_string(slice) +
+              " workers=" + std::to_string(workers) +
+              " store=" + native::storeKindName(store);
+          std::atomic<bool> abort{false};
+          native::NativeConfig nc;
+          nc.numWorkers = workers;
+          nc.sliceInstructions = slice;
+          nc.transport = native::TransportKind::Udp;
+          nc.store = store;
+          nc.abort = &abort;
+          NativeRun run;
+          {
+            Watchdog dog(abort, std::chrono::seconds(60));
+            run = runNative(*c, nc);
+          }
+          ASSERT_TRUE(run.stats.ok) << what << ": " << run.stats.error;
+          std::string why;
+          ASSERT_TRUE(sameOutputs(run.out, ref.out, &why))
+              << what << ": " << why;
+          expectBalancedLedger(run, what);
+          EXPECT_GT(run.stats.counters.get("net.udp.batch.flushDrain"), 0)
+              << what;
+        }
+      }
     }
   }
 }
