@@ -29,8 +29,8 @@ struct NFrame : SpFrame {
   bool blocked = false;
   bool dead = false;
 };
-// The flags share SpFrame's first 64 bytes (its tail padding): the run loop
-// tests `dead`, and deliver() `blocked`, next to the fields execute() reads.
+// The flags share SpFrame's first 64 bytes (its tail padding): runSlice
+// tests `dead`, and deliver() `blocked`, next to the fields run() reads.
 static_assert(sizeof(NFrame) <= 64, "NFrame outgrew one cache line");
 
 /// End-of-list link of the wire store's intrusive park lists.
@@ -541,6 +541,10 @@ struct NativeMachine::Impl : TransportSink {
 
   Impl(const SpProgram& p, NativeConfig c)
       : prog(p), cfg(c), plan(c.faults) {
+    // Only the compiler makes programs in-process (a worker process's Boot
+    // decode checks the one it is sent), so a defect here is a bug.
+    const std::string bad = checkProgram(p);
+    PODS_CHECK_MSG(bad.empty(), bad.c_str());
     PODS_CHECK_MSG(c.numWorkers >= 1 && c.numWorkers <= 256,
                    "numWorkers must be in [1, 256]");
     PODS_CHECK(c.pageElems >= 1 && c.pageElems <= kMaxPageElems);
@@ -1371,10 +1375,13 @@ struct NativeMachine::Impl : TransportSink {
     Impl& m;
     Worker& w;
     int pe;
+    /// Instructions left in this slice (runSlice sets the budget).
+    int sliceLeft = 0;
 
     static constexpr std::int64_t kMaxArrayElems = native::kMaxArrayElems;
 
     int numPEs() const { return m.cfg.numWorkers; }
+    bool preempt() { return --sliceLeft < 0; }
     void charge(const NFrame&, const Instr&, bool) { w.st.instructions++; }
     void fail(const std::string& msg) { m.fail(msg); }
     std::uint64_t ctxBase() const { return jobCtxBase(m.cfg.jobId); }
@@ -1739,20 +1746,23 @@ struct NativeMachine::Impl : TransportSink {
     Worker& w = *workers[static_cast<std::size_t>(pe)];
     NFrame& f = *w.frames[frameIdx];
     if (f.dead) return;
-    const SpCode& code = prog.sp(f.spCode);
-    const int budget = cfg.sliceInstructions;
-    Exec ex{*this, w, pe};
-    for (int k = 0; k < budget; ++k) {
-      const Step s = execute(prog, code, ex, frameIdx, f);
-      if (s == Step::Continue) continue;
-      if (s == Step::Blocked) f.blocked = true;
-      // Worker mode holds the retired frame's pending charge through the
-      // END-retire barrier; pumpRetiring releases it with the End record.
-      if (s == Step::Ended && !workerMode()) finishPending();  // frame retired
-      return;  // Blocked / Ended / Stopped
+    Exec ex{*this, w, pe, cfg.sliceInstructions};
+    switch (pods::run(prog, ex, frameIdx, f)) {
+      case Step::Continue:
+        // Slice budget exhausted: requeue and let the inbox drain.
+        w.ready.push_back(frameIdx);
+        break;
+      case Step::Blocked:
+        f.blocked = true;
+        break;
+      case Step::Ended:
+        // Worker mode holds the retired frame's pending charge through the
+        // END-retire barrier; pumpRetiring releases it with the End record.
+        if (!workerMode()) finishPending();
+        break;
+      case Step::Stopped:
+        break;
     }
-    // Slice budget exhausted: requeue and let the inbox drain.
-    w.ready.push_back(frameIdx);
   }
 
   // --- worker-mode deferred retirement + park sweeping -----------------------

@@ -292,7 +292,10 @@ bool decodeProgram(Reader& r, SpProgram& prog) {
     }
     prog.sps.push_back(std::move(sp));
   }
-  return true;
+  // The executor does not bounds-check the pc or operand slots per
+  // instruction, so a program the worker would run must pass the same
+  // load-time check the compiler's output does.
+  return checkProgram(prog).empty();
 }
 
 void encodeFaults(const FaultConfig& f, Writer& w) {

@@ -132,4 +132,16 @@ struct SpProgram {
 /// Human-readable listing of one SP (for tests and debugging).
 std::string disasmSp(const SpCode& sp);
 
+/// Proves, once per program, the bounds the SP executor (sp_exec.hpp) does
+/// not test per instruction: every SP is non-empty and ends in END or JMP,
+/// so the pc never runs off its code; every JMP/BRF target lies inside its
+/// SP; every operand an opcode reads or writes is a slot below the SP's
+/// numSlots (MKCONT's continuation slot included); kNoSlot appears only
+/// where the executor reads it as "no operand" (ARD/AWR c, ALLOC/ALLOCD b
+/// at rank 1, RFLO/RFHI b at dim 0); an allocation's rank is 1 or 2; every
+/// SENDA/SENDD names an existing SP and one of its slots; mainSp is an SP;
+/// and the result count is not negative. Returns "" for a well-formed
+/// program, else its first defect, naming the SP and the pc.
+std::string checkProgram(const SpProgram& prog);
+
 }  // namespace pods

@@ -17,8 +17,8 @@
 // Array Manager or wake-up reply, which a replayed read regenerates) is
 // deduplicated and logged.
 //
-// The rules bind to each engine through the adapter execute() uses, whose
-// inline hooks add:
+// The rules bind to each engine through the adapter the SP executor's run()
+// uses (sp_exec.hpp), whose inline hooks add:
 //
 //   liveFrame(idx)          the live frame stored at idx; nullptr past the
 //                           frame table or for a dead frame
@@ -125,7 +125,7 @@ void parkReply(Engine& E, ReceiveState& R, const Tok& tok,
 
 /// A PE's Matching Unit: delivers `tok` to its frame, spawning the frame for
 /// a context's first token, under the rules above. Forced inline into each
-/// engine's per-token path, as execute() is into its run loop.
+/// engine's per-token path, as run() is into its slice loop.
 template <class Engine, class Tok>
 [[gnu::always_inline]] inline void receive(Engine& E, ReceiveState& R,
                                           const Tok& tok) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 
@@ -467,6 +468,10 @@ struct Machine::Impl {
   // each still owning its body.
   std::vector<RecoveryLog> recLogs;
   std::vector<Ev> deadHeld;
+  // The earliest queued event time while an EU runs: euRun reads the
+  // queue's head at entry and push() lowers it. Nothing pops while an EU
+  // runs, so it is the head's time exactly.
+  std::int64_t queueHead = 0;
 
   Impl(const SpProgram& p, MachineConfig c)
       : prog(p),
@@ -475,6 +480,10 @@ struct Machine::Impl {
         store(c.numPEs, c.timing.pageElems, c.peWeights),
         pes(static_cast<std::size_t>(c.numPEs)),
         linkCounts(static_cast<std::size_t>(c.numPEs)) {
+    // Only the compiler makes the programs the simulator runs, so a defect
+    // here is a bug.
+    const std::string bad = checkProgram(p);
+    PODS_CHECK_MSG(bad.empty(), bad.c_str());
     PODS_CHECK(c.numPEs >= 1 && c.numPEs <= 4096);
     PODS_CHECK_MSG(c.timing.pageElems >= 1 && c.timing.pageElems <= 256,
                    "pageElems must be in [1, 256]");
@@ -533,6 +542,7 @@ struct Machine::Impl {
         break;
     }
     cq.push(t.ns, ev);
+    if (t.ns < queueHead) queueHead = t.ns;
   }
 
   void pushToken(SimTime t, EvKind kind, std::uint16_t pe, const Token& tok) {
@@ -945,10 +955,29 @@ struct Machine::Impl {
     Impl& m;
     std::uint16_t pe;
     SimTime& t;
+    /// Instructions this EU slice has asked to run (euRun's livelock bound).
+    std::uint64_t steps = 0;
+    /// Set when preempt() stopped the EU for good rather than yielding.
+    bool halted = false;
 
     static constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << 24;
 
     int numPEs() const { return m.cfg.numPEs; }
+    /// Yields once the EU's time passes the queue's head, so cross-PE
+    /// interactions are exact; halts on a livelock (one slice past 50M
+    /// instructions) or a runaway error loop.
+    bool preempt() {
+      if (++steps > 50'000'000ULL) {
+        m.runtimeError("livelock: one EU slice exceeded 50M instructions");
+        halted = true;
+        return true;
+      }
+      if (m.errorCount > 64) {
+        halted = true;
+        return true;
+      }
+      return m.queueHead < t.ns;
+    }
     void charge(const Frame& f, const Instr& in, bool realOp) {
       const SimTime c = m.tm.euCost(in.op, realOp);
       t += c;
@@ -1168,28 +1197,12 @@ struct Machine::Impl {
     PeState& P = pes[pe];
     SimTime t = std::max(tStart, P.euFree);
     Exec ex{*this, pe, t};
-    // The current frame's code, resolved once per pick.
-    const SpCode* code =
-        P.current >= 0
-            ? &prog.sp(P.frames[static_cast<std::size_t>(P.current)].spCode)
-            : nullptr;
-    std::uint64_t steps = 0;
-    // Trace bookkeeping: one slice per contiguous run of one SP.
-    SimTime sliceStart{};
-    const std::string* sliceName = nullptr;
-    auto endSlice = [&](SimTime end) {
-      if (tracing && sliceName && end > sliceStart) {
-        addTrace(pe, Unit::EU, sliceName, sliceStart, end - sliceStart);
-      }
-      sliceName = nullptr;
-    };
+    // The head is read once per entry (push() lowers it from here on) and
+    // never re-bases the queue: what this EU pushes may be earlier than it.
+    const EvKey* head = cq.peekKey();
+    queueHead = head != nullptr ? head->t
+                                : std::numeric_limits<std::int64_t>::max();
     for (;;) {
-      if (++steps > 50'000'000ULL) {
-        runtimeError("livelock: one EU slice exceeded 50M instructions");
-        endSlice(t);
-        P.euFree = t;
-        return;
-      }
       if (P.current < 0) {
         if (P.readyQ.empty()) {
           P.euFree = t;
@@ -1207,43 +1220,30 @@ struct Machine::Impl {
           count(Ctr::EuContextSwitches);
           P.lastFrame = idx;
         }
-        code = &prog.sp(f.spCode);
-        sliceStart = t;
-        sliceName = &code->name;
       }
-      // Yield to the global queue whenever our local time passes its head,
-      // so cross-PE interactions are exact. The peek never re-bases the
-      // queue: while the EU keeps running, what it pushes may be earlier
-      // than the head.
-      const EvKey* head = cq.peekKey();
-      if (head != nullptr && head->t < t.ns) {
-        Frame& f = P.frames[static_cast<std::size_t>(P.current)];
-        f.state = FrameState::Ready;
-        P.readyQ.push_front(static_cast<std::uint32_t>(P.current));
-        P.current = -1;
+      const auto idx = static_cast<std::uint32_t>(P.current);
+      Frame& f = P.frames[idx];
+      const SimTime sliceStart = t;
+      const Step r = pods::run(prog, ex, idx, f);
+      // Trace: one slice per contiguous run of one SP.
+      if (tracing && t > sliceStart)
+        addTrace(pe, Unit::EU, &prog.sp(f.spCode).name, sliceStart,
+                 t - sliceStart);
+      if (r == Step::Continue) {
         P.euFree = t;
-        endSlice(t);
+        if (ex.halted) return;
+        // Yield to the global queue: its head is earlier than our time.
+        f.state = FrameState::Ready;
+        P.readyQ.push_front(idx);
+        P.current = -1;
         pushKick(pe, t);
         return;
       }
-      Frame& f = P.frames[static_cast<std::size_t>(P.current)];
-      const Step r =
-          execute(prog, *code, ex, static_cast<std::uint32_t>(P.current), f);
-      if (r != Step::Continue) {
-        // Blocked on an empty slot, or stopped by an error for good; either
-        // way pick the next ready SP (context switch charged at pick).
-        if (r == Step::Blocked) count(Ctr::EuBlocks);
-        if (r != Step::Ended) f.state = FrameState::Blocked;
-        P.current = -1;
-        endSlice(t);
-        continue;
-      }
-      if (errorCount > 64) {
-        // Runaway error loop: stop making progress on this PE.
-        endSlice(t);
-        P.euFree = t;
-        return;
-      }
+      // Blocked on an empty slot, or stopped by an error for good; either
+      // way pick the next ready SP (context switch charged at pick).
+      if (r == Step::Blocked) count(Ctr::EuBlocks);
+      if (r != Step::Ended) f.state = FrameState::Blocked;
+      P.current = -1;
     }
   }
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "proto/ctl.hpp"
@@ -26,7 +27,8 @@ namespace {
 
 // A small but representative program: two SPs, an instruction with every
 // field populated (including a negative RF offset and a Value immediate),
-// debug slot names — enough to catch field-order or width drift.
+// debug slot names — enough to catch field-order or width drift. It is
+// well-formed (checkProgram), as the decoder requires.
 SpProgram sampleProgram() {
   SpProgram prog;
   prog.mainSp = 0;
@@ -48,7 +50,9 @@ SpProgram sampleProgram() {
   i1.aux = Instr::packTarget(1, 5);
   i1.off = -7;
   i1.imm = Value::realv(2.5);
-  main.code = {i1};
+  Instr end;
+  end.op = Op::END;
+  main.code = {i1, end};
   SpCode worker;
   worker.id = 1;
   worker.name = "worker";
@@ -59,7 +63,7 @@ SpProgram sampleProgram() {
   Instr i2;
   i2.op = Op::END;
   i2.imm = Value::intv(-42);
-  worker.code = {i2, i1};
+  worker.code = {i1, i2};
   prog.sps = {main, worker};
   return prog;
 }
@@ -518,6 +522,43 @@ TEST(CtlProtoFuzz, BootTruncationAtEveryBoundaryRejected) {
   }
   BootMsg whole;
   ASSERT_TRUE(decodeBoot(out.data(), out.size(), whole));
+}
+
+// A Boot frame whose program is intact on the wire but malformed must fail
+// the decode too: the executor trusts the load-time check (checkProgram) for
+// its pc and operand bounds, so a worker running such a program would index
+// past its code or a frame. One case per defect shape.
+TEST(CtlProtoFuzz, BootWithMalformedProgramRejected) {
+  const std::vector<std::pair<const char*, void (*)(SpProgram&)>> defects = {
+      {"no END", [](SpProgram& p) { p.sps[0].code.pop_back(); }},
+      {"empty SP", [](SpProgram& p) { p.sps[1].code.clear(); }},
+      {"jump out of range",
+       [](SpProgram& p) {
+         Instr jmp;
+         jmp.op = Op::JMP;
+         jmp.aux = 2;
+         p.sps[0].code.back() = jmp;
+       }},
+      {"slot past numSlots", [](SpProgram& p) { p.sps[0].code[0].b = 6; }},
+      {"kNoSlot operand", [](SpProgram& p) { p.sps[1].code[0].a = kNoSlot; }},
+      {"send to unknown SP",
+       [](SpProgram& p) { p.sps[0].code[0].aux = Instr::packTarget(2, 0); }},
+      {"send to unknown slot",
+       [](SpProgram& p) { p.sps[0].code[0].aux = Instr::packTarget(1, 9); }},
+      {"bad mainSp", [](SpProgram& p) { p.mainSp = 2; }},
+      {"negative result count", [](SpProgram& p) { p.numResults = -1; }},
+  };
+  for (const auto& [what, breakIt] : defects) {
+    BootMsg m = sampleBoot(false);
+    breakIt(m.program);
+    std::vector<std::uint8_t> out;
+    encodeBoot(m, out);
+    BootMsg got;
+    std::uint64_t want = 0, gotHash = 0;
+    EXPECT_FALSE(decodeBoot(out.data(), out.size(), got, &want, &gotHash))
+        << what;
+    EXPECT_EQ(want, gotHash) << what << ": the frame itself is intact";
+  }
 }
 
 TEST(CtlProtoFuzz, LogAndStatusTruncationRejected) {

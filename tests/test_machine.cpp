@@ -189,6 +189,20 @@ TEST(Machine, EventBudgetStopsRunaway) {
   EXPECT_NE(run.stats.error.find("event budget"), std::string::npos);
 }
 
+// A frame that never blocks holds its EU: the slice ends at the livelock
+// bound with a run error, rather than spinning the simulator forever.
+TEST(Machine, NonBlockingLoopEndsWithLivelockError) {
+  auto c = compileOk(R"(
+def main() -> int {
+  loop carry (s = 0) while s >= 0 { next s = s + 1; }
+  return 0;
+}
+)");
+  PodsRun run = runP(*c, 1);
+  EXPECT_FALSE(run.stats.ok);
+  EXPECT_EQ(run.stats.error, "livelock: one EU slice exceeded 50M instructions");
+}
+
 TEST(Machine, TimeScalesWithWork) {
   auto small = compileOk(workloads::fill2dSource(8, 8));
   auto large = compileOk(workloads::fill2dSource(32, 32));

@@ -621,7 +621,7 @@ TEST(DeliveryAccounting, LinkCounterNameFormat) {
 // --- receive core -----------------------------------------------------------
 //
 // The receive core (runtime/receive.hpp) driven through a recording stub
-// engine, as SpExec.* drives execute(): every arrival order of at most four
+// engine, as SpExec.* drives run(): every arrival order of at most four
 // tokens to one PE, interleaved with their contexts' ENDs, each with and
 // without a fail-stop wipe and a rebuild from the records logged so far, is
 // checked step by step against a set model. The stub binds the core both

@@ -1,7 +1,8 @@
 // The SP executor's contract (src/runtime/sp_exec.hpp), driven directly
 // through a recording stub engine: which operand slots each opcode reads
-// before it may run, where a blocked frame waits, and that a blocked
-// instruction neither moves the pc, nor is charged, nor reaches a hook. Both
+// before it may run, where a blocked frame waits, that a blocked
+// instruction neither moves the pc, nor is charged, nor reaches a hook, and
+// that preempting run() between any two instructions changes nothing. Both
 // engines run this one function, so the rule pinned here is the data-driven
 // half of the hybrid model on the simulator and the native engine alike.
 // The division cases then check that every engine reports an integer
@@ -23,6 +24,9 @@ namespace {
 struct Recorder {
   static constexpr std::int64_t kMaxArrayElems = std::int64_t(1) << 20;
   int pe = 0;
+  /// Instructions run() may start before preempt() yields; 1 runs exactly
+  /// one, which is all a one-instruction SP has.
+  int budget = 1;
   int charges = 0;
   std::vector<std::string> hooks;  // hook calls, in order
   std::string error;
@@ -30,6 +34,7 @@ struct Recorder {
   ParkedReplies parked;
 
   int numPEs() const { return 2; }
+  bool preempt() { return budget-- <= 0; }
   void charge(const SpFrame&, const Instr&, bool) { ++charges; }
   void fail(const std::string& msg) { error = msg; }
   std::uint64_t ctxBase() const { return 0; }
@@ -64,8 +69,8 @@ struct Recorder {
     return Step::Continue;
   }
   void sendArg(bool, std::uint16_t, std::uint16_t, std::uint64_t,
-               const Value&) {
-    hooks.push_back("sendArg");
+               const Value& v) {
+    hooks.push_back("sendArg " + v.str());
   }
   void sendCont(Cont, const Value&, bool, std::uint64_t, std::uint64_t) {
     hooks.push_back("sendCont");
@@ -189,8 +194,8 @@ SpFrame frameFor(const OpCase& c, const std::vector<std::uint16_t>& empty) {
   return f;
 }
 
-Step run(const SpProgram& prog, Recorder& E, SpFrame& f) {
-  return execute(prog, prog.sps[0], E, 0, f);
+Step runSp(const SpProgram& prog, Recorder& E, SpFrame& f) {
+  return pods::run(prog, E, 0, f);
 }
 
 TEST(SpExec, EveryOpcodeBlocksOnEachOperandItReads) {
@@ -201,7 +206,7 @@ TEST(SpExec, EveryOpcodeBlocksOnEachOperandItReads) {
                    std::to_string(slot) + " empty");
       Recorder E;
       SpFrame f = frameFor(c, {slot});
-      EXPECT_EQ(run(prog, E, f), Step::Blocked);
+      EXPECT_EQ(runSp(prog, E, f), Step::Blocked);
       EXPECT_EQ(f.blockedSlot, slot);
       EXPECT_EQ(f.pc, 0u);
       EXPECT_EQ(E.charges, 0);
@@ -218,7 +223,7 @@ TEST(SpExec, BlocksOnTheFirstEmptyOperandInReadOrder) {
     const SpProgram prog = oneInstruction(c.in);
     Recorder E;
     SpFrame f = frameFor(c, c.reads);
-    EXPECT_EQ(run(prog, E, f), Step::Blocked);
+    EXPECT_EQ(runSp(prog, E, f), Step::Blocked);
     EXPECT_EQ(f.blockedSlot, c.reads.front());
   }
 }
@@ -229,7 +234,7 @@ TEST(SpExec, EveryOpcodeRunsOnceItsOperandsAreReady) {
     const SpProgram prog = oneInstruction(c.in);
     Recorder E;
     SpFrame f = frameFor(c, {});
-    const Step st = run(prog, E, f);
+    const Step st = runSp(prog, E, f);
     EXPECT_NE(st, Step::Blocked);
     EXPECT_NE(st, Step::Stopped) << E.error;
     EXPECT_EQ(E.charges, 1);
@@ -244,7 +249,7 @@ TEST(SpExec, RangeFiltersIgnoreC) {
     const SpProgram prog = oneInstruction(c.in);
     Recorder E;
     SpFrame f = frameFor(c, {kC});
-    EXPECT_EQ(run(prog, E, f), Step::Continue);
+    EXPECT_EQ(runSp(prog, E, f), Step::Continue);
     EXPECT_EQ(f.pc, 1u);
     EXPECT_EQ(E.hooks, std::vector<std::string>{"rangeFilter"});
   }
@@ -258,7 +263,7 @@ TEST(SpExec, AwaitnReadsAnEmptyCounterAsZero) {
     SpFrame f;
     f.reset(0, 1, kNumSlots);
     f.slots[kB] = Value::intv(0);
-    EXPECT_EQ(run(prog, E, f), Step::Continue);
+    EXPECT_EQ(runSp(prog, E, f), Step::Continue);
     EXPECT_EQ(f.pc, 1u);
   }
   {  // 0 < 1: waits on the counter, charged for the test it made
@@ -266,7 +271,7 @@ TEST(SpExec, AwaitnReadsAnEmptyCounterAsZero) {
     SpFrame f;
     f.reset(0, 1, kNumSlots);
     f.slots[kB] = Value::intv(1);
-    EXPECT_EQ(run(prog, E, f), Step::Blocked);
+    EXPECT_EQ(runSp(prog, E, f), Step::Blocked);
     EXPECT_EQ(f.blockedSlot, kA);
     EXPECT_EQ(f.pc, 0u);
     EXPECT_EQ(E.charges, 1);
@@ -277,7 +282,7 @@ TEST(SpExec, AwaitnReadsAnEmptyCounterAsZero) {
     f.reset(0, 1, kNumSlots);
     f.slots[kA] = Value::intv(1);
     f.slots[kB] = Value::intv(1);
-    EXPECT_EQ(run(prog, E, f), Step::Continue);
+    EXPECT_EQ(runSp(prog, E, f), Step::Continue);
   }
 }
 
@@ -288,7 +293,7 @@ TEST(SpExec, OperandFreeOpcodesNeverBlock) {
     const SpProgram prog = oneInstruction(c.in);
     Recorder E;
     SpFrame f = frameFor(c, {kA, kB, kC, kDst});
-    const Step st = run(prog, E, f);
+    const Step st = runSp(prog, E, f);
     EXPECT_EQ(st, c.in.op == Op::END ? Step::Ended : Step::Continue);
     EXPECT_EQ(f.blockedSlot, kNoSlot);
   }
@@ -303,7 +308,7 @@ TEST(SpExec, IntegerDivisionFaultsStopTheFrame) {
     f.reset(0, 1, kNumSlots);
     f.slots[kA] = Value::intv(10);
     f.slots[kB] = Value::intv(0);
-    EXPECT_EQ(run(prog, E, f), Step::Stopped);
+    EXPECT_EQ(runSp(prog, E, f), Step::Stopped);
     EXPECT_EQ(E.error, op == Op::DIV ? "integer division by zero in unit"
                                      : "modulo by zero in unit");
     EXPECT_EQ(f.pc, 0u);
@@ -318,7 +323,7 @@ TEST(SpExec, IntegerDivisionFaultsStopTheFrame) {
     f.reset(0, 1, kNumSlots);
     f.slots[kA] = Value::intv(std::numeric_limits<std::int64_t>::min());
     f.slots[kB] = Value::intv(-1);
-    EXPECT_EQ(run(prog, E, f), Step::Stopped);
+    EXPECT_EQ(runSp(prog, E, f), Step::Stopped);
     EXPECT_EQ(E.error, "integer division overflow in unit");
   }
   // A real divisor divides in IEEE arithmetic, as it always has.
@@ -328,8 +333,103 @@ TEST(SpExec, IntegerDivisionFaultsStopTheFrame) {
   f.reset(0, 1, kNumSlots);
   f.slots[kA] = Value::intv(1);
   f.slots[kB] = Value::realv(0.0);
-  EXPECT_EQ(run(prog, E, f), Step::Continue);
+  EXPECT_EQ(runSp(prog, E, f), Step::Continue);
   EXPECT_TRUE(E.error.empty());
+}
+
+// Slots of the loop SP below.
+constexpr std::uint16_t kI = 0, kN = 1, kArr = 2, kCond = 3, kOne = 4,
+                        kVal = 5, kCnt = 6, kTarget = 7, kCtx = 8;
+
+/// for i = 0 while i < n { arr[i] = i; val = arr[i]; send i; i = i + 1 },
+/// then a join that is already met, then END: a branch, a loop, an AWR/ARD
+/// pair, a send, AWAITN and END in one SP.
+SpProgram loopProgram() {
+  Instr zero = instr(Op::LIT, kNoSlot, kNoSlot, kNoSlot, kI);
+  zero.imm = Value::intv(0);
+  SpProgram prog = oneInstruction(zero);                            // 0
+  SpCode& sp = prog.sps[0];
+  sp.numSlots = 9;
+  Instr one = instr(Op::LIT, kNoSlot, kNoSlot, kNoSlot, kOne);
+  one.imm = Value::intv(1);
+  Instr brf = instr(Op::BRF, kCond);
+  brf.aux = 9;
+  Instr send = instr(Op::SENDA, kI, kCtx);
+  send.aux = Instr::packTarget(0, kCnt);
+  Instr jmp = instr(Op::JMP);
+  jmp.aux = 2;
+  sp.code.insert(sp.code.end(),
+                 {one,                                                  // 1
+                  instr(Op::CMPLT, kI, kN, kNoSlot, kCond),             // 2
+                  brf,                                                  // 3
+                  instr(Op::AWR, kArr, kI, kNoSlot, kI),                // 4
+                  instr(Op::ARD, kArr, kI, kNoSlot, kVal),              // 5
+                  send,                                                 // 6
+                  instr(Op::ADD, kI, kOne, kNoSlot, kI),                // 7
+                  jmp,                                                  // 8
+                  instr(Op::AWAITN, kCnt, kTarget),                     // 9
+                  instr(Op::END)});                                     // 10
+  return prog;
+}
+
+SpFrame loopFrame() {
+  SpFrame f;
+  f.reset(0, 1, 9);
+  f.slots[kN] = Value::intv(3);
+  f.slots[kArr] = Value::arrayv(7);
+  f.slots[kCnt] = Value::intv(1);
+  f.slots[kTarget] = Value::intv(1);
+  f.slots[kCtx] = Value::intv(5);
+  return f;
+}
+
+TEST(SpExec, PreemptionAtEveryBoundaryChangesNothing) {
+  const SpProgram prog = loopProgram();
+  ASSERT_EQ(checkProgram(prog), "");
+  // The pcs the loop executes, in order: the pc a preempted run() must
+  // leave after its n-th instruction is executed[n].
+  std::vector<std::uint32_t> executed = {0, 1};
+  for (int round = 0; round < 3; ++round)
+    for (std::uint32_t pc = 2; pc <= 8; ++pc) executed.push_back(pc);
+  executed.insert(executed.end(), {2, 3, 9, 10});
+
+  Recorder ref;
+  ref.budget = std::numeric_limits<int>::max();
+  SpFrame refFrame = loopFrame();
+  ASSERT_EQ(runSp(prog, ref, refFrame), Step::Ended);
+  ASSERT_EQ(ref.charges, static_cast<int>(executed.size()));
+  EXPECT_EQ(ref.hooks,
+            (std::vector<std::string>{"write", "read", "sendArg 0", "write",
+                                      "read", "sendArg 1", "write", "read",
+                                      "sendArg 2", "end"}));
+  EXPECT_EQ(refFrame.pc, 10u);
+
+  for (int k = 1; k <= ref.charges; ++k) {
+    SCOPED_TRACE("preempted every " + std::to_string(k) + " instructions");
+    Recorder E;
+    SpFrame f = loopFrame();
+    Step st = Step::Continue;
+    for (int slices = 0; st == Step::Continue; ++slices) {
+      ASSERT_LE(slices, ref.charges);
+      const int before = E.charges;
+      E.budget = k;
+      st = runSp(prog, E, f);
+      if (st != Step::Continue) break;
+      // Exactly k instructions ran; the next one was not charged or begun.
+      EXPECT_EQ(E.charges - before, k);
+      ASSERT_LT(static_cast<std::size_t>(E.charges), executed.size());
+      EXPECT_EQ(f.pc, executed[static_cast<std::size_t>(E.charges)]);
+    }
+    EXPECT_EQ(st, Step::Ended);
+    EXPECT_EQ(E.hooks, ref.hooks);
+    EXPECT_EQ(E.charges, ref.charges);
+    EXPECT_EQ(f.pc, refFrame.pc);
+    EXPECT_EQ(f.blockedSlot, refFrame.blockedSlot);
+    for (std::uint16_t slot = 0; slot < f.slots.size(); ++slot)
+      EXPECT_TRUE(f.slots[slot].identical(refFrame.slots[slot]))
+          << "slot " << slot << ": " << f.slots[slot].str() << " vs "
+          << refFrame.slots[slot].str();
+  }
 }
 
 // The division's divisor is computed at run time, so no compile-time check
